@@ -356,26 +356,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _service_from(args: argparse.Namespace, data: Graph, tracer=None):
+    """The service ``args`` ask for: the thread executor, or with
+    ``--shards N`` the shard executor — one front end, so both tiers
+    take the same options."""
     from .resilience.recovery import RetryPolicy
-    from .service import MatchService
+    from .service import MatchService, ShardedMatchService
 
-    if getattr(args, "shards", 0):
-        from .service.shards import ShardedMatchService
-
-        # The sharded tier is process-based: thread-pool knobs that do
-        # not transfer (retries, spill byte-bounds, history/tracing)
-        # are simply absent from its surface, so only the shared ones
-        # are forwarded.
-        return ShardedMatchService(
-            data,
-            shards=args.shards,
-            max_pending=args.max_pending,
-            index_capacity=args.index_capacity,
-            spill_dir=args.spill_dir,
-            order_strategy=args.order,
-            deadline_seconds=args.deadline,
-            flight_records=getattr(args, "flight_records", 0) or 0,
-        )
     retry_policy = None
     if args.retries > 0:
         retry_policy = RetryPolicy(
@@ -383,9 +369,7 @@ def _service_from(args: argparse.Namespace, data: Graph, tracer=None):
             backoff_base_seconds=0.01,
             backoff_max_seconds=1.0,
         )
-    return MatchService(
-        data,
-        workers=args.workers or 2,
+    options = dict(
         max_pending=args.max_pending,
         index_capacity=args.index_capacity,
         spill_dir=args.spill_dir,
@@ -402,6 +386,9 @@ def _service_from(args: argparse.Namespace, data: Graph, tracer=None):
         fold_request_stats=bool(getattr(args, "fold_request_stats", False)),
         tracer=tracer,
     )
+    if args.shards:
+        return ShardedMatchService(data, shards=args.shards, **options)
+    return MatchService(data, workers=args.workers or 2, **options)
 
 
 def _emit_service_metrics(args: argparse.Namespace, service) -> None:
@@ -770,13 +757,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None, metavar="K",
                        help="service worker threads (default 2)")
         p.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="run the sharded multi-process tier instead: "
-                            "N worker processes sharing mmap'd CECIIDX3 "
+                       help="run the units on N worker processes "
+                            "instead of threads: mmap'd CECIIDX3 "
                             "indexes, pivot partitions fanned across "
-                            "them and merged exactly (0 = the "
-                            "single-process thread pool; --workers, "
-                            "--retries and --spill-max-bytes do not "
-                            "apply when sharded)")
+                            "them and merged exactly (0 = the thread "
+                            "pool; every other option applies to both; "
+                            "not combinable with --workers)")
         p.add_argument("--max-pending", type=int, default=64,
                        help="admission limit: requests beyond this many "
                             "in flight are shed with status 'rejected'")
@@ -973,6 +959,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--max-calls must be positive")
     if getattr(args, "workers", None) is not None and args.workers < 1:
         parser.error("--workers must be >= 1")
+    if getattr(args, "shards", 0) and (
+        getattr(args, "workers", None) is not None
+    ):
+        parser.error("--workers sizes the thread pool; it does not "
+                     "combine with --shards")
     if getattr(args, "progress_interval", None) is not None and (
         args.progress_interval < 0
     ):

@@ -89,11 +89,6 @@ class Enumerator:
         ``"merge"``, ``"gallop"`` or ``"bitset"``.
     cache_size:
         Entry bound of the TE∩NTE memo cache; ``0`` disables caching.
-    cache:
-        Externally-owned memo cache (overrides ``cache_size``).  Pass a
-        :meth:`~repro.kernels.cache.IntersectionCache.view` whose
-        namespace carries the query/data identity when the underlying
-        pool is shared across queries.
     tracer:
         Optional :class:`~repro.observability.tracer.Tracer`; when
         enabled, each cluster enumerated via :meth:`collect` /
@@ -126,7 +121,6 @@ class Enumerator:
         tracker: Optional[BudgetTracker] = None,
         kernel: str = "auto",
         cache_size: int = DEFAULT_CACHE_SIZE,
-        cache=None,
         tracer=None,
         progress=None,
         engine: str = "auto",
@@ -159,19 +153,11 @@ class Enumerator:
         self.use_intersection = use_intersection
         self.stats = stats if stats is not None else MatchStats()
         self.kernel = kernel
-        # ``cache`` injects an externally-owned memo cache — typically a
-        # NamespacedCache view of a pool shared across requests, whose
-        # namespace must carry the query/data identity the bare keys
-        # lack (see repro.kernels.cache).  Without it, a private
-        # per-enumerator cache is created from ``cache_size``.
-        if cache is not None:
-            self._cache = cache
-        else:
-            self._cache = (
-                IntersectionCache(cache_size, stats=self.stats)
-                if cache_size > 0
-                else None
-            )
+        self._cache = (
+            IntersectionCache(cache_size, stats=self.stats)
+            if cache_size > 0
+            else None
+        )
         if tracker is None and budget is not None and not budget.unlimited:
             tracker = budget.tracker()
         self._tracker = tracker

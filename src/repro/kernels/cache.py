@@ -11,21 +11,12 @@ insertion-order (FIFO) eviction.
 
 Keys are ``(query vertex, parent candidate, NTE candidate tuple)`` —
 everything the intersection result depends on once the index is frozen
-*for one query/index pair*.  A private cache therefore lives on one
+*for one query/index pair*, and nothing more: the key says nothing about
+which query or data graph produced an entry, so a cache must never be
+shared across queries.  A cache therefore lives on one
 :class:`~repro.core.enumeration.Enumerator` over one built index;
 enumerators are created per run, so index mutations (streaming updates,
 refinement) can never leak stale entries.
-
-**Sharing across queries** needs more: the bare ``(u, v_p, NTE)`` key
-says nothing about *which* query or data graph produced the entry, so
-two different queries hitting the same data graph collide on it — query
-vertex 2's TE∩NTE for one pattern is garbage for another.  A shared
-cache must only ever be used through :meth:`IntersectionCache.view`,
-which prefixes every key with an opaque namespace (the service layer
-uses the ``(data fingerprint, query fingerprint, index shape)``
-triple); entries written under one namespace are invisible to every
-other.  Construct the shared instance with ``threadsafe=True`` so
-concurrent probes and FIFO evictions cannot tear the dict.
 
 Cached lists are shared, not copied: callers must treat results as
 read-only (the enumerator only iterates them).
@@ -33,10 +24,9 @@ read-only (the enumerator only iterates them).
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Hashable, List, Optional
 
-__all__ = ["IntersectionCache", "NamespacedCache", "DEFAULT_CACHE_SIZE"]
+__all__ = ["IntersectionCache", "DEFAULT_CACHE_SIZE"]
 
 #: Default entry bound — at ~tens of candidates per cached list this
 #: keeps the cache in the low megabytes even on hub-heavy graphs.
@@ -63,27 +53,15 @@ class IntersectionCache:
     nothing is kept) — the switch the ablation benchmarks use.
     """
 
-    __slots__ = (
-        "maxsize", "hits", "misses", "evictions", "_stats", "_data", "_lock"
-    )
+    __slots__ = ("maxsize", "hits", "misses", "evictions", "_stats", "_data")
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_CACHE_SIZE,
-        stats=None,
-        threadsafe: bool = False,
-    ) -> None:
+    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE, stats=None) -> None:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self._stats = stats
         self._data: Dict[Hashable, List[int]] = {}
-        #: None on the single-threaded hot path (zero overhead); a real
-        #: lock when the cache is shared across worker threads — two
-        #: concurrent FIFO evictions otherwise race on the same oldest
-        #: key and one of them KeyErrors.
-        self._lock = threading.Lock() if threadsafe else None
 
     def __len__(self) -> int:
         return len(self._data)
@@ -92,12 +70,6 @@ class IntersectionCache:
         """The cached list for ``key``, or ``None`` — an *empty list* is
         a valid cached value, so test the return with ``is None``, not
         truthiness."""
-        if self._lock is not None:
-            with self._lock:
-                return self._get(key)
-        return self._get(key)
-
-    def _get(self, key: Hashable) -> Optional[List[int]]:
         found = self._data.get(key)
         if found is None:
             self.misses += 1
@@ -112,12 +84,6 @@ class IntersectionCache:
     def put(self, key: Hashable, value: List[int]) -> None:
         """Store ``value`` under ``key``, evicting the oldest insertion
         when full."""
-        if self._lock is not None:
-            with self._lock:
-                return self._put(key, value)
-        return self._put(key, value)
-
-    def _put(self, key: Hashable, value: List[int]) -> None:
         data = self._data
         if len(data) >= self.maxsize and key not in data:
             if self.maxsize <= 0:
@@ -127,15 +93,6 @@ class IntersectionCache:
             if self._stats is not None:
                 self._stats.cache_evictions += 1
         data[key] = value
-
-    def view(self, namespace: Hashable, stats=None) -> "NamespacedCache":
-        """A key-disjoint view of this cache: every probe and store is
-        silently prefixed with ``namespace``, so independent consumers
-        (different queries, different data graphs) can share one bounded
-        pool without ever reading each other's entries.  ``stats`` is an
-        optional per-run :class:`~repro.core.stats.MatchStats` whose
-        cache counters the view increments alongside the shared ones."""
-        return NamespacedCache(self, namespace, stats=stats)
 
     @property
     def hit_rate(self) -> float:
@@ -159,54 +116,3 @@ class IntersectionCache:
         """Drop all entries (counters are kept)."""
         self._data.clear()
 
-
-class NamespacedCache:
-    """A namespaced facade over a shared :class:`IntersectionCache`.
-
-    Satisfies the same ``get``/``put`` surface the enumerator uses, so
-    it can be injected via ``Enumerator(cache=...)``.  Keys are wrapped
-    as ``(namespace, key)`` before touching the parent, which is what
-    makes cross-query sharing sound: the bare enumeration key ``(u,
-    v_p, NTE tuple)`` is only unique *within* one query/index pair.
-
-    Hit/miss counters book into the parent (shared totals) and, when a
-    per-run ``stats`` object is given, into that run's ``cache_hits`` /
-    ``cache_misses`` / ``cache_evictions`` too — so concurrent requests
-    sharing one pool still report their own cache behaviour without
-    bleeding counters into each other.
-    """
-
-    __slots__ = ("parent", "namespace", "_stats")
-
-    def __init__(
-        self, parent: IntersectionCache, namespace: Hashable, stats=None
-    ) -> None:
-        self.parent = parent
-        self.namespace = namespace
-        self._stats = stats
-
-    @property
-    def maxsize(self) -> int:
-        return self.parent.maxsize
-
-    def get(self, key: Hashable) -> Optional[List[int]]:
-        found = self.parent.get((self.namespace, key))
-        if self._stats is not None:
-            if found is None:
-                self._stats.cache_misses += 1
-            else:
-                self._stats.cache_hits += 1
-        return found
-
-    def put(self, key: Hashable, value: List[int]) -> None:
-        evictions_before = self.parent.evictions
-        self.parent.put((self.namespace, key), value)
-        if self._stats is not None:
-            self._stats.cache_evictions += (
-                self.parent.evictions - evictions_before
-            )
-
-    def snapshot(self) -> Dict[str, float]:
-        """The parent's counters (the namespace itself keeps no tally
-        beyond the optional per-run stats)."""
-        return self.parent.snapshot()

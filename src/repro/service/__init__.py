@@ -4,8 +4,15 @@ control (DESIGN.md §10).
 The matcher answers one query per process; this package keeps a data
 graph resident and answers *streams* of queries:
 
-* :class:`~repro.service.service.MatchService` — bounded worker pool,
-  admission control, fair cluster-level batching;
+* :class:`~repro.service.service.MatchService` — the front end
+  (admission, index resolution, deadlines, retries, exact merge,
+  telemetry) over an executor; by default a thread pool with fair
+  cluster-level batching;
+* :class:`~repro.service.shards.ShardedMatchService` — the same front
+  end over the shard executor (``repro serve --shards N``): pivot
+  partitions fanned out across worker processes sharing mmap'd
+  CECIIDX3 indexes, with exact-merge responses indistinguishable from
+  the thread executor's;
 * :class:`~repro.service.cache.IndexCache` — cross-query LRU of frozen
   indexes keyed by canonical query signature, with a CECIIDX3 spill
   tier and in-flight build coalescing;
@@ -13,11 +20,7 @@ graph resident and answers *streams* of queries:
   :class:`~repro.service.request.MatchResponse` — the request surface;
 * :mod:`~repro.service.loadgen` — deterministic open-loop benchmark
   (``repro bench-service``);
-* :mod:`~repro.service.server` — JSON-lines front end (``repro serve``);
-* :class:`~repro.service.shards.ShardedMatchService` — the multi-process
-  shard tier (``repro serve --shards N``): pivot partitions fanned out
-  across worker processes sharing mmap'd CECIIDX3 indexes, with
-  exact-merge responses indistinguishable from the single-process tier.
+* :mod:`~repro.service.server` — JSON-lines front end (``repro serve``).
 """
 
 from .cache import CacheEntry, IndexCache, transplant_store

@@ -52,13 +52,9 @@ __all__ = ["CacheEntry", "IndexCache", "transplant_store"]
 class CacheEntry:
     """One cached frozen index plus what :meth:`IndexCache.adapt` needs
     to re-target it: the representative query's canonical order and the
-    build cost (for the warm-speedup accounting).  ``blob`` memoizes the
-    entry's CECIIDX3 serialization for the sharded service's publish
-    path (see :meth:`IndexCache.serialized`)."""
+    build cost (for the warm-speedup accounting)."""
 
-    __slots__ = (
-        "key", "store", "canon_order", "build_seconds", "hits", "blob",
-    )
+    __slots__ = ("key", "store", "canon_order", "build_seconds")
 
     def __init__(
         self,
@@ -71,8 +67,6 @@ class CacheEntry:
         self.store = store
         self.canon_order = canon_order
         self.build_seconds = build_seconds
-        self.hits = 0
-        self.blob: Optional[bytes] = None
 
 
 def transplant_store(
@@ -236,7 +230,6 @@ class IndexCache:
                 entry = self._lru.get(key)
                 if entry is not None:
                     self._lru.move_to_end(key)
-                    entry.hits += 1
                     self._count("coalesced" if waited else "hits")
                     return entry, "coalesced" if waited else "hit", order
                 event = self._inflight.get(key)
@@ -295,21 +288,6 @@ class IndexCache:
             return entry.store
         self._count("transplants")
         return transplant_store(entry.store, query, sigma)
-
-    def serialized(
-        self, entry: CacheEntry, store: Optional[CompactCECI] = None
-    ) -> bytes:
-        """CECIIDX3 bytes for ``store`` (default: the entry's own
-        store), memoized on the entry when they coincide — so repeated
-        shard publishes and spills of one hot index pay serialization
-        once.  A transplanted store is serialized fresh every time: its
-        per-query-vertex layout is labeling-specific and must never
-        masquerade as the representative's blob."""
-        if store is None or store is entry.store:
-            if entry.blob is None:
-                entry.blob = dump_store_bytes(entry.store)
-            return entry.blob
-        return dump_store_bytes(store)
 
     # ------------------------------------------------------------------
     # Spill tier

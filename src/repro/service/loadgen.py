@@ -255,8 +255,6 @@ def run_benchmark(
         "embedding_counts": counts,
         "index_cache": service.index_cache.snapshot(),
     }
-    if service.intersection_pool is not None:
-        report["intersection_pool"] = service.intersection_pool.snapshot()
     return report
 
 
@@ -307,11 +305,12 @@ def run_chaos(
 
     With ``shards > 0`` the run targets a
     :class:`~repro.service.shards.ShardedMatchService` of that many
-    worker *processes* instead, and the shard fault classes join the
-    plan: shard-process kills mid-task, per-shard stalls, and torn
-    shared-mmap publishes.  The judgments are identical — zero wrong
-    results no matter which shard died — and ``pool_full_strength``
-    then means every shard process is alive again (respawns verified).
+    worker *processes* instead, under the same retry policy, and the
+    shard fault classes join the plan: shard-process kills mid-task,
+    per-shard stalls, and torn shared-mmap publishes.  The judgments
+    are identical — zero wrong results no matter which shard died — and
+    ``pool_full_strength`` then means every shard process is alive
+    again (respawns verified).
 
     Returns a JSON-ready report; closing the service is handled here.
     """
@@ -354,31 +353,21 @@ def run_chaos(
     statuses: Dict[str, int] = {status: 0 for status in Status.ALL}
     wrong: List[Dict[str, int]] = []
     retries_total = 0
+    options = dict(
+        max_pending=max(requests, 1),
+        index_capacity=index_capacity,
+        spill_dir=spill_dir,
+        deadline_seconds=deadline_seconds,
+        retry_policy=policy,
+        fault_plan=plan,
+    )
     if shards > 0:
         from .shards import ShardedMatchService
 
-        service_ctx = ShardedMatchService(
-            data,
-            shards=shards,
-            max_pending=max(requests, 1),
-            index_capacity=index_capacity,
-            spill_dir=spill_dir,
-            deadline_seconds=deadline_seconds,
-            fault_plan=plan,
-        )
-        pool_size = shards
+        service_ctx = ShardedMatchService(data, shards=shards, **options)
     else:
-        service_ctx = MatchService(
-            data,
-            workers=workers,
-            max_pending=max(requests, 1),
-            index_capacity=index_capacity,
-            spill_dir=spill_dir,
-            deadline_seconds=deadline_seconds,
-            retry_policy=policy,
-            fault_plan=plan,
-        )
-        pool_size = workers
+        service_ctx = MatchService(data, workers=workers, **options)
+    pool_size = shards or workers
     try:
         with service_ctx as service:
             started = time.perf_counter()

@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = ["fair_interleave", "FairTaskQueue"]
 
@@ -191,10 +191,3 @@ class FairTaskQueue(Generic[T]):
         with self._ready:
             self._closed = True
             self._ready.notify_all()
-
-    def __iter__(self) -> Iterator[T]:
-        while True:
-            item = self.pop()
-            if item is None:
-                return
-            yield item

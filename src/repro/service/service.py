@@ -1,60 +1,66 @@
-"""The resident match service: one data graph, many concurrent queries.
+"""The resident match service: one front end over two executors.
 
 :class:`MatchService` loads (or receives) a data graph once and answers
-:class:`~repro.service.request.MatchRequest`\\ s through a bounded worker
-pool.  The pieces, and where each lives:
+:class:`~repro.service.request.MatchRequest`\\ s.  CECI's embedding
+clusters (Section 4.2) are the unit of parallel work, and the service
+is split along that line: a **front end** that owns everything
+request-level, and an **executor** that only gets units to workers and
+recovers lost ones.  The pieces, and where each lives:
 
-* **admission control** — :meth:`submit` counts in-flight requests; past
-  ``max_pending`` a request is shed immediately with a ``REJECTED``
-  response, before it can touch any shared state;
+* **admission control** — :meth:`MatchService.submit` counts in-flight
+  requests; past ``max_pending`` a request is shed immediately with a
+  ``REJECTED`` response, before it can touch any shared state;
 * **index reuse** — a scheduler thread resolves each admitted request's
   index through the cross-query :class:`~repro.service.cache.IndexCache`
   (LRU hit / spilled-blob warm / in-flight coalesce / fresh build);
-* **batching & fairness** — unbounded requests are decomposed into their
-  embedding clusters and all requests' cluster units interleave on one
-  :class:`~repro.service.scheduler.FairTaskQueue`, so a huge query never
-  starves its neighbours; budgeted/limited requests run *solo* ahead of
-  the batch so their truncation prefixes are exactly the sequential
-  matcher's;
-* **isolation** — every unit enumerates into a private
-  :class:`~repro.core.stats.MatchStats` merged under the job's lock, and
-  the shared TE∩NTE intersection pool is only reached through
-  per-request :meth:`~repro.kernels.cache.IntersectionCache.view`
-  namespaces, so neither counters nor cached intersections can bleed
-  between requests;
-* **supervision** — a watchdog thread patrols the pool: a worker thread
-  that *died* holding a request (real bug or injected crash) has its
-  in-flight task failed as a crash and its slot respawned, so the pool
-  never silently shrinks; a worker *wedged* past ``stall_after_seconds``
-  on one heartbeat is condemned (Python threads cannot be killed — the
-  condemned thread exits at its next loop boundary), its request is
-  failed with ``TIMEOUT``, and a replacement is spawned immediately;
+* **units** — an unbounded request becomes one unit per pivot, in
+  ``store.pivots`` order, weighted by ``cluster_cardinality``;
+  budgeted/limited requests run *solo* so their truncation prefixes are
+  exactly the sequential matcher's;
+* **exact merge** — executors hand back per-pivot parts; the front end
+  concatenates them in ``store.pivots`` order, which *is* sequential
+  ``collect`` order;
 * **deadlines & cancellation** — each request may carry an end-to-end
   ``deadline_seconds`` (service-wide default available) measured from
-  submit and covering queue wait + index resolution + matching.  It is
-  enforced cooperatively at the scheduler pop, after the index build,
-  and at every batch boundary; an expired request resolves ``TIMEOUT``
-  with no embeddings.  :meth:`PendingMatch.cancel` rides the same
-  boundaries with ``CANCELLED``;
+  submit and covering queue wait + index resolution + matching.  One
+  monitor thread resolves expired requests ``TIMEOUT`` and cancelled
+  ones ``CANCELLED`` within about 10 ms, whatever the executor is
+  doing; the scheduler also checks before and after index resolution;
 * **retry** — with a :class:`~repro.resilience.recovery.RetryPolicy`,
   requests failed by a worker crash or an injected transient fault are
   transparently re-run (fresh index resolution, fresh budget clock)
   after an exponential-backoff-with-jitter delay, up to
   ``max_retries`` times; the response's ``retries`` field and the
-  ``service_retries_total`` counter account for every re-run.
+  ``service_retries_total`` counter account for every re-run;
+* **telemetry** — finalisation books metrics, the flight record, the
+  slow-query log, the query history and trace phases, the same way for
+  every executor.
+
+Executors implement the small :class:`Executor` protocol and report
+back through three front-end callbacks (:meth:`MatchService._solo_done`,
+:meth:`MatchService._units_done`, :meth:`MatchService._unit_failed`):
+
+* :class:`_ThreadExecutor` (this module, the default) — a fair task
+  queue drained by worker threads.  A heartbeat watchdog respawns a
+  worker thread that *died* holding a unit (the unit fails as a crash)
+  and condemns one *wedged* past ``stall_after_seconds`` (its request
+  resolves ``TIMEOUT``; Python threads cannot be killed, so the
+  condemned thread exits at its next loop boundary);
+* the shard executor (:mod:`repro.service.shards`) — forked worker
+  processes sharing mmap'd indexes, used by
+  :class:`~repro.service.shards.ShardedMatchService`.
 
 **Exactness.**  A response's embedding list is bit-identical to a fresh
 ``CECIMatcher(query, data).run(limit)`` whenever the request's labeling
 matches the cached representative's (always true for cold builds and
 exact repeats): the frozen store is the same arrays, solo runs replay
 the sequential recursion, and batched runs concatenate per-pivot cluster
-results back in pivot order — which *is* sequential ``collect`` order.
-For an isomorphic-but-relabeled hit the transplanted index yields the
-same embedding *set* (enumeration order may differ; symmetry breaking is
-applied with the request's own breaker, so the chosen representatives
-are the request's, not the cached labeling's).  Retries preserve this:
-a re-run starts from scratch, so a retried ``OK`` answer is exactly a
-first-attempt ``OK`` answer.
+results back in pivot order.  For an isomorphic-but-relabeled hit the
+transplanted index yields the same embedding *set* (enumeration order
+may differ; symmetry breaking is applied with the request's own breaker,
+so the chosen representatives are the request's, not the cached
+labeling's).  Retries preserve this: a re-run starts from scratch, so a
+retried ``OK`` answer is exactly a first-attempt ``OK`` answer.
 """
 
 from __future__ import annotations
@@ -65,7 +71,9 @@ import json
 import random
 import threading
 import time
-from typing import Dict, List, Optional, Set, TextIO, Tuple, Union
+from typing import (
+    Callable, Dict, List, Optional, Protocol, Set, TextIO, Tuple, Union,
+)
 
 from ..core.automorphism import SymmetryBreaker
 from ..core.enumeration import Embedding, Enumerator
@@ -74,7 +82,6 @@ from ..core.matcher import CECIMatcher
 from ..core.stats import MatchStats
 from ..core.store import CompactCECI
 from ..graph import Graph
-from ..kernels import DEFAULT_CACHE_SIZE, IntersectionCache
 from ..observability.flight import FLIGHT_SCHEMA, FlightRecorder
 from ..observability.history import QueryHistory
 from ..observability.metrics import MetricSpec, MetricsRegistry
@@ -88,10 +95,10 @@ from .request import MatchRequest, MatchResponse, Status
 from .scheduler import FairTaskQueue
 
 __all__ = [
+    "Executor",
     "MatchService",
     "PendingMatch",
     "service_metric_specs",
-    "rejected_response",
 ]
 
 #: How long a worker blocks on one ``pop`` before re-checking whether it
@@ -99,29 +106,13 @@ __all__ = [
 #: (but idle) thread notices and exits.
 _POP_INTERVAL = 0.1
 
+#: How often the deadline/cancel monitor scans in-flight jobs (seconds).
+_MONITOR_INTERVAL = 0.01
 
-def rejected_response(
-    request: MatchRequest,
-    inflight: int,
-    max_pending: int,
-    metrics: MetricsRegistry,
-    flight: Optional[FlightRecorder],
-) -> MatchResponse:
-    """The admission-shed outcome, shared verbatim by the single-process
-    and sharded services: count it, flight-record it, and build the
-    ``REJECTED`` response — the request never touches shared state."""
-    metrics.inc("service_requests_total", label=Status.REJECTED)
-    error = f"queue depth {inflight} at limit {max_pending}"
-    if flight is not None:
-        record = flight.begin(request.request_id)
-        record.event("admit", outcome="rejected", queue_depth=inflight)
-        record.event("final", status=Status.REJECTED)
-        record.finish(status=Status.REJECTED, error=error)
-    return MatchResponse(
-        request_id=request.request_id,
-        status=Status.REJECTED,
-        error=error,
-    )
+#: The pivot of a thread-executor task that runs its job solo.
+_SOLO = -1
+
+_CLOSE = object()
 
 
 def service_metric_specs() -> Tuple[MetricSpec, ...]:
@@ -294,9 +285,8 @@ class PendingMatch:
         Raises :class:`TimeoutError` if the response is not ready within
         ``timeout`` seconds.  The timeout is a *wait* bound only: the
         request keeps running and a later ``result()`` call can still
-        collect it.  To abandon the work too, call :meth:`cancel` (the
-        request then resolves ``CANCELLED`` at its next batch boundary),
-        or give the request a ``deadline_seconds`` up front.
+        collect it.  To abandon the work too, call :meth:`cancel`, or
+        give the request a ``deadline_seconds`` up front.
         """
         if not self._event.wait(timeout=timeout):
             raise TimeoutError(
@@ -308,9 +298,9 @@ class PendingMatch:
     def cancel(self) -> bool:
         """Ask the service to abandon this request.
 
-        Cancellation is cooperative: workers observe the flag at the
-        next batch boundary (scheduler pop, post-build, per-unit), so a
-        unit already enumerating finishes that unit first.  Returns
+        The service's deadline/cancel monitor resolves the request
+        within about 10 ms; a unit already enumerating runs to its end
+        and its result is dropped.  Returns
         ``True`` if the cancel was registered while the request was
         still in flight; ``False`` if it had already resolved (or was
         shed at admission and never ran).  A cancelled request resolves
@@ -337,10 +327,9 @@ class _Job:
 
     __slots__ = (
         "request", "pending", "submitted_at", "prepared_at", "deadline_at",
-        "symmetry", "store", "cache_tag", "namespace", "tracker", "stats",
-        "parts", "remaining", "truncated", "stop_reason", "error",
-        "error_kind", "retries", "cancelled", "done", "lock",
-        "flight", "plan",
+        "symmetry", "store", "cache_tag", "signature", "tracker", "stats",
+        "pivots", "parts", "remaining", "error", "error_kind", "retries",
+        "fanout", "cancelled", "done", "lock", "flight", "plan",
     )
 
     def __init__(
@@ -357,70 +346,94 @@ class _Job:
         self.symmetry: Optional[SymmetryBreaker] = None
         self.store: Optional[CompactCECI] = None
         self.cache_tag: Optional[str] = None
-        self.namespace: Optional[Tuple[str, ...]] = None
+        #: The canonical query signature the index cache keyed the
+        #: request's index under (flight and history records carry it).
+        self.signature: Optional[str] = None
         self.tracker: Optional[BudgetTracker] = None
         self.stats = MatchStats()
-        self.parts: List[Optional[List[Embedding]]] = []
+        #: Unit pivots in ``store.pivots`` order — the exact-merge key —
+        #: and the parts reported so far, keyed by pivot.
+        self.pivots: List[int] = []
+        self.parts: Dict[int, List[Embedding]] = {}
+        #: Units not yet reported back by the executor.
         self.remaining = 0
-        self.truncated = False
-        self.stop_reason: Optional[str] = None
         self.error: Optional[str] = None
         #: How the current attempt failed: "crash" (worker death),
         #: "fault" (injected transient), "error" (real exception).
         #: Only "crash" and "fault" are retryable.
         self.error_kind: Optional[str] = None
         self.retries = 0
+        #: Shards the executor fanned the job out to (shard executor
+        #: only; reported as the response's ``shard_fanout``).
+        self.fanout: Optional[int] = None
         self.cancelled = False
         #: Telemetry (optional): this request's flight record in the
         #: service's ring, and the plan facts captured at prepare time.
         self.flight = None
         self.plan: Optional[Dict] = None
         #: First-wins finalization flag, written under ``lock``: the
-        #: watchdog, the deadline checks and the normal completion path
-        #: can all race to resolve one job.
+        #: monitor, the watchdog and the normal completion path can all
+        #: race to resolve one job.
         self.done = False
         self.lock = threading.Lock()
 
 
-class _Beat:
-    """One worker's heartbeat: which task it holds and since when."""
+class Executor(Protocol):
+    """Dispatch and failure recovery for prepared jobs.
 
-    __slots__ = ("slot", "job", "index", "started")
+    ``run_solo`` enumerates a job un-decomposed (sequential order, limit
+    and budget honoured); ``run_units`` enumerates one cluster per pivot
+    (``workloads`` are their ``cluster_cardinality`` weights).  Outcomes
+    go back through :meth:`MatchService._solo_done`,
+    :meth:`MatchService._units_done` and
+    :meth:`MatchService._unit_failed`; an executor never finalizes a
+    job.  ``healthy`` counts live workers, ``queue_depth`` waiting
+    tasks, ``snapshot`` returns entries for :meth:`MatchService.snapshot`,
+    and ``close`` stops every worker within the ``left()`` join window,
+    returning whether everything stopped.
+    """
 
-    def __init__(self, slot: int, job: _Job, index: int, now: float) -> None:
-        self.slot = slot
-        self.job = job
-        self.index = index
-        self.started = now
+    def run_solo(self, job: _Job) -> None: ...
 
+    def run_units(
+        self, job: _Job, pivots: List[int], workloads: List[float]
+    ) -> None: ...
 
-#: Task shapes on the worker channel: ``(job, -1, ())`` runs solo,
-#: ``(job, i, prefix)`` runs cluster unit ``i``.
-_Task = Tuple[_Job, int, Tuple[int, ...]]
+    def healthy(self) -> int: ...
 
-_CLOSE = object()
+    def queue_depth(self) -> int: ...
+
+    def snapshot(self) -> Dict[str, object]: ...
+
+    def close(self, left: Callable[[], Optional[float]]) -> bool: ...
 
 
 class MatchService:
     """A resident matcher over one data graph.
 
-    Engine knobs that shape the *index* (order strategy, filters,
-    refinement, intersection mode) are fixed service-wide — that is the
-    invariant making cross-query index reuse sound.  Per-request knobs
-    (limit, budget, kernel, symmetry, deadline) ride on each
-    :class:`~repro.service.request.MatchRequest`.
+    Engine knobs that shape the *index* (order strategy) are fixed
+    service-wide — that is the invariant making cross-query index reuse
+    sound.  Per-request knobs (limit, budget, kernel, symmetry,
+    deadline) ride on each :class:`~repro.service.request.MatchRequest`.
 
     Hardening knobs: ``deadline_seconds`` is the service-wide default
     end-to-end deadline (per-request ``deadline_seconds`` overrides);
     ``retry_policy`` enables transparent re-runs of crash/fault-failed
-    requests; ``stall_after_seconds`` arms the watchdog's wedged-worker
-    detection (it must exceed the longest *legitimate* single unit, or
-    healthy slow work gets condemned); ``fault_plan`` injects
-    deterministic service-level faults for chaos testing;
-    ``spill_max_bytes`` byte-bounds the index cache's spill directory.
+    requests; ``fault_plan`` injects deterministic service-level faults
+    for chaos testing; ``spill_max_bytes`` byte-bounds the index cache's
+    spill directory.
+
+    Thread-executor knobs: ``workers`` sizes the pool;
+    ``stall_after_seconds`` arms the watchdog's wedged-worker detection
+    (it must exceed the longest *legitimate* single unit, or healthy
+    slow work gets condemned); ``watchdog_interval`` is its patrol
+    period.
 
     Use as a context manager, or call :meth:`close` when done.
     """
+
+    #: The metric spec table (the sharded subclass extends it).
+    metric_specs = staticmethod(service_metric_specs)
 
     def __init__(
         self,
@@ -429,10 +442,7 @@ class MatchService:
         max_pending: int = 64,
         index_capacity: int = 32,
         spill_dir: Optional[str] = None,
-        intersection_cache_size: int = DEFAULT_CACHE_SIZE,
         order_strategy: str = "bfs",
-        use_refinement: bool = True,
-        use_intersection: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         deadline_seconds: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -453,10 +463,6 @@ class MatchService:
             raise ValueError("max_pending must be >= 1")
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive")
-        if stall_after_seconds is not None and stall_after_seconds <= 0:
-            raise ValueError("stall_after_seconds must be positive")
-        if watchdog_interval <= 0:
-            raise ValueError("watchdog_interval must be positive")
         if flight_records < 0:
             raise ValueError("flight_records must be >= 0")
         if slow_ms is not None and slow_ms < 0:
@@ -465,19 +471,15 @@ class MatchService:
         self.workers = workers
         self.max_pending = max_pending
         self.order_strategy = order_strategy
-        self.use_refinement = use_refinement
-        self.use_intersection = use_intersection
         self.deadline_seconds = deadline_seconds
         self.retry_policy = retry_policy
-        self.stall_after_seconds = stall_after_seconds
-        self.watchdog_interval = watchdog_interval
         self.fault_plan = fault_plan
         self.metrics = (
             metrics
             if metrics is not None
-            else MetricsRegistry(service_metric_specs())
+            else MetricsRegistry(self.metric_specs())
         )
-        for spec in service_metric_specs():
+        for spec in self.metric_specs():
             self.metrics.register(spec)
         #: Telemetry: all off by default so a bare service pays only
         #: ``is None`` checks on the request path (the <3% overhead
@@ -503,14 +505,6 @@ class MatchService:
             metrics=self.metrics,
             fault_plan=fault_plan,
         )
-        #: Shared TE∩NTE memo pool; reached only through per-request
-        #: namespaced views (see repro.kernels.cache) so two queries can
-        #: never read each other's intersections.
-        self.intersection_pool = (
-            IntersectionCache(intersection_cache_size, threadsafe=True)
-            if intersection_cache_size > 0
-            else None
-        )
         self._state_lock = threading.Lock()
         self._idle = threading.Condition(self._state_lock)
         self._inflight = 0
@@ -519,7 +513,8 @@ class MatchService:
         self._stopping = False
         self._close_done = threading.Event()
         #: Every admitted, not-yet-finalized job (guarded by
-        #: ``_state_lock``) — what a timed-out ``close`` fails.
+        #: ``_state_lock``) — what the monitor patrols and a timed-out
+        #: ``close`` fails.
         self._jobs: Set[_Job] = set()
         #: Pending retry timers, per job (guarded by ``_state_lock``).
         self._retry_timers: Dict[_Job, threading.Timer] = {}
@@ -528,33 +523,34 @@ class MatchService:
         self._retry_rng = random.Random(
             fault_plan.seed if fault_plan is not None else 0
         )
-        #: Monotone pick counters feeding the fault plan's predicates.
-        self._task_picks = itertools.count()
+        #: Monotone build counter feeding the fault plan's predicate.
         self._build_picks = itertools.count()
         self._inbox: "list" = []
         self._inbox_ready = threading.Condition()
-        self._tasks: FairTaskQueue[_Task] = FairTaskQueue()
-        #: Worker supervision state (guarded by ``_pool_lock``):
-        #: ``_pool[slot]`` is the current thread of each slot,
-        #: ``_active`` maps a worker thread ident to its heartbeat,
-        #: ``_condemned`` holds idents told to exit at the next boundary.
-        self._pool_lock = threading.Lock()
-        self._pool: List[threading.Thread] = []
-        self._active: Dict[int, _Beat] = {}
-        self._condemned: Set[int] = set()
-        self._worker_seq = 0
+        # The executor comes up before any front-end thread starts: the
+        # shard executor forks its processes here.
+        self.executor: Executor = self._make_executor(
+            workers, stall_after_seconds, watchdog_interval
+        )
         self._scheduler = threading.Thread(
             target=self._scheduler_loop, name="svc-scheduler", daemon=True
         )
         self._scheduler.start()
-        with self._pool_lock:
-            for slot in range(workers):
-                self._spawn_worker(slot)
-        self._watchdog_stop = threading.Event()
-        self._watchdog = threading.Thread(
-            target=self._watchdog_loop, name="svc-watchdog", daemon=True
+        self._monitor_stop = threading.Event()
+        self._monitor = threading.Thread(
+            target=self._monitor_loop, name="svc-monitor", daemon=True
         )
-        self._watchdog.start()
+        self._monitor.start()
+
+    def _make_executor(
+        self,
+        workers: int,
+        stall_after_seconds: Optional[float],
+        watchdog_interval: float,
+    ) -> Executor:
+        return _ThreadExecutor(
+            self, workers, stall_after_seconds, watchdog_interval
+        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -567,9 +563,26 @@ class MatchService:
             if self._closed:
                 raise RuntimeError("service is closed")
             if self._inflight >= self.max_pending:
-                pending._resolve(rejected_response(
-                    request, self._inflight, self.max_pending,
-                    self.metrics, self.flight,
+                # Shed: count it, flight-record it, and answer REJECTED —
+                # the request never touches shared state.
+                self.metrics.inc(
+                    "service_requests_total", label=Status.REJECTED
+                )
+                error = (
+                    f"queue depth {self._inflight} at limit "
+                    f"{self.max_pending}"
+                )
+                if self.flight is not None:
+                    record = self.flight.begin(request.request_id)
+                    record.event(
+                        "admit", outcome="rejected", queue_depth=self._inflight
+                    )
+                    record.event("final", status=Status.REJECTED)
+                    record.finish(status=Status.REJECTED, error=error)
+                pending._resolve(MatchResponse(
+                    request_id=request.request_id,
+                    status=Status.REJECTED,
+                    error=error,
                 ))
                 return pending
             self._inflight += 1
@@ -613,18 +626,18 @@ class MatchService:
         return True
 
     def close(self, timeout: Optional[float] = None) -> bool:
-        """Drain in-flight work, then stop every thread (idempotent).
+        """Drain in-flight work, then stop every thread and worker
+        (idempotent).
 
         With ``timeout=None`` this waits for all in-flight requests to
-        finish, exactly like the historical ``close()``.  With a
-        timeout, the whole shutdown is bounded: requests still in
-        flight when the drain window expires are resolved ``TIMEOUT``
-        (their waiters unblock), pending retries are cancelled, and
-        thread joins share the remaining window.  Returns ``True`` if
-        everything drained and every thread stopped within the bound;
-        ``False`` means some request was force-timed-out or a wedged
-        thread is still exiting (it will die with the process — all
-        service threads are daemons).  Concurrent and repeated calls
+        finish.  With a timeout, the whole shutdown is bounded: requests
+        still in flight when the drain window expires are resolved
+        ``TIMEOUT`` (their waiters unblock), pending retries are
+        cancelled, and thread joins share the remaining window.  Returns
+        ``True`` if everything drained and every thread stopped within
+        the bound; ``False`` means some request was force-timed-out or a
+        wedged thread is still exiting (it will die with the process —
+        all service threads are daemons).  Concurrent and repeated calls
         are safe: later callers wait (up to their own ``timeout``) for
         the first closer to finish.
         """
@@ -660,18 +673,14 @@ class MatchService:
         with self._inbox_ready:
             self._inbox.append(_CLOSE)
             self._inbox_ready.notify()
-        self._watchdog_stop.set()
+        self._monitor_stop.set()
         self._scheduler.join(left())
-        self._tasks.close()
-        with self._pool_lock:
-            pool = list(self._pool)
-        for thread in pool:
-            thread.join(left())
-        self._watchdog.join(left())
+        self._monitor.join(left())
+        stopped = self.executor.close(left)
         stopped = (
-            not self._scheduler.is_alive()
-            and not self._watchdog.is_alive()
-            and not any(thread.is_alive() for thread in pool)
+            stopped
+            and not self._scheduler.is_alive()
+            and not self._monitor.is_alive()
         )
         with self._slow_lock:
             if self._slow_handle is not None:
@@ -689,38 +698,36 @@ class MatchService:
         self.close()
 
     def healthy_workers(self) -> int:
-        """How many pool slots currently hold a live thread — the
+        """How many workers (threads or shard processes) are alive — the
         chaos harness's pool-at-full-strength check."""
-        with self._pool_lock:
-            return sum(1 for thread in self._pool if thread.is_alive())
+        return self.executor.healthy()
 
     def metrics_snapshot(self) -> MetricsRegistry:
         """A point-in-time copy of the service registry with scrape-time
-        gauges folded in (in-flight requests, fair-queue depth, healthy
+        gauges folded in (in-flight requests, queued tasks, healthy
         workers) — what the HTTP exporter and the ``{"op": "metrics"}``
         in-band query serve."""
-        registry = MetricsRegistry(service_metric_specs())
+        registry = MetricsRegistry(self.metric_specs())
         with self._fold_lock:
             registry.merge(self.metrics)
         with self._state_lock:
             inflight = self._inflight
         registry.set_gauge("service_inflight", inflight)
-        registry.set_gauge("service_task_queue_depth", len(self._tasks))
         registry.set_gauge(
-            "service_healthy_workers", self.healthy_workers()
+            "service_task_queue_depth", self.executor.queue_depth()
         )
+        registry.set_gauge("service_healthy_workers", self.healthy_workers())
         return registry
 
     def snapshot(self) -> Dict[str, object]:
-        """Registry + cache tiers + scheduler as one JSON-friendly dict."""
+        """Registry + cache tiers + executor state as one JSON-friendly
+        dict."""
         out: Dict[str, object] = {
             "metrics": self.metrics_snapshot().as_dict(),
             "index_cache": self.index_cache.snapshot(),
-            "scheduler": self._tasks.snapshot(),
+            **self.executor.snapshot(),
             "healthy_workers": self.healthy_workers(),
         }
-        if self.intersection_pool is not None:
-            out["intersection_pool"] = self.intersection_pool.snapshot()
         if self.flight is not None:
             out["flight_records"] = len(self.flight)
         if self.history is not None:
@@ -739,94 +746,10 @@ class MatchService:
         return self.flight.records(request_id=request_id, limit=limit)
 
     # ------------------------------------------------------------------
-    # Watchdog thread: dead/wedged worker detection and respawn
-    # ------------------------------------------------------------------
-    def _spawn_worker(self, slot: int) -> None:
-        """Start a fresh thread in ``slot`` (callers hold _pool_lock)."""
-        self._worker_seq += 1
-        thread = threading.Thread(
-            target=self._worker_loop,
-            args=(slot,),
-            name=f"svc-worker-{slot}.{self._worker_seq}",
-            daemon=True,
-        )
-        if slot == len(self._pool):
-            self._pool.append(thread)
-        else:
-            self._pool[slot] = thread
-        thread.start()
-
-    def _watchdog_loop(self) -> None:
-        while not self._watchdog_stop.wait(self.watchdog_interval):
-            self._patrol()
-
-    def _patrol(self) -> None:
-        """One supervision pass: respawn dead workers (recovering the
-        task each one died holding), condemn wedged ones."""
-        if self._stopping:
-            return
-        now = time.perf_counter()
-        crashed: List[_Beat] = []
-        stalled: List[_Beat] = []
-        with self._pool_lock:
-            for slot, thread in enumerate(self._pool):
-                ident = thread.ident
-                if ident is None:  # not started yet (spawn in progress)
-                    continue
-                if not thread.is_alive():
-                    beat = self._active.pop(ident, None)
-                    self._condemned.discard(ident)
-                    self._spawn_worker(slot)
-                    self.metrics.inc("service_worker_respawns")
-                    if beat is not None:
-                        crashed.append(beat)
-                    continue
-                if self.stall_after_seconds is None:
-                    continue
-                beat = self._active.get(ident)
-                if (
-                    beat is not None
-                    and now - beat.started > self.stall_after_seconds
-                ):
-                    # Python threads cannot be killed: condemn the ident
-                    # (the thread exits at its next loop boundary), drop
-                    # its heartbeat so it is not re-condemned, and bring
-                    # the pool back to strength immediately.
-                    self._condemned.add(ident)
-                    self._active.pop(ident, None)
-                    self._spawn_worker(slot)
-                    self.metrics.inc("service_worker_stalls")
-                    self.metrics.inc("service_worker_respawns")
-                    stalled.append(beat)
-        for beat in crashed:
-            if beat.job.flight is not None:
-                beat.job.flight.event(
-                    "worker_crash", slot=beat.slot, unit=beat.index
-                )
-            self._fail_unit(
-                beat.job, beat.index,
-                f"worker died holding the request (slot {beat.slot})",
-                kind="crash",
-            )
-        for beat in stalled:
-            if beat.job.flight is not None:
-                beat.job.flight.event(
-                    "worker_stall", slot=beat.slot, unit=beat.index
-                )
-            self._finalize(
-                beat.job, [], Status.TIMEOUT,
-                error=(
-                    f"request stalled past {self.stall_after_seconds}s "
-                    f"on a worker; the worker was condemned and replaced"
-                ),
-            )
-
-    # ------------------------------------------------------------------
     # Deadlines, cancellation, retry
     # ------------------------------------------------------------------
     def _abort_status(self, job: _Job) -> Optional[str]:
-        """CANCELLED/TIMEOUT if the job must be abandoned, else None —
-        evaluated at every cooperative boundary."""
+        """CANCELLED/TIMEOUT if the job must be abandoned, else None."""
         if job.cancelled:
             return Status.CANCELLED
         if (
@@ -841,6 +764,19 @@ class MatchService:
         if status == Status.TIMEOUT:
             return "end-to-end service deadline exceeded"
         return "cancelled by caller"
+
+    def _monitor_loop(self) -> None:
+        """Resolve expired and cancelled jobs without waiting for the
+        executor to reach a boundary."""
+        while not self._monitor_stop.wait(_MONITOR_INTERVAL):
+            with self._state_lock:
+                jobs = list(self._jobs)
+            for job in jobs:
+                status = None if job.done else self._abort_status(job)
+                if status is not None:
+                    self._finalize(
+                        job, [], status, error=self._abort_error(status)
+                    )
 
     def _conclude_failure(self, job: _Job) -> None:
         """The current attempt failed: schedule a retry if the policy,
@@ -892,14 +828,13 @@ class MatchService:
         with job.lock:
             job.store = None
             job.cache_tag = None
-            job.namespace = None
+            job.signature = None
             job.tracker = None
             job.symmetry = None
             job.stats = MatchStats()
-            job.parts = []
+            job.pivots = []
+            job.parts = {}
             job.remaining = 0
-            job.truncated = False
-            job.stop_reason = None
             job.error = None
             job.error_kind = None
         with self._inbox_ready:
@@ -907,7 +842,7 @@ class MatchService:
             self._inbox_ready.notify()
 
     # ------------------------------------------------------------------
-    # Scheduler thread: admit -> resolve index -> plan tasks
+    # Scheduler thread: admit -> resolve index -> plan units
     # ------------------------------------------------------------------
     def _scheduler_loop(self) -> None:
         admitted = 0
@@ -919,7 +854,7 @@ class MatchService:
             if item is _CLOSE:
                 return
             job: _Job = item
-            if job.done:  # force-finalized (timed-out close) meanwhile
+            if job.done:  # resolved (monitor, timed-out close) meanwhile
                 continue
             seq = admitted
             admitted += 1
@@ -937,11 +872,11 @@ class MatchService:
                     )
                     continue
                 except (InjectedBuildError, InjectedCrash) as exc:
-                    self._fail_unit(job, -1, repr(exc), kind="fault")
+                    self._unit_failed(job, 0, repr(exc), kind="fault")
                     continue
                 except Exception as exc:  # noqa: BLE001 - one bad request
                     # must not take the scheduler (and service) down
-                    self._fail_unit(job, -1, repr(exc), kind="error")
+                    self._unit_failed(job, 0, repr(exc))
                     continue
                 status = self._abort_status(job)
             if status is not None:
@@ -949,7 +884,7 @@ class MatchService:
                     job, [], status, error=self._abort_error(status)
                 )
                 continue
-            self._plan(job)
+            self._dispatch(job)
 
     def _cooperative_stall(self, seconds: float) -> None:
         """Injected scheduler stall — sleeps in small slices so a
@@ -1015,11 +950,7 @@ class MatchService:
             tag = "miss"
         job.store = store
         job.cache_tag = tag
-        job.namespace = (
-            self.index_cache.data_fingerprint,
-            entry.key[1],
-            request.query.fingerprint(),
-        )
+        job.signature = entry.key[1]
         self.metrics.inc("service_cache_outcomes", label=tag)
         paid_build = 0.0
         for stats in build_stats:
@@ -1086,219 +1017,160 @@ class MatchService:
             self.data,
             order_strategy=self.order_strategy,
             break_automorphisms=False,
-            use_refinement=self.use_refinement,
-            use_intersection=self.use_intersection,
             store="compact",
             tracer=tracer,
         )
 
-    def _plan(self, job: _Job) -> None:
-        """Enqueue the job's tasks: solo for budgeted/limited requests,
-        one fair-interleaved task per embedding cluster otherwise."""
-        if job.done:
+    def _dispatch(self, job: _Job) -> None:
+        """Hand the job to the executor: solo for budgeted/limited
+        requests, one unit per embedding cluster otherwise."""
+        if job.done:  # resolved (monitor, timed-out close) during prepare
             return
-        try:
-            if job.request.solo:
-                if job.flight is not None:
-                    job.flight.event("planned", mode="solo")
-                self._tasks.push_solo((job, -1, ()))
-                return
-            store = job.store
-            assert store is not None
-            pivots = [int(p) for p in store.pivots]
-            if not pivots:
-                self._finalize(job, [], Status.OK)
-                return
-            workloads = [
-                max(float(store.cluster_cardinality(p)), 1.0) for p in pivots
-            ]
-            plan = dynamic_schedule(
-                sorted(workloads, reverse=True), self.workers
-            )
-            self.metrics.set_gauge("service_plan_makespan", plan.makespan)
-            self.metrics.set_gauge("service_plan_skew", plan.skew)
+        if job.request.solo:
             if job.flight is not None:
-                job.flight.event(
-                    "planned", mode="batched", units=len(pivots),
-                    makespan=round(plan.makespan, 3),
-                    skew=round(plan.skew, 4),
-                )
-            job.parts = [None] * len(pivots)
-            job.remaining = len(pivots)
-            tasks: List[_Task] = [
-                (job, i, (pivot,)) for i, pivot in enumerate(pivots)
-            ]
-            self._tasks.push_job(tasks, workloads)
-        except RuntimeError:
-            # The queue closed mid-push (timed-out close): the close
-            # path has already force-finalized every leftover job.
+                job.flight.event("planned", mode="solo")
+            self.executor.run_solo(job)
             return
-
-    # ------------------------------------------------------------------
-    # Worker threads
-    # ------------------------------------------------------------------
-    def _worker_loop(self, slot: int) -> None:
-        ident = threading.get_ident()
-        while True:
-            with self._pool_lock:
-                if ident in self._condemned:
-                    self._condemned.discard(ident)
-                    self._active.pop(ident, None)
-                    return
-            task = self._tasks.pop(timeout=_POP_INTERVAL)
-            if task is None:
-                if self._tasks.closed:
-                    return
-                continue
-            job, index, prefix = task
-            pick = next(self._task_picks)
-            with self._pool_lock:
-                self._active[ident] = _Beat(
-                    slot, job, index, time.perf_counter()
-                )
-            try:
-                if (
-                    self.fault_plan is not None
-                    and self.fault_plan.service_worker_crashes_at(pick)
-                ):
-                    raise InjectedCrash("service-worker", slot)
-                status = self._abort_status(job)
-                if status is not None or job.done:
-                    self._skip_task(job, index, status)
-                elif index < 0:
-                    self._run_solo(job)
-                else:
-                    self._run_unit(job, index, prefix)
-            except InjectedCrash:
-                # Simulated thread death: exit without any cleanup (a
-                # really-dead thread cleans up nothing), leaving the
-                # heartbeat registered so the watchdog recovers the
-                # in-flight task and respawns the slot.
-                return
-            except Exception as exc:  # noqa: BLE001 - fail the request,
-                # not the worker: the pool must survive any one query
-                self._fail_unit(job, index, repr(exc))
-            with self._pool_lock:
-                self._active.pop(ident, None)
-
-    def _skip_task(
-        self, job: _Job, index: int, status: Optional[str]
-    ) -> None:
-        """Cooperative abandon at a batch boundary: resolve the abort
-        status (first-wins) and keep unit bookkeeping consistent."""
-        if status is not None:
-            self._finalize(job, [], status, error=self._abort_error(status))
-        if index >= 0:
-            with job.lock:
-                job.remaining -= 1
+        store = job.store
+        assert store is not None
+        pivots = [int(p) for p in store.pivots]
+        if not pivots:
+            self._finalize(job, [], Status.OK)
+            return
+        workloads = [
+            max(float(store.cluster_cardinality(p)), 1.0) for p in pivots
+        ]
+        plan = dynamic_schedule(sorted(workloads, reverse=True), self.workers)
+        self.metrics.set_gauge("service_plan_makespan", plan.makespan)
+        self.metrics.set_gauge("service_plan_skew", plan.skew)
+        if job.flight is not None:
+            job.flight.event(
+                "planned", mode="batched", units=len(pivots),
+                makespan=round(plan.makespan, 3),
+                skew=round(plan.skew, 4),
+            )
+        with job.lock:
+            job.pivots = pivots
+            job.remaining = len(pivots)
+        self.executor.run_units(job, pivots, workloads)
 
     def _enumerator(self, job: _Job, stats: MatchStats) -> Enumerator:
-        cache = None
-        if self.intersection_pool is not None:
-            cache = self.intersection_pool.view(job.namespace, stats=stats)
+        """An in-process enumerator over the job's resolved index."""
         assert job.store is not None and job.symmetry is not None
         return Enumerator(
             job.store,
             symmetry=job.symmetry,
-            use_intersection=self.use_intersection,
             stats=stats,
             tracker=job.tracker,
             kernel=job.request.kernel,
-            cache=cache,
         )
 
-    def _run_solo(self, job: _Job) -> None:
-        """Un-decomposed run — replays the sequential matcher exactly,
-        so budget truncation and ``limit`` prefixes are bit-identical."""
-        started = time.perf_counter()
-        enumerator = self._enumerator(job, job.stats)
-        embeddings = enumerator.collect(job.request.limit)
-        seconds = time.perf_counter() - started
-        job.stats.add_phase("enumerate", seconds)
-        if self.tracer.enabled:
+    # ------------------------------------------------------------------
+    # Executor callbacks
+    # ------------------------------------------------------------------
+    def _record_enumeration(
+        self,
+        job: _Job,
+        ev: str,
+        stats: MatchStats,
+        seconds: float,
+        started: Optional[float],
+        **detail,
+    ) -> None:
+        """Book one finished task's enumeration time into its stats, the
+        trace (when the executor measured ``started`` in this process)
+        and the flight record."""
+        stats.add_phase("enumerate", seconds)
+        if started is not None and self.tracer.enabled:
             self.tracer.phase(
                 "enumerate", started, seconds,
                 request=job.request.request_id,
             )
         if job.flight is not None:
-            job.flight.event(
-                "solo", seconds=round(seconds, 6),
-                embeddings=len(embeddings),
-                truncated=enumerator.truncated,
-            )
-        if enumerator.truncated:
-            self._finalize(
-                job,
-                embeddings,
-                Status.TRUNCATED,
-                stop_reason=enumerator.stop_reason,
-            )
-        else:
-            self._finalize(job, embeddings, Status.OK)
+            job.flight.event(ev, seconds=round(seconds, 6), **detail)
 
-    def _run_unit(
-        self, job: _Job, index: int, prefix: Tuple[int, ...]
+    def _solo_done(
+        self,
+        job: _Job,
+        embeddings: List[Embedding],
+        truncated: bool,
+        stop_reason: Optional[str],
+        stats: MatchStats,
+        seconds: float,
+        started: Optional[float] = None,
     ) -> None:
-        """One embedding cluster, enumerated into a *private* stats
-        object merged under the job lock — ``int +=`` is not atomic, so
-        concurrent units writing one stats object would drop counts."""
-        started = time.perf_counter()
-        unit_stats = MatchStats()
-        enumerator = self._enumerator(job, unit_stats)
-        result = enumerator.collect_from_unit(prefix)
-        seconds = time.perf_counter() - started
-        unit_stats.add_phase("enumerate", seconds)
-        if self.tracer.enabled:
-            self.tracer.phase(
-                "enumerate", started, seconds,
-                request=job.request.request_id, unit=index,
-            )
-        if job.flight is not None:
-            job.flight.event(
-                "unit", index=index, seconds=round(seconds, 6),
-                embeddings=len(result),
-            )
-        self.metrics.inc("service_units_total")
-        with job.lock:
-            if job.done:  # finalized (deadline/cancel/stall) meanwhile
-                job.remaining -= 1
-                return
-            job.parts[index] = result
-            job.stats.merge(unit_stats)
-            job.remaining -= 1
-            last = job.remaining == 0 and job.error is None
-            failed = job.remaining == 0 and job.error is not None
-        if last:
-            embeddings: List[Embedding] = []
-            for part in job.parts:
-                if part:
-                    embeddings.extend(part)
-            self._finalize(job, embeddings, Status.OK)
-        elif failed:
-            self._conclude_failure(job)
-
-    def _fail_unit(
-        self, job: _Job, index: int, error: str, kind: str = "error"
-    ) -> None:
-        if job.flight is not None:
-            job.flight.event(
-                "unit_failed", index=index, kind=kind, error=error
-            )
+        """A solo run finished (possibly truncated by its budget)."""
+        self._record_enumeration(
+            job, "solo", stats, seconds, started,
+            embeddings=len(embeddings), truncated=truncated,
+        )
         with job.lock:
             if job.done:
-                if index >= 0:
-                    job.remaining -= 1
+                return
+            job.stats.merge(stats)
+        status = Status.TRUNCATED if truncated else Status.OK
+        self._finalize(job, embeddings, status, stop_reason=stop_reason)
+
+    def _units_done(
+        self,
+        job: _Job,
+        parts: Dict[int, List[Embedding]],
+        stats: MatchStats,
+        seconds: float,
+        started: Optional[float] = None,
+    ) -> None:
+        """Some units finished: ``parts`` maps each pivot to its cluster's
+        embeddings and ``stats`` is their private counters, merged under
+        the job lock (``int +=`` is not atomic, so concurrent units
+        writing one stats object would drop counts).  The last unit
+        merges every part back in ``store.pivots`` order."""
+        self._record_enumeration(
+            job, "unit", stats, seconds, started,
+            units=len(parts),
+            embeddings=sum(len(part) for part in parts.values()),
+        )
+        self.metrics.inc("service_units_total", len(parts))
+        with job.lock:
+            if job.done:  # finalized (deadline/cancel/stall) meanwhile
+                return
+            job.parts.update(parts)
+            job.stats.merge(stats)
+            job.remaining -= len(parts)
+            if job.remaining > 0:
+                return
+            failed = job.error is not None
+        if failed:
+            self._conclude_failure(job)
+            return
+        embeddings: List[Embedding] = []
+        for pivot in job.pivots:
+            embeddings.extend(job.parts[pivot])
+        self._finalize(job, embeddings, Status.OK)
+
+    def _unit_failed(
+        self, job: _Job, units: int, error: str, kind: str = "error"
+    ) -> None:
+        """``units`` units (0 for a solo run or a failed prepare) failed.
+        ``kind`` is "crash", "fault" or "error"; the attempt concludes
+        once every outstanding unit has reported.  "timeout" (a wedged
+        worker) resolves the job ``TIMEOUT`` at once."""
+        if job.flight is not None:
+            job.flight.event(
+                "unit_failed", units=units, kind=kind, error=error
+            )
+        if kind == "timeout":
+            self._finalize(job, [], Status.TIMEOUT, error=error)
+            return
+        with job.lock:
+            if job.done:
                 return
             if job.error is None:
                 job.error = error
                 job.error_kind = kind
-            if index >= 0:
-                job.remaining -= 1
-                last = job.remaining <= 0
-            else:
-                last = True
-        if last:
-            self._conclude_failure(job)
+            job.remaining -= units
+            if job.remaining > 0:
+                return
+        self._conclude_failure(job)
 
     # ------------------------------------------------------------------
     def _finalize(
@@ -1329,7 +1201,7 @@ class MatchService:
             job.flight is not None or slow or self.history is not None
         )
         counters = _stat_counters(job.stats) if telemetry else {}
-        signature = job.namespace[1] if job.namespace is not None else None
+        signature = job.signature
         if job.flight is not None:
             # Finish the record *before* resolving the response so a
             # caller that sees the response also sees a terminal record.
@@ -1379,6 +1251,7 @@ class MatchService:
             latency_seconds=latency,
             service_seconds=service_seconds,
             retries=job.retries,
+            shard_fanout=job.fanout,
             error=error,
         ))
         with self._idle:
@@ -1486,3 +1359,256 @@ class MatchService:
             "phase_seconds": dict(job.stats.phase_seconds),
             "counters": counters,
         }
+
+
+# ----------------------------------------------------------------------
+# Thread executor: fair queue, worker threads, heartbeat watchdog
+# ----------------------------------------------------------------------
+class _Beat:
+    """One worker's heartbeat: which task it holds and since when."""
+
+    __slots__ = ("slot", "job", "pivot", "started")
+
+    def __init__(self, slot: int, job: _Job, pivot: int, now: float) -> None:
+        self.slot = slot
+        self.job = job
+        self.pivot = pivot
+        self.started = now
+
+
+#: A task on the worker channel: ``(job, pivot)`` runs the cluster of
+#: ``pivot``; ``(job, _SOLO)`` runs the job solo.
+_Task = Tuple[_Job, int]
+
+
+class _ThreadExecutor:
+    """Units on a :class:`~repro.service.scheduler.FairTaskQueue`,
+    drained by ``workers`` threads under a heartbeat watchdog.
+
+    The watchdog patrols every ``watchdog_interval`` seconds: a worker
+    thread that *died* holding a task (real bug or injected crash) has
+    the task failed as a crash and its slot respawned, so the pool never
+    silently shrinks; with ``stall_after_seconds`` set, a worker wedged
+    that long on one heartbeat is condemned, its request resolves
+    ``TIMEOUT``, and a replacement is spawned immediately.
+    """
+
+    def __init__(
+        self,
+        service: MatchService,
+        workers: int,
+        stall_after_seconds: Optional[float],
+        watchdog_interval: float,
+    ) -> None:
+        if stall_after_seconds is not None and stall_after_seconds <= 0:
+            raise ValueError("stall_after_seconds must be positive")
+        if watchdog_interval <= 0:
+            raise ValueError("watchdog_interval must be positive")
+        self.service = service
+        self.stall_after_seconds = stall_after_seconds
+        self.watchdog_interval = watchdog_interval
+        self._tasks: FairTaskQueue[_Task] = FairTaskQueue()
+        #: Monotone pick counter feeding the fault plan's predicate.
+        self._task_picks = itertools.count()
+        self._closing = False
+        #: Worker supervision state (guarded by ``_pool_lock``):
+        #: ``_pool[slot]`` is the current thread of each slot,
+        #: ``_active`` maps a worker thread ident to its heartbeat,
+        #: ``_condemned`` holds idents told to exit at the next boundary.
+        self._pool_lock = threading.Lock()
+        self._pool: List[threading.Thread] = []
+        self._active: Dict[int, _Beat] = {}
+        self._condemned: Set[int] = set()
+        self._worker_seq = 0
+        with self._pool_lock:
+            for slot in range(workers):
+                self._spawn_worker(slot)
+        self._watchdog_stop = threading.Event()
+        self._watchdog = threading.Thread(
+            target=self._watchdog_loop, name="svc-watchdog", daemon=True
+        )
+        self._watchdog.start()
+
+    # -- Executor protocol ---------------------------------------------
+    def run_solo(self, job: _Job) -> None:
+        try:
+            self._tasks.push_solo((job, _SOLO))
+        except RuntimeError:
+            # The queue closed mid-push (timed-out close): the close
+            # path has already force-finalized every leftover job.
+            pass
+
+    def run_units(
+        self, job: _Job, pivots: List[int], workloads: List[float]
+    ) -> None:
+        try:
+            self._tasks.push_job([(job, p) for p in pivots], workloads)
+        except RuntimeError:
+            pass  # closed mid-push, as in run_solo
+
+    def healthy(self) -> int:
+        with self._pool_lock:
+            return sum(1 for thread in self._pool if thread.is_alive())
+
+    def queue_depth(self) -> int:
+        return len(self._tasks)
+
+    def snapshot(self) -> Dict[str, object]:
+        return {"scheduler": self._tasks.snapshot()}
+
+    def close(self, left: Callable[[], Optional[float]]) -> bool:
+        self._closing = True
+        self._watchdog_stop.set()
+        self._tasks.close()
+        with self._pool_lock:
+            pool = list(self._pool)
+        for thread in pool:
+            thread.join(left())
+        self._watchdog.join(left())
+        return not self._watchdog.is_alive() and not any(
+            thread.is_alive() for thread in pool
+        )
+
+    # -- Workers ----------------------------------------------------------
+    def _spawn_worker(self, slot: int) -> None:
+        """Start a fresh thread in ``slot`` (callers hold _pool_lock)."""
+        self._worker_seq += 1
+        thread = threading.Thread(
+            target=self._worker_loop,
+            args=(slot,),
+            name=f"svc-worker-{slot}.{self._worker_seq}",
+            daemon=True,
+        )
+        if slot == len(self._pool):
+            self._pool.append(thread)
+        else:
+            self._pool[slot] = thread
+        thread.start()
+
+    def _worker_loop(self, slot: int) -> None:
+        ident = threading.get_ident()
+        service = self.service
+        plan = service.fault_plan
+        while True:
+            with self._pool_lock:
+                if ident in self._condemned:
+                    self._condemned.discard(ident)
+                    self._active.pop(ident, None)
+                    return
+            task = self._tasks.pop(timeout=_POP_INTERVAL)
+            if task is None:
+                if self._tasks.closed:
+                    return
+                continue
+            job, pivot = task
+            pick = next(self._task_picks)
+            with self._pool_lock:
+                self._active[ident] = _Beat(
+                    slot, job, pivot, time.perf_counter()
+                )
+            try:
+                if plan is not None and plan.service_worker_crashes_at(pick):
+                    raise InjectedCrash("service-worker", slot)
+                if not job.done:  # the monitor resolves deadline/cancel
+                    self._run(job, pivot)
+            except InjectedCrash:
+                # Simulated thread death: exit without any cleanup (a
+                # really-dead thread cleans up nothing), leaving the
+                # heartbeat registered so the watchdog recovers the
+                # in-flight task and respawns the slot.
+                return
+            except Exception as exc:  # noqa: BLE001 - fail the request,
+                # not the worker: the pool must survive any one query
+                service._unit_failed(
+                    job, 0 if pivot == _SOLO else 1, repr(exc)
+                )
+            with self._pool_lock:
+                self._active.pop(ident, None)
+
+    def _run(self, job: _Job, pivot: int) -> None:
+        """Enumerate one task into private stats.  A solo run replays
+        the sequential matcher exactly, so budget truncation and
+        ``limit`` prefixes are bit-identical."""
+        service = self.service
+        stats = MatchStats()
+        started = time.perf_counter()
+        enumerator = service._enumerator(job, stats)
+        if pivot == _SOLO:
+            embeddings = enumerator.collect(job.request.limit)
+            service._solo_done(
+                job, embeddings, enumerator.truncated,
+                enumerator.stop_reason, stats,
+                time.perf_counter() - started, started,
+            )
+        else:
+            part = enumerator.collect_from_unit((pivot,))
+            service._units_done(
+                job, {pivot: part}, stats,
+                time.perf_counter() - started, started,
+            )
+
+    # -- Watchdog ---------------------------------------------------------
+    def _watchdog_loop(self) -> None:
+        while not self._watchdog_stop.wait(self.watchdog_interval):
+            self._patrol()
+
+    def _patrol(self) -> None:
+        """One supervision pass: respawn dead workers (recovering the
+        task each one died holding), condemn wedged ones."""
+        if self._closing:
+            return
+        now = time.perf_counter()
+        crashed: List[_Beat] = []
+        stalled: List[_Beat] = []
+        metrics = self.service.metrics
+        with self._pool_lock:
+            for slot, thread in enumerate(self._pool):
+                ident = thread.ident
+                if ident is None:  # not started yet (spawn in progress)
+                    continue
+                if not thread.is_alive():
+                    beat = self._active.pop(ident, None)
+                    self._condemned.discard(ident)
+                    self._spawn_worker(slot)
+                    metrics.inc("service_worker_respawns")
+                    if beat is not None:
+                        crashed.append(beat)
+                    continue
+                if self.stall_after_seconds is None:
+                    continue
+                beat = self._active.get(ident)
+                if (
+                    beat is not None
+                    and now - beat.started > self.stall_after_seconds
+                ):
+                    # Python threads cannot be killed: condemn the ident
+                    # (the thread exits at its next loop boundary), drop
+                    # its heartbeat so it is not re-condemned, and bring
+                    # the pool back to strength immediately.
+                    self._condemned.add(ident)
+                    self._active.pop(ident, None)
+                    self._spawn_worker(slot)
+                    metrics.inc("service_worker_stalls")
+                    metrics.inc("service_worker_respawns")
+                    stalled.append(beat)
+        for beat in crashed:
+            if beat.job.flight is not None:
+                beat.job.flight.event(
+                    "worker_crash", slot=beat.slot, unit=beat.pivot
+                )
+            self.service._unit_failed(
+                beat.job, 0 if beat.pivot == _SOLO else 1,
+                f"worker died holding the request (slot {beat.slot})",
+                kind="crash",
+            )
+        for beat in stalled:
+            if beat.job.flight is not None:
+                beat.job.flight.event(
+                    "worker_stall", slot=beat.slot, unit=beat.pivot
+                )
+            self.service._unit_failed(
+                beat.job, 0 if beat.pivot == _SOLO else 1,
+                f"request stalled past {self.stall_after_seconds}s "
+                f"on a worker; the worker was condemned and replaced",
+                kind="timeout",
+            )

@@ -1,63 +1,54 @@
-"""Sharded multi-process service tier over the compact store.
+"""The shard executor: cluster units on forked worker processes.
 
-:class:`ShardedMatchService` scales the resident
-:class:`~repro.service.service.MatchService` past one process: the data
-graph's pivot space is partitioned across ``shards`` worker *processes*
-(via :func:`~repro.distributed.partition.distribute_pivots`, the same
-Section 6.2 planner the simulated distributed executor uses), and each
-query fans out to the shards whose partitions hold its clusters.  The
-pieces:
+:class:`ShardedMatchService` is :class:`~repro.service.service.MatchService`
+— the same front end (admission, index cache, deadlines, retries, exact
+merge, telemetry) — with its units executed by ``shards`` worker
+*processes* instead of threads.  The shard executor owns only dispatch
+and failure recovery:
 
-* **shared-mmap index publication** — the parent resolves each query's
-  index through the ordinary cross-query
-  :class:`~repro.service.cache.IndexCache` (hit/warm/coalesce/build),
-  then *publishes* the frozen ``CompactCECI`` once as a checksummed
-  CECIIDX3 file (:func:`~repro.core.persist.publish_ceci` semantics:
-  write-to-temp, fsync, rename).  Every shard process
+* **shared-mmap index publication** — the front end resolves each
+  query's index through the cross-query
+  :class:`~repro.service.cache.IndexCache`; the executor *publishes* the
+  frozen ``CompactCECI`` once per query as a checksummed CECIIDX3 file
+  (write-to-temp, fsync, rename).  Every shard process
   :func:`~repro.core.persist.load_ceci`\\ s the same file with
   ``mmap=True``, so N processes share one copy of the candidate arrays
   through the OS page cache — the index is frozen once and mapped
   everywhere, never rebuilt or re-pickled per shard;
-* **partition-aware routing** — unbounded requests are decomposed by
-  ``distribute_pivots`` into one *task per shard* (each task carries
-  that shard's pivot list); budgeted/limited requests run **solo** on
-  the least-loaded shard, un-decomposed, so their truncation prefixes
-  are bit-identical to the sequential matcher's (the same invariant the
-  single-process tier keeps);
-* **exact merge** — each shard enumerates its pivots' clusters into
-  per-pivot embedding lists; the parent concatenates them back in
-  ``store.pivots`` order, which *is* sequential ``collect`` order, so a
-  sharded answer is indistinguishable from a single-process one
-  (embeddings, counts, truncation flags, statuses) — the property the
-  differential suite in ``tests/test_service_shards.py`` enforces;
+* **partition-aware routing** — a batched job's units are grouped by
+  :func:`~repro.distributed.partition.distribute_pivots` (the same
+  Section 6.2 planner the simulated distributed executor uses) into one
+  *task per shard*; a solo job runs on the least-loaded shard,
+  un-decomposed, so its truncation prefix is the sequential matcher's;
+* **window-of-one dispatch** — each shard has an outbox and at most one
+  task in flight on its pipe, so a crash loses at most one task; a
+  reader thread per shard turns replies into front-end callbacks with
+  per-pivot parts, which the front end merges in ``store.pivots`` order;
 * **crash recovery** — a shard process death is observed as pipe EOF;
-  the parent respawns the shard and re-dispatches the lost task
-  head-of-line (:meth:`~repro.service.scheduler.FairTaskQueue.push_recovered`).
-  Task results are atomic (a shard replies with a *whole* task's
-  results or nothing), so recovery is exactly-once: no partial answer
-  can ever be merged;
+  the executor respawns the shard and re-dispatches the lost task
+  head-of-line (:meth:`~repro.service.scheduler.FairTaskQueue.push_recovered`),
+  at most ``max_redispatch`` times per task before reporting the units
+  failed as a crash (which the retry policy may then re-run).  Replies
+  are atomic — a whole task's results or nothing — so recovery is
+  exactly-once: no partial answer can ever be merged;
 * **publish integrity** — shards CRC-verify every CECIIDX3 block before
   mapping; a torn publish (fault-injected or real) raises
   :class:`~repro.core.persist.ChecksumError` inside the shard, which
-  reports ``corrupt_index`` instead of serving garbage.  The parent
+  reports ``corrupt_index`` instead of serving garbage.  The executor
   republishes a pristine blob under a bumped version (stale mmaps keep
   reading their old file; a new filename can never tear an existing
   reader) and re-dispatches.
 
-**What the sharded tier deliberately does not do.**  Request-level
-retry policies, slow-query logs and query history stay single-process
-features; the sharded tier's recovery unit is the *task redispatch*
-(bounded by ``max_redispatch``), which is both cheaper and exact.
-Budget *deadline* clocks start when a shard begins the solo run rather
-than at parent prepare time — wall-deadline truncation is
-nondeterministic under any tier; the deterministic budget axes
-(``max_calls``, ``max_embeddings``) count identically to a sequential
-run because the solo shard replays the exact sequential recursion.
+Budget *deadline* clocks on a solo run restart when its shard begins
+enumerating; the deterministic budget axes (``max_calls``,
+``max_embeddings``) count identically to a sequential run because the
+solo shard replays the exact sequential recursion.
 
 **Speedup accounting.**  Each shard measures per-task *CPU* seconds
 with ``time.process_time()`` — immune to time-slice contention when N
-shard processes share fewer cores — and the parent accumulates them
-per shard.  The horizontal-scaling benchmark
+shard processes share fewer cores — and the executor accumulates them
+per shard (:meth:`ShardedMatchService.shard_telemetry`).  The
+horizontal-scaling benchmark
 (:func:`~repro.service.loadgen.run_shard_benchmark`) reports
 ``shard_speedup`` as the critical-path ratio (max per-shard busy
 seconds at 1 shard over at k shards), the same simulated-speedup
@@ -75,24 +66,21 @@ import threading
 import time
 from collections import OrderedDict
 from multiprocessing import get_context
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.automorphism import SymmetryBreaker
 from ..core.enumeration import Embedding, Enumerator
-from ..core.matcher import CECIMatcher
-from ..core.persist import ChecksumError, load_ceci, publish_bytes
+from ..core.persist import (
+    ChecksumError, dump_store_bytes, load_ceci, publish_bytes,
+)
 from ..core.stats import MatchStats
 from ..core.store import CompactCECI
 from ..distributed.partition import distribute_pivots
 from ..graph import Graph
-from ..observability.flight import FlightRecorder
-from ..observability.metrics import MetricSpec, MetricsRegistry
-from ..resilience.budget import BudgetExhausted
-from ..resilience.faults import FaultPlan, InjectedBuildError
-from .cache import IndexCache
-from .request import MatchRequest, MatchResponse, Status
+from ..observability.metrics import MetricSpec
+from ..resilience.faults import FaultPlan
 from .scheduler import FairTaskQueue
-from .service import PendingMatch, rejected_response, service_metric_specs
+from .service import MatchService, _Job, service_metric_specs
 
 __all__ = ["ShardedMatchService", "sharded_metric_specs"]
 
@@ -101,8 +89,10 @@ __all__ = ["ShardedMatchService", "sharded_metric_specs"]
 #: new path, so a republished index is never served stale).
 _SHARD_STORE_CACHE = 8
 
-#: How often the deadline monitor scans in-flight jobs (seconds).
-_MONITOR_INTERVAL = 0.01
+#: Constructor options that only the thread executor understands.
+_THREAD_ONLY = frozenset(
+    {"workers", "stall_after_seconds", "watchdog_interval"}
+)
 
 
 def sharded_metric_specs() -> Tuple[MetricSpec, ...]:
@@ -164,6 +154,8 @@ def sharded_metric_specs() -> Tuple[MetricSpec, ...]:
     )
 
 
+
+
 # ----------------------------------------------------------------------
 # Shard process (child side)
 # ----------------------------------------------------------------------
@@ -184,39 +176,33 @@ def _shard_store(
 
 
 def _run_shard_task(
-    spec: Dict,
-    data: Graph,
-    stores: "OrderedDict[str, CompactCECI]",
-    use_intersection: bool,
+    spec: Dict, data: Graph, stores: "OrderedDict[str, CompactCECI]"
 ) -> Dict:
     """Execute one task spec inside a shard process.
 
     The symmetry breaker is built from the *request's own* query graph
     (shipped in the spec), not the header-round-tripped query inside
     the CECIIDX3 file, so the chosen orbit representatives are exactly
-    the single-process tier's.
+    the in-process executor's.
     """
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
     store = _shard_store(spec["index_path"], data, stores)
-    query: Graph = spec["query"]
-    symmetry = SymmetryBreaker(query, enabled=spec["break_automorphisms"])
+    symmetry = SymmetryBreaker(
+        spec["query"], enabled=spec["break_automorphisms"]
+    )
     stats = MatchStats()
     payload: Dict
     if spec["kind"] == "solo":
+        budget = spec["budget"]
         tracker = None
-        budget = spec.get("budget")
         if budget is not None and not budget.unlimited:
             tracker = budget.tracker().start()
         enumerator = Enumerator(
-            store,
-            symmetry=symmetry,
-            use_intersection=use_intersection,
-            stats=stats,
-            tracker=tracker,
+            store, symmetry=symmetry, stats=stats, tracker=tracker,
             kernel=spec["kernel"],
         )
-        embeddings = enumerator.collect(spec.get("limit"))
+        embeddings = enumerator.collect(spec["limit"])
         payload = {
             "kind": "solo",
             "embeddings": embeddings,
@@ -224,21 +210,16 @@ def _run_shard_task(
             "stop_reason": enumerator.stop_reason,
         }
     else:
-        # One enumerator per cluster, mirroring the single-process
-        # tier's per-unit isolation; symmetry-inadmissible pivots come
-        # back empty exactly as sequential ``collect`` skips them.
+        # One enumerator per cluster, mirroring the in-process
+        # executor's per-unit isolation; symmetry-inadmissible pivots
+        # come back empty exactly as sequential ``collect`` skips them.
         parts: Dict[int, List[Embedding]] = {}
         for pivot in spec["pivots"]:
             enumerator = Enumerator(
-                store,
-                symmetry=symmetry,
-                use_intersection=use_intersection,
-                stats=stats,
-                kernel=spec["kernel"],
+                store, symmetry=symmetry, stats=stats, kernel=spec["kernel"]
             )
             parts[pivot] = enumerator.collect_from_unit((pivot,))
         payload = {"kind": "units", "parts": parts}
-    stats.add_phase("enumerate", time.perf_counter() - wall0)
     payload["stats"] = stats
     # Per-process CPU seconds: the honest busy measure when N shard
     # processes time-share fewer cores (perf_counter would charge
@@ -248,14 +229,14 @@ def _run_shard_task(
     return payload
 
 
-def _shard_main(shard_id: int, conn, data: Graph, config: Dict) -> None:
+def _shard_main(
+    shard_id: int, conn, data: Graph, plan: Optional[FaultPlan]
+) -> None:
     """Entry point of one shard process: a request/reply loop over the
     duplex pipe.  Replies are atomic per task — a whole task's results
     or an error — which is what makes parent-side crash recovery
     exactly-once.  Fault-plan predicates fire on the per-shard task
     counter, so a chaos plan replays identically."""
-    plan: Optional[FaultPlan] = config.get("fault_plan")
-    use_intersection: bool = config.get("use_intersection", True)
     stores: "OrderedDict[str, CompactCECI]" = OrderedDict()
     while True:
         try:
@@ -275,7 +256,7 @@ def _shard_main(shard_id: int, conn, data: Graph, config: Dict) -> None:
         if plan is not None and plan.shard_stalls_at(shard_id, pick):
             time.sleep(plan.shard_stall_seconds)
         try:
-            payload = _run_shard_task(spec, data, stores, use_intersection)
+            payload = _run_shard_task(spec, data, stores)
             conn.send(("result", task_id, payload))
         except ChecksumError as exc:
             # Never serve from a torn publish: drop any stale mapping
@@ -288,155 +269,61 @@ def _shard_main(shard_id: int, conn, data: Graph, config: Dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Parent-side bookkeeping
+# Parent side: the shard executor
 # ----------------------------------------------------------------------
-class _ShardJob:
-    """Mutable execution state of one admitted sharded request."""
+class _ShardTask:
+    """One dispatchable task: a spec bound to its job, covering
+    ``units`` units (0 for a solo run)."""
 
-    __slots__ = (
-        "request", "pending", "submitted_at", "prepared_at", "deadline_at",
-        "cache_tag", "fingerprint", "index_path", "pivot_order", "parts",
-        "remaining", "stats", "fanout", "redispatches", "cancelled",
-        "done", "lock", "flight",
-    )
+    __slots__ = ("task_id", "job", "spec", "units", "redispatches")
 
     def __init__(
-        self,
-        request: MatchRequest,
-        pending: PendingMatch,
-        submitted_at: float,
+        self, task_id: int, job: _Job, spec: Dict, units: int
     ) -> None:
-        self.request = request
-        self.pending = pending
-        self.submitted_at = submitted_at
-        self.prepared_at = submitted_at
-        self.deadline_at: Optional[float] = None
-        self.cache_tag: Optional[str] = None
-        self.fingerprint: Optional[str] = None
-        self.index_path: Optional[str] = None
-        #: ``store.pivots`` order — the exact-merge key: per-pivot parts
-        #: concatenate back in this order, which is sequential
-        #: ``collect`` order.
-        self.pivot_order: List[int] = []
-        self.parts: Dict[int, List[Embedding]] = {}
-        self.remaining = 0
-        self.stats = MatchStats()
-        self.fanout = 0
-        self.redispatches = 0
-        self.cancelled = False
-        self.done = False
-        self.lock = threading.Lock()
-        self.flight = None
-
-
-class _ShardTask:
-    """One dispatchable unit: a whole task spec bound to a job."""
-
-    __slots__ = ("task_id", "job", "spec")
-
-    def __init__(self, task_id: int, job: _ShardJob, spec: Dict) -> None:
         self.task_id = task_id
         self.job = job
         self.spec = spec
+        self.units = units
+        self.redispatches = 0
 
 
 class _Shard:
-    """Parent-side handle of one shard process (guarded as noted)."""
+    """Parent-side handle of one shard process."""
 
-    __slots__ = ("index", "proc", "conn", "reader", "busy_seconds", "tasks")
+    __slots__ = ("index", "proc", "conn", "busy_seconds", "tasks")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.proc = None
         self.conn = None
-        self.reader: Optional[threading.Thread] = None
-        #: Accumulated per-task CPU seconds (guarded by the service's
+        #: Accumulated per-task CPU seconds (guarded by the executor's
         #: ``_task_lock``) — the benchmark's critical-path input.
         self.busy_seconds = 0.0
         self.tasks = 0
 
 
-_CLOSE = object()
+class _ShardExecutor:
+    """Units on ``shards`` forked processes (see the module docstring).
 
-
-class ShardedMatchService:
-    """A resident matcher sharded across ``shards`` worker processes.
-
-    Duck-types the :class:`~repro.service.service.MatchService` surface
-    the server loop, the load generator and the chaos harness consume
-    (``match``/``submit``/``drain``/``close``/``snapshot``/
-    ``metrics_snapshot``/``flight_records``/``healthy_workers``), and
-    keeps its exactness contract: a sharded response's embeddings,
-    counts, truncation flags and statuses are indistinguishable from the
-    single-process tier's.
-
-    ``share_dir`` is where published CECIIDX3 files live (a private
-    temporary directory by default, removed on close); ``max_redispatch``
-    bounds how many times one request's lost tasks are re-dispatched
-    after shard crashes before the request resolves ``CRASHED``;
-    ``partition_mode`` is forwarded to
-    :func:`~repro.distributed.partition.distribute_pivots`.
-
-    Use as a context manager, or call :meth:`close` when done.
+    Threads: one dispatcher and one reader per shard.  Processes are
+    forked in the constructor, before the parent starts any thread of
+    its own; respawns after a crash do fork from a threaded parent —
+    the child runs only :func:`_shard_main` over already-imported
+    modules, the standard accepted trade-off for supervision.
     """
 
     def __init__(
         self,
-        data: Graph,
-        shards: int = 2,
-        max_pending: int = 64,
-        index_capacity: int = 32,
-        spill_dir: Optional[str] = None,
-        order_strategy: str = "bfs",
-        use_refinement: bool = True,
-        use_intersection: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
-        deadline_seconds: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        flight_records: int = 0,
-        share_dir: Optional[str] = None,
-        partition_mode: str = "memory",
-        max_redispatch: int = 3,
+        service: MatchService,
+        shards: int,
+        share_dir: Optional[str],
+        max_redispatch: int,
     ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.data = data
+        self.service = service
         self.shards = shards
-        #: ``loadgen.run_benchmark`` reports ``service.workers`` as the
-        #: concurrency knob; for the sharded tier that is the shard
-        #: count.
-        self.workers = shards
-        self.max_pending = max_pending
-        self.order_strategy = order_strategy
-        self.use_refinement = use_refinement
-        self.use_intersection = use_intersection
-        self.deadline_seconds = deadline_seconds
-        self.fault_plan = fault_plan
-        self.partition_mode = partition_mode
         self.max_redispatch = max_redispatch
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else MetricsRegistry(sharded_metric_specs())
-        )
-        for spec in sharded_metric_specs():
-            self.metrics.register(spec)
+        self.metrics = service.metrics
         self.metrics.set_gauge("service_shard_count", shards)
-        self.flight = (
-            FlightRecorder(flight_records) if flight_records > 0 else None
-        )
-        self.index_cache = IndexCache(
-            data,
-            capacity=index_capacity,
-            spill_dir=spill_dir,
-            metrics=self.metrics,
-            fault_plan=fault_plan,
-        )
-        #: The sharded tier has no cross-request intersection pool:
-        #: memoized intersections live per shard process (private
-        #: per-enumerator caches), where the enumeration happens.
-        self.intersection_pool = None
-        self.history = None
         self._owns_share_dir = share_dir is None
         self.share_dir = (
             tempfile.mkdtemp(prefix="repro-shards-")
@@ -449,21 +336,10 @@ class ShardedMatchService:
         self._published: Dict[str, Tuple[str, int, bytes]] = {}
         self._publish_lock = threading.Lock()
         self._publish_picks = itertools.count()
-        self._build_picks = itertools.count()
         self._task_ids = itertools.count(1)
-        self._state_lock = threading.Lock()
-        self._idle = threading.Condition(self._state_lock)
-        self._inflight = 0
-        self._peak = 0
-        self._closed = False
-        self._stopping = False
-        self._close_done = threading.Event()
-        self._jobs: Set[_ShardJob] = set()
-        self._inbox: List = []
-        self._inbox_ready = threading.Condition()
+        self._closing = False
         # Per-shard dispatch state: an outbox queue, a window-of-one
-        # semaphore (at most one task in flight per shard pipe, so a
-        # crash loses at most one task), and the in-flight task table.
+        # semaphore, and the in-flight task table.
         self._outboxes: List[FairTaskQueue[_ShardTask]] = [
             FairTaskQueue() for _ in range(shards)
         ]
@@ -478,148 +354,84 @@ class ShardedMatchService:
         self._inflight_tasks: Dict[int, _ShardTask] = {}
         self._current: Dict[int, int] = {}  # shard -> in-flight task_id
         self._fork_lock = threading.Lock()
-        self._shards: List[_Shard] = [_Shard(i) for i in range(shards)]
-        ctx = get_context("fork")
-        self._ctx = ctx
-        # Fork every shard *before* starting any parent thread: a
-        # fork from a single-threaded parent can never inherit a lock
-        # held mid-acquire by another thread.  (Respawns after a crash
-        # do fork from a threaded parent — the child runs only
-        # `_shard_main` over already-imported modules, the standard
-        # accepted trade-off for supervision.)
+        self._ctx = get_context("fork")
+        self._shards = [_Shard(i) for i in range(shards)]
         for shard in self._shards:
             self._fork_shard(shard)
         self._threads: List[threading.Thread] = []
         for shard in self._shards:
             self._start_reader(shard)
         for index in range(shards):
-            thread = threading.Thread(
-                target=self._dispatch_loop,
-                args=(index,),
-                name=f"shard-dispatch-{index}",
-                daemon=True,
+            self._start_thread(
+                self._dispatch_loop, (index,), f"shard-dispatch-{index}"
             )
-            thread.start()
-            self._threads.append(thread)
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name="shard-scheduler", daemon=True
-        )
-        self._scheduler.start()
-        self._monitor_stop = threading.Event()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="shard-monitor", daemon=True
-        )
-        self._monitor.start()
 
-    # ------------------------------------------------------------------
-    # Process lifecycle
-    # ------------------------------------------------------------------
-    def _fork_shard(self, shard: _Shard) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        config = {
-            "fault_plan": self.fault_plan,
-            "use_intersection": self.use_intersection,
+    # -- Executor protocol ---------------------------------------------
+    def run_solo(self, job: _Job) -> None:
+        request = job.request
+        spec = self._spec(job, 0, kind="solo")
+        if spec is None:
+            return
+        spec.update(limit=request.limit, budget=request.budget)
+        job.fanout = 1
+        self.metrics.inc("service_shard_solo_routed")
+        self._enqueue(
+            self._least_loaded(),
+            _ShardTask(next(self._task_ids), job, spec, 0),
+            solo=True,
+        )
+
+    def run_units(
+        self, job: _Job, pivots: List[int], workloads: List[float]
+    ) -> None:
+        base = self._spec(job, len(pivots), kind="units")
+        if base is None:
+            return
+        assignments = distribute_pivots(self.service.data, pivots, self.shards)
+        owned = [
+            (shard, assigned)
+            for shard, assigned in enumerate(assignments)
+            if assigned
+        ]
+        job.fanout = len(owned)
+        self.metrics.observe("service_shard_fanout", len(owned))
+        if job.flight is not None:
+            job.flight.event("fanout", shards=len(owned))
+        for shard, assigned in owned:
+            spec = dict(base, pivots=assigned)
+            self._enqueue(
+                shard,
+                _ShardTask(next(self._task_ids), job, spec, len(assigned)),
+            )
+
+    def healthy(self) -> int:
+        with self._fork_lock:
+            return sum(
+                1
+                for shard in self._shards
+                if shard.proc is not None and shard.proc.is_alive()
+            )
+
+    def queue_depth(self) -> int:
+        return sum(len(outbox) for outbox in self._outboxes)
+
+    def snapshot(self) -> Dict[str, object]:
+        return {
+            "scheduler": {
+                "shards": [outbox.snapshot() for outbox in self._outboxes],
+            },
+            "shards": self.telemetry(),
         }
-        proc = self._ctx.Process(
-            target=_shard_main,
-            args=(shard.index, child_conn, self.data, config),
-            name=f"repro-shard-{shard.index}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()  # parent keeps only its end
-        shard.proc = proc
-        shard.conn = parent_conn
 
-    def _start_reader(self, shard: _Shard) -> None:
-        thread = threading.Thread(
-            target=self._reader_loop,
-            args=(shard, shard.conn, shard.proc),
-            name=f"shard-reader-{shard.index}",
-            daemon=True,
-        )
-        thread.start()
-        shard.reader = thread
-        self._threads.append(thread)
+    def telemetry(self) -> Dict[str, object]:
+        with self._task_lock:
+            return {
+                "busy_seconds": [s.busy_seconds for s in self._shards],
+                "tasks": [s.tasks for s in self._shards],
+            }
 
-    # ------------------------------------------------------------------
-    # Public API (MatchService surface)
-    # ------------------------------------------------------------------
-    def submit(self, request: MatchRequest) -> PendingMatch:
-        """Admit (or shed) one request; never blocks on matching work."""
-        pending = PendingMatch(request)
-        now = time.perf_counter()
-        with self._state_lock:
-            if self._closed:
-                raise RuntimeError("service is closed")
-            if self._inflight >= self.max_pending:
-                pending._resolve(rejected_response(
-                    request, self._inflight, self.max_pending,
-                    self.metrics, self.flight,
-                ))
-                return pending
-            self._inflight += 1
-            if self._inflight > self._peak:
-                self._peak = self._inflight
-                self.metrics.set_gauge("service_queue_depth_peak", self._peak)
-            job = _ShardJob(request, pending, now)
-            if self.flight is not None:
-                job.flight = self.flight.begin(request.request_id)
-                job.flight.event(
-                    "admit", outcome="admitted",
-                    queue_depth=self._inflight, solo=request.solo,
-                )
-            deadline = request.deadline_seconds
-            if deadline is None:
-                deadline = self.deadline_seconds
-            if deadline is not None:
-                job.deadline_at = now + deadline
-            pending._job = job
-            self._jobs.add(job)
-        with self._inbox_ready:
-            self._inbox.append(job)
-            self._inbox_ready.notify()
-        return pending
-
-    def match(self, request: MatchRequest) -> MatchResponse:
-        """Submit and wait — the synchronous convenience path."""
-        return self.submit(request).result()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until no request is in flight; False on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._idle:
-            while self._inflight > 0:
-                left = None
-                if deadline is not None:
-                    left = deadline - time.monotonic()
-                    if left <= 0:
-                        return False
-                self._idle.wait(timeout=left)
-        return True
-
-    def close(self, timeout: Optional[float] = None) -> bool:
-        """Drain in-flight work, then stop threads and shard processes
-        (idempotent; concurrent callers wait for the first closer)."""
-        with self._state_lock:
-            first = not self._closed
-            self._closed = True
-        if not first:
-            return self._close_done.wait(timeout=timeout)
-        drained = self.drain(timeout)
-        self._stopping = True
-        if not drained:
-            with self._state_lock:
-                leftovers = list(self._jobs)
-            for job in leftovers:
-                self._finalize(
-                    job, [], Status.TIMEOUT,
-                    error="request still in flight when close() timed out",
-                )
-        with self._inbox_ready:
-            self._inbox.append(_CLOSE)
-            self._inbox_ready.notify()
-        self._monitor_stop.set()
+    def close(self, left: Callable[[], Optional[float]]) -> bool:
+        self._closing = True
         for outbox in self._outboxes:
             outbox.close()
         # Release every dispatch window so dispatchers can observe the
@@ -644,215 +456,63 @@ class ShardedMatchService:
                     shard.conn.close()
                 except Exception:  # noqa: BLE001
                     pass
-        self._scheduler.join(timeout=2.0)
-        self._monitor.join(timeout=2.0)
         for thread in self._threads:
-            thread.join(timeout=2.0)
-        stopped = (
-            not self._scheduler.is_alive()
-            and not self._monitor.is_alive()
-            and not any(thread.is_alive() for thread in self._threads)
-        )
+            thread.join(left())
         if self._owns_share_dir:
             shutil.rmtree(self.share_dir, ignore_errors=True)
-        self._close_done.set()
-        return drained and stopped
+        return not any(thread.is_alive() for thread in self._threads)
 
-    def __enter__(self) -> "ShardedMatchService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def healthy_workers(self) -> int:
-        """How many shard processes are currently alive — the chaos
-        harness's pool-at-full-strength check."""
-        with self._fork_lock:
-            return sum(
-                1
-                for shard in self._shards
-                if shard.proc is not None and shard.proc.is_alive()
-            )
-
-    def metrics_snapshot(self) -> MetricsRegistry:
-        """Point-in-time registry copy with scrape-time gauges folded
-        in, shaped exactly like the single-process tier's."""
-        registry = MetricsRegistry(sharded_metric_specs())
-        registry.merge(self.metrics)
-        with self._state_lock:
-            inflight = self._inflight
-        registry.set_gauge("service_inflight", inflight)
-        registry.set_gauge(
-            "service_task_queue_depth",
-            sum(len(outbox) for outbox in self._outboxes),
+    # -- Process lifecycle -------------------------------------------------
+    def _start_thread(self, target, args: Tuple, name: str) -> None:
+        thread = threading.Thread(
+            target=target, args=args, name=name, daemon=True
         )
-        registry.set_gauge("service_healthy_workers", self.healthy_workers())
-        registry.set_gauge("service_shard_count", self.shards)
-        with self._task_lock:
-            registry.set_gauge(
-                "service_shard_inflight", len(self._inflight_tasks)
-            )
-        return registry
+        thread.start()
+        self._threads.append(thread)
 
-    def snapshot(self) -> Dict[str, object]:
-        """Registry + cache + per-shard dispatch state as one dict."""
-        out: Dict[str, object] = {
-            "metrics": self.metrics_snapshot().as_dict(),
-            "index_cache": self.index_cache.snapshot(),
-            "scheduler": {
-                "shards": [outbox.snapshot() for outbox in self._outboxes],
-            },
-            "healthy_workers": self.healthy_workers(),
-            "shards": self.shard_telemetry(),
-        }
-        if self.flight is not None:
-            out["flight_records"] = len(self.flight)
-        return out
+    def _fork_shard(self, shard: _Shard) -> None:
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        proc = self._ctx.Process(
+            target=_shard_main,
+            args=(
+                shard.index, child_conn, self.service.data,
+                self.service.fault_plan,
+            ),
+            name=f"repro-shard-{shard.index}",
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()  # parent keeps only its end
+        shard.proc = proc
+        shard.conn = parent_conn
 
-    def flight_records(
-        self,
-        request_id: Optional[int] = None,
-        limit: Optional[int] = None,
-    ) -> List[Dict]:
-        """Retained flight records (empty when the recorder is off)."""
-        if self.flight is None:
-            return []
-        return self.flight.records(request_id=request_id, limit=limit)
-
-    def shard_telemetry(self) -> Dict[str, object]:
-        """Per-shard accounting the horizontal-scaling benchmark reads:
-        accumulated CPU-busy seconds and task counts, per shard."""
-        with self._task_lock:
-            return {
-                "busy_seconds": [s.busy_seconds for s in self._shards],
-                "tasks": [s.tasks for s in self._shards],
-            }
-
-    # ------------------------------------------------------------------
-    # Scheduler thread: admit -> resolve index -> publish -> fan out
-    # ------------------------------------------------------------------
-    def _scheduler_loop(self) -> None:
-        while True:
-            with self._inbox_ready:
-                while not self._inbox:
-                    self._inbox_ready.wait()
-                item = self._inbox.pop(0)
-            if item is _CLOSE:
-                return
-            job: _ShardJob = item
-            if job.done:
-                continue
-            status = self._abort_status(job)
-            if status is None:
-                try:
-                    self._prepare(job)
-                except BudgetExhausted as stop:
-                    job.stats.budget_stops += 1
-                    self._finalize(
-                        job, [], Status.TRUNCATED, stop_reason=stop.reason
-                    )
-                    continue
-                except InjectedBuildError as exc:
-                    self._finalize(job, [], Status.FAILED, error=repr(exc))
-                    continue
-                except Exception as exc:  # noqa: BLE001 - one bad
-                    # request must not take the scheduler down
-                    self._finalize(job, [], Status.FAILED, error=repr(exc))
-                    continue
-                status = self._abort_status(job)
-            if status is not None:
-                self._finalize(
-                    job, [], status, error=self._abort_error(status)
-                )
-                continue
-            self._plan(job)
-
-    def _abort_status(self, job: _ShardJob) -> Optional[str]:
-        if job.cancelled:
-            return Status.CANCELLED
-        if (
-            job.deadline_at is not None
-            and time.perf_counter() >= job.deadline_at
-        ):
-            return Status.TIMEOUT
-        return None
-
-    @staticmethod
-    def _abort_error(status: str) -> str:
-        if status == Status.TIMEOUT:
-            return "end-to-end service deadline exceeded"
-        return "cancelled by caller"
-
-    def _fresh_matcher(self, query: Graph) -> CECIMatcher:
-        return CECIMatcher(
-            query,
-            self.data,
-            order_strategy=self.order_strategy,
-            break_automorphisms=False,
-            use_refinement=self.use_refinement,
-            use_intersection=self.use_intersection,
-            store="compact",
+    def _start_reader(self, shard: _Shard) -> None:
+        self._start_thread(
+            self._reader_loop, (shard, shard.conn, shard.proc),
+            f"shard-reader-{shard.index}",
         )
 
-    def _prepare(self, job: _ShardJob) -> None:
-        """Resolve the request's index through the cache tiers, then
-        publish it for the shard processes to mmap."""
+    # -- Publication -------------------------------------------------------
+    def _spec(self, job: _Job, units: int, kind: str) -> Optional[Dict]:
+        """The task spec fields every task of ``job`` shares, with its
+        index published; on a publish failure the job's ``units`` are
+        reported failed and None is returned."""
         request = job.request
-        job.prepared_at = time.perf_counter()
-        if job.flight is not None:
-            job.flight.event(
-                "prepare",
-                queue_seconds=round(job.prepared_at - job.submitted_at, 6),
-            )
-        build_stats: List[MatchStats] = []
+        try:
+            path = self._publish(request.query.fingerprint(), job.store)
+        except Exception as exc:  # noqa: BLE001 - fail the request,
+            # not the scheduler
+            self.service._unit_failed(job, units, repr(exc))
+            return None
+        return {
+            "kind": kind,
+            "index_path": path,
+            "query": request.query,
+            "break_automorphisms": request.break_automorphisms,
+            "kernel": request.kernel,
+        }
 
-        def build() -> CompactCECI:
-            build_index = next(self._build_picks)
-            if (
-                self.fault_plan is not None
-                and self.fault_plan.build_fails_at(build_index)
-            ):
-                raise InjectedBuildError(build_index)
-            matcher = self._fresh_matcher(request.query)
-            store = matcher.build()
-            build_stats.append(matcher.stats)
-            assert isinstance(store, CompactCECI)
-            return store
-
-        entry, tag, order = self.index_cache.get_or_build(
-            request.query, build
-        )
-        store = self.index_cache.adapt(entry, request.query, order)
-        if store is None:
-            # Canonical-signature collision: build privately.
-            matcher = self._fresh_matcher(request.query)
-            built = matcher.build()
-            assert isinstance(built, CompactCECI)
-            store = built
-            build_stats.append(matcher.stats)
-            tag = "miss"
-        job.cache_tag = tag
-        job.pivot_order = [int(p) for p in store.pivots]
-        self.metrics.inc("service_cache_outcomes", label=tag)
-        for stats in build_stats:
-            job.stats.merge(stats)
-            self.metrics.observe(
-                "service_build_seconds",
-                sum(
-                    stats.phase_seconds.get(phase, 0.0)
-                    for phase in ("preprocess", "filter", "refine", "freeze")
-                ),
-            )
-        job.fingerprint = request.query.fingerprint()
-        job.index_path = self._publish(job.fingerprint, entry, store)
-        if job.flight is not None:
-            job.flight.event(
-                "index", tier=tag,
-                transplanted=(tag != "miss" and store is not entry.store),
-                path=os.path.basename(job.index_path),
-            )
-
-    def _publish(self, fingerprint: str, entry, store: CompactCECI) -> str:
+    def _publish(self, fingerprint: str, store: CompactCECI) -> str:
         """Publish ``store`` once per query fingerprint as a checksummed
         CECIIDX3 file every shard can mmap.  Version numbers live in
         the *filename*: a republish never rewrites a file some shard
@@ -862,22 +522,18 @@ class ShardedMatchService:
             existing = self._published.get(fingerprint)
             if existing is not None:
                 return existing[0]
-            blob = self.index_cache.serialized(entry, store)
-            version = 0
-            path = os.path.join(
-                self.share_dir, f"{fingerprint}.v{version}.ceci"
-            )
+            blob = dump_store_bytes(store)
+            path = os.path.join(self.share_dir, f"{fingerprint}.v0.ceci")
             out = blob
-            pick = next(self._publish_picks)
-            if (
-                self.fault_plan is not None
-                and self.fault_plan.publish_torn_at(pick)
+            plan = self.service.fault_plan
+            if plan is not None and plan.publish_torn_at(
+                next(self._publish_picks)
             ):
                 # Torn publish: the file ends mid-block, as if the
                 # publisher died between write and fsync.
                 out = blob[: (2 * len(blob)) // 3]
             publish_bytes(out, path)
-            self._published[fingerprint] = (path, version, blob)
+            self._published[fingerprint] = (path, 0, blob)
             self.metrics.inc("service_shard_publishes")
             return path
 
@@ -907,67 +563,7 @@ class ShardedMatchService:
             self.metrics.inc("service_shard_republishes")
             return path
 
-    def _plan(self, job: _ShardJob) -> None:
-        """Fan the job out: solo to the least-loaded shard, otherwise
-        one task per shard owning a nonempty pivot partition."""
-        request = job.request
-        if request.solo:
-            shard = self._least_loaded()
-            spec = {
-                "kind": "solo",
-                "index_path": job.index_path,
-                "query": request.query,
-                "break_automorphisms": request.break_automorphisms,
-                "kernel": request.kernel,
-                "limit": request.limit,
-                "budget": request.budget,
-            }
-            with job.lock:
-                job.fanout = 1
-                job.remaining = 1
-            self.metrics.inc("service_shard_solo_routed")
-            if job.flight is not None:
-                job.flight.event("planned", mode="solo", shard=shard)
-            self._enqueue(shard, _ShardTask(next(self._task_ids), job, spec),
-                          solo=True)
-            return
-        pivots = job.pivot_order
-        if not pivots:
-            self._finalize(job, [], Status.OK)
-            return
-        assignments = distribute_pivots(
-            self.data, pivots, self.shards, mode=self.partition_mode
-        )
-        owned = [
-            (shard, list(assigned))
-            for shard, assigned in enumerate(assignments)
-            if assigned
-        ]
-        if not owned:  # defensive: planner returned nothing to do
-            self._finalize(job, [], Status.OK)
-            return
-        with job.lock:
-            job.fanout = len(owned)
-            job.remaining = len(owned)
-        self.metrics.observe("service_shard_fanout", len(owned))
-        if job.flight is not None:
-            job.flight.event(
-                "planned", mode="fanout", shards=len(owned),
-                pivots=len(pivots),
-            )
-        for shard, assigned in owned:
-            spec = {
-                "kind": "units",
-                "index_path": job.index_path,
-                "query": request.query,
-                "break_automorphisms": request.break_automorphisms,
-                "kernel": request.kernel,
-                "pivots": assigned,
-            }
-            self._enqueue(
-                shard, _ShardTask(next(self._task_ids), job, spec)
-            )
-
+    # -- Dispatch -----------------------------------------------------------
     def _least_loaded(self) -> int:
         with self._task_lock:
             depth = [
@@ -989,9 +585,6 @@ class ShardedMatchService:
             # force-finalizes every leftover job.
             return
 
-    # ------------------------------------------------------------------
-    # Dispatcher threads: one per shard, window of one
-    # ------------------------------------------------------------------
     def _dispatch_loop(self, shard_index: int) -> None:
         outbox = self._outboxes[shard_index]
         window = self._windows[shard_index]
@@ -1002,13 +595,15 @@ class ShardedMatchService:
                 return
             if task.job.done:  # finalized while queued — skip the send
                 window.release()
-                self._discard_task(task)
                 continue
             with self._task_lock:
                 self._inflight_tasks[task.task_id] = task
                 self._current[shard_index] = task.task_id
                 pick = self._dispatch_counts[shard_index]
                 self._dispatch_counts[shard_index] += 1
+                self.metrics.set_gauge(
+                    "service_shard_inflight", len(self._inflight_tasks)
+                )
             try:
                 with self._fork_lock:
                     conn = self._shards[shard_index].conn
@@ -1025,10 +620,9 @@ class ShardedMatchService:
                 # Whoever claims the in-flight record owns the permit
                 # release — if the reader's crash recovery claimed it
                 # first, it also released, and we must not double up.
-                removed = self._take_task(shard_index, task.task_id)
-                if removed is not None:
+                if self._take_task(shard_index, task.task_id) is not None:
                     window.release()
-                    if not self._stopping:
+                    if not self._closing:
                         try:
                             outbox.push_recovered(task)
                         except RuntimeError:
@@ -1046,33 +640,28 @@ class ShardedMatchService:
             record = self._inflight_tasks.pop(task_id, None)
             if self._current.get(shard_index) == task_id:
                 del self._current[shard_index]
+            self.metrics.set_gauge(
+                "service_shard_inflight", len(self._inflight_tasks)
+            )
             return record
 
-    def _discard_task(self, task: _ShardTask) -> None:
-        """Bookkeeping for a task dropped before dispatch (its job was
-        already finalized): keep ``remaining`` consistent."""
-        with task.job.lock:
-            task.job.remaining -= 1
-
-    # ------------------------------------------------------------------
-    # Reader threads: results, errors, crash recovery
-    # ------------------------------------------------------------------
+    # -- Replies and recovery ------------------------------------------------
     def _reader_loop(self, shard: _Shard, conn, proc) -> None:
         while True:
             try:
                 message = conn.recv()
             except (EOFError, OSError):
-                if not self._stopping:
+                if not self._closing:
                     self._handle_shard_death(shard, conn, proc)
                 return
             self._handle_message(shard.index, message)
 
     def _handle_shard_death(self, shard: _Shard, conn, proc) -> None:
-        """Pipe EOF from a live service: the shard process died.  Claim
+        """Pipe EOF from a live executor: the shard process died.  Claim
         its in-flight task, respawn the process (new pipe, new reader
-        thread), then re-dispatch or fail the lost task."""
+        thread), then re-dispatch the lost task."""
         with self._fork_lock:
-            if self._stopping or shard.conn is not conn:
+            if self._closing or shard.conn is not conn:
                 return
             self.metrics.inc("service_shard_crashes")
             record: Optional[_ShardTask] = None
@@ -1090,33 +679,29 @@ class ShardedMatchService:
             self._start_reader(shard)
             self.metrics.inc("service_shard_respawns")
         if record is not None:
-            self._recover_task(shard.index, record, reason="shard crash")
+            self._windows[shard.index].release()
+            self._redispatch(shard.index, record, "shard crash", "crash")
 
-    def _recover_task(
-        self, shard_index: int, record: _ShardTask, reason: str
+    def _redispatch(
+        self, shard_index: int, record: _ShardTask, reason: str, kind: str
     ) -> None:
-        """Re-dispatch a lost task head-of-line, bounded by
-        ``max_redispatch`` per request; the claimed window permit is
-        handed back here."""
+        """Re-dispatch a lost task head-of-line, at most
+        ``max_redispatch`` times; past that its units fail as ``kind``."""
         job = record.job
-        self._windows[shard_index].release()
-        with job.lock:
-            if job.done:
-                return
-            job.redispatches += 1
-            exhausted = job.redispatches > self.max_redispatch
+        if job.done:
+            return
+        record.redispatches += 1
         if job.flight is not None:
             job.flight.event(
                 "shard_recover", shard=shard_index, task=record.task_id,
-                reason=reason, attempt=job.redispatches,
+                reason=reason, attempt=record.redispatches,
             )
-        if exhausted:
-            self._finalize(
-                job, [], Status.CRASHED,
-                error=(
-                    f"task re-dispatched {self.max_redispatch} times "
-                    f"({reason}) without completing"
-                ),
+        if record.redispatches > self.max_redispatch:
+            self.service._unit_failed(
+                job, record.units,
+                f"task re-dispatched {self.max_redispatch} times "
+                f"({reason}) without completing",
+                kind=kind,
             )
             return
         self.metrics.inc("service_shard_redispatches")
@@ -1126,180 +711,103 @@ class ShardedMatchService:
             pass  # closing: leftover jobs are force-finalized
 
     def _handle_message(self, shard_index: int, message: Tuple) -> None:
-        kind = message[0]
-        if kind == "result":
+        if message[0] == "result":
             _, task_id, payload = message
-            record = self._take_task(shard_index, task_id)
-            if record is None:
-                return  # already recovered elsewhere
-            with self._task_lock:
-                shard = self._shards[shard_index]
-                shard.busy_seconds += float(payload.get("busy", 0.0))
-                shard.tasks += 1
-            self._windows[shard_index].release()
-            self._absorb_result(shard_index, record, payload)
-        elif kind == "error":
+        else:
             _, task_id, err_kind, detail = message
-            record = self._take_task(shard_index, task_id)
-            if record is None:
-                return
-            self._windows[shard_index].release()
-            if err_kind == "corrupt_index":
-                self.metrics.inc("service_shard_corrupt_loads")
-                self._handle_corrupt(shard_index, record, detail)
-            else:
-                self._finalize(record.job, [], Status.FAILED, error=detail)
-
-    def _handle_corrupt(
-        self, shard_index: int, record: _ShardTask, detail: str
-    ) -> None:
-        """A shard refused a torn published index: republish pristine
-        bytes under a bumped version and re-dispatch against the new
-        path.  The window permit was already released by the caller, so
-        recovery must not release it again — re-enqueue directly."""
+        record = self._take_task(shard_index, task_id)
+        if record is None:
+            return  # already recovered elsewhere
+        self._windows[shard_index].release()
         job = record.job
-        path = (
-            self._republish(job.fingerprint, record.spec["index_path"])
-            if job.fingerprint is not None
-            else None
-        )
-        if path is None:
-            self._finalize(job, [], Status.FAILED, error=detail)
-            return
-        record.spec["index_path"] = path
-        with job.lock:
-            if job.done:
+        if message[0] == "error":
+            if err_kind != "corrupt_index":
+                self.service._unit_failed(job, record.units, detail)
                 return
-            job.redispatches += 1
-            exhausted = job.redispatches > self.max_redispatch
-        if job.flight is not None:
-            job.flight.event(
-                "shard_republish", shard=shard_index,
-                task=record.task_id, attempt=job.redispatches,
+            # A shard refused a torn published index: republish pristine
+            # bytes under a bumped version and re-dispatch against it.
+            self.metrics.inc("service_shard_corrupt_loads")
+            path = self._republish(
+                job.request.query.fingerprint(), record.spec["index_path"]
             )
-        if exhausted:
-            self._finalize(
-                job, [], Status.FAILED,
-                error=f"shared index stayed corrupt after republish: {detail}",
+            if path is None:
+                self.service._unit_failed(job, record.units, detail)
+                return
+            record.spec["index_path"] = path
+            self._redispatch(
+                shard_index, record, f"corrupt shared index: {detail}",
+                "error",
             )
             return
-        self.metrics.inc("service_shard_redispatches")
-        try:
-            self._outboxes[shard_index].push_recovered(record)
-        except RuntimeError:
-            pass
-
-    def _absorb_result(
-        self, shard_index: int, record: _ShardTask, payload: Dict
-    ) -> None:
-        job = record.job
+        with self._task_lock:
+            shard = self._shards[shard_index]
+            shard.busy_seconds += float(payload["busy"])
+            shard.tasks += 1
         if job.flight is not None:
             job.flight.event(
                 "shard_result", shard=shard_index, task=record.task_id,
-                seconds=round(float(payload.get("seconds", 0.0)), 6),
-                busy=round(float(payload.get("busy", 0.0)), 6),
+                busy=round(float(payload["busy"]), 6),
             )
         if payload["kind"] == "solo":
-            with job.lock:
-                if job.done:
-                    return
-                job.stats.merge(payload["stats"])
-            status = (
-                Status.TRUNCATED if payload["truncated"] else Status.OK
+            self.service._solo_done(
+                job, payload["embeddings"], payload["truncated"],
+                payload["stop_reason"], payload["stats"], payload["seconds"],
             )
-            self._finalize(
-                job,
-                payload["embeddings"],
-                status,
-                stop_reason=payload["stop_reason"],
+        else:
+            self.service._units_done(
+                job, payload["parts"], payload["stats"], payload["seconds"]
             )
-            return
-        with job.lock:
-            if job.done:
-                job.remaining -= 1
-                return
-            job.parts.update(payload["parts"])
-            job.stats.merge(payload["stats"])
-            job.remaining -= 1
-            last = job.remaining == 0
-        if last:
-            embeddings: List[Embedding] = []
-            for pivot in job.pivot_order:
-                part = job.parts.get(pivot)
-                if part:
-                    embeddings.extend(part)
-            self._finalize(job, embeddings, Status.OK)
 
-    # ------------------------------------------------------------------
-    # Deadline/cancel monitor thread
-    # ------------------------------------------------------------------
-    def _monitor_loop(self) -> None:
-        while not self._monitor_stop.wait(_MONITOR_INTERVAL):
-            now = time.perf_counter()
-            with self._state_lock:
-                jobs = list(self._jobs)
-            for job in jobs:
-                if job.done:
-                    continue
-                if job.cancelled:
-                    self._finalize(
-                        job, [], Status.CANCELLED,
-                        error=self._abort_error(Status.CANCELLED),
-                    )
-                elif (
-                    job.deadline_at is not None and now >= job.deadline_at
-                ):
-                    self._finalize(
-                        job, [], Status.TIMEOUT,
-                        error=self._abort_error(Status.TIMEOUT),
-                    )
 
-    # ------------------------------------------------------------------
-    def _finalize(
+class ShardedMatchService(MatchService):
+    """A :class:`~repro.service.service.MatchService` whose units run on
+    ``shards`` worker processes.
+
+    Takes every front-end option of :class:`MatchService` (all but the
+    thread-only ``workers``, ``stall_after_seconds`` and
+    ``watchdog_interval``) and keeps its exactness contract: a sharded
+    response's embeddings, counts, truncation flags and statuses are
+    indistinguishable from the thread executor's.  ``share_dir`` is
+    where published CECIIDX3 files live (a private temporary directory
+    by default, removed on close); ``max_redispatch`` bounds how many
+    times one lost task is re-dispatched after shard crashes before its
+    units fail as a crash.
+
+    The shard processes are alive when the constructor returns.  Use as
+    a context manager, or call :meth:`close` when done.
+    """
+
+    metric_specs = staticmethod(sharded_metric_specs)
+
+    def __init__(
         self,
-        job: _ShardJob,
-        embeddings: List[Embedding],
-        status: str,
-        stop_reason: Optional[str] = None,
-        error: Optional[str] = None,
+        data: Graph,
+        shards: int = 2,
+        share_dir: Optional[str] = None,
+        max_redispatch: int = 3,
+        **options,
     ) -> None:
-        with job.lock:
-            if job.done:  # first resolution wins
-                return
-            job.done = True
-        now = time.perf_counter()
-        latency = now - job.submitted_at
-        service_seconds = now - job.prepared_at
-        self.metrics.inc("service_requests_total", label=status)
-        self.metrics.observe("service_request_seconds", latency)
-        self.metrics.observe("service_time_seconds", service_seconds)
-        if job.flight is not None:
-            job.flight.event("final", status=status)
-            job.flight.finish(
-                status=status,
-                cache=job.cache_tag,
-                retries=job.redispatches,
-                latency_seconds=latency,
-                service_seconds=service_seconds,
-                stop_reason=stop_reason,
-                error=error,
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        thread_only = sorted(_THREAD_ONLY & options.keys())
+        if thread_only:
+            raise TypeError(
+                f"thread-executor options not accepted with shards: "
+                f"{', '.join(thread_only)}"
             )
-        job.pending._resolve(MatchResponse(
-            request_id=job.request.request_id,
-            status=status,
-            embeddings=embeddings,
-            truncated=status == Status.TRUNCATED,
-            stop_reason=stop_reason,
-            cache=job.cache_tag,
-            stats=job.stats,
-            latency_seconds=latency,
-            service_seconds=service_seconds,
-            retries=job.redispatches,
-            shard_fanout=job.fanout or None,
-            error=error,
-        ))
-        with self._idle:
-            self._jobs.discard(job)
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.notify_all()
+        self.shards = shards
+        self._shard_options = (share_dir, max_redispatch)
+        super().__init__(data, workers=shards, **options)
+
+    def _make_executor(
+        self,
+        workers: int,
+        stall_after_seconds: Optional[float],
+        watchdog_interval: float,
+    ) -> _ShardExecutor:
+        return _ShardExecutor(self, self.shards, *self._shard_options)
+
+    def shard_telemetry(self) -> Dict[str, object]:
+        """Per-shard accounting the horizontal-scaling benchmark reads:
+        accumulated CPU-busy seconds and task counts, per shard."""
+        return self.executor.telemetry()

@@ -109,6 +109,41 @@ class TestServeCommand:
         )
         assert snapshot["index_cache"]["misses"] == 1
 
+    def test_sharded_serve_keeps_the_shared_flags(
+        self, files, capsys, monkeypatch
+    ):
+        import io
+        import sys
+
+        from repro.observability import read_history
+
+        _, dpath, tmp_path = files
+        history = str(tmp_path / "history.jsonl")
+        slow_log = str(tmp_path / "slow.jsonl")
+        lines = [
+            json.dumps({"query": {"n": 3,
+                                  "edges": [[0, 1], [1, 2], [0, 2]]},
+                        "id": 1}),
+            json.dumps({"cmd": "shutdown"}),
+        ]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["serve", dpath, "--shards", "2", "--retries", "1",
+                     "--history", history, "--slow-ms", "0",
+                     "--slow-log", slow_log]) == 0
+        response = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert response["status"] == "ok" and response["count"] == 2
+        assert response["shards"] >= 1
+        assert [r["request_id"] for r in read_history(history)] == [1]
+        with open(slow_log) as handle:
+            assert len(handle.readlines()) == 1
+
+    def test_workers_with_shards_is_a_usage_error(self, files, capsys):
+        _, dpath, _ = files
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", dpath, "--shards", "2", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
 
 class TestBenchServiceCommand:
     def test_writes_schema_valid_report(self, tmp_path, capsys):

@@ -1,17 +1,9 @@
-"""Unit tests for the service's two caching layers and fair scheduler.
+"""Unit tests for the service's index cache and fair scheduler.
 
-The regression that motivates half of this file: a single
-:class:`~repro.kernels.cache.IntersectionCache` shared across concurrent
-requests keys entries on ``(query vertex, parent candidate, NTE
-candidates)`` — a key that says nothing about *which query* produced
-the entry.  Two different queries over one data graph collide on it and
-one query silently enumerates from the other's intersections.  The fix
-is :meth:`~repro.kernels.cache.IntersectionCache.view`: every probe and
-store is prefixed with a per-request namespace, so entries written for
-one query are invisible to every other.  ``test_bare_shared_cache_is_
-unsound`` pins the failure mode itself (so the test fails loudly if the
-instance stops reproducing it) and ``test_namespaced_views_restore_
-correctness`` pins the fix.
+The first test pins an end-to-end regression: two queries over one data
+graph whose bare intersection-memo keys ``(query vertex, parent
+candidate, NTE candidates)`` collide.  Every memo cache is private to
+one enumerator, so both answers must stay exact.
 
 The rest covers the :class:`~repro.service.cache.IndexCache` tiers
 (hit / warm spill revival / coalesced in-flight builds / miss), store
@@ -23,7 +15,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 import pytest
 
@@ -34,7 +26,6 @@ from repro.core.matcher import CECIMatcher
 from repro.core.store import CompactCECI
 from repro.graph import Graph, inject_labels
 from repro.graph.generators import power_law
-from repro.kernels import IntersectionCache
 from repro.service import (
     CacheEntry,
     FairTaskQueue,
@@ -46,7 +37,7 @@ from repro.service import (
 )
 
 # ----------------------------------------------------------------------
-# The cross-query intersection-cache regression
+# Colliding memo keys across queries
 # ----------------------------------------------------------------------
 
 #: K4 whose vertices 0,1 carry both labels, so they are candidates for
@@ -62,70 +53,9 @@ TRIANGLE_X = Graph(3, [(0, 1), (1, 2), (0, 2)], labels=["x", "x", "x"])
 TRIANGLE_Y = Graph(3, [(0, 1), (1, 2), (0, 2)], labels=["y", "y", "y"])
 
 
-def _enumerate_with(query: Graph, data: Graph, cache) -> Set[Tuple]:
-    """Full embedding set from a fresh index but an *injected* memo
-    cache — exactly how the service wires shared pools into workers.
-
-    Pinned to the recursive engine: the memo cache (and therefore the
-    key-collision bug this file regresses) lives on the recursive
-    TE∩NTE path — the batch engine never consults it."""
-    store = CECIMatcher(query, data, break_automorphisms=False).build()
-    enumerator = Enumerator(
-        store,
-        symmetry=SymmetryBreaker(query, enabled=False),
-        use_intersection=True,
-        cache=cache,
-        engine="recursive",
-    )
-    return {tuple(int(v) for v in e) for e in enumerator.collect()}
-
-
-def test_bare_shared_cache_is_unsound():
-    """Sharing one cache *without* namespacing must reproduce the bug:
-    the second query reads the first's entries and emits embeddings
-    that violate its own labels.  If this ever stops failing, the
-    instance no longer exercises the collision and must be replaced."""
-    expected = brute_force_embeddings(TRIANGLE_Y, POISON_DATA)
-    shared = IntersectionCache(threadsafe=True)
-    first = _enumerate_with(TRIANGLE_X, POISON_DATA, shared)
-    assert first == brute_force_embeddings(TRIANGLE_X, POISON_DATA)
-    second = _enumerate_with(TRIANGLE_Y, POISON_DATA, shared)
-    assert second != expected, (
-        "bare key collision no longer reproduces — the regression "
-        "instance has gone stale"
-    )
-    # The poison is specifically a label violation: vertex 2 has no "y".
-    assert any(2 in embedding for embedding in second)
-
-
-def test_namespaced_views_restore_correctness():
-    """The fix: per-query views over one shared pool never leak."""
-    pool = IntersectionCache(threadsafe=True)
-    first = _enumerate_with(
-        TRIANGLE_X, POISON_DATA, pool.view(("data", "qx"))
-    )
-    second = _enumerate_with(
-        TRIANGLE_Y, POISON_DATA, pool.view(("data", "qy"))
-    )
-    assert first == brute_force_embeddings(TRIANGLE_X, POISON_DATA)
-    assert second == brute_force_embeddings(TRIANGLE_Y, POISON_DATA)
-    # Both queries really did share the one bounded pool.
-    assert pool.hits > 0 or len(pool) > 0
-
-
-def test_view_keys_are_disjoint():
-    pool = IntersectionCache(threadsafe=True)
-    a = pool.view("ns-a")
-    b = pool.view("ns-b")
-    a.put((2, 0, 1), [7, 8])
-    assert a.get((2, 0, 1)) == [7, 8]
-    assert b.get((2, 0, 1)) is None
-    assert pool.get((2, 0, 1)) is None  # bare key never stored
-
-
 def test_service_survives_the_poison_pair():
-    """End-to-end: the service runs both colliding queries through its
-    shared pool (namespaced internally) and both answers stay exact."""
+    """End-to-end: the service answers both colliding queries, in
+    turn and repeatedly, and both answers stay exact."""
     with MatchService(POISON_DATA, workers=2) as service:
         for query in (TRIANGLE_X, TRIANGLE_Y, TRIANGLE_X, TRIANGLE_Y):
             response = service.match(
@@ -134,7 +64,6 @@ def test_service_survives_the_poison_pair():
             assert response.ok
             got = {tuple(int(v) for v in e) for e in response.embeddings}
             assert got == brute_force_embeddings(query, POISON_DATA)
-        assert service.intersection_pool is not None
 
 
 # ----------------------------------------------------------------------

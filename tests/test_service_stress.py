@@ -6,7 +6,7 @@ must hold under contention:
 
 * **no cross-request bleed** — each response's ``stats`` describe that
   request alone (``embeddings_found == count``), even though all
-  requests share one intersection pool and one metrics registry;
+  requests share one index cache and one metrics registry;
 * **no torn index reuse** — every repeat of a query, from any thread
   and any cache tier, reports the same embedding count;
 * **rejected requests touch nothing** — a request shed at admission
@@ -196,8 +196,6 @@ def test_rejected_requests_never_mutate_shared_state():
             )
             assert entered.wait(timeout=30)
             index_before = service.index_cache.snapshot()
-            assert service.intersection_pool is not None
-            pool_before = service.intersection_pool.snapshot()
             shed = [
                 service.submit(
                     MatchRequest(queries[1], break_automorphisms=False)
@@ -212,7 +210,6 @@ def test_rejected_requests_never_mutate_shared_state():
                 assert response.embeddings == [] and response.cache is None
                 assert "queue depth" in (response.error or "")
             assert service.index_cache.snapshot() == index_before
-            assert service.intersection_pool.snapshot() == pool_before
             assert service.metrics.get(
                 "service_requests_total", label=Status.REJECTED
             ) == 5

@@ -17,6 +17,7 @@ Four subsystems, one acceptance bar:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import urllib.error
@@ -45,7 +46,13 @@ from repro.observability import (
 )
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RetryPolicy
-from repro.service import MatchRequest, MatchService, Status, generate_workload
+from repro.service import (
+    MatchRequest,
+    MatchService,
+    ShardedMatchService,
+    Status,
+    generate_workload,
+)
 
 DATA = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -327,22 +334,34 @@ class TestMetricsExporter:
 # ---------------------------------------------------------------------------
 # Service integration: every response has an agreeing flight record
 # ---------------------------------------------------------------------------
-def _telemetry_service(tmp_path, **kwargs):
-    defaults = dict(
-        workers=2,
-        flight_records=64,
-        history=str(tmp_path / "history.jsonl"),
-        slow_ms=0.0,
-        slow_log=str(tmp_path / "slow.jsonl"),
-        fold_request_stats=True,
-    )
-    defaults.update(kwargs)
-    return MatchService(DATA, **defaults)
+def _service(executor: str, width: int = 2, **kwargs):
+    """A service over DATA on ``executor`` ("threads" or "shards") with
+    ``width`` workers."""
+    if executor == "shards":
+        return ShardedMatchService(DATA, shards=width, **kwargs)
+    return MatchService(DATA, workers=width, **kwargs)
 
 
 class TestServiceTelemetry:
+    """Telemetry lives in the front end, so every test here must hold
+    on either executor; :class:`TestShardedServiceTelemetry` re-runs
+    them all on the shard executor."""
+
+    executor = "threads"
+
+    def _telemetry_service(self, tmp_path, **kwargs):
+        defaults = dict(
+            flight_records=64,
+            history=str(tmp_path / "history.jsonl"),
+            slow_ms=0.0,
+            slow_log=str(tmp_path / "slow.jsonl"),
+            fold_request_stats=True,
+        )
+        defaults.update(kwargs)
+        return _service(self.executor, **defaults)
+
     def test_flight_record_agrees_with_response(self, tmp_path):
-        with _telemetry_service(tmp_path) as service:
+        with self._telemetry_service(tmp_path) as service:
             cold = service.match(MatchRequest(TRIANGLE))
             warm = service.match(MatchRequest(TRIANGLE, limit=1))
             records = service.flight_records()
@@ -362,8 +381,33 @@ class TestServiceTelemetry:
             assert kinds[0] == "admit" and kinds[-1] == "final"
             assert "index" in kinds and "planned" in kinds
 
+    def test_flight_record_carries_phases_counters_signature_plan(
+        self, tmp_path
+    ):
+        with self._telemetry_service(tmp_path) as service:
+            responses = [
+                service.match(MatchRequest(TRIANGLE)),
+                service.match(MatchRequest(TRIANGLE, limit=1)),
+            ]
+            records = {r["request_id"]: r for r in service.flight_records()}
+        for response in responses:
+            record = records[response.request_id]
+            validate_flight_record(record)
+            assert record["phase_seconds"]["enumerate"] > 0
+            assert record["phase_seconds"] == response.stats.phase_seconds
+            counters = {
+                name: value
+                for name, value in dataclasses.asdict(response.stats).items()
+                if name != "phase_seconds" and value
+            }
+            assert counters["recursive_calls"] > 0
+            assert record["counters"] == counters
+            assert isinstance(record["signature"], str)
+            assert record["signature"]
+            assert record["plan"]["root"] in range(3)
+
     def test_plan_facts_present_for_miss_and_hit(self, tmp_path):
-        with _telemetry_service(tmp_path) as service:
+        with self._telemetry_service(tmp_path) as service:
             service.match(MatchRequest(TRIANGLE))
             service.match(MatchRequest(TRIANGLE))
             records = service.flight_records()
@@ -377,8 +421,8 @@ class TestServiceTelemetry:
     def test_rejected_requests_are_recorded(self, tmp_path):
         gate = threading.Event()
         entered = threading.Event()
-        with _telemetry_service(
-            tmp_path, workers=1, max_pending=1
+        with self._telemetry_service(
+            tmp_path, width=1, max_pending=1
         ) as service:
             original = service.index_cache.get_or_build
 
@@ -406,7 +450,7 @@ class TestServiceTelemetry:
         assert record["events"][0]["outcome"] == "rejected"
 
     def test_history_and_slow_log_round_trip(self, tmp_path):
-        with _telemetry_service(tmp_path) as service:
+        with self._telemetry_service(tmp_path) as service:
             responses = [
                 service.match(MatchRequest(TRIANGLE)),
                 service.match(MatchRequest(TRIANGLE, limit=1)),
@@ -427,24 +471,27 @@ class TestServiceTelemetry:
         assert all(line["slow_ms"] == 0.0 for line in slow)
 
     def test_slow_threshold_filters(self, tmp_path):
-        with _telemetry_service(tmp_path, slow_ms=60_000.0) as service:
+        with self._telemetry_service(tmp_path, slow_ms=60_000.0) as service:
             service.match(MatchRequest(TRIANGLE))
         assert not (tmp_path / "slow.jsonl").exists()
 
     def test_fold_and_snapshot_surface_telemetry(self, tmp_path):
-        with _telemetry_service(tmp_path) as service:
+        with self._telemetry_service(tmp_path) as service:
             service.match(MatchRequest(TRIANGLE))
             snapshot = service.snapshot()
             live = service.metrics_snapshot()
         assert snapshot["flight_records"] == 1
         assert snapshot["history"]["appended"] == 1
-        assert snapshot["scheduler"]["popped"] >= 1
+        if self.executor == "threads":
+            assert snapshot["scheduler"]["popped"] >= 1
+        else:
+            assert sum(snapshot["shards"]["tasks"]) >= 1
         # fold_request_stats merged the request's own counters in.
         assert snapshot["metrics"]["metrics"]["recursive_calls"] > 0
         assert live.get("service_healthy_workers") == 2
 
     def test_telemetry_disabled_is_inert(self):
-        with MatchService(DATA, workers=2) as service:
+        with _service(self.executor) as service:
             response = service.match(MatchRequest(TRIANGLE))
             assert service.flight is None
             assert service.flight_records() == []
@@ -452,6 +499,10 @@ class TestServiceTelemetry:
         assert response.ok
         assert "flight_records" not in snapshot
         assert "history" not in snapshot
+
+
+class TestShardedServiceTelemetry(TestServiceTelemetry):
+    executor = "shards"
 
 
 # ---------------------------------------------------------------------------
