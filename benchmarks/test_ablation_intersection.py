@@ -45,6 +45,10 @@ def test_ablation_intersection(benchmark, publish):
                          "gain %": gain,
                          "edge checks avoided": slow.stats.edge_verifications})
         table.note("paper: 13%-170% improvement, growing with NTE count")
+        table.note(
+            '"intersect" runs the set-at-a-time batch engine; "verify" '
+            "runs the per-embedding edge-verification recursion"
+        )
         return table, gains
 
     table, gains = run_once(benchmark, experiment)

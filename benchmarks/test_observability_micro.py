@@ -7,8 +7,9 @@ call and two no-op calls per cluster.  This benchmark measures that
 price directly:
 
 * **seed control** — a subclass whose ``collect``/``_collect`` replicate
-  the pre-observability hot path (no tracer attribute, no progress
-  check), i.e. what the code looked like before this layer landed;
+  the recursion's pre-observability hot path (no tracer attribute, no
+  progress check), i.e. what the code looked like before this layer
+  landed;
 * **instrumented** — the shipping :class:`Enumerator` with observability
   left off (its default state).
 
@@ -49,9 +50,10 @@ INSTANCE = {"vertices": 600, "labels": 3, "qsize": 5, "seed": 31}
 
 
 class _SeedEnumerator(Enumerator):
-    """The pre-observability hot path: ``collect``/``_collect`` exactly
-    as they were before the tracer/progress hooks, so the delta measured
-    against :class:`Enumerator` is the hooks and nothing else."""
+    """The pre-observability hot path of the edge-verification
+    recursion: ``collect``/``_collect`` exactly as they were before the
+    tracer/progress hooks, so the delta measured against
+    :class:`Enumerator` is the hooks and nothing else."""
 
     def collect(self, limit=None):
         out: List = []
@@ -65,7 +67,7 @@ class _SeedEnumerator(Enumerator):
         tracker = self._tracker
         if tracker is not None:
             tracker.start()
-        for pivot in self.ceci.pivots:
+        for pivot in self.ceci.pivots.tolist():
             if not self.symmetry.admissible(root, pivot, mapping):
                 continue
             if single:
@@ -155,17 +157,20 @@ def _build_matcher():
 
 
 def _enumerator(matcher, cls, tracer=None):
-    # The seed control replicates the *recursive* pre-observability
-    # loop, so the instrumented side must run the same engine — `auto`
-    # would pick the batch engine here and measure engines, not hooks.
-    return cls(
+    # The seed control replicates the recursion's pre-observability
+    # loop, so the instrumented side must run the recursion too, or the
+    # benchmark would measure engines, not hooks.  This query is a tree,
+    # which the engine rule batches even without intersection; pinning
+    # the resolved path keeps the (equally exact) recursion.
+    enumerator = cls(
         matcher.build(),
         symmetry=matcher.symmetry,
+        use_intersection=False,
         stats=type(matcher.stats)(),
-        kernel=matcher.kernel,
         tracer=tracer,
-        engine="recursive",
     )
+    enumerator.engine = "recursive"
+    return enumerator
 
 
 def _median(values: List[float]) -> float:

@@ -24,7 +24,7 @@ Subpackages
     simulated-time executor.
 ``repro.kernels``
     Adaptive sorted-set intersection kernels (merge / gallop / bitset)
-    and the bounded TE∩NTE memo cache behind enumeration's hot path.
+    and the whole-array join primitives of the batch engine.
 ``repro.resilience``
     Enumeration budgets (:class:`Budget` / :class:`PartialResult`),
     seeded fault injection (:class:`FaultPlan`), retry/recovery

@@ -24,7 +24,6 @@ from ..core.query_tree import QueryTree
 from ..core.refinement import refine_ceci
 from ..core.root_selection import initial_candidates, select_root
 from ..core.stats import MatchStats
-from ..core.store import STORE_CHOICES
 
 __all__ = ["CFLMatcher", "cflmatch_match", "core_forest_leaf"]
 
@@ -85,12 +84,9 @@ def _cfl_order(query: Graph, root: int) -> List[int]:
 class CFLMatcher:
     """Core-forest-leaf matcher over a CPI-style (TE-only) index.
 
-    ``use_intersection=False`` (default) reproduces CFLMatch faithfully:
-    non-tree edges are resolved by per-candidate edge verification.
-    ``use_intersection=True`` is the kernel-suite variant — the CPI has
-    no NTE lists, so the enumerator intersects the TE candidate list
-    with the *data adjacency lists* of the matched NTE parents through
-    the adaptive kernels (identical embeddings, different cost model).
+    The CPI has no NTE lists, so the enumerator resolves non-tree edges
+    by per-candidate edge verification — CFLMatch's own cost model (for
+    a CPI, intersecting with adjacency lists *is* edge verification).
     """
 
     def __init__(
@@ -99,24 +95,15 @@ class CFLMatcher:
         data: Graph,
         break_automorphisms: bool = True,
         stats: Optional[MatchStats] = None,
-        use_intersection: bool = False,
         kernel: str = "auto",
-        store: str = "compact",
     ) -> None:
         if not query.is_connected():
             raise ValueError("query graph must be connected")
-        if store not in STORE_CHOICES:
-            raise ValueError(
-                f"unknown index store {store!r}; "
-                f"expected one of {STORE_CHOICES}"
-            )
         self.query = query
         self.data = data
         self.stats = stats if stats is not None else MatchStats()
         self.symmetry = SymmetryBreaker(query, enabled=break_automorphisms)
-        self.use_intersection = use_intersection
         self.kernel = kernel
-        self.store = store
         self._enumerator: Optional[Enumerator] = None
 
     def _build(self) -> Enumerator:
@@ -129,17 +116,12 @@ class CFLMatcher:
             tree, self.data, pivots, self.stats, build_nte=False
         )
         refine_ceci(cpi, self.stats, kernel=self.kernel)
-        if self.store == "compact":
-            # The CPI freezes to the same flat layout (TE triples only;
-            # ``nte_built=False`` keeps adjacency-fallback enumeration).
-            cpi = cpi.compact()
+        # The CPI freezes to the same flat layout (TE triples only).
+        cpi = cpi.compact()
+        cpi.record_size(self.stats)
         self.stats.memory_bytes = cpi.memory_bytes()
         self._enumerator = Enumerator(
-            cpi,
-            symmetry=self.symmetry,
-            use_intersection=self.use_intersection,
-            stats=self.stats,
-            kernel=self.kernel,
+            cpi, symmetry=self.symmetry, stats=self.stats
         )
         return self._enumerator
 
@@ -164,16 +146,9 @@ def cflmatch_match(
     data: Graph,
     limit: Optional[int] = None,
     break_automorphisms: bool = True,
-    use_intersection: bool = False,
     kernel: str = "auto",
-    store: str = "compact",
 ) -> List[Tuple[int, ...]]:
     """Functional one-shot wrapper."""
     return CFLMatcher(
-        query,
-        data,
-        break_automorphisms,
-        use_intersection=use_intersection,
-        kernel=kernel,
-        store=store,
+        query, data, break_automorphisms, kernel=kernel
     ).match(limit)

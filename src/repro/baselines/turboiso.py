@@ -22,8 +22,7 @@ representative embedding expands combinatorially to the member vertices.
 
 from __future__ import annotations
 
-import sys
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..graph import Graph
 from ..kernels import KERNEL_CHOICES, dispatch
@@ -31,51 +30,28 @@ from ..core.automorphism import SymmetryBreaker
 from ..core.query_tree import QueryTree
 from ..core.root_selection import initial_candidates, select_root
 from ..core.stats import MatchStats
-from ..core.store import STORE_CHOICES, PairArrays, encode_pairs, lookup_pairs
+from ..core.store import PairArrays, encode_pairs, lookup_pairs
 
 __all__ = ["TurboIsoMatcher", "turboiso_match", "boosted_turboiso_match", "data_vertex_classes"]
 
-#: One candidate region: per query vertex, either the mutable
-#: exploration dict ``{v_p: [v]}`` (``store="dict"``) or a frozen
-#: :data:`~repro.core.store.PairArrays` triple (``store="compact"``).
-Region = Dict[int, Union[Dict[int, List[int]], PairArrays]]
+#: One frozen candidate region: per query vertex, a
+#: :data:`~repro.core.store.PairArrays` triple over parent candidates.
+Region = Dict[int, PairArrays]
 
 
-def _freeze_region(region: Region) -> Region:
-    """Pack every per-parent dict into ``(keys, offsets, values)``
-    triples — the same flat unit the compact CECI store uses, so the
-    region's probes become zero-copy array slices."""
-    return {
-        u: per_parent if isinstance(per_parent, tuple)
-        else encode_pairs(per_parent)
-        for u, per_parent in region.items()
-    }
-
-
-def _region_values(region: Region, u: int, v_p: int) -> Sequence[int]:
-    """Region candidates of ``u`` under parent candidate ``v_p`` —
-    dispatches on the region's representation."""
-    per_parent = region[u]
-    if isinstance(per_parent, tuple):
-        return lookup_pairs(per_parent, v_p)
-    return per_parent.get(v_p, ())
+def _freeze_region(region: Dict[int, Dict[int, List[int]]]) -> Region:
+    """Pack every per-parent exploration dict into ``(keys, offsets,
+    values)`` triples — the same flat unit the compact CECI store uses,
+    so the region's probes become zero-copy array slices."""
+    return {u: encode_pairs(per_parent) for u, per_parent in region.items()}
 
 
 def _region_bytes(region: Region) -> int:
-    """Resident bytes of one candidate region: exact array payload for
-    frozen regions, the boxed-container model (same convention as
-    ``CECI.memory_bytes``) for dict regions."""
-    int_size = sys.getsizeof(1 << 30)
-    total = 0
-    for per_parent in region.values():
-        if isinstance(per_parent, tuple):
-            keys, offsets, values = per_parent
-            total += int(keys.nbytes + offsets.nbytes + values.nbytes)
-            continue
-        total += sys.getsizeof(per_parent)
-        for values in per_parent.values():
-            total += sys.getsizeof(values) + int_size * (len(values) + 1)
-    return total
+    """Resident bytes of one frozen candidate region (array payload)."""
+    return sum(
+        int(keys.nbytes + offsets.nbytes + values.nbytes)
+        for keys, offsets, values in region.values()
+    )
 
 
 class TurboIsoMatcher:
@@ -97,7 +73,6 @@ class TurboIsoMatcher:
         stats: Optional[MatchStats] = None,
         use_intersection: bool = False,
         kernel: str = "auto",
-        store: str = "compact",
     ) -> None:
         if not query.is_connected():
             raise ValueError("query graph must be connected")
@@ -106,18 +81,12 @@ class TurboIsoMatcher:
                 f"unknown intersection kernel {kernel!r}; "
                 f"expected one of {KERNEL_CHOICES}"
             )
-        if store not in STORE_CHOICES:
-            raise ValueError(
-                f"unknown index store {store!r}; "
-                f"expected one of {STORE_CHOICES}"
-            )
         self.query = query
         self.data = data
         self.stats = stats if stats is not None else MatchStats()
         self.symmetry = SymmetryBreaker(query, enabled=break_automorphisms)
         self.use_intersection = use_intersection
         self.kernel = kernel
-        self.store = store
         root, pivots = select_root(query, data, MatchStats())
         self.root = root
         self.pivots = pivots
@@ -132,10 +101,9 @@ class TurboIsoMatcher:
             if region is None:
                 continue
             order = self._region_order(region)
-            if self.store == "compact":
-                # Freeze after ordering (sizes need the dict) and after
-                # any Boosted twin-swap rewrite (which edits dicts).
-                region = _freeze_region(region)
+            # Freeze after ordering (sizes need the dict) and after any
+            # Boosted twin-swap rewrite (which edits dicts).
+            region = _freeze_region(region)
             self.stats.memory_bytes = max(
                 self.stats.memory_bytes, _region_bytes(region)
             )
@@ -217,7 +185,7 @@ class TurboIsoMatcher:
             candidates = self._matching_nodes(region, u, v_p, mapping)
             verify_edges = False
         else:
-            candidates = _region_values(region, u, v_p)
+            candidates = lookup_pairs(region[u], v_p)
             verify_edges = True
         for v in candidates:
             v = int(v)
@@ -247,7 +215,7 @@ class TurboIsoMatcher:
         """Region candidates of ``u`` under ``v_p``, constrained by the
         matched non-tree neighbors via k-way sorted intersection (the
         region lists are built in adjacency order, hence sorted)."""
-        base = _region_values(region, u, v_p)
+        base = lookup_pairs(region[u], v_p)
         if len(base) == 0:
             return []
         lists: List[Sequence[int]] = [base]
@@ -329,7 +297,6 @@ def turboiso_match(
     break_automorphisms: bool = True,
     use_intersection: bool = False,
     kernel: str = "auto",
-    store: str = "compact",
 ) -> List[Tuple[int, ...]]:
     """Plain TurboIso."""
     return TurboIsoMatcher(
@@ -338,7 +305,6 @@ def turboiso_match(
         break_automorphisms,
         use_intersection=use_intersection,
         kernel=kernel,
-        store=store,
     ).match(limit)
 
 
@@ -397,10 +363,9 @@ def boosted_turboiso_match(
     data: Graph,
     limit: Optional[int] = None,
     break_automorphisms: bool = True,
-    store: str = "compact",
 ) -> List[Tuple[int, ...]]:
     """Boosted-TurboIso: identical output to :func:`turboiso_match`,
     cheaper candidate-region construction on symmetry-rich graphs."""
-    return BoostedTurboIsoMatcher(
-        query, data, break_automorphisms, store=store
-    ).match(limit)
+    return BoostedTurboIsoMatcher(query, data, break_automorphisms).match(
+        limit
+    )

@@ -4,8 +4,6 @@
 
     python -m repro match    QUERY DATA [--limit N] [--order bfs] [--all-autos]
                                         [--kernel {auto,merge,gallop,bitset}]
-                                        [--store {dict,compact}]
-                                        [--engine {auto,recursive,batch}]
                                         [--timeout S] [--max-calls N]
                                         [--workers K] [--inject-faults SEED]
                                         [--trace FILE.jsonl] [--progress]
@@ -31,15 +29,12 @@
 ``.graph`` (labeled t/v/e rows), ``.csr`` (binary CSR), anything else is
 read as a SNAP edge list.
 
-``--kernel`` selects the set-intersection kernel (default ``auto`` —
-adaptive dispatch by size ratio and density; see DESIGN.md §7); kernel
-and cache counters are reported on stderr and in ``stats`` JSON.
-``--store`` selects the runtime index representation (default
-``compact`` — the dict builder is frozen into flat sorted int64 arrays
-after refinement; ``dict`` keeps the mutable builder; see DESIGN.md §8).
-``--engine`` selects the enumeration engine (default ``auto`` — whole
-frontiers expand as numpy batches on the compact store, everything else
-uses the per-embedding recursion; see DESIGN.md §12).
+``--kernel`` selects refinement's set-intersection kernel (default
+``auto`` — adaptive dispatch by size ratio and density; see DESIGN.md
+§7); kernel counters are reported on stderr and in ``stats`` JSON.  The
+index is always frozen into flat sorted int64 arrays after refinement
+(DESIGN.md §8) and enumerated by the set-at-a-time batch engine
+(DESIGN.md §12).
 ``--timeout`` / ``--max-calls`` cap the run with a
 :class:`~repro.resilience.budget.Budget`; a truncated run prints a
 ``# truncated: <axis>`` line on stderr instead of hanging.
@@ -135,8 +130,6 @@ def _make_matcher(args: argparse.Namespace) -> CECIMatcher:
         break_automorphisms=not args.all_autos,
         budget=_budget_from(args),
         kernel=getattr(args, "kernel", "auto"),
-        store=getattr(args, "store", "compact"),
-        engine=getattr(args, "engine", "auto"),
         tracer=tracer,
     )
     if getattr(args, "progress", False):
@@ -162,14 +155,12 @@ def _emit_metrics(args: argparse.Namespace, stats) -> None:
 
 
 def _print_kernel_stats(stats) -> None:
-    """One stderr line of kernel dispatch + cache counters."""
+    """One stderr line of kernel dispatch counters."""
     print(
         f"# kernels: merge={stats.kernel_merge_calls} "
         f"gallop={stats.kernel_gallop_calls} "
         f"bitset={stats.kernel_bitset_calls} "
-        f"array={stats.kernel_array_calls} | "
-        f"cache: {stats.cache_hits} hits / {stats.cache_misses} misses / "
-        f"{stats.cache_evictions} evictions",
+        f"array={stats.kernel_array_calls}",
         file=sys.stderr,
     )
 
@@ -295,7 +286,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
         save_ceci(ceci, args.out)
         print(
             f"index written to {args.out}: {len(ceci.pivots)} clusters, "
-            f"{ceci.te_edge_count()} TE + {ceci.nte_edge_count()} NTE "
+            f"{matcher.stats.te_candidate_edges} TE + "
+            f"{matcher.stats.nte_candidate_edges} NTE "
             f"candidate edges",
             file=sys.stderr,
         )
@@ -330,11 +322,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "bitset": stats.kernel_bitset_calls,
             "array": stats.kernel_array_calls,
         },
-        "cache": {
-            "hits": stats.cache_hits,
-            "misses": stats.cache_misses,
-            "evictions": stats.cache_evictions,
-        },
         "candidates_scanned": stats.candidates_initial,
         "removed": {
             "label": stats.removed_by_label,
@@ -345,7 +332,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         },
         "index_bytes": stats.index_bytes,
         "memory_bytes": stats.memory_bytes,
-        "store": matcher.store,
         "theoretical_bytes": stats.theoretical_bytes(
             query.num_edges, data.num_edges
         ),
@@ -687,21 +673,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="list every automorphism (no symmetry breaking)")
         p.add_argument("--kernel", default="auto",
                        choices=["auto", "merge", "gallop", "bitset"],
-                       help="set-intersection kernel (auto = adaptive "
-                            "dispatch by size ratio and density)")
-        p.add_argument("--store", default="compact",
-                       choices=["dict", "compact"],
-                       help="runtime index representation (compact = "
-                            "freeze the index into flat sorted arrays "
-                            "after refinement; dict = keep the mutable "
-                            "builder)")
-        p.add_argument("--engine", default="auto",
-                       choices=["auto", "recursive", "batch"],
-                       help="enumeration engine (auto = set-at-a-time "
-                            "numpy batches on the compact store, "
-                            "per-embedding recursion elsewhere; batch "
-                            "forces the vectorised engine and requires "
-                            "--store compact)")
+                       help="refinement's set-intersection kernel (auto "
+                            "= adaptive dispatch by size ratio and "
+                            "density)")
         p.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="wall-clock budget in seconds; the run returns "
                             "a flagged partial answer instead of hanging")

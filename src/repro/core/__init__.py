@@ -20,25 +20,16 @@ from .matching_order import (
     path_ranked_order,
 )
 from .query_tree import QueryTree
-from .persist import (
-    dump_ceci_bytes,
-    dump_store_bytes,
-    load_ceci,
-    load_ceci_bytes,
-    load_store_bytes,
-    save_ceci,
-)
+from .persist import dump_store_bytes, load_ceci, load_store_bytes, save_ceci
 from .refinement import refine_ceci
 from .root_selection import initial_candidates, select_root
 from .stats import MatchStats
-from .store import STORE_CHOICES, CECIStore, CompactCECI
+from .store import CompactCECI
 
 __all__ = [
     "CECI",
     "CECIMatcher",
-    "CECIStore",
     "CompactCECI",
-    "STORE_CHOICES",
     "GraphDatabase",
     "EstimateResult",
     "ContainmentResult",
@@ -58,7 +49,6 @@ __all__ = [
     "decompose_extreme_clusters",
     "edge_ranked_order",
     "equivalence_groups",
-    "dump_ceci_bytes",
     "dump_store_bytes",
     "estimate_embeddings",
     "find_embedding",
@@ -66,7 +56,6 @@ __all__ = [
     "initial_candidates",
     "intersect_sorted",
     "load_ceci",
-    "load_ceci_bytes",
     "load_store_bytes",
     "make_order",
     "match",

@@ -54,18 +54,10 @@ from ..resilience.budget import BudgetExhausted
 
 __all__ = [
     "BLOCK_ROWS",
-    "ENGINE_CHOICES",
     "BatchEngine",
     "batch_capable",
     "used_exclusion_mask",
 ]
-
-#: What ``Enumerator(engine=...)`` / ``--engine`` accept.  ``auto``
-#: (the default) picks ``batch`` whenever the index is capable (compact
-#: store, intersection mode, NTE groups present or query NTE-free) and
-#: falls back to ``recursive`` otherwise — dict-store recursion is
-#: untouched.
-ENGINE_CHOICES: Tuple[str, ...] = ("auto", "recursive", "batch")
 
 #: Row cap per frontier block: expansion output larger than this is
 #: split into chunks processed depth-first, bounding peak frontier
@@ -75,23 +67,19 @@ BLOCK_ROWS = 1 << 16
 
 
 def batch_capable(ceci, use_intersection: bool) -> bool:
-    """Whether the batch engine can serve this index.
+    """Whether the batch engine serves this index.
 
-    It needs the compact store's CSR triples and intersection-mode NTE
-    groups; a TE-only index (CFLMatch's CPI shape) qualifies only when
-    the query has no non-tree edges to check.  Edge-verification mode
-    (``use_intersection=False``) always stays recursive — it is the
-    Section 4.1 ablation and must keep its per-edge cost model.
+    A query without non-tree edges has nothing to intersect or verify,
+    so it always runs batched.  Otherwise the batch engine needs
+    intersection mode and the index's NTE groups: edge-verification
+    mode (``use_intersection=False``, the Section 4.1 ablation) and a
+    TE-only index (CFLMatch's CPI shape) facing non-tree edges run the
+    per-embedding recursion, which verifies each non-tree edge on the
+    data graph.
     """
-    from .store import CompactCECI
-
-    if not use_intersection:
-        return False
-    if not isinstance(ceci, CompactCECI):
-        return False
-    if ceci.nte_built:
+    if not any(ceci.tree.nte_parents):
         return True
-    return not any(ceci.tree.nte_parents)
+    return use_intersection and ceci.nte_built
 
 
 def used_exclusion_mask(

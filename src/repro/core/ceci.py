@@ -14,25 +14,20 @@ A CECI mirrors the query tree.  For each query vertex ``u`` it stores:
 The value lists are kept sorted so enumeration can use ordered merge
 intersection — the paper's C++ implementation sorts its STL vectors for
 binary search / ``lower_bound`` for the same reason.
+
+This dict-of-dict class is the index's *builder*: BFS filtering and
+reverse-BFS refinement mutate it heavily, then :meth:`CECI.compact`
+freezes it into :class:`~repro.core.store.CompactCECI`, the only
+representation enumeration, clustering, estimation and persistence
+read (DESIGN.md §8).
 """
 
 from __future__ import annotations
 
-import sys
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from ..graph import Graph
 from .query_tree import QueryTree
-from .stats import MatchStats
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from .store import CompactCECI
@@ -42,12 +37,11 @@ __all__ = ["CECI", "intersect_sorted"]
 TECandidates = Dict[int, List[int]]
 NTECandidates = Dict[int, Dict[int, List[int]]]
 
-#: Shared empty sequence returned by the store accessors for missing keys.
-_EMPTY: Tuple[int, ...] = ()
-
 
 class CECI:
-    """The built index; create it via :func:`repro.core.filtering.build_ceci`."""
+    """The index builder; create it via
+    :func:`repro.core.filtering.build_ceci`, freeze it with
+    :meth:`compact`."""
 
     def __init__(self, tree: QueryTree, data: Graph) -> None:
         self.tree = tree
@@ -70,14 +64,9 @@ class CECI:
         #: ``cardinality[u][v]`` — refinement's upper bound on embeddings
         #: extending the partial match ``u -> v`` downward.
         self.cardinality: List[Dict[int, int]] = [dict() for _ in range(n)]
-        #: Set views of the NTE value lists, built by :meth:`freeze` once
-        #: the index is final; enumeration uses them for O(1) membership.
-        self.nte_sets: Optional[List[Dict[int, Dict[int, frozenset]]]] = None
-        #: Set views of the TE value lists (also built by :meth:`freeze`).
-        self.te_sets: Optional[List[Dict[int, frozenset]]] = None
         #: False for a TE-only index (CFLMatch's CPI shape, built with
-        #: ``build_nte=False``): intersection-based enumeration then
-        #: falls back to data adjacency lists for non-tree edges.
+        #: ``build_nte=False``): enumeration then verifies non-tree
+        #: edges on the data graph.
         self.nte_built: bool = True
 
     # ------------------------------------------------------------------
@@ -105,8 +94,6 @@ class CECI:
         everywhere: from the candidate set, from ``u``'s own TE/NTE value
         lists, and as a key from the TE/NTE maps of ``u``'s (NTE-)children.
         """
-        self.nte_sets = None  # mutation invalidates the frozen views
-        self.te_sets = None
         self.cand[u].discard(v)
         self.cardinality[u].pop(v, None)
         if u == self.tree.root and v in self._pivot_set:
@@ -124,73 +111,6 @@ class CECI:
             if group is not None:
                 group.pop(v, None)
 
-    def freeze(self) -> None:
-        """Build set views of the TE and NTE lists.  Call once after the
-        index is final (post-refinement); any later mutation invalidates
-        the views, so :meth:`remove_candidate` clears them.
-
-        Only query vertices with incident non-tree edges are ever probed
-        by intersection, so only their entries get set views — for
-        tree-like queries this is free.
-        """
-        self.nte_sets = [
-            {
-                u_n: {v_n: frozenset(values) for v_n, values in groups.items()}
-                for u_n, groups in per_node.items()
-            }
-            for per_node in self.nte
-        ]
-        self.te_sets = [
-            {v_p: frozenset(values) for v_p, values in self.te[u].items()}
-            if self.tree.nte_parents[u]
-            else {}
-            for u in range(len(self.te))
-        ]
-
-    # ------------------------------------------------------------------
-    # CECIStore accessors — the read interface shared with CompactCECI
-    # so enumeration / clusters / estimation run against either
-    # representation (see repro.core.store).
-    # ------------------------------------------------------------------
-    def te_values(self, u: int, v_p: int) -> Sequence[int]:
-        """Sorted TE candidates of ``u`` under parent candidate ``v_p``
-        (empty sequence when ``v_p`` keys nothing)."""
-        return self.te[u].get(v_p, _EMPTY)
-
-    def nte_values(self, u: int, u_n: int, v_n: int) -> Sequence[int]:
-        """Sorted NTE candidates of ``u`` under NTE parent ``u_n``'s
-        candidate ``v_n`` (empty sequence when unkeyed)."""
-        groups = self.nte[u].get(u_n)
-        if groups is None:
-            return _EMPTY
-        return groups.get(v_n, _EMPTY)
-
-    def cardinality_of(self, u: int, v: int) -> int:
-        """Refinement cardinality of the pair ``u -> v`` (0 if pruned)."""
-        return self.cardinality[u].get(v, 0)
-
-    def memory_bytes(self) -> int:
-        """Resident-size model of the index payload: ``sys.getsizeof``
-        for every container plus the boxed-int cost of each stored key
-        and value.  :meth:`CompactCECI.memory_bytes` counts raw array
-        bytes for the same payload; the ratio between the two is the
-        footprint delta reported in ``BENCH_store.json``."""
-        int_size = sys.getsizeof(1 << 30)  # a boxed int of typical magnitude
-        total = sys.getsizeof(self._pivot_set) + int_size * len(self._pivot_set)
-        for per_node in self.te:
-            total += sys.getsizeof(per_node)
-            for values in per_node.values():
-                total += sys.getsizeof(values) + int_size * (len(values) + 1)
-        for per_node in self.nte:
-            total += sys.getsizeof(per_node)
-            for groups in per_node.values():
-                total += sys.getsizeof(groups)
-                for values in groups.values():
-                    total += sys.getsizeof(values) + int_size * (len(values) + 1)
-        for card in self.cardinality:
-            total += sys.getsizeof(card) + int_size * 2 * len(card)
-        return total
-
     def compact(self, tracer=None) -> "CompactCECI":
         """Freeze this builder into the flat-array store (the second
         phase of the index lifecycle — see DESIGN.md §8).  An enabled
@@ -202,13 +122,13 @@ class CECI:
                 return CompactCECI.from_ceci(self)
         return CompactCECI.from_ceci(self)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def candidates(self, u: int) -> Tuple[int, ...]:
-        """Sorted current candidates of ``u``."""
-        return tuple(sorted(self.cand[u]))
+    #: Alias of :meth:`compact` (freezing the builder *is* packing it);
+    #: ``perfbench/tracing.py`` patches ``CECI.freeze`` by name.
+    freeze = compact
 
+    # ------------------------------------------------------------------
+    # Frontiers read by filtering and refinement
+    # ------------------------------------------------------------------
     def te_union(self, u: int) -> Set[int]:
         """Algorithm 1 line 3: the frontier of ``u`` is the union of its
         TE_Candidates value lists (the pivots for the root).  Stale
@@ -230,42 +150,6 @@ class CECI:
                 union.update(values)
         return union
 
-    def te_edge_count(self) -> int:
-        """Distinct tree-edge candidate edges in the index.
-
-        A data edge ``(a, b)`` may be keyed under both ``a`` and ``b``
-        for the same query edge (both endpoints can be candidates of
-        either side on weakly-labeled graphs); the paper stores — and
-        Table 2 counts — each candidate edge once, so the count is of
-        unique undirected pairs per query vertex.
-        """
-        total = 0
-        for per_node in self.te:
-            pairs = set()
-            for key, values in per_node.items():
-                for v in values:
-                    pairs.add((key, v) if key < v else (v, key))
-            total += len(pairs)
-        return total
-
-    def nte_edge_count(self) -> int:
-        """Distinct non-tree-edge candidate edges (same convention as
-        :meth:`te_edge_count`)."""
-        total = 0
-        for per_node in self.nte:
-            for groups in per_node.values():
-                pairs = set()
-                for key, values in groups.items():
-                    for v in values:
-                        pairs.add((key, v) if key < v else (v, key))
-                total += len(pairs)
-        return total
-
-    def record_size(self, stats: MatchStats) -> None:
-        """Publish index-size counters into ``stats`` (Table 2)."""
-        stats.te_candidate_edges = self.te_edge_count()
-        stats.nte_candidate_edges = self.nte_edge_count()
-
     def nte_member_set(self, u: int, u_n: int) -> Set[int]:
         """Union of NTE value lists of ``u`` under NTE parent ``u_n`` — a
         candidate of ``u`` absent from this set can never satisfy the
@@ -275,16 +159,8 @@ class CECI:
             members.update(values)
         return members
 
-    def cluster_cardinality(self, pivot: int) -> int:
-        """Maximum embeddings in the cluster rooted at ``pivot``
-        (Section 4.3): ``cardinality(u_s, v_s)``."""
-        return self.cardinality[self.tree.root].get(pivot, 0)
-
     def __repr__(self) -> str:
-        return (
-            f"<CECI clusters={len(self.pivots)} "
-            f"TE={self.te_edge_count()} NTE={self.nte_edge_count()}>"
-        )
+        return f"<CECI clusters={len(self._pivot_set)}>"
 
 
 def _remove_sorted(values: List[int], v: int) -> None:

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..kernels import intersect
 from .automorphism import SymmetryBreaker
-from .store import CECIStore
+from .store import CompactCECI
 
 __all__ = ["WorkUnit", "clusters_of", "decompose_extreme_clusters"]
 
@@ -47,7 +47,7 @@ class WorkUnit:
         return len(self.prefix)
 
 
-def clusters_of(ceci: CECIStore) -> List[WorkUnit]:
+def clusters_of(ceci: CompactCECI) -> List[WorkUnit]:
     """The intact embedding clusters: one unit per pivot, workload =
     ``cardinality(u_s, v_s)``, sorted largest first (the paper sorts the
     work pool by cardinality so big clusters start early)."""
@@ -60,7 +60,7 @@ def clusters_of(ceci: CECIStore) -> List[WorkUnit]:
 
 
 def decompose_extreme_clusters(
-    ceci: CECIStore,
+    ceci: CompactCECI,
     worker_count: int,
     beta: float = 0.2,
     symmetry: Optional[SymmetryBreaker] = None,
@@ -98,7 +98,7 @@ def decompose_extreme_clusters(
 
 
 def _split(
-    ceci: CECIStore,
+    ceci: CompactCECI,
     prefix: Tuple[int, ...],
     workload: float,
     threshold: float,
@@ -141,12 +141,11 @@ def _split(
 
 
 def _matching_nodes(
-    ceci: CECIStore, u: int, prefix: Sequence[int]
+    ceci: CompactCECI, u: int, prefix: Sequence[int]
 ) -> Sequence[int]:
     """TE ∩ NTE matching nodes for ``u`` under a matching-order prefix —
     the same lists enumeration would intersect (Algorithm 3 line 13-15).
-    Lookups go through the store accessors (dict or compact); emptiness
-    is length-based because compact slices are numpy arrays."""
+    Emptiness is length-based because store slices are numpy arrays."""
     tree = ceci.tree
     order = tree.order
     position = {order[d]: d for d in range(len(prefix))}

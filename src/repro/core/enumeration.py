@@ -14,44 +14,40 @@ rules extends the embedding; the process backtracks when an embedding
 completes or no extension exists (Figure 4b).
 
 The intersection replaces the per-candidate *edge verification* that
-TurboIso/CFLMatch-style indexes need (Lemma 2); the
-``use_intersection=False`` mode re-enables edge verification for the
-Section 4.1 ablation.
+TurboIso/CFLMatch-style indexes need (Lemma 2).  :class:`Enumerator`
+has exactly two paths, picked from its inputs (DESIGN.md §12):
 
-Intersections run through the adaptive kernel suite
-(:mod:`repro.kernels`): merge / gallop / bitset picked per call by size
-ratio and density (or forced via ``kernel=``), with results memoised in
-a bounded memo cache keyed on ``(query vertex, parent candidate, NTE
-candidate tuple)`` — sibling subtrees repeat exactly those
-intersections.  On a TE-only index (CFLMatch's CPI) intersection mode
-substitutes the data adjacency list of each matched NTE parent for the
-missing NTE candidate list, which yields the identical result set.
+* **batch** — the set-at-a-time engine (:mod:`repro.core.batch`) runs
+  the TE∩NTE intersection for whole frontiers at once; it serves every
+  query without non-tree edges and every intersection-mode run on an
+  index with NTE groups;
+* **recursion** — one partial embedding at a time, scanning TE
+  candidates and verifying each non-tree edge on the data graph.  It
+  serves the Section 4.1 ablation (``use_intersection=False``) and a
+  TE-only index (CFLMatch's CPI) facing non-tree edges, and it is the
+  batch engine's independent reference.
 
 A call of the recursive routine is counted per extension, matching the
 paper's search-space proxy ("a new recursive call ... every time an
-intermediate match is expanded by one tree-edge", Section 6.6).
+intermediate match is expanded by one tree-edge", Section 6.6); the
+batch engine charges the same calls block by block.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels import (
-    DEFAULT_CACHE_SIZE,
-    KERNEL_CHOICES,
-    IntersectionCache,
-    dispatch,
-)
 from ..observability.tracer import NULL_TRACER
 from ..resilience.budget import Budget, BudgetExhausted, BudgetTracker
 from .automorphism import SymmetryBreaker
-from .batch import ENGINE_CHOICES, BatchEngine, batch_capable
+from .batch import BatchEngine, batch_capable
 from .stats import MatchStats
-from .store import CECIStore
+from .store import CompactCECI
 
-__all__ = ["ENGINE_CHOICES", "Enumerator", "Embedding"]
+__all__ = ["Enumerator", "Embedding"]
 
 #: A complete embedding: ``embedding[u]`` is the data vertex matched to
 #: query vertex ``u`` (indexed by query vertex id, not matching order).
@@ -64,15 +60,15 @@ class Enumerator:
     Parameters
     ----------
     ceci:
-        A built (and normally refined) index — any :class:`CECIStore`:
-        the dict builder or the frozen :class:`CompactCECI`.
+        A built (and normally refined) :class:`CompactCECI`.
     symmetry:
         Symmetry breaker; pass one with ``enabled=False`` to list every
         automorphism.
     use_intersection:
-        ``True`` (paper default) intersects TE and NTE candidate lists;
-        ``False`` scans TE candidates and verifies each non-tree edge on
-        the data graph — the Section 4.1 baseline.
+        ``True`` (paper default) intersects TE and NTE candidate lists
+        in the batch engine; ``False`` scans TE candidates and verifies
+        each non-tree edge on the data graph — the Section 4.1 baseline.
+        A TE-only index verifies either way.
     stats:
         Counter sink; a fresh one is created when omitted.
     budget:
@@ -84,16 +80,10 @@ class Enumerator:
         A pre-started :class:`BudgetTracker` to enforce instead of
         ``budget`` (the matcher passes one whose clock already covers
         index construction).
-    kernel:
-        Intersection kernel: ``"auto"`` (adaptive dispatch, default),
-        ``"merge"``, ``"gallop"`` or ``"bitset"``.
-    cache_size:
-        Entry bound of the TE∩NTE memo cache; ``0`` disables caching.
     tracer:
         Optional :class:`~repro.observability.tracer.Tracer`; when
         enabled, each cluster enumerated via :meth:`collect` /
-        :meth:`embeddings` gets a (sampled) child span and the memo
-        cache's final state is recorded as an instant.  The default
+        :meth:`embeddings` gets a (sampled) child span.  The default
         null tracer costs one attribute check per cluster.
     progress:
         Optional
@@ -101,50 +91,23 @@ class Enumerator:
         ticked once per recursive call.  Wiring happens by shadowing
         the recursion entry points, so the disabled hot path carries
         no per-call check at all.
-    engine:
-        ``"auto"`` (default) routes compact-store intersection
-        enumeration through the set-at-a-time batch engine
-        (:mod:`repro.core.batch`) and everything else through the
-        recursion; ``"recursive"`` forces the per-embedding recursion;
-        ``"batch"`` forces the vectorised engine and raises when the
-        index cannot serve it (dict store, edge-verification mode, or
-        a TE-only index facing a query with non-tree edges).
     """
 
     def __init__(
         self,
-        ceci: CECIStore,
+        ceci: CompactCECI,
         symmetry: Optional[SymmetryBreaker] = None,
         use_intersection: bool = True,
         stats: Optional[MatchStats] = None,
         budget: Optional[Budget] = None,
         tracker: Optional[BudgetTracker] = None,
-        kernel: str = "auto",
-        cache_size: int = DEFAULT_CACHE_SIZE,
         tracer=None,
         progress=None,
-        engine: str = "auto",
     ) -> None:
-        if kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown intersection kernel {kernel!r}; "
-                f"expected one of {KERNEL_CHOICES}"
-            )
-        if engine not in ENGINE_CHOICES:
-            raise ValueError(
-                f"unknown enumeration engine {engine!r}; "
-                f"expected one of {ENGINE_CHOICES}"
-            )
-        capable = batch_capable(ceci, use_intersection)
-        if engine == "batch" and not capable:
-            raise ValueError(
-                "engine='batch' requires a CompactCECI store in "
-                "intersection mode (with NTE groups built, or an "
-                "NTE-free query)"
-            )
-        #: The resolved engine actually running: "batch" or "recursive".
-        self.engine = "batch" if (capable and engine != "recursive") else (
-            "recursive"
+        #: The path this enumerator runs: "batch" or "recursive"
+        #: (derived from the inputs — see :func:`batch_capable`).
+        self.engine = (
+            "batch" if batch_capable(ceci, use_intersection) else "recursive"
         )
         self._batch: Optional[BatchEngine] = None
         self.ceci = ceci
@@ -152,12 +115,6 @@ class Enumerator:
         self.symmetry = symmetry or SymmetryBreaker(ceci.tree.query)
         self.use_intersection = use_intersection
         self.stats = stats if stats is not None else MatchStats()
-        self.kernel = kernel
-        self._cache = (
-            IntersectionCache(cache_size, stats=self.stats)
-            if cache_size > 0
-            else None
-        )
         if tracker is None and budget is not None and not budget.unlimited:
             tracker = budget.tracker()
         self._tracker = tracker
@@ -179,12 +136,6 @@ class Enumerator:
         self.truncated = True
         self.stop_reason = stop.reason
         self.stats.budget_stops += 1
-
-    def trace_cache_state(self) -> None:
-        """Record the memo cache's cumulative state as a trace instant
-        (no-op without an enabled tracer or a cache)."""
-        if self.tracer.enabled and self._cache is not None:
-            self.tracer.instant("cache", **self._cache.snapshot())
 
     # ------------------------------------------------------------------
     # Batch (set-at-a-time) delegation — DESIGN.md §12
@@ -249,8 +200,6 @@ class Enumerator:
                     )
         except BudgetExhausted as stop:
             self._note_budget_stop(stop)
-        finally:
-            self.trace_cache_state()
 
     def _batch_unit_blocks(
         self, prefix: Sequence[int], limit: Optional[int]
@@ -282,15 +231,13 @@ class Enumerator:
         remaining = [limit]
         tracer = self.tracer
         try:
-            for pivot in list(self.ceci.pivots):
+            for pivot in self.ceci.pivots.tolist():
                 with tracer.cluster_span(pivot):
                     yield from self._from_prefix((pivot,), remaining)
                 if remaining[0] is not None and remaining[0] <= 0:
                     return
         except BudgetExhausted as stop:
             self._note_budget_stop(stop)
-        finally:
-            self.trace_cache_state()
 
     def embeddings_from_unit(
         self, prefix: Sequence[int], limit: Optional[int] = None
@@ -347,7 +294,7 @@ class Enumerator:
         if tracker is not None:
             tracker.start()
         try:
-            for pivot in self.ceci.pivots:
+            for pivot in self.ceci.pivots.tolist():
                 if not self.symmetry.admissible(root, pivot, mapping):
                     continue
                 with tracer.cluster_span(pivot):
@@ -369,8 +316,6 @@ class Enumerator:
                     break
         except BudgetExhausted as stop:
             self._note_budget_stop(stop)
-        finally:
-            self.trace_cache_state()
         return out[:limit] if limit is not None else out
 
     def collect_from_unit(
@@ -537,76 +482,30 @@ class Enumerator:
             if remaining[0] is not None and remaining[0] <= 0:
                 return
 
-    def matching_nodes(self, u: int, mapping: Sequence[int]) -> Sequence[int]:
+    def matching_nodes(self, u: int, mapping: Sequence[int]) -> List[int]:
         """Candidates of ``u`` consistent with the partial ``mapping``
-        (before injectivity and symmetry checks).
-
-        Candidate lookups go through the :class:`CECIStore` accessors,
-        so the same code path serves the dict builder (Python lists)
-        and the compact store (zero-copy int64 array slices; emptiness
-        is tested with ``len`` because array truthiness is ambiguous).
+        (before injectivity and symmetry checks): the TE candidates
+        under the parent's match, each non-tree edge verified by binary
+        search on the sorted adjacency list — the paper's cost model
+        (Section 4.1).  The O(1) bitmap CFLMatch actually uses needs an
+        |V|x|V| matrix, which is exactly what limits it to
+        sub-500K-vertex graphs.
         """
-        ceci = self.ceci
-        v_p = mapping[self.tree.parent[u]]
-        base = ceci.te_values(u, v_p)
-        if len(base) == 0:
-            return []
+        base = self.ceci.te_values(u, mapping[self.tree.parent[u]]).tolist()
         nte_parents = self.tree.nte_parents[u]
-        if not nte_parents:
+        if not base or not nte_parents:
             return base
-        if self.use_intersection:
-            stats = self.stats
-            stats.intersections += 1
-            cache = self._cache
-            if cache is not None:
-                # Single NTE parent is the common case: key on the bare
-                # candidate instead of a 1-tuple to keep hashing cheap.
-                if len(nte_parents) == 1:
-                    key = (u, v_p, mapping[nte_parents[0]])
-                else:
-                    key = (u, v_p, tuple(mapping[u_n] for u_n in nte_parents))
-                cached = cache.get(key)
-                if cached is not None:
-                    return cached
-            lists = [base]
-            adjacency_mode = not ceci.nte_built
-            for u_n in nte_parents:
-                if adjacency_mode:
-                    # TE-only index (CPI shape): the NTE constraint is
-                    # "adjacent to the NTE parent's match", so the sorted
-                    # adjacency list is the candidate list.
-                    other = ceci.data.neighbors(mapping[u_n])
-                else:
-                    other = ceci.nte_values(u, u_n, mapping[u_n])
-                if len(other) == 0:
-                    if cache is not None:
-                        cache.put(key, [])
-                    return []
-                lists.append(other)
-            name, result = dispatch(lists, self.kernel)
-            stats.count_kernel(name)
-            if cache is not None:
-                cache.put(key, result)
-            return result
-        # Edge-verification mode (CFLMatch/TurboIso regime): each
-        # non-tree edge is checked by binary search on the sorted
-        # adjacency list — the paper's cost model (Section 4.1).  The
-        # O(1) bitmap CFLMatch actually uses needs an |V|x|V| matrix,
-        # which is exactly what limits it to sub-500K-vertex graphs.
-        import bisect
-
-        data = ceci.data
+        stats = self.stats
+        neighbors_of = self.ceci.data.neighbors
         out = []
         for v in base:
-            ok = True
+            neighbors = neighbors_of(v)
             for u_n in nte_parents:
-                self.stats.edge_verifications += 1
+                stats.edge_verifications += 1
                 v_n = mapping[u_n]
-                neighbors = data.neighbors(v)
                 i = bisect.bisect_left(neighbors, v_n)
                 if i >= len(neighbors) or neighbors[i] != v_n:
-                    ok = False
                     break
-            if ok:
+            else:
                 out.append(v)
         return out

@@ -67,8 +67,8 @@ def cardinality_bound(matcher: CECIMatcher) -> int:
 
 def store_cardinality_bound(store) -> int:
     """:func:`cardinality_bound` computed directly from a built store
-    (dict-backed or compact) — what the service uses, since a cache hit
-    has a store but no matcher."""
+    — what the service uses, since a cache hit has a store but no
+    matcher."""
     return int(sum(store.cluster_cardinality(pivot) for pivot in store.pivots))
 
 

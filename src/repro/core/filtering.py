@@ -111,7 +111,6 @@ def build_ceci(
     for u in tree.order:
         ceci.cand[u] = ceci.te_union(u)
 
-    ceci.record_size(stats)
     return ceci
 
 

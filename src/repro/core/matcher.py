@@ -14,7 +14,7 @@ import time
 from typing import Iterator, List, Optional, Sequence
 
 from ..graph import Graph
-from ..kernels import DEFAULT_CACHE_SIZE, KERNEL_CHOICES
+from ..kernels import KERNEL_CHOICES
 from ..observability.progress import ProgressReporter
 from ..observability.tracer import NULL_TRACER
 from ..resilience.budget import (
@@ -26,14 +26,14 @@ from ..resilience.budget import (
 from .automorphism import SymmetryBreaker
 from .ceci import CECI
 from .clusters import WorkUnit, clusters_of, decompose_extreme_clusters
-from .enumeration import ENGINE_CHOICES, Embedding, Enumerator
+from .enumeration import Embedding, Enumerator
 from .filtering import FilterConfig, build_ceci
 from .matching_order import make_order
 from .query_tree import QueryTree
 from .refinement import refine_ceci
 from .root_selection import initial_candidates, select_root
 from .stats import MatchStats
-from .store import STORE_CHOICES, CECIStore
+from .store import CompactCECI
 
 __all__ = ["CECIMatcher", "match", "count_embeddings", "find_embedding"]
 
@@ -50,20 +50,11 @@ class CECIMatcher:
       Algorithm 1 filters;
     * ``use_refinement`` — Algorithm 2 (off = only BFS filtering);
     * ``use_intersection`` — Section 4 intersection-based enumeration
-      (off = per-edge verification);
-    * ``kernel`` — intersection kernel (``"auto"`` adaptive dispatch,
-      or force ``"merge"`` / ``"gallop"`` / ``"bitset"``);
-    * ``cache_size`` — TE∩NTE memo-cache entry bound (``0`` disables);
-    * ``store`` — runtime index representation: ``"compact"``
-      (default) freezes the refined index into flat int64 arrays
-      (:class:`~repro.core.store.CompactCECI`, the paper's compact
-      layout — DESIGN.md §8); ``"dict"`` keeps the mutable builder;
-    * ``engine`` — enumeration engine: ``"auto"`` (default) expands
-      whole frontiers as numpy batches on the compact store
-      (set-at-a-time joins — DESIGN.md §12) and falls back to the
-      per-embedding recursion elsewhere; ``"recursive"`` forces the
-      recursion; ``"batch"`` forces the vectorised engine (requires
-      ``store="compact"`` and ``use_intersection=True``);
+      on the set-at-a-time batch engine (off = the per-embedding
+      recursion with per-edge verification; DESIGN.md §12);
+    * ``kernel`` — intersection kernel of Algorithm 2's NTE membership
+      step (``"auto"`` adaptive dispatch, or force ``"merge"`` /
+      ``"gallop"`` / ``"bitset"``);
     * ``budget`` — optional :class:`~repro.resilience.budget.Budget`
       capping the run (deadline / calls / embeddings / memory); use
       :meth:`run` to get the explicit ``truncated`` flag;
@@ -91,9 +82,6 @@ class CECIMatcher:
         use_intersection: bool = True,
         budget: Optional[Budget] = None,
         kernel: str = "auto",
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        store: str = "compact",
-        engine: str = "auto",
         tracer=None,
         progress: Optional[ProgressReporter] = None,
     ) -> None:
@@ -106,30 +94,12 @@ class CECIMatcher:
                 f"unknown intersection kernel {kernel!r}; "
                 f"expected one of {KERNEL_CHOICES}"
             )
-        if store not in STORE_CHOICES:
-            raise ValueError(
-                f"unknown index store {store!r}; "
-                f"expected one of {STORE_CHOICES}"
-            )
-        if engine not in ENGINE_CHOICES:
-            raise ValueError(
-                f"unknown enumeration engine {engine!r}; "
-                f"expected one of {ENGINE_CHOICES}"
-            )
-        if engine == "batch" and (store != "compact" or not use_intersection):
-            raise ValueError(
-                "engine='batch' requires store='compact' and "
-                "use_intersection=True"
-            )
         self.query = query
         self.data = data
         self.order_strategy = order_strategy
         self.use_refinement = use_refinement
         self.use_intersection = use_intersection
         self.kernel = kernel
-        self.cache_size = cache_size
-        self.store = store
-        self.engine = engine
         self.filter_config = FilterConfig(
             use_degree_filter=use_degree_filter,
             use_nlc_filter=use_nlc_filter,
@@ -140,7 +110,7 @@ class CECIMatcher:
         self.budget = budget
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.progress = progress
-        self._ceci: Optional[CECIStore] = None
+        self._ceci: Optional[CompactCECI] = None
         self._tree: Optional[QueryTree] = None
         #: Plan facts recorded during :meth:`build` for telemetry:
         #: the chosen root's selection score (|initial candidates| /
@@ -152,11 +122,12 @@ class CECIMatcher:
     # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------
-    def build(self) -> CECIStore:
-        """Run preprocessing, filtering and refinement; cached.  With
-        ``store="compact"`` the dict builder is additionally frozen into
-        a :class:`~repro.core.store.CompactCECI` (timed as the
-        ``freeze`` phase) and the builder is discarded."""
+    def build(self) -> CompactCECI:
+        """Run preprocessing, filtering and refinement, then freeze the
+        dict builder into a :class:`~repro.core.store.CompactCECI`
+        (timed as the ``freeze`` phase) and discard the builder; cached.
+        The index-size counters (Table 2) are read off the frozen
+        store."""
         if self._ceci is not None:
             return self._ceci
         started = time.perf_counter()
@@ -196,14 +167,12 @@ class CECIMatcher:
             refine_ceci(ceci, self.stats, kernel=self.kernel, tracer=self.tracer)
         else:
             _assign_uniform_cardinality(ceci)
-        ceci.freeze()
         self._record_phase("refine", started)
 
-        index: CECIStore = ceci
-        if self.store == "compact":
-            started = time.perf_counter()
-            index = ceci.compact(tracer=self.tracer)
-            self._record_phase("freeze", started)
+        started = time.perf_counter()
+        index = ceci.compact(tracer=self.tracer)
+        self._record_phase("freeze", started)
+        index.record_size(self.stats)
         self.stats.memory_bytes = index.memory_bytes()
         self._ceci = index
         return index
@@ -253,11 +222,8 @@ class CECIMatcher:
             stats=self.stats,
             budget=self.budget,
             tracker=tracker,
-            kernel=self.kernel,
-            cache_size=self.cache_size,
             tracer=self.tracer,
             progress=self._armed_progress(tracker),
-            engine=self.engine,
         )
 
     def _armed_progress(

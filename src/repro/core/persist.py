@@ -7,19 +7,15 @@ built (filtered + refined) CECI, so an index can be constructed once and
 re-enumerated many times — across processes — without paying
 construction again.
 
-Two formats share one file extension:
-
-* ``CECIIDX3`` (current) — a JSON header followed by the
-  :class:`~repro.core.store.CompactCECI` arrays as raw ``.npy`` blocks,
-  in a fixed deterministic order.  Because the in-memory compact store
-  and the on-disk layout are the *same* flat ``(keys, offsets,
-  values)`` triples, dumping is a straight array write and
-  :func:`load_ceci` rebuilds the store by ``np.memmap``-ing each block
-  in place — **no dict reconstruction, no value boxing**; candidate
-  lookups on a loaded index are served from the mapped file.
-* ``CECIIDX2`` (legacy) — the same arrays decoded back into the dict
-  builder; kept so previously written indexes stay loadable and for
-  the ``--store dict`` pipeline.
+The format (``CECIIDX3``) is a JSON header followed by the
+:class:`~repro.core.store.CompactCECI` arrays as raw ``.npy`` blocks, in
+a fixed deterministic order.  Because the in-memory compact store and
+the on-disk layout are the *same* flat ``(keys, offsets, values)``
+triples, dumping is a straight array write and :func:`load_ceci`
+rebuilds the store by ``np.memmap``-ing each block in place — **no dict
+reconstruction, no value boxing**; candidate lookups on a loaded index
+are served from the mapped file.  A file with any other magic is
+refused with ``ValueError``.
 
 **Integrity.**  Since minor version 3.1 the v3 header carries a CRC32
 per array block (``"block_crc32"``; CRC32C/xxhash would be preferable
@@ -45,7 +41,7 @@ import numpy as np
 from ..graph import Graph
 from .ceci import CECI
 from .query_tree import QueryTree
-from .store import CompactCECI, PairArrays, encode_pairs
+from .store import CompactCECI, PairArrays
 
 __all__ = [
     "ChecksumError",
@@ -53,34 +49,21 @@ __all__ = [
     "load_ceci",
     "publish_ceci",
     "publish_bytes",
-    "dump_ceci_bytes",
-    "load_ceci_bytes",
     "dump_store_bytes",
     "load_store_bytes",
 ]
 
-_MAGIC = b"CECIIDX2"  # legacy dict-builder blobs
-_MAGIC_V3 = b"CECIIDX3"  # compact-store format (current)
+_MAGIC_V3 = b"CECIIDX3"
 
 
 class ChecksumError(ValueError):
     """A stored array block does not match its recorded checksum —
     the file is corrupt and must not be served from."""
 
-_encode_pairs = encode_pairs  # shared with the compact store
 
-
-def _decode_pairs(keys: np.ndarray, offsets: np.ndarray, values: np.ndarray) -> Dict[int, List[int]]:
-    out: Dict[int, List[int]] = {}
-    for i, key in enumerate(keys):
-        start, end = int(offsets[i]), int(offsets[i + 1])
-        out[int(key)] = [int(v) for v in values[start:end]]
-    return out
-
-
-def _header_of(index: Union[CECI, CompactCECI]) -> Dict[str, object]:
-    """The JSON header both formats share: enough to rebuild the query
-    graph and tree, plus the NTE group keys that fix the array order."""
+def _header_of(index: CompactCECI) -> Dict[str, object]:
+    """The JSON header: enough to rebuild the query graph and tree,
+    plus the NTE group keys that fix the array order."""
     tree = index.tree
     return {
         "query_vertices": tree.query.num_vertices,
@@ -119,65 +102,6 @@ def _write_header(buf: BinaryIO, magic: bytes, header: Dict[str, object]) -> Non
 def _read_header(buf: BinaryIO) -> Dict[str, object]:
     size = int.from_bytes(buf.read(8), "little")
     return json.loads(buf.read(size).decode("utf-8"))
-
-
-# ----------------------------------------------------------------------
-# Legacy dict-builder format (CECIIDX2)
-# ----------------------------------------------------------------------
-def dump_ceci_bytes(ceci: CECI) -> bytes:
-    """Serialize a built dict-builder CECI to bytes (legacy format)."""
-    if isinstance(ceci, CompactCECI):
-        raise TypeError(
-            "dump_ceci_bytes writes the legacy dict-builder format; "
-            "use dump_store_bytes (or save_ceci) for a CompactCECI"
-        )
-    tree = ceci.tree
-    header = _header_of(ceci)
-    header["pivots"] = [int(p) for p in ceci.pivots]
-    buf = io.BytesIO()
-    _write_header(buf, _MAGIC, header)
-
-    arrays: List[np.ndarray] = []
-    for u in range(tree.query.num_vertices):
-        arrays.extend(_encode_pairs(ceci.te[u]))
-        for u_n in sorted(ceci.nte[u]):
-            arrays.extend(_encode_pairs(ceci.nte[u][u_n]))
-        arrays.extend(_encode_pairs(
-            {v: [c] for v, c in ceci.cardinality[u].items()}
-        ))
-    for array in arrays:
-        np.save(buf, array, allow_pickle=False)
-    return buf.getvalue()
-
-
-def load_ceci_bytes(blob: bytes, data: Graph) -> CECI:
-    """Reconstruct a dict-builder CECI from a legacy blob."""
-    buf = io.BytesIO(blob)
-    if buf.read(len(_MAGIC)) != _MAGIC:
-        raise ValueError("not a CECI index blob")
-    header = _read_header(buf)
-    tree = _rebuild_tree(header)
-    query = tree.query
-    ceci = CECI(tree, data)
-    ceci.pivots = list(header["pivots"])
-    ceci.nte_built = bool(header.get("nte_built", True))
-
-    def read_pairs() -> Dict[int, List[int]]:
-        keys = np.load(buf, allow_pickle=False)
-        offsets = np.load(buf, allow_pickle=False)
-        values = np.load(buf, allow_pickle=False)
-        return _decode_pairs(keys, offsets, values)
-
-    for u in range(query.num_vertices):
-        ceci.te[u] = read_pairs()
-        for u_n in header["nte_groups"][u]:
-            ceci.nte[u][u_n] = read_pairs()
-        ceci.cardinality[u] = {
-            v: values[0] for v, values in read_pairs().items()
-        }
-        ceci.cand[u] = ceci.te_union(u)
-    ceci.freeze()
-    return ceci
 
 
 # ----------------------------------------------------------------------
@@ -350,14 +274,9 @@ def _parse(token: str) -> object:
 # File entry points (format auto-detected on load)
 # ----------------------------------------------------------------------
 def save_ceci(index: Union[CECI, CompactCECI], path: str) -> None:
-    """Write a built index to ``path``: compact stores (and anything
-    the matcher's default pipeline produces) in the v3 array format,
-    dict builders in the legacy format."""
-    if isinstance(index, CompactCECI):
-        blob = dump_store_bytes(index)
-    else:
-        blob = dump_ceci_bytes(index)
-    publish_bytes(blob, path)
+    """Write a built index to ``path`` in the v3 array format (a dict
+    builder is frozen first)."""
+    publish_bytes(dump_store_bytes(index), path)
 
 
 def publish_bytes(blob: bytes, path: str) -> int:
@@ -381,26 +300,22 @@ def publish_ceci(index: Union[CECI, CompactCECI], path: str) -> int:
     :func:`load_ceci`\\ (…, ``mmap=True``) the same checksummed file and
     share its pages through the OS page cache.  Returns the byte count
     written."""
-    store = index if isinstance(index, CompactCECI) else index.compact()
-    return publish_bytes(dump_store_bytes(store), path)
+    return publish_bytes(dump_store_bytes(index), path)
 
 
 def load_ceci(
     path: str, data: Graph, mmap: bool = True, verify: bool = True
-) -> Union[CECI, CompactCECI]:
+) -> CompactCECI:
     """Load an index from ``path`` against the identical data graph.
 
-    v3 files come back as a :class:`CompactCECI` whose arrays are
-    ``np.memmap`` views into the file (pass ``mmap=False`` to read them
-    into RAM instead); legacy files come back as the dict builder.
-    ``verify`` CRC-checks checksummed v3 files block-by-block *before*
-    anything is mapped; corruption raises :class:`ChecksumError`.
+    The result is a :class:`CompactCECI` whose arrays are ``np.memmap``
+    views into the file (pass ``mmap=False`` to read them into RAM
+    instead).  ``verify`` CRC-checks checksummed files block-by-block
+    *before* anything is mapped; corruption raises
+    :class:`ChecksumError`, and a file without the ``CECIIDX3`` magic
+    raises ``ValueError``.
     """
     with open(path, "rb") as handle:
-        magic = handle.read(len(_MAGIC_V3))
-        if magic == _MAGIC_V3:
+        if handle.read(len(_MAGIC_V3)) == _MAGIC_V3:
             return _load_store(handle, data, path, mmap=mmap, verify=verify)
-        if magic == _MAGIC:
-            handle.seek(0)
-            return load_ceci_bytes(handle.read(), data)
     raise ValueError(f"{path}: not a CECI index file")

@@ -55,7 +55,6 @@ def refine_ceci(
     else:
         for u in tree.reverse_order():
             _refine_vertex(ceci, u, stats, kernel)
-    ceci.record_size(stats)
     return ceci
 
 

@@ -40,17 +40,13 @@ class MatchStats:
     #: Partial embeddings (frontier rows) expanded in batch.
     batch_rows: int = 0
 
-    # --- intersection kernels & candidate cache --------------------------
+    # --- intersection kernels -------------------------------------------
     #: Intersections executed by each kernel (adaptive dispatch or forced).
     kernel_merge_calls: int = 0
     kernel_gallop_calls: int = 0
     kernel_bitset_calls: int = 0
     #: Fully-vectorised intersections over compact-store array slices.
     kernel_array_calls: int = 0
-    #: Memo-cache outcomes for TE∩NTE intersections (see DESIGN.md §7).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
 
     # --- filtering / refinement ----------------------------------------
     candidates_initial: int = 0
@@ -63,9 +59,8 @@ class MatchStats:
     # --- index size -----------------------------------------------------
     te_candidate_edges: int = 0
     nte_candidate_edges: int = 0
-    #: Measured resident bytes of the runtime index representation
-    #: (flat arrays for ``store="compact"``, the boxed-container model
-    #: for ``store="dict"``); 0 until an index is built.  Contrast with
+    #: Measured resident bytes of the runtime index (the compact
+    #: store's flat arrays); 0 until an index is built.  Contrast with
     #: :attr:`index_bytes`, the paper's 8-bytes-per-candidate-edge
     #: accounting, which is representation-independent.
     memory_bytes: int = 0

@@ -19,17 +19,16 @@ This module introduces the two-phase index lifecycle:
   header plus raw array blocks and loading can ``mmap`` the arrays
   without ever reconstructing dicts.
 
-Both representations satisfy the small :class:`CECIStore` protocol, so
-enumeration (:mod:`repro.core.enumeration`), cluster decomposition
-(:mod:`repro.core.clusters`) and estimation (:mod:`repro.core.estimate`)
-run against either.  Compact lookups return **zero-copy array slices**
-(``values[offsets[i]:offsets[i+1]]``) which the kernel dispatcher routes
-through the vectorised :func:`repro.kernels.intersect_ndarray` path.
+:class:`CompactCECI` is the only runtime index: enumeration
+(:mod:`repro.core.enumeration`), cluster decomposition
+(:mod:`repro.core.clusters`), estimation (:mod:`repro.core.estimate`)
+and persistence all read it.  Lookups return **zero-copy array slices**
+(``values[offsets[i]:offsets[i+1]]``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,18 +37,11 @@ from .query_tree import QueryTree
 from .stats import MatchStats
 
 __all__ = [
-    "STORE_CHOICES",
-    "CECIStore",
     "CompactCECI",
     "PairArrays",
     "encode_pairs",
     "lookup_pairs",
 ]
-
-#: What ``CECIMatcher(store=...)`` / ``--store`` accept.  ``compact``
-#: (the default) freezes the builder into a :class:`CompactCECI` after
-#: refinement; ``dict`` keeps the mutable builder as the runtime index.
-STORE_CHOICES: Tuple[str, ...] = ("dict", "compact")
 
 #: One flattened ``{key: [values]}`` mapping: sorted ``keys``,
 #: ``offsets`` of length ``len(keys) + 1``, concatenated ``values`` —
@@ -58,41 +50,6 @@ STORE_CHOICES: Tuple[str, ...] = ("dict", "compact")
 PairArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-
-@runtime_checkable
-class CECIStore(Protocol):
-    """The read interface enumeration, clusters and estimation need.
-
-    Satisfied structurally by both the dict builder
-    (:class:`repro.core.ceci.CECI`) and :class:`CompactCECI`; consumers
-    type against this so the two-phase lifecycle is invisible to them.
-    """
-
-    tree: QueryTree
-    data: Graph
-    nte_built: bool
-
-    @property
-    def pivots(self) -> Sequence[int]: ...
-
-    def te_values(self, u: int, v_p: int) -> Sequence[int]: ...
-
-    def nte_values(self, u: int, u_n: int, v_n: int) -> Sequence[int]: ...
-
-    def cardinality_of(self, u: int, v: int) -> int: ...
-
-    def cluster_cardinality(self, pivot: int) -> int: ...
-
-    def candidates(self, u: int) -> Sequence[int]: ...
-
-    def te_edge_count(self) -> int: ...
-
-    def nte_edge_count(self) -> int: ...
-
-    def record_size(self, stats: MatchStats) -> None: ...
-
-    def memory_bytes(self) -> int: ...
 
 
 def encode_pairs(mapping: Dict[int, Sequence[int]]) -> PairArrays:
@@ -130,9 +87,11 @@ def _unique_pair_count(triple: PairArrays) -> int:
     if len(values) == 0:
         return 0
     a = np.repeat(keys, np.diff(offsets))
-    lo = np.minimum(a, values)
-    hi = np.maximum(a, values)
-    return int(len(np.unique(np.stack([lo, hi], axis=1), axis=0)))
+    # Fold each undirected pair into one int64 code, so one 1-D sort
+    # counts them (far cheaper than a row-wise ``unique(axis=0)``).
+    scale = int(max(a.max(), values.max())) + 1
+    codes = np.minimum(a, values) * scale + np.maximum(a, values)
+    return int(len(np.unique(codes)))
 
 
 class CompactCECI:
@@ -209,7 +168,7 @@ class CompactCECI:
         return cls(tree, ceci.data, pivots, te, nte, card, ceci.nte_built)
 
     # ------------------------------------------------------------------
-    # CECIStore accessors
+    # Accessors
     # ------------------------------------------------------------------
     @property
     def pivots(self) -> np.ndarray:
@@ -306,9 +265,7 @@ class CompactCECI:
         stats.nte_candidate_edges = self.nte_edge_count()
 
     def memory_bytes(self) -> int:
-        """Exact payload footprint: the sum of all array bytes.  This is
-        what the dict builder's ``memory_bytes`` model is compared
-        against in ``BENCH_store.json``."""
+        """Exact payload footprint: the sum of all array bytes."""
         total = int(self._pivots.nbytes)
         for keys, offsets, values in self.te:
             total += int(keys.nbytes + offsets.nbytes + values.nbytes)

@@ -22,9 +22,8 @@ class MachineReport:
     construction_compute: float = 0.0
     construction_io: float = 0.0
     construction_comm: float = 0.0
-    #: Resident bytes of this machine's built candidate index (flat
-    #: arrays under ``store="compact"``, boxed-dict model under
-    #: ``store="dict"``).
+    #: Resident bytes of this machine's built candidate index (the
+    #: compact store's flat arrays).
     index_bytes: int = 0
     #: Index payload bytes shipped to place this machine's cluster
     #: slices (equals ``index_bytes``: the per-machine index *is* its

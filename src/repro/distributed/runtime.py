@@ -48,7 +48,6 @@ from ..core.refinement import refine_ceci
 from ..core.root_selection import initial_candidates, select_root
 from ..core.automorphism import SymmetryBreaker
 from ..core.stats import MatchStats
-from ..core.store import STORE_CHOICES
 from ..graph import Graph
 from ..observability.tracer import NULL_TRACER
 from ..resilience.faults import FaultPlan
@@ -159,16 +158,10 @@ class DistributedCECI:
         similarity_top: int = 1000,
         fault_plan: Optional[FaultPlan] = None,
         max_retries: int = 2,
-        store: str = "compact",
         tracer=None,
     ) -> None:
         if mode not in ("memory", "shared"):
             raise ValueError(f"unknown storage mode {mode!r}")
-        if store not in STORE_CHOICES:
-            raise ValueError(
-                f"unknown index store {store!r}; "
-                f"expected one of {STORE_CHOICES}"
-            )
         self.query = query
         self.data = data
         self.num_machines = num_machines
@@ -177,7 +170,6 @@ class DistributedCECI:
         self.symmetry = SymmetryBreaker(query, enabled=break_automorphisms)
         self.fault_plan = fault_plan
         self.retry_policy = RetryPolicy(max_retries)
-        self.store = store
         self.tracer = NULL_TRACER if tracer is None else tracer
 
     def run(self) -> DistributedResult:
@@ -265,21 +257,18 @@ class DistributedCECI:
             report.construction_seconds += _machine_phase("refine", started)
             io_after = getattr(storage, "per_machine_io", {}).get(m, 0.0)
             report.construction_io = io_after - io_before
+            # Freeze before enumeration: the machine's runtime index —
+            # and the payload a placement would ship to it — is its
+            # clusters' flat candidate-array slices, not pickled dicts.
+            started = time.perf_counter()
+            ceci = ceci.compact(tracer=mtracer)
+            report.construction_seconds += _machine_phase("freeze", started)
+            ceci.record_size(machine_stats)
             report.construction_compute = FILTER_OP_COST * (
                 machine_stats.candidates_initial
                 + machine_stats.te_candidate_edges
                 + machine_stats.nte_candidate_edges
             )
-            if self.store == "compact":
-                # Freeze before enumeration: the machine's runtime index
-                # — and the payload a placement would ship to it — is
-                # its clusters' flat candidate-array slices, not pickled
-                # dicts.
-                started = time.perf_counter()
-                ceci = ceci.compact(tracer=mtracer)
-                report.construction_seconds += _machine_phase(
-                    "freeze", started
-                )
             report.index_bytes = ceci.memory_bytes()
             report.shipped_bytes = report.index_bytes
             storage.register_index_bytes(m, report.index_bytes)

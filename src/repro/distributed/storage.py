@@ -42,11 +42,10 @@ class StorageModel:
     def register_index_bytes(self, machine_id: int, nbytes: int) -> None:
         """Record the payload bytes of a machine's built CECI store.
 
-        With the compact store this is the exact flat-array footprint —
-        the per-cluster candidate slices that machine holds (and that a
-        placement would ship to it); with the dict store it is the
-        boxed-container model.  Purely accounting: registered bytes do
-        not feed back into the IO cost model.
+        This is the exact flat-array footprint — the per-cluster
+        candidate slices that machine holds (and that a placement would
+        ship to it).  Purely accounting: registered bytes do not feed
+        back into the IO cost model.
         """
         self.index_bytes[machine_id] = (
             self.index_bytes.get(machine_id, 0) + int(nbytes)

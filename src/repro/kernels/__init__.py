@@ -1,14 +1,15 @@
-"""Adaptive sorted-set intersection kernels and candidate caching.
+"""Adaptive sorted-set intersection kernels and the batch engine's
+array primitives.
 
-The k-way intersection of TE/NTE candidate lists is the enumeration
-primitive of CECI (Lemma 2).  This subpackage provides three
-interchangeable kernels — linear merge, galloping search, and bitset —
-behind an adaptive dispatcher that picks by size ratio and density, plus
-a bounded memo cache for intersections repeated across sibling subtrees.
-See DESIGN.md §7 for the dispatch rules and cache policy.
+The k-way intersection of sorted candidate lists is the primitive of
+CECI (Lemma 2).  This subpackage provides three interchangeable list
+kernels — linear merge, galloping search, and bitset — behind an
+adaptive dispatcher that picks by size ratio and density (refinement's
+NTE membership step and TurboIso's intersection variant use it), plus
+the whole-array searchsorted / gather / membership primitives the batch
+engine expands frontiers with.  See DESIGN.md §7 for the dispatch rules.
 """
 
-from .cache import DEFAULT_CACHE_SIZE, IntersectionCache
 from .intersect import (
     BITSET_MAX_SPAN,
     BITSET_MIN_DENSITY,
@@ -37,9 +38,7 @@ __all__ = [
     "BITSET_MAX_SPAN",
     "BITSET_MIN_DENSITY",
     "BITSET_MIN_SHORTEST",
-    "DEFAULT_CACHE_SIZE",
     "GALLOP_RATIO",
-    "IntersectionCache",
     "KERNEL_CHOICES",
     "KERNEL_NAMES",
     "choose_kernel",

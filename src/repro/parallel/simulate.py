@@ -55,7 +55,6 @@ def measure_unit_costs(
             symmetry=matcher.symmetry,
             use_intersection=matcher.use_intersection,
             stats=stats,
-            engine=matcher.engine,
         )
         for _ in enumerator.embeddings_from_unit(unit.prefix):
             pass

@@ -147,11 +147,10 @@ def parallel_match(
     else:
         raise ValueError(f"unknown policy {policy!r}")
 
-    # One built store shared by every worker: with ``store="compact"``
-    # the workers read frozen int64 arrays (immutable, so sharing is
-    # race-free by construction) and each unit's candidate lookups are
-    # zero-copy slices of the same buffers — nothing is pickled or
-    # duplicated per worker.
+    # One built store shared by every worker: the workers read frozen
+    # int64 arrays (immutable, so sharing is race-free by construction)
+    # and each unit's candidate lookups are zero-copy slices of the
+    # same buffers — nothing is pickled or duplicated per worker.
     ceci = matcher.build()
     tracer = matcher.tracer
     reports = [WorkerReport(w) for w in range(workers)]
@@ -175,10 +174,7 @@ def parallel_match(
             symmetry=matcher.symmetry,
             use_intersection=matcher.use_intersection,
             stats=report.stats,
-            kernel=matcher.kernel,
-            cache_size=matcher.cache_size,
             tracer=wtracer,
-            engine=matcher.engine,
         )
         buffer: List[Tuple[int, ...]] = []
         started = time.perf_counter()

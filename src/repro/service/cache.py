@@ -3,7 +3,7 @@
 Building a CECI (filter + refine + freeze) dominates small-query latency,
 yet the frozen :class:`~repro.core.store.CompactCECI` depends only on the
 *(data graph, query graph up to isomorphism)* pair — not on the request's
-limit, budget, kernel or symmetry setting (the matcher never consults the
+limit, budget or symmetry setting (the matcher never consults the
 symmetry breaker while building).  :class:`IndexCache` therefore keys
 frozen stores by ``(data fingerprint, canonical query signature)`` and
 serves every structurally-equal request from one build:

@@ -8,7 +8,7 @@ Request lines::
 
     {"query": {"n": 3, "edges": [[0,1],[1,2],[0,2]],
                "labels": [["a"], ["a"], ["b"]]},
-     "limit": 10, "deadline_seconds": 1.0, "kernel": "auto",
+     "limit": 10, "deadline_seconds": 1.0,
      "embeddings": true, "id": 7}
 
 ``labels`` is optional (unlabeled queries), as are every knob and the
@@ -90,7 +90,6 @@ def request_from_json(line: Dict) -> MatchRequest:
         limit=line.get("limit"),
         budget=_budget_from_json(line),
         break_automorphisms=bool(line.get("break_automorphisms", True)),
-        kernel=line.get("kernel", "auto"),
         deadline_seconds=float(deadline) if deadline is not None else None,
         **kwargs,
     )

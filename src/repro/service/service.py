@@ -413,7 +413,7 @@ class MatchService:
 
     Engine knobs that shape the *index* (order strategy) are fixed
     service-wide — that is the invariant making cross-query index reuse
-    sound.  Per-request knobs (limit, budget, kernel, symmetry,
+    sound.  Per-request knobs (limit, budget, symmetry,
     deadline) ride on each :class:`~repro.service.request.MatchRequest`.
 
     Hardening knobs: ``deadline_seconds`` is the service-wide default
@@ -1017,7 +1017,6 @@ class MatchService:
             self.data,
             order_strategy=self.order_strategy,
             break_automorphisms=False,
-            store="compact",
             tracer=tracer,
         )
 
@@ -1062,7 +1061,6 @@ class MatchService:
             symmetry=job.symmetry,
             stats=stats,
             tracker=job.tracker,
-            kernel=job.request.kernel,
         )
 
     # ------------------------------------------------------------------
@@ -1337,7 +1335,6 @@ class MatchService:
                 (query.degree(u) for u in query.vertices()), default=0
             ),
             "solo": request.solo,
-            "kernel": request.kernel,
         }
         if job.plan is not None:
             features.update(job.plan)

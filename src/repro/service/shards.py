@@ -199,8 +199,7 @@ def _run_shard_task(
         if budget is not None and not budget.unlimited:
             tracker = budget.tracker().start()
         enumerator = Enumerator(
-            store, symmetry=symmetry, stats=stats, tracker=tracker,
-            kernel=spec["kernel"],
+            store, symmetry=symmetry, stats=stats, tracker=tracker
         )
         embeddings = enumerator.collect(spec["limit"])
         payload = {
@@ -215,9 +214,7 @@ def _run_shard_task(
         # come back empty exactly as sequential ``collect`` skips them.
         parts: Dict[int, List[Embedding]] = {}
         for pivot in spec["pivots"]:
-            enumerator = Enumerator(
-                store, symmetry=symmetry, stats=stats, kernel=spec["kernel"]
-            )
+            enumerator = Enumerator(store, symmetry=symmetry, stats=stats)
             parts[pivot] = enumerator.collect_from_unit((pivot,))
         payload = {"kind": "units", "parts": parts}
     payload["stats"] = stats
@@ -509,7 +506,6 @@ class _ShardExecutor:
             "index_path": path,
             "query": request.query,
             "break_automorphisms": request.break_automorphisms,
-            "kernel": request.kernel,
         }
 
     def _publish(self, fingerprint: str, store: CompactCECI) -> str:

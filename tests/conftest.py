@@ -45,6 +45,15 @@ def brute_force_embeddings(query: Graph, data: Graph) -> Set[Tuple[int, ...]]:
     return results
 
 
+def refined_builder(query: Graph, data: Graph):
+    """A filtered + refined dict builder (:class:`repro.core.ceci.CECI`)
+    that was never frozen — what :meth:`CECI.compact` packs."""
+    from repro.core import QueryTree, build_ceci, refine_ceci, select_root
+
+    root, pivots = select_root(query, data)
+    return refine_ceci(build_ceci(QueryTree(query, root), data, pivots))
+
+
 def random_labeled_instance(seed: int, max_labels: int = 3):
     """A reproducible random (query, data) pair, or None when the random
     graph is too fragmented to extract a connected query."""

@@ -188,6 +188,30 @@ class TestCFLMatch:
         assert matcher.stats.edge_verifications > 0
         assert matcher.stats.intersections == 0
 
+    def test_te_only_cpi_verifies_even_in_intersection_mode(
+        self, paper_query, paper_data
+    ):
+        """A CPI has no NTE lists, so an intersection-mode enumerator
+        over it falls to the recursion and verifies every non-tree
+        edge on the data graph."""
+        from repro.core import Enumerator, SymmetryBreaker
+
+        assert paper_query.num_edges >= paper_query.num_vertices
+        cpi = CFLMatcher(paper_query, paper_data)._build().ceci
+        assert not cpi.nte_built
+        enumerator = Enumerator(
+            cpi,
+            symmetry=SymmetryBreaker(paper_query, enabled=False),
+            use_intersection=True,
+        )
+        found = enumerator.collect()
+        assert enumerator.engine == "recursive"
+        assert enumerator.stats.intersections == 0
+        assert enumerator.stats.edge_verifications > 0
+        assert sorted(found) == sorted(
+            vf2_match(paper_query, paper_data, break_automorphisms=False)
+        )
+
     def test_adjacency_matrix_bytes(self, paper_query, paper_data):
         matcher = CFLMatcher(paper_query, paper_data)
         n = paper_data.num_vertices

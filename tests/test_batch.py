@@ -1,9 +1,10 @@
 """Property and metamorphic tests for the set-at-a-time batch engine.
 
 The batched frontier join (DESIGN.md §12) must be an *exact* drop-in
-for the recursive enumerator: every vectorised primitive is checked
+for the per-embedding recursion: every vectorised primitive is checked
 against its scalar counterpart on random inputs, and the full engine is
-checked against the recursive engine for identical embedding **order**
+checked against the edge-verification recursion (``use_intersection=
+False``, its independent reference) for identical embedding **order**
 (not just sets), identical ``limit`` prefixes, and identical budget
 truncation points.
 """
@@ -17,7 +18,6 @@ import pytest
 
 from conftest import random_labeled_instance
 from repro.core.batch import (
-    ENGINE_CHOICES,
     BatchEngine,
     batch_capable,
     used_exclusion_mask,
@@ -155,15 +155,26 @@ def _instances(count):
     return built
 
 
+def _nte_instance():
+    """The first fixed instance whose query has a non-tree edge (so the
+    verification matcher really runs the recursion)."""
+    for query, data in _instances(5):
+        if query.num_edges >= query.num_vertices:
+            return query, data
+    raise AssertionError("no fixed instance with a non-tree edge")
+
+
 def _pair(query, data, **kwargs):
-    """(batch matcher, recursive matcher) over the same instance."""
-    batch = CECIMatcher(
-        query, data, store="compact", engine="batch", **kwargs
-    )
-    recursive = CECIMatcher(
-        query, data, store="compact", engine="recursive", **kwargs
-    )
+    """(batch matcher, verification-recursion matcher) over the same
+    instance; on an NTE-free query both run the batch engine."""
+    batch = CECIMatcher(query, data, **kwargs)
+    recursive = CECIMatcher(query, data, use_intersection=False, **kwargs)
     return batch, recursive
+
+#: ``intersections`` the per-embedding TE∩NTE recursion reported on
+#: ``_instances(5)`` (symmetry off) before it was retired; the batch
+#: engine keeps its one-per-non-empty-TE-base counting convention.
+RECURSIVE_INTERSECTIONS = [0, 0, 6, 5, 40]
 
 
 class TestEngineEquivalence:
@@ -193,24 +204,28 @@ class TestEngineEquivalence:
 
     def test_count_matches_collect(self):
         for query, data in _instances(4):
-            matcher = CECIMatcher(query, data, store="compact", engine="batch")
+            matcher = CECIMatcher(query, data)
             count = matcher.count()
             assert count == len(matcher.match())
 
     def test_work_counters_identical(self):
         """The batch engine must *account* like the recursion, not just
-        answer like it: calls and intersections are the same numbers."""
-        for query, data in _instances(5):
+        answer like it: calls are the same numbers, and intersections
+        match the retired TE∩NTE recursion's pinned counts."""
+        for (query, data), pinned in zip(
+            _instances(5), RECURSIVE_INTERSECTIONS
+        ):
             batch, recursive = _pair(query, data, break_automorphisms=False)
             batch.match()
             recursive.match()
             assert batch.stats.recursive_calls == (
                 recursive.stats.recursive_calls
             )
-            assert batch.stats.intersections == recursive.stats.intersections
+            assert batch.stats.intersections == pinned
+            assert recursive.stats.intersections == 0
 
     def test_batch_counters_only_on_batch_engine(self):
-        query, data = _instances(1)[0]
+        query, data = _nte_instance()
         batch, recursive = _pair(query, data)
         batch.match()
         recursive.match()
@@ -218,14 +233,15 @@ class TestEngineEquivalence:
         assert batch.stats.batch_rows >= batch.stats.batch_blocks
         assert recursive.stats.batch_blocks == 0
         assert recursive.stats.batch_rows == 0
+        assert recursive.stats.edge_verifications > 0
 
 
 class TestUnitPrefixParity:
     def _enumerators(self, query, data):
         out = []
-        for engine in ("batch", "recursive"):
+        for use_intersection in (True, False):
             matcher = CECIMatcher(
-                query, data, store="compact", engine=engine,
+                query, data, use_intersection=use_intersection,
                 break_automorphisms=False,
             )
             ceci = matcher.build()
@@ -235,9 +251,8 @@ class TestUnitPrefixParity:
                     Enumerator(
                         ceci,
                         symmetry=matcher.symmetry,
-                        use_intersection=True,
+                        use_intersection=use_intersection,
                         stats=matcher.stats,
-                        engine=engine,
                     ),
                 )
             )
@@ -284,7 +299,7 @@ class TestBudgetTruncationParity:
 
     def _run(self, query, data, engine, budget):
         matcher = CECIMatcher(
-            query, data, store="compact", engine=engine, budget=budget,
+            query, data, use_intersection=engine == "batch", budget=budget,
             break_automorphisms=False,
         )
         result = matcher.run()
@@ -320,63 +335,45 @@ class TestBudgetTruncationParity:
 
 
 class TestEngineSelection:
-    def test_engine_choices_exported(self):
-        assert ENGINE_CHOICES == ("auto", "recursive", "batch")
+    """No knob: the inputs pick the path (DESIGN.md §12)."""
 
     def test_auto_picks_batch_on_compact_intersection(self):
-        query, data = _instances(1)[0]
-        matcher = CECIMatcher(query, data, store="compact")
-        assert matcher.enumerator().engine == "batch"
+        query, data = _nte_instance()
+        assert CECIMatcher(query, data).enumerator().engine == "batch"
 
-    def test_auto_stays_recursive_on_dict_store(self):
-        query, data = _instances(1)[0]
-        matcher = CECIMatcher(query, data, store="dict")
+    def test_verification_with_nte_runs_recursion(self):
+        query, data = _nte_instance()
+        matcher = CECIMatcher(query, data, use_intersection=False)
         assert matcher.enumerator().engine == "recursive"
 
-    def test_forced_batch_on_dict_store_rejected(self):
-        query, data = _instances(1)[0]
-        with pytest.raises(ValueError):
-            CECIMatcher(query, data, store="dict", engine="batch")
-
-    def test_forced_batch_without_intersection_rejected(self):
-        query, data = _instances(1)[0]
-        with pytest.raises(ValueError):
-            CECIMatcher(
-                query, data, store="compact", engine="batch",
-                use_intersection=False,
+    def test_nte_free_query_always_batches(self):
+        query = Graph(3, [(0, 1), (1, 2)])
+        data = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        for use_intersection in (True, False):
+            matcher = CECIMatcher(
+                query, data, use_intersection=use_intersection
             )
+            assert matcher.enumerator().engine == "batch"
 
     def test_unknown_engine_rejected(self):
+        """The engine knob is gone: passing one is an error."""
         query, data = _instances(1)[0]
-        with pytest.raises(ValueError):
-            CECIMatcher(query, data, engine="vectorized")
-
-    def test_enumerator_forced_batch_on_incapable_store_rejected(self):
-        query, data = _instances(1)[0]
-        matcher = CECIMatcher(query, data, store="dict")
-        ceci = matcher.build()
-        with pytest.raises(ValueError):
-            Enumerator(
-                ceci,
-                symmetry=matcher.symmetry,
-                use_intersection=True,
-                stats=matcher.stats,
-                engine="batch",
-            )
+        for option in ("engine", "store", "cache_size"):
+            with pytest.raises(TypeError):
+                CECIMatcher(query, data, **{option: "batch"})
 
     def test_batch_capable_requires_intersection(self):
-        query, data = _instances(1)[0]
-        matcher = CECIMatcher(query, data, store="compact")
-        ceci = matcher.build()
+        query, data = _nte_instance()
+        ceci = CECIMatcher(query, data).build()
         assert batch_capable(ceci, use_intersection=True)
         assert not batch_capable(ceci, use_intersection=False)
+        ceci.nte_built = False  # a TE-only index facing a non-tree edge
+        assert not batch_capable(ceci, use_intersection=True)
 
 
 class TestBatchEngineInternals:
     def _engine(self, query, data):
-        matcher = CECIMatcher(
-            query, data, store="compact", break_automorphisms=False
-        )
+        matcher = CECIMatcher(query, data, break_automorphisms=False)
         ceci = matcher.build()
         return BatchEngine(ceci, matcher.symmetry, matcher.stats), matcher
 
@@ -399,7 +396,7 @@ class TestBatchEngineInternals:
         assert engine.seed_frontier((0, 0)) is None
 
     def test_blocks_stream_in_dfs_order(self):
-        query, data = _instances(1)[0]
+        query, data = _nte_instance()
         engine, matcher = self._engine(query, data)
         frontier = engine.root_frontier(engine.ceci.pivots)
         streamed = [
@@ -408,7 +405,6 @@ class TestBatchEngineInternals:
             for row in block.tolist()
         ]
         recursive = CECIMatcher(
-            query, data, store="compact", engine="recursive",
-            break_automorphisms=False,
+            query, data, use_intersection=False, break_automorphisms=False
         )
         assert streamed == recursive.match()

@@ -81,7 +81,7 @@ class TestPaperExampleRefinement:
         # An *upper bound* on the 2 true embeddings — Section 4.3 notes
         # the cardinality deliberately overestimates.
         assert ceci.cardinality[0] == {1: 4}
-        assert ceci.cluster_cardinality(1) == 4
+        assert ceci.compact().cluster_cardinality(1) == 4
 
     def test_v7_and_v15_removed(self, paper_ceci):
         ceci, _ = paper_ceci
@@ -104,16 +104,27 @@ class TestPaperExampleRefinement:
 
 
 class TestCECIStructure:
-    def test_size_counters(self, paper_ceci):
+    def test_size_counters(self, paper_query, paper_data, paper_ceci):
         ceci, stats = paper_ceci
-        assert stats.te_candidate_edges == ceci.te_edge_count()
-        assert stats.nte_candidate_edges == ceci.nte_edge_count()
+        store = ceci.compact()
+        store.record_size(stats)
+        assert stats.te_candidate_edges == store.te_edge_count() > 0
+        assert stats.nte_candidate_edges == store.nte_edge_count() > 0
         assert stats.index_bytes == 8 * (
-            ceci.te_edge_count() + ceci.nte_edge_count()
+            store.te_edge_count() + store.nte_edge_count()
         )
+        # The matcher publishes the same counters once, off its frozen
+        # store.
+        from repro import CECIMatcher
+
+        matcher = CECIMatcher(paper_query, paper_data)
+        built = matcher.build()
+        assert matcher.stats.te_candidate_edges == built.te_edge_count()
+        assert matcher.stats.nte_candidate_edges == built.nte_edge_count()
 
     def test_size_below_theoretical_bound(self, paper_query, paper_data, paper_ceci):
-        _, stats = paper_ceci
+        ceci, stats = paper_ceci
+        ceci.compact().record_size(stats)
         theoretical = stats.theoretical_bytes(
             paper_query.num_edges, paper_data.num_edges
         )
@@ -175,6 +186,7 @@ class TestFilterConfigAblation:
             MatchStats(),
             FilterConfig(use_nlc_filter=False),
         )
+        loose, full = loose.compact(), full.compact()
         assert (
             loose.te_edge_count() + loose.nte_edge_count()
             >= full.te_edge_count() + full.nte_edge_count()

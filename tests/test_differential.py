@@ -1,9 +1,10 @@
 """Differential correctness harness.
 
 Seeded random (data, query) pairs are matched by every engine — CECI
-under each intersection kernel, CECI with edge verification, CFLMatch
-and TurboIso in both regimes, VF2 and Ullmann — and the embedding *sets*
-must be identical (symmetry breaking disabled so the full sets compare).
+on the batch engine under each refinement kernel, CECI with edge
+verification, CFLMatch, TurboIso in both regimes, VF2 and Ullmann — and
+the embedding *sets* must be identical (symmetry breaking disabled so
+the full sets compare).
 
 On a mismatch the harness shrinks the query by dropping edges (keeping
 it connected) while the disagreement persists, then fails with the
@@ -32,8 +33,6 @@ Engine = Callable[[Graph, Graph], Set[Tuple[int, ...]]]
 def _ceci(
     kernel: str,
     use_intersection: bool = True,
-    store: str = "dict",
-    engine: str = "auto",
     **extra,
 ) -> Engine:
     def run(query: Graph, data: Graph) -> Set[Tuple[int, ...]]:
@@ -43,8 +42,6 @@ def _ceci(
             break_automorphisms=False,
             use_intersection=use_intersection,
             kernel=kernel,
-            store=store,
-            engine=engine,
             **extra,
         )
         return set(matcher.match())
@@ -52,82 +49,39 @@ def _ceci(
     return run
 
 
-def _cfl(use_intersection: bool = False, store: str = "dict") -> Engine:
-    return lambda q, d: set(
-        cflmatch_match(
-            q,
-            d,
-            break_automorphisms=False,
-            use_intersection=use_intersection,
-            store=store,
-        )
-    )
-
-
-def _turbo(use_intersection: bool = False, store: str = "dict") -> Engine:
+def _turbo(use_intersection: bool = False) -> Engine:
     return lambda q, d: set(
         turboiso_match(
             q,
             d,
             break_automorphisms=False,
             use_intersection=use_intersection,
-            store=store,
         )
     )
 
 
-# The original 11 engine configurations run the mutable dict builder;
-# every index-shaped engine is then repeated over the frozen compact
-# store — the embedding sets must be identical across *both* axes.
 ENGINES: Dict[str, Engine] = {
+    # CECI on the batch engine under each refinement kernel, and the
+    # edge-verification recursion (the batch engine's reference).
     "ceci-auto": _ceci("auto"),
     "ceci-merge": _ceci("merge"),
     "ceci-gallop": _ceci("gallop"),
     "ceci-bitset": _ceci("bitset"),
     "ceci-edge-verify": _ceci("auto", use_intersection=False),
-    "cfl-edge-verify": _cfl(),
-    "cfl-intersect": _cfl(use_intersection=True),
+    "cfl-edge-verify": lambda q, d: set(
+        cflmatch_match(q, d, break_automorphisms=False)
+    ),
     "turboiso-edge-verify": _turbo(),
     "turboiso-intersect": _turbo(use_intersection=True),
     "vf2": lambda q, d: set(vf2_match(q, d, break_automorphisms=False)),
     "ullmann": lambda q, d: set(ullmann_match(q, d, break_automorphisms=False)),
-    "ceci-auto-compact": _ceci("auto", store="compact"),
-    "ceci-merge-compact": _ceci("merge", store="compact"),
-    "ceci-gallop-compact": _ceci("gallop", store="compact"),
-    "ceci-bitset-compact": _ceci("bitset", store="compact"),
-    "ceci-edge-verify-compact": _ceci(
-        "auto", use_intersection=False, store="compact"
-    ),
-    "cfl-edge-verify-compact": _cfl(store="compact"),
-    "cfl-intersect-compact": _cfl(use_intersection=True, store="compact"),
-    "turboiso-edge-verify-compact": _turbo(store="compact"),
-    "turboiso-intersect-compact": _turbo(
-        use_intersection=True, store="compact"
-    ),
-    # Set-at-a-time engine axis (DESIGN.md §12): the vectorised batch
-    # engine forced on, the recursion forced on over the same compact
-    # store (the pair the drop-in claim is about), and the batch engine
-    # under every index-shape perturbation — alternate matching orders
-    # and weakened construction pipelines change the frontier layout
-    # and candidate sets it joins over, so each is its own config.
-    "ceci-batch": _ceci("auto", store="compact", engine="batch"),
-    "ceci-recursive-compact": _ceci(
-        "auto", store="compact", engine="recursive"
-    ),
-    "ceci-batch-edge-ranked": _ceci(
-        "auto", store="compact", engine="batch",
-        order_strategy="edge_ranked",
-    ),
-    "ceci-batch-path-ranked": _ceci(
-        "auto", store="compact", engine="batch",
-        order_strategy="path_ranked",
-    ),
-    "ceci-batch-norefine": _ceci(
-        "auto", store="compact", engine="batch", use_refinement=False
-    ),
-    "ceci-batch-nocascade": _ceci(
-        "auto", store="compact", engine="batch", use_cascade=False
-    ),
+    # The batch engine under every index-shape perturbation: alternate
+    # matching orders and weakened construction pipelines change the
+    # frontier layout and candidate sets it joins over (DESIGN.md §12).
+    "ceci-batch-edge-ranked": _ceci("auto", order_strategy="edge_ranked"),
+    "ceci-batch-path-ranked": _ceci("auto", order_strategy="path_ranked"),
+    "ceci-batch-norefine": _ceci("auto", use_refinement=False),
+    "ceci-batch-nocascade": _ceci("auto", use_cascade=False),
 }
 
 

@@ -3,12 +3,13 @@
 ``golden_counts.json`` pins the exact embedding count of a set of fixed
 instances — hand-built graphs with closed-form counts and seeded
 generator configurations.  Any enumeration-layer change that alters a
-count (kernels, cache, refinement, symmetry machinery) fails here with
+count (kernels, refinement, symmetry machinery) fails here with
 the instance name, which is far easier to bisect than a broken
 integration test.
 
 Counts are full embedding sets (symmetry breaking disabled) and must be
-reproduced by every intersection kernel and by edge verification.
+reproduced by every intersection kernel, by the batch engine and by the
+edge-verification recursion.
 
 Regenerate after an *intentional* semantic change with::
 
@@ -23,6 +24,7 @@ from typing import Callable, Dict, Tuple
 
 import pytest
 
+from repro.core.enumeration import Enumerator
 from repro.core.matcher import CECIMatcher
 from repro.graph import Graph, erdos_renyi, generate_query, inject_labels
 from repro.graph.generators import dense_labeled, power_law
@@ -42,9 +44,9 @@ MODES = [
     # cache-layer change that corrupts reuse fails here by name.
     "service-cold",
     "service-warm",
-    # Engine axis (DESIGN.md §12): the set-at-a-time batch engine
-    # forced on over the compact store, and the recursion forced on
-    # over the same store — a divergence between them names the broken
+    # Engine axis (DESIGN.md §12): the set-at-a-time batch engine, and
+    # the recursion run over the very same compact index the batch
+    # engine reads — a divergence between them names the broken
     # instance directly.
     "batch",
     "recursive-compact",
@@ -151,15 +153,19 @@ def count_with(query: Graph, data: Graph, mode: str) -> int:
         return _service_count(query, data, warm=mode == "service-warm")
     if mode == "sharded":
         return _sharded_count(query, data)
-    if mode in ("batch", "recursive-compact"):
-        matcher = CECIMatcher(
-            query,
-            data,
-            break_automorphisms=False,
-            store="compact",
-            engine="batch" if mode == "batch" else "recursive",
-        )
+    if mode == "batch":
+        matcher = CECIMatcher(query, data, break_automorphisms=False)
+        assert matcher.enumerator().engine == "batch"
         return matcher.count()
+    if mode == "recursive-compact":
+        matcher = CECIMatcher(query, data, break_automorphisms=False)
+        enumerator = Enumerator(
+            matcher.build(), symmetry=matcher.symmetry, use_intersection=False
+        )
+        # A query without non-tree edges always runs batched; pin the
+        # recursion so it is checked against every instance.
+        enumerator.engine = "recursive"
+        return enumerator.count()
     matcher = CECIMatcher(
         query,
         data,

@@ -1,4 +1,4 @@
-"""Kernel equivalence and cache behaviour (repro.kernels).
+"""Kernel equivalence and dispatch (repro.kernels).
 
 Every kernel must agree with naive ``set.intersection`` on adversarial
 shapes — empty, singleton, disjoint, identical, heavily skewed — and the
@@ -16,8 +16,6 @@ import pytest
 from repro.kernels import (
     BITSET_MAX_SPAN,
     GALLOP_RATIO,
-    DEFAULT_CACHE_SIZE,
-    IntersectionCache,
     choose_kernel,
     dispatch,
     intersect,
@@ -28,7 +26,6 @@ from repro.kernels import (
     sorted_checks_enabled,
 )
 from repro.core.ceci import intersect_sorted
-from repro.core.stats import MatchStats
 
 # The package re-exports a function named ``intersect`` which shadows the
 # submodule attribute, so module internals (the numpy handle) are reached
@@ -227,74 +224,3 @@ class TestIntersectSortedRegression:
         assert intersect_sorted([a, b, c]) == expect
         assert intersect_sorted([c, b, a]) == expect
         assert intersect_sorted([b, c, a]) == expect
-
-
-# ----------------------------------------------------------------------
-# IntersectionCache
-# ----------------------------------------------------------------------
-class TestIntersectionCache:
-    def test_hit_miss_counters(self):
-        cache = IntersectionCache(maxsize=8)
-        assert cache.get(("u", 1, 2)) is None
-        cache.put(("u", 1, 2), [3, 4])
-        assert cache.get(("u", 1, 2)) == [3, 4]
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert cache.evictions == 0
-        assert len(cache) == 1
-
-    def test_empty_list_is_a_valid_cached_value(self):
-        cache = IntersectionCache(maxsize=8)
-        cache.put("key", [])
-        got = cache.get("key")
-        assert got == [] and got is not None
-        assert cache.hits == 1 and cache.misses == 0
-
-    def test_eviction_respects_bound(self):
-        cache = IntersectionCache(maxsize=4)
-        for i in range(10):
-            cache.put(i, [i])
-        assert len(cache) == 4
-        assert cache.evictions == 6
-        # Oldest insertions are gone, newest survive.
-        assert cache.get(0) is None
-        assert cache.get(9) == [9]
-
-    def test_overwrite_does_not_evict(self):
-        cache = IntersectionCache(maxsize=2)
-        cache.put("a", [1])
-        cache.put("b", [2])
-        cache.put("a", [1, 1])
-        assert cache.evictions == 0
-        assert cache.get("a") == [1, 1]
-        assert cache.get("b") == [2]
-
-    def test_zero_maxsize_disables_storage(self):
-        cache = IntersectionCache(maxsize=0)
-        cache.put("k", [1])
-        assert len(cache) == 0
-        assert cache.get("k") is None
-        assert cache.misses == 1 and cache.evictions == 0
-
-    def test_stats_mirroring(self):
-        stats = MatchStats()
-        cache = IntersectionCache(maxsize=1, stats=stats)
-        cache.get("a")          # miss
-        cache.put("a", [1])
-        cache.get("a")          # hit
-        cache.put("b", [2])     # evicts "a"
-        assert (stats.cache_hits, stats.cache_misses,
-                stats.cache_evictions) == (1, 1, 1)
-        assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 1)
-
-    def test_clear_keeps_counters(self):
-        cache = IntersectionCache(maxsize=4)
-        cache.put("a", [1])
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("a") is None
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_default_size_constant(self):
-        assert IntersectionCache().maxsize == DEFAULT_CACHE_SIZE

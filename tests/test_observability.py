@@ -305,10 +305,10 @@ class TestMatchStatsMerge:
     def test_work_counters_sum(self):
         a, b = MatchStats(), MatchStats()
         a.recursive_calls, b.recursive_calls = 10, 32
-        a.cache_hits, b.cache_hits = 1, 2
+        a.intersections, b.intersections = 1, 2
         a.merge(b)
         assert a.recursive_calls == 42
-        assert a.cache_hits == 3
+        assert a.intersections == 3
 
     def test_memory_bytes_keeps_peak(self):
         a, b = MatchStats(), MatchStats()

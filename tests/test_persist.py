@@ -1,18 +1,17 @@
-"""Tests for CECI index persistence (legacy dict blobs + compact v3)."""
+"""Tests for CECI index persistence (the CECIIDX3 compact format)."""
 
 import json
 
 import numpy as np
 import pytest
 
+from conftest import refined_builder
 from repro import CECIMatcher, Graph
 from repro.core import (
     CompactCECI,
     Enumerator,
-    dump_ceci_bytes,
     dump_store_bytes,
     load_ceci,
-    load_ceci_bytes,
     load_store_bytes,
     save_ceci,
 )
@@ -30,24 +29,32 @@ def instance():
     return query, data
 
 
+def _same_store(a: CompactCECI, b: CompactCECI) -> None:
+    assert np.array_equal(a.pivots, b.pivots)
+    assert a.tree.order == b.tree.order
+    for u in range(a.tree.query.num_vertices):
+        for x, y in zip(a.te[u], b.te[u]):
+            assert np.array_equal(x, y)
+        assert sorted(a.nte[u]) == sorted(b.nte[u])
+        for u_n in a.nte[u]:
+            for x, y in zip(a.nte[u][u_n], b.nte[u][u_n]):
+                assert np.array_equal(x, y)
+        for x, y in zip(a.card[u], b.card[u]):
+            assert np.array_equal(x, y)
+
+
 class TestRoundTrip:
     def test_bytes_round_trip_preserves_structure(self, instance):
         query, data = instance
-        matcher = CECIMatcher(query, data, store="dict")
-        ceci = matcher.build()
-        loaded = load_ceci_bytes(dump_ceci_bytes(ceci), data)
-        assert loaded.pivots == ceci.pivots
-        assert loaded.te == ceci.te
-        assert loaded.nte == ceci.nte
-        assert loaded.cardinality == ceci.cardinality
-        assert loaded.tree.order == ceci.tree.order
+        store = CECIMatcher(query, data).build()
+        _same_store(load_store_bytes(dump_store_bytes(store), data), store)
 
     def test_loaded_index_enumerates_identically(self, instance):
         query, data = instance
-        matcher = CECIMatcher(query, data, store="dict")
-        reference = sorted(matcher.match())
-        loaded = load_ceci_bytes(dump_ceci_bytes(matcher.build()), data)
-        got = sorted(Enumerator(loaded, symmetry=matcher.symmetry).collect())
+        matcher = CECIMatcher(query, data)
+        reference = matcher.match()
+        loaded = load_store_bytes(dump_store_bytes(matcher.build()), data)
+        got = Enumerator(loaded, symmetry=matcher.symmetry).collect()
         assert got == reference
 
     def test_file_round_trip(self, instance, tmp_path):
@@ -62,27 +69,46 @@ class TestRoundTrip:
     def test_string_labels_survive(self):
         data = Graph(4, [(0, 1), (1, 2), (2, 3)], labels=["C", "O", "C", "N"])
         query = Graph(2, [(0, 1)], labels=["C", "O"])
-        matcher = CECIMatcher(query, data, store="dict")
-        loaded = load_ceci_bytes(dump_ceci_bytes(matcher.build()), data)
+        store = CECIMatcher(query, data).build()
+        loaded = load_store_bytes(dump_store_bytes(store), data)
         assert loaded.tree.query.labels_of(0) == frozenset({"C"})
 
     def test_bad_magic_rejected(self, instance):
         _, data = instance
         with pytest.raises(ValueError):
-            load_ceci_bytes(b"NOTANIDX" + b"\x00" * 64, data)
+            load_store_bytes(b"NOTANIDX" + b"\x00" * 64, data)
 
-    def test_loaded_index_is_frozen(self, instance):
+    def test_legacy_v2_file_rejected(self, instance, tmp_path):
+        """The retired dict-builder format (``CECIIDX2``) is refused
+        with the typed error, like any other foreign magic."""
+        _, data = instance
+        header = json.dumps({"query_vertices": 1}).encode("utf-8")
+        path = tmp_path / "legacy.ceci"
+        path.write_bytes(
+            b"CECIIDX2" + len(header).to_bytes(8, "little") + header
+        )
+        with pytest.raises(ValueError, match="not a CECI index file"):
+            load_ceci(str(path), data)
+
+    def test_loaded_index_is_frozen(self, instance, tmp_path):
         query, data = instance
-        matcher = CECIMatcher(query, data, store="dict")
-        loaded = load_ceci_bytes(dump_ceci_bytes(matcher.build()), data)
-        assert loaded.nte_sets is not None
-        assert loaded.te_sets is not None
+        path = str(tmp_path / "index.ceci")
+        save_ceci(CECIMatcher(query, data).build(), path)
+        loaded = load_ceci(path, data, mmap=True)
+        assert isinstance(loaded, CompactCECI)
+        mapped = [
+            arr
+            for u in query.vertices()
+            for arr in loaded.te[u]
+            if isinstance(arr, np.memmap)
+        ]
+        assert mapped and not any(arr.flags.writeable for arr in mapped)
 
 
 class TestCompactFormat:
     def test_store_bytes_round_trip_enumerates_identically(self, instance):
         query, data = instance
-        matcher = CECIMatcher(query, data)  # store="compact" default
+        matcher = CECIMatcher(query, data)
         reference = sorted(matcher.match())
         store = matcher.build()
         assert isinstance(store, CompactCECI)
@@ -92,26 +118,19 @@ class TestCompactFormat:
 
     def test_candidate_sets_identical_across_formats(self, instance):
         query, data = instance
-        dict_ceci = CECIMatcher(query, data, store="dict").build()
-        store = CECIMatcher(query, data, store="compact").build()
-        loaded = load_store_bytes(dump_store_bytes(store), data)
+        builder = refined_builder(query, data)
+        loaded = load_store_bytes(dump_store_bytes(builder), data)
         for u in query.vertices():
             assert sorted(int(v) for v in loaded.candidates(u)) == sorted(
-                dict_ceci.candidates(u)
+                builder.te_union(u)
             )
 
     def test_dump_from_dict_builder_freezes(self, instance):
         query, data = instance
-        ceci = CECIMatcher(query, data, store="dict").build()
+        ceci = refined_builder(query, data)
         loaded = load_store_bytes(dump_store_bytes(ceci), data)
         assert isinstance(loaded, CompactCECI)
         assert list(loaded.pivots) == list(ceci.pivots)
-
-    def test_legacy_dump_rejects_compact_store(self, instance):
-        query, data = instance
-        store = CECIMatcher(query, data).build()
-        with pytest.raises(TypeError):
-            dump_ceci_bytes(store)
 
     def test_mmap_load_serves_array_backed_candidates(
         self, instance, tmp_path
@@ -155,7 +174,7 @@ class TestCompactFormat:
         from repro.baselines.cflmatch import CFLMatcher
 
         query, data = instance
-        matcher = CFLMatcher(query, data)  # store="compact" default
+        matcher = CFLMatcher(query, data)
         reference = sorted(matcher.match())
         cpi = matcher._build().ceci
         assert isinstance(cpi, CompactCECI)
@@ -207,7 +226,6 @@ class TestChecksums:
     def blob(self, instance):
         query, data = instance
         store = CECIMatcher(query, data).build()
-        assert isinstance(store, CompactCECI)
         return dump_store_bytes(store)
 
     def test_header_carries_a_complete_crc_table(self, blob):

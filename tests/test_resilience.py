@@ -140,12 +140,15 @@ class TestBatchedBudgets:
     """Budget semantics under the set-at-a-time engine (DESIGN.md §12):
     blocks are charged and truncated in bulk, but the PartialResult the
     caller sees — flags, stop reason, and the exact cut point — must be
-    indistinguishable from the recursive engine's."""
+    indistinguishable from the edge-verification recursion's."""
 
     def _run(self, query, data, engine, budget=None, limit=None):
+        """``engine`` names the path: "batch" (intersection) or
+        "recursive" (the edge-verification recursion)."""
         matcher = CECIMatcher(
-            query, data, store="compact", engine=engine, budget=budget
+            query, data, use_intersection=engine == "batch", budget=budget
         )
+        assert matcher.enumerator().engine == engine
         return matcher.run(limit=limit), matcher
 
     def test_truncated_flags_under_batching(self, triangle_query, data):

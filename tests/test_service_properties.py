@@ -291,8 +291,6 @@ def test_request_validation():
     with pytest.raises(ValueError):
         MatchRequest(Graph(3, [(0, 1)]))  # disconnected
     with pytest.raises(ValueError):
-        MatchRequest(Graph(2, [(0, 1)]), kernel="nope")
-    with pytest.raises(ValueError):
         MatchRequest(Graph(2, [(0, 1)]), limit=-1)
     assert MatchRequest(Graph(2, [(0, 1)]), limit=0).solo
     assert MatchRequest(Graph(2, [(0, 1)]), budget=Budget(max_calls=1)).solo

@@ -131,9 +131,9 @@ def test_request_decoding_budget_axes():
         "deadline_seconds": 5.0,
         "max_calls": 10,
         "id": 42,
-        "kernel": "merge",
+        "kernel": "merge",  # retired knob: ignored like any unknown key
     })
-    assert request.request_id == 42 and request.kernel == "merge"
+    assert request.request_id == 42
     assert request.budget is not None and request.solo
     plain = request_from_json({"query": {"n": 2, "edges": [[0, 1]]}})
     assert plain.budget is None and not plain.solo

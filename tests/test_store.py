@@ -1,19 +1,26 @@
 """Tests for the two-phase index lifecycle (DESIGN.md §8).
 
-The dict builder and the frozen :class:`CompactCECI` must be
-observationally identical through the :class:`CECIStore` protocol —
-same candidates, same cardinalities, same embeddings — while the
-compact store's measured footprint must be at least 2x smaller.
+Filtering and refinement mutate the dict builder; :meth:`CECI.compact`
+freezes it into :class:`CompactCECI`, the only runtime index.  Freezing
+must lose nothing — same pivots, candidates, candidate lists,
+cardinalities and embeddings — and every lookup on the frozen store is
+a zero-copy array view.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import refined_builder
 from repro import CECIMatcher, Graph
 from repro.core import CompactCECI, Enumerator
-from repro.core.ceci import CECI
-from repro.core.estimate import cardinality_bound, estimate_embeddings
-from repro.core.store import CECIStore, encode_pairs, lookup_pairs
+from repro.core.estimate import (
+    cardinality_bound,
+    estimate_embeddings,
+    store_cardinality_bound,
+)
+from repro.core.store import encode_pairs, lookup_pairs
 from repro.graph import inject_labels, power_law
 from repro.parallel import parallel_match
 
@@ -30,60 +37,90 @@ def instance():
 
 @pytest.fixture(scope="module")
 def stores(instance):
-    query, data = instance
-    dict_matcher = CECIMatcher(query, data, store="dict")
-    compact_matcher = CECIMatcher(query, data, store="compact")
-    return dict_matcher, dict_matcher.build(), compact_matcher, compact_matcher.build()
+    """(refined dict builder, the store it freezes into)."""
+    builder = refined_builder(*instance)
+    return builder, builder.compact()
+
+
+def _unique_pairs(mapping) -> int:
+    """Distinct undirected ``(key, value)`` pairs of one candidate map —
+    the Table 2 convention, computed the naive way."""
+    return len({
+        (min(key, v), max(key, v))
+        for key, values in mapping.items()
+        for v in values
+    })
+
+
+def _boxed_bytes(builder) -> int:
+    """The builder's payload as boxed Python containers: ``getsizeof``
+    per container plus one boxed int per stored key and value."""
+    int_size = sys.getsizeof(1 << 30)
+
+    def lists(mapping) -> int:
+        return sys.getsizeof(mapping) + sum(
+            sys.getsizeof(values) + int_size * (len(values) + 1)
+            for values in mapping.values()
+        )
+
+    total = sys.getsizeof(builder.pivots) + int_size * len(builder.pivots)
+    for u in range(len(builder.te)):
+        total += lists(builder.te[u]) + sys.getsizeof(builder.nte[u])
+        total += sum(lists(groups) for groups in builder.nte[u].values())
+        card = builder.cardinality[u]
+        total += sys.getsizeof(card) + 2 * int_size * len(card)
+    return total
 
 
 class TestProtocol:
-    def test_both_representations_satisfy_the_protocol(self, stores):
-        _, dict_store, _, compact_store = stores
-        assert isinstance(dict_store, CECI)
-        assert isinstance(compact_store, CompactCECI)
-        assert isinstance(dict_store, CECIStore)
-        assert isinstance(compact_store, CECIStore)
+    """The frozen store answers exactly what the builder held."""
 
     def test_unknown_store_rejected(self, instance):
-        query, data = instance
-        with pytest.raises(ValueError, match="unknown index store"):
-            CECIMatcher(query, data, store="mmap")
+        """There is one runtime store: the retired knob is an error."""
+        with pytest.raises(TypeError):
+            CECIMatcher(*instance, store="dict")
 
     def test_pivots_and_candidates_agree(self, stores):
-        _, dict_store, _, compact_store = stores
-        assert list(compact_store.pivots) == sorted(dict_store.pivots)
-        for u in dict_store.tree.query.vertices():
+        builder, compact_store = stores
+        assert isinstance(compact_store, CompactCECI)
+        assert list(compact_store.pivots) == sorted(builder.pivots)
+        for u in builder.tree.query.vertices():
             assert sorted(int(v) for v in compact_store.candidates(u)) == \
-                sorted(dict_store.candidates(u))
+                sorted(builder.te_union(u))
 
     def test_te_and_nte_values_agree(self, stores):
-        _, dict_store, _, compact_store = stores
-        query = dict_store.tree.query
+        builder, compact_store = stores
+        query = builder.tree.query
         for u in query.vertices():
-            for v_p, values in dict_store.te[u].items():
+            for v_p, values in builder.te[u].items():
                 got = compact_store.te_values(u, v_p)
                 assert list(got) == list(values)
-            for u_n, groups in dict_store.nte[u].items():
+            for u_n, groups in builder.nte[u].items():
                 for v_n, values in groups.items():
                     got = compact_store.nte_values(u, u_n, v_n)
                     assert list(got) == list(values)
-            # Missing keys answer empty on both.
+            # Missing keys answer empty.
             assert len(compact_store.te_values(u, -1)) == 0
-            assert len(dict_store.te_values(u, -1)) == 0
 
     def test_cardinalities_agree(self, stores):
-        _, dict_store, _, compact_store = stores
-        for u in dict_store.tree.query.vertices():
-            for v, c in dict_store.cardinality[u].items():
+        builder, compact_store = stores
+        for u in builder.tree.query.vertices():
+            for v, c in builder.cardinality[u].items():
                 assert compact_store.cardinality_of(u, v) == c
             assert compact_store.cardinality_of(u, -1) == 0
-        assert compact_store.te_edge_count() == dict_store.te_edge_count()
-        assert compact_store.nte_edge_count() == dict_store.nte_edge_count()
+        assert compact_store.te_edge_count() == sum(
+            _unique_pairs(per_node) for per_node in builder.te
+        )
+        assert compact_store.nte_edge_count() == sum(
+            _unique_pairs(groups)
+            for per_node in builder.nte
+            for groups in per_node.values()
+        )
 
 
 class TestZeroCopy:
     def test_te_values_are_views_into_the_flat_buffer(self, stores):
-        _, _, _, compact_store = stores
+        _, compact_store = stores
         probed = 0
         for u in compact_store.tree.query.vertices():
             keys, _, values = compact_store.te[u]
@@ -104,67 +141,80 @@ class TestZeroCopy:
 
 
 class TestEquivalence:
-    def test_embeddings_identical_across_stores(self, stores):
-        dict_matcher, _, compact_matcher, _ = stores
-        assert sorted(dict_matcher.match()) == sorted(compact_matcher.match())
-
-    def test_estimation_runs_on_both_stores(self, instance):
+    def test_embeddings_identical_across_stores(self, instance, stores):
+        """A hand-frozen builder enumerates the matcher's embeddings."""
         query, data = instance
-        bounds = []
-        for store in ("dict", "compact"):
-            matcher = CECIMatcher(query, data, store=store)
-            bounds.append(cardinality_bound(matcher))
-            result = estimate_embeddings(matcher, samples=50, seed=1)
-            assert result.estimate >= 0.0
-        assert bounds[0] == bounds[1]
+        _, compact_store = stores
+        matcher = CECIMatcher(query, data)
+        got = Enumerator(compact_store, symmetry=matcher.symmetry).collect()
+        assert sorted(got) == sorted(matcher.match())
+
+    def test_estimation_runs_on_both_stores(self, instance, stores):
+        query, data = instance
+        builder, compact_store = stores
+        matcher = CECIMatcher(query, data)
+        root = builder.tree.root
+        assert store_cardinality_bound(compact_store) == sum(
+            builder.cardinality[root].values()
+        )
+        assert cardinality_bound(matcher) == store_cardinality_bound(
+            matcher.build()
+        )
+        result = estimate_embeddings(matcher, samples=50, seed=1)
+        assert result.estimate >= 0.0
 
     def test_parallel_match_shares_the_frozen_store(self, instance):
         query, data = instance
-        reference = sorted(CECIMatcher(query, data, store="dict").match())
-        matcher = CECIMatcher(query, data, store="compact")
+        reference = sorted(CECIMatcher(query, data).match())
+        matcher = CECIMatcher(query, data)
         embeddings, _ = parallel_match(matcher, workers=3)
         assert sorted(embeddings) == reference
 
     def test_array_kernel_engaged_on_compact_store(self, instance):
         query, data = instance
-        matcher = CECIMatcher(
-            query, data, store="compact", use_intersection=True
-        )
+        matcher = CECIMatcher(query, data, use_intersection=True)
         matcher.match()
         assert matcher.stats.kernel_array_calls > 0
 
 
 class TestFootprint:
     def test_compact_at_least_2x_smaller(self, stores):
-        dict_matcher, dict_store, compact_matcher, compact_store = stores
-        dict_bytes = dict_store.memory_bytes()
-        compact_bytes = compact_store.memory_bytes()
+        builder, compact_store = stores
+        boxed, compact_bytes = _boxed_bytes(builder), compact_store.memory_bytes()
         assert compact_bytes > 0
-        assert dict_bytes >= 2 * compact_bytes, (
-            f"dict store {dict_bytes}B vs compact {compact_bytes}B: "
-            f"ratio {dict_bytes / compact_bytes:.2f}x < 2x"
+        assert boxed >= 2 * compact_bytes, (
+            f"boxed builder {boxed}B vs compact {compact_bytes}B: "
+            f"ratio {boxed / compact_bytes:.2f}x < 2x"
         )
-        # ...and the matchers publish the figures into MatchStats.
-        assert dict_matcher.stats.memory_bytes == dict_bytes
-        assert compact_matcher.stats.memory_bytes == compact_bytes
 
-    def test_freeze_phase_recorded(self, stores):
-        dict_matcher, _, compact_matcher, _ = stores
-        assert "freeze" in compact_matcher.stats.phase_seconds
-        assert "freeze" not in dict_matcher.stats.phase_seconds
+    def test_memory_bytes_is_the_array_payload(self, instance):
+        query, data = instance
+        matcher = CECIMatcher(query, data)
+        store = matcher.build()
+        arrays = [store.pivots]
+        for u in range(query.num_vertices):
+            arrays.extend(store.te[u])
+            for triple in store.nte[u].values():
+                arrays.extend(triple)
+            arrays.extend(store.card[u])
+        assert store.memory_bytes() == sum(int(a.nbytes) for a in arrays)
+        assert matcher.stats.memory_bytes == store.memory_bytes() > 0
+
+    def test_freeze_phase_recorded(self, instance):
+        matcher = CECIMatcher(*instance)
+        matcher.build()
+        assert "freeze" in matcher.stats.phase_seconds
 
 
 class TestPivotMaintenance:
     def test_remove_candidate_keeps_pivots_sorted(self, stores):
-        _, dict_store, _, _ = stores
-        ceci = dict_store
-        before = list(ceci.pivots)
+        builder, _ = stores
+        before = list(builder.pivots)
         assert before == sorted(before)
         assert len(before) >= 2
 
     def test_cascade_delete_uses_set_discard(self, instance):
-        query, data = instance
-        ceci = CECIMatcher(query, data, store="dict").build()
+        ceci = refined_builder(*instance)
         root = ceci.tree.root
         victim = ceci.pivots[0]
         survivors = [p for p in ceci.pivots if p != victim]
@@ -173,8 +223,7 @@ class TestPivotMaintenance:
         assert list(ceci.pivots) == survivors  # still sorted, no victim
 
     def test_pivot_assignment_resets_mirror(self, instance):
-        query, data = instance
-        ceci = CECIMatcher(query, data, store="dict").build()
+        ceci = refined_builder(*instance)
         ceci.pivots = [5, 3, 3, 1]
         assert ceci.pivots == [1, 3, 5]
         assert ceci._pivot_set == {1, 3, 5}
