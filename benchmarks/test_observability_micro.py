@@ -2,21 +2,22 @@
 
 The tracing layer's contract is that the *disabled* path is near-free:
 with the default :class:`~repro.observability.tracer.NullTracer` and no
-progress reporter, enumeration pays one ``None`` check per recursive
-call and two no-op calls per cluster.  This benchmark measures that
-price directly:
+progress reporter, enumeration pays a ``None`` check per frontier block
+and no per-cluster span.  This benchmark measures that price on the
+engine that runs by default, the set-at-a-time batch engine:
 
-* **seed control** — a subclass whose ``collect``/``_collect`` replicate
-  the recursion's pre-observability hot path (no tracer attribute, no
-  progress check), i.e. what the code looked like before this layer
-  landed;
+* **seed control** — an :class:`Enumerator` subclass whose batch path
+  has the hooks taken out: no ``cluster_span`` and no
+  ``progress.tick_many``, i.e. the batch engine as it would read
+  without the observability layer;
 * **instrumented** — the shipping :class:`Enumerator` with observability
   left off (its default state).
 
-Both run over the same pre-built index, interleaved best-of-N so drift
-hits both sides equally.  The acceptance bar: instrumented-but-disabled
-enumeration within ``MAX_DISABLED_OVERHEAD`` of the seed.  For scale the
-report also measures the *enabled* cost (tracing to a null sink).
+Both run over the same pre-built index, in paired rounds so drift hits
+both sides equally, on an instance where one enumeration takes well
+over 100 ms.  The acceptance bar: instrumented-but-disabled enumeration
+within ``MAX_DISABLED_OVERHEAD`` of the seed.  For scale the report also
+measures the *enabled* cost (tracing to a null sink).
 
 Results land in ``benchmarks/results/BENCH_observability.json``; the CI
 observability job re-runs this and fails the build on a regression.
@@ -34,6 +35,7 @@ import time
 from typing import Dict, List
 
 from repro import CECIMatcher
+from repro.core.batch import BLOCK_ROWS, BatchEngine
 from repro.core.enumeration import Enumerator
 from repro.graph import generate_query, inject_labels, power_law
 from repro.observability import Tracer
@@ -41,93 +43,63 @@ from repro.observability import Tracer
 #: Acceptance bar: (instrumented - seed) / seed with observability off.
 MAX_DISABLED_OVERHEAD = 0.03
 
-#: Interleaved timing rounds per variant (best-of-N).  The workload runs
-#: ~40ms, so the bar is noise-sensitive; enough rounds stabilise the
-#: minimum well under the 3% acceptance threshold.
+#: Paired timing rounds per variant.
 ROUNDS = 20
 
-INSTANCE = {"vertices": 600, "labels": 3, "qsize": 5, "seed": 31}
+#: A 5-vertex query with a non-tree edge, so every expansion runs the
+#: batch engine's TE gather and NTE membership probe; one enumeration
+#: (45 842 embeddings) takes about 0.2 s on a 2-vCPU VM.
+INSTANCE = {"vertices": 2000, "labels": 2, "qsize": 5, "seed": 6}
+
+
+class _SeedBatchEngine(BatchEngine):
+    """:meth:`BatchEngine.blocks` and ``_emit`` for an unbudgeted,
+    unlimited run, without the progress ticks — the delta against the
+    shipping engine is the hooks and nothing else."""
+
+    def blocks(self, frontier, depth, remaining):
+        total_depth = self.depth_total
+        stats = self.stats
+        stack = [(depth, frontier)]
+        while stack:
+            d, block = stack.pop()
+            n_rows = len(block)
+            if n_rows == 0:
+                continue
+            if d >= total_depth:
+                yield from self._emit(block, remaining)
+                continue
+            stats.batch_blocks += 1
+            stats.batch_rows += n_rows
+            stats.recursive_calls += n_rows
+            grown = self._expand(block, d)
+            if grown is None:
+                continue
+            if len(grown) > BLOCK_ROWS:
+                stack.extend(
+                    (d + 1, grown[i : i + BLOCK_ROWS])
+                    for i in reversed(range(0, len(grown), BLOCK_ROWS))
+                )
+            else:
+                stack.append((d + 1, grown))
+
+    def _emit(self, block, remaining):
+        self.stats.recursive_calls += len(block)
+        self.stats.embeddings_found += len(block)
+        yield block
 
 
 class _SeedEnumerator(Enumerator):
-    """The pre-observability hot path of the edge-verification
-    recursion: ``collect``/``_collect`` exactly as they were before the
-    tracer/progress hooks, so the delta measured against
-    :class:`Enumerator` is the hooks and nothing else."""
+    """The unlimited batch path of :class:`Enumerator` without tracer or
+    progress hooks: one all-pivots frontier through the engine above."""
 
-    def collect(self, limit=None):
-        out: List = []
-        sink = out.append
-        order = self.tree.order
-        root = self.tree.root
-        n = self.tree.query.num_vertices
-        mapping = [-1] * n
-        used: set = set()
-        single = len(order) == 1
-        tracker = self._tracker
-        if tracker is not None:
-            tracker.start()
-        for pivot in self.ceci.pivots.tolist():
-            if not self.symmetry.admissible(root, pivot, mapping):
-                continue
-            if single:
-                self.stats.recursive_calls += 1
-                self.stats.embeddings_found += 1
-                sink((pivot,))
-            else:
-                mapping[root] = pivot
-                used.add(pivot)
-                budget = None if limit is None else limit - len(out)
-                self._collect(1, mapping, used, sink, budget)
-                used.discard(pivot)
-                mapping[root] = -1
-            if limit is not None and len(out) >= limit:
-                break
-        return out[:limit] if limit is not None else out
-
-    def _collect(self, depth, mapping, used, sink, budget):
-        self.stats.recursive_calls += 1
-        tracker = self._tracker
-        if tracker is not None:
-            tracker.charge_call()
-        order = self.tree.order
-        u = order[depth]
-        symmetry = self.symmetry
-        if depth + 1 == len(order):
-            emitted = 0
-            n = len(mapping)
-            try:
-                for v in self.matching_nodes(u, mapping):
-                    if v in used:
-                        continue
-                    if not symmetry.admissible(u, v, mapping):
-                        continue
-                    self.stats.recursive_calls += 1
-                    if tracker is not None:
-                        tracker.charge_call()
-                        tracker.charge_embedding(n)
-                    mapping[u] = v
-                    sink(tuple(mapping))
-                    emitted += 1
-                    if budget is not None and emitted >= budget:
-                        break
-            finally:
-                mapping[u] = -1
-                self.stats.embeddings_found += emitted
-            return None if budget is None else budget - emitted
-        for v in self.matching_nodes(u, mapping):
-            if v in used:
-                continue
-            if not symmetry.admissible(u, v, mapping):
-                continue
-            mapping[u] = v
-            used.add(v)
-            budget = self._collect(depth + 1, mapping, used, sink, budget)
-            used.discard(v)
-            mapping[u] = -1
-            if budget is not None and budget <= 0:
-                return budget
-        return budget
+    def _batch_blocks(self, limit):
+        assert limit is None and self._tracker is None
+        engine = _SeedBatchEngine(self.ceci, self.symmetry, self.stats)
+        if len(self.ceci.pivots):
+            yield from engine.blocks(
+                engine.root_frontier(self.ceci.pivots), 1, [None]
+            )
 
 
 class _NullSink:
@@ -157,19 +129,13 @@ def _build_matcher():
 
 
 def _enumerator(matcher, cls, tracer=None):
-    # The seed control replicates the recursion's pre-observability
-    # loop, so the instrumented side must run the recursion too, or the
-    # benchmark would measure engines, not hooks.  This query is a tree,
-    # which the engine rule batches even without intersection; pinning
-    # the resolved path keeps the (equally exact) recursion.
     enumerator = cls(
         matcher.build(),
         symmetry=matcher.symmetry,
-        use_intersection=False,
         stats=type(matcher.stats)(),
         tracer=tracer,
     )
-    enumerator.engine = "recursive"
+    assert enumerator.engine == "batch"
     return enumerator
 
 
@@ -214,17 +180,22 @@ def test_observability_micro(results_dir):
 
     # Paired rounds: seed and instrumented run back to back, so bursty
     # machine noise (shared CI boxes) hits both sides of a ratio alike;
-    # the median ratio across rounds is the overhead estimator.
+    # the pair order alternates so neither side always runs second; the
+    # median ratio across rounds is the overhead estimator.
     best: Dict[str, float] = {"seed": float("inf"), "disabled": float("inf"),
                               "enabled": float("inf")}
     ratios: Dict[str, List[float]] = {"disabled": [], "enabled": []}
     null_tracer_sink = _NullSink()
     run(_SeedEnumerator)  # warm-up: page in the index and the code paths
     run(Enumerator)
-    for _ in range(ROUNDS):
-        seed_seconds, _ = run(_SeedEnumerator)
+    for round_index in range(ROUNDS):
+        if round_index % 2:
+            seconds, _ = run(Enumerator)
+            seed_seconds, _ = run(_SeedEnumerator)
+        else:
+            seed_seconds, _ = run(_SeedEnumerator)
+            seconds, _ = run(Enumerator)
         best["seed"] = min(best["seed"], seed_seconds)
-        seconds, _ = run(Enumerator)
         best["disabled"] = min(best["disabled"], seconds)
         ratios["disabled"].append(seconds / seed_seconds)
         tracer = Tracer(null_tracer_sink)

@@ -23,8 +23,8 @@ Subpackages
     ST / CGD / FGD scheduling, crash-safe thread executor,
     simulated-time executor.
 ``repro.kernels``
-    Adaptive sorted-set intersection kernels (merge / gallop / bitset)
-    and the whole-array join primitives of the batch engine.
+    Sorted-set intersection: the batch engine's whole-array join
+    primitives and one k-way ``intersect``.
 ``repro.resilience``
     Enumeration budgets (:class:`Budget` / :class:`PartialResult`),
     seeded fault injection (:class:`FaultPlan`), retry/recovery

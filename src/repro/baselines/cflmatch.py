@@ -95,7 +95,6 @@ class CFLMatcher:
         data: Graph,
         break_automorphisms: bool = True,
         stats: Optional[MatchStats] = None,
-        kernel: str = "auto",
     ) -> None:
         if not query.is_connected():
             raise ValueError("query graph must be connected")
@@ -103,7 +102,6 @@ class CFLMatcher:
         self.data = data
         self.stats = stats if stats is not None else MatchStats()
         self.symmetry = SymmetryBreaker(query, enabled=break_automorphisms)
-        self.kernel = kernel
         self._enumerator: Optional[Enumerator] = None
 
     def _build(self) -> Enumerator:
@@ -115,7 +113,7 @@ class CFLMatcher:
         cpi = build_ceci(
             tree, self.data, pivots, self.stats, build_nte=False
         )
-        refine_ceci(cpi, self.stats, kernel=self.kernel)
+        refine_ceci(cpi, self.stats)
         # The CPI freezes to the same flat layout (TE triples only).
         cpi = cpi.compact()
         cpi.record_size(self.stats)
@@ -146,9 +144,6 @@ def cflmatch_match(
     data: Graph,
     limit: Optional[int] = None,
     break_automorphisms: bool = True,
-    kernel: str = "auto",
 ) -> List[Tuple[int, ...]]:
     """Functional one-shot wrapper."""
-    return CFLMatcher(
-        query, data, break_automorphisms, kernel=kernel
-    ).match(limit)
+    return CFLMatcher(query, data, break_automorphisms).match(limit)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..graph import Graph
-from ..kernels import KERNEL_CHOICES, dispatch
 from ..core.automorphism import SymmetryBreaker
 from ..core.query_tree import QueryTree
 from ..core.root_selection import initial_candidates, select_root
@@ -55,15 +54,8 @@ def _region_bytes(region: Region) -> int:
 
 
 class TurboIsoMatcher:
-    """Candidate-region based matcher.
-
-    ``use_intersection=False`` (default) is faithful TurboIso: non-tree
-    edges are checked per candidate against the data graph.
-    ``use_intersection=True`` resolves them through the adaptive kernel
-    suite instead — the region's candidate list is intersected with the
-    sorted adjacency lists of the already-matched neighbors (identical
-    embeddings, Lemma 2 cost model).
-    """
+    """Candidate-region based matcher.  Faithful TurboIso: non-tree
+    edges are checked per candidate against the data graph."""
 
     def __init__(
         self,
@@ -71,22 +63,13 @@ class TurboIsoMatcher:
         data: Graph,
         break_automorphisms: bool = True,
         stats: Optional[MatchStats] = None,
-        use_intersection: bool = False,
-        kernel: str = "auto",
     ) -> None:
         if not query.is_connected():
             raise ValueError("query graph must be connected")
-        if kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown intersection kernel {kernel!r}; "
-                f"expected one of {KERNEL_CHOICES}"
-            )
         self.query = query
         self.data = data
         self.stats = stats if stats is not None else MatchStats()
         self.symmetry = SymmetryBreaker(query, enabled=break_automorphisms)
-        self.use_intersection = use_intersection
-        self.kernel = kernel
         root, pivots = select_root(query, data, MatchStats())
         self.root = root
         self.pivots = pivots
@@ -181,17 +164,11 @@ class TurboIsoMatcher:
             return
         u = order[depth + 1]
         v_p = mapping[self.tree.parent[u]]
-        if self.use_intersection:
-            candidates = self._matching_nodes(region, u, v_p, mapping)
-            verify_edges = False
-        else:
-            candidates = lookup_pairs(region[u], v_p)
-            verify_edges = True
-        for v in candidates:
+        for v in lookup_pairs(region[u], v_p):
             v = int(v)
             if v in used:
                 continue
-            if verify_edges and not self._edges_ok(u, v, mapping):
+            if not self._edges_ok(u, v, mapping):
                 continue
             if not self.symmetry.admissible(u, v, mapping):
                 continue
@@ -204,31 +181,6 @@ class TurboIsoMatcher:
             mapping[u] = -1
             if remaining[0] is not None and remaining[0] <= 0:
                 return
-
-    def _matching_nodes(
-        self,
-        region: Region,
-        u: int,
-        v_p: int,
-        mapping: List[int],
-    ) -> Sequence[int]:
-        """Region candidates of ``u`` under ``v_p``, constrained by the
-        matched non-tree neighbors via k-way sorted intersection (the
-        region lists are built in adjacency order, hence sorted)."""
-        base = lookup_pairs(region[u], v_p)
-        if len(base) == 0:
-            return []
-        lists: List[Sequence[int]] = [base]
-        for w in self.query.neighbors(u):
-            matched = mapping[w]
-            if matched >= 0 and w != self.tree.parent[u]:
-                lists.append(self.data.neighbors(matched))
-        if len(lists) == 1:
-            return base
-        self.stats.intersections += 1
-        name, result = dispatch(lists, self.kernel)
-        self.stats.count_kernel(name)
-        return result
 
     def _edges_ok(self, u: int, v: int, mapping: List[int]) -> bool:
         """Verify every query edge from ``u`` into the partial embedding
@@ -295,17 +247,9 @@ def turboiso_match(
     data: Graph,
     limit: Optional[int] = None,
     break_automorphisms: bool = True,
-    use_intersection: bool = False,
-    kernel: str = "auto",
 ) -> List[Tuple[int, ...]]:
     """Plain TurboIso."""
-    return TurboIsoMatcher(
-        query,
-        data,
-        break_automorphisms,
-        use_intersection=use_intersection,
-        kernel=kernel,
-    ).match(limit)
+    return TurboIsoMatcher(query, data, break_automorphisms).match(limit)
 
 
 class BoostedTurboIsoMatcher(TurboIsoMatcher):

@@ -3,7 +3,6 @@
 ::
 
     python -m repro match    QUERY DATA [--limit N] [--order bfs] [--all-autos]
-                                        [--kernel {auto,merge,gallop,bitset}]
                                         [--timeout S] [--max-calls N]
                                         [--workers K] [--inject-faults SEED]
                                         [--trace FILE.jsonl] [--progress]
@@ -29,10 +28,7 @@
 ``.graph`` (labeled t/v/e rows), ``.csr`` (binary CSR), anything else is
 read as a SNAP edge list.
 
-``--kernel`` selects refinement's set-intersection kernel (default
-``auto`` — adaptive dispatch by size ratio and density; see DESIGN.md
-§7); kernel counters are reported on stderr and in ``stats`` JSON.  The
-index is always frozen into flat sorted int64 arrays after refinement
+The index is always frozen into flat sorted int64 arrays after refinement
 (DESIGN.md §8) and enumerated by the set-at-a-time batch engine
 (DESIGN.md §12).
 ``--timeout`` / ``--max-calls`` cap the run with a
@@ -44,7 +40,7 @@ and ``--inject-faults SEED`` feeds it a seeded chaos
 survive the injected crashes unchanged.
 
 Observability (DESIGN.md §9): ``--trace FILE.jsonl`` writes the run's
-phase records, nested spans and sampled kernel events as JSON lines —
+phase records and nested spans as JSON lines —
 render the per-phase / per-worker breakdown with ``repro trace
 summarize FILE.jsonl``; ``--metrics {json,prom}`` dumps the full
 metrics registry to stderr after the run; ``--progress`` prints a
@@ -77,7 +73,6 @@ from .observability import (
     ProgressReporter,
     TraceError,
     Tracer,
-    kernel_events,
     summarize_trace,
 )
 from .resilience import Budget, FaultPlan
@@ -129,7 +124,6 @@ def _make_matcher(args: argparse.Namespace) -> CECIMatcher:
         order_strategy=args.order,
         break_automorphisms=not args.all_autos,
         budget=_budget_from(args),
-        kernel=getattr(args, "kernel", "auto"),
         tracer=tracer,
     )
     if getattr(args, "progress", False):
@@ -152,17 +146,6 @@ def _emit_metrics(args: argparse.Namespace, stats) -> None:
         print(json.dumps(registry.as_dict(), indent=2), file=sys.stderr)
     else:
         print(registry.to_prom(), file=sys.stderr, end="")
-
-
-def _print_kernel_stats(stats) -> None:
-    """One stderr line of kernel dispatch counters."""
-    print(
-        f"# kernels: merge={stats.kernel_merge_calls} "
-        f"gallop={stats.kernel_gallop_calls} "
-        f"bitset={stats.kernel_bitset_calls} "
-        f"array={stats.kernel_array_calls}",
-        file=sys.stderr,
-    )
 
 
 def _run_embeddings(args, matcher):
@@ -212,10 +195,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     matcher = _make_matcher(args)
     try:
         started = time.perf_counter()
-        with kernel_events(matcher.tracer):
-            embeddings, truncated, stop_reason = _run_embeddings(
-                args, matcher
-            )
+        embeddings, truncated, stop_reason = _run_embeddings(args, matcher)
         elapsed = time.perf_counter() - started
         if args.json:
             print(json.dumps({
@@ -238,7 +218,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 f"({matcher.stats.recursive_calls} recursive calls)",
                 file=sys.stderr,
             )
-            _print_kernel_stats(matcher.stats)
             if truncated:
                 print(f"# truncated: {stop_reason}", file=sys.stderr)
         _emit_metrics(args, matcher.stats)
@@ -251,10 +230,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     matcher = _make_matcher(args)
     try:
         started = time.perf_counter()
-        with kernel_events(matcher.tracer):
-            embeddings, truncated, stop_reason = _run_embeddings(
-                args, matcher
-            )
+        embeddings, truncated, stop_reason = _run_embeddings(args, matcher)
         elapsed = time.perf_counter() - started
         if args.json:
             print(json.dumps({
@@ -269,7 +245,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         else:
             print(len(embeddings))
             print(f"# counted in {elapsed:.3f}s", file=sys.stderr)
-            _print_kernel_stats(matcher.stats)
             if truncated:
                 print(f"# truncated: {stop_reason}", file=sys.stderr)
         _emit_metrics(args, matcher.stats)
@@ -281,8 +256,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_index(args: argparse.Namespace) -> int:
     matcher = _make_matcher(args)
     try:
-        with kernel_events(matcher.tracer):
-            ceci = matcher.build()
+        ceci = matcher.build()
         save_ceci(ceci, args.out)
         print(
             f"index written to {args.out}: {len(ceci.pivots)} clusters, "
@@ -300,8 +274,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     matcher = _make_matcher(args)
     try:
-        with kernel_events(matcher.tracer):
-            result = matcher.run(limit=args.limit)
+        result = matcher.run(limit=args.limit)
     finally:
         matcher.tracer.close()
     stats = matcher.stats
@@ -316,12 +289,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "recursive_calls": stats.recursive_calls,
         "intersections": stats.intersections,
         "edge_verifications": stats.edge_verifications,
-        "kernels": {
-            "merge": stats.kernel_merge_calls,
-            "gallop": stats.kernel_gallop_calls,
-            "bitset": stats.kernel_bitset_calls,
-            "array": stats.kernel_array_calls,
-        },
+        "kernel_array_calls": stats.kernel_array_calls,
         "candidates_scanned": stats.candidates_initial,
         "removed": {
             "label": stats.removed_by_label,
@@ -671,11 +639,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="matching-order strategy")
         p.add_argument("--all-autos", action="store_true",
                        help="list every automorphism (no symmetry breaking)")
-        p.add_argument("--kernel", default="auto",
-                       choices=["auto", "merge", "gallop", "bitset"],
-                       help="refinement's set-intersection kernel (auto "
-                            "= adaptive dispatch by size ratio and "
-                            "density)")
         p.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="wall-clock budget in seconds; the run returns "
                             "a flagged partial answer instead of hanging")
@@ -689,7 +652,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="inject a seeded chaos FaultPlan into the "
                             "--workers executor (requires --workers >= 2)")
         p.add_argument("--trace", default=None, metavar="FILE.jsonl",
-                       help="write phase/span/kernel trace events as "
+                       help="write phase/span trace events as "
                             "JSON lines (render with 'repro trace "
                             "summarize FILE.jsonl')")
         p.add_argument("--metrics", default=None, choices=["json", "prom"],

@@ -6,7 +6,7 @@ from .automorphism import (
     equivalence_groups,
     gk_conditions,
 )
-from .ceci import CECI, intersect_sorted
+from .ceci import CECI
 from .clusters import WorkUnit, clusters_of, decompose_extreme_clusters
 from .database import ContainmentResult, GraphDatabase
 from .estimate import EstimateResult, cardinality_bound, estimate_embeddings
@@ -54,7 +54,6 @@ __all__ = [
     "find_embedding",
     "gk_conditions",
     "initial_candidates",
-    "intersect_sorted",
     "load_ceci",
     "load_store_bytes",
     "make_order",

@@ -32,7 +32,7 @@ from .query_tree import QueryTree
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from .store import CompactCECI
 
-__all__ = ["CECI", "intersect_sorted"]
+__all__ = ["CECI"]
 
 TECandidates = Dict[int, List[int]]
 NTECandidates = Dict[int, Dict[int, List[int]]]
@@ -171,42 +171,3 @@ def _remove_sorted(values: List[int], v: int) -> None:
     if i < len(values) and values[i] == v:
         del values[i]
 
-
-def intersect_sorted(lists: List[List[int]]) -> List[int]:
-    """k-way intersection of sorted integer lists.
-
-    The shortest list drives the probe loop; the others are scanned with a
-    resumable ``bisect`` pointer each.  This is the enumeration primitive
-    the paper contrasts with per-edge verification (Lemma 2).
-
-    Kept as the stable historical entry point; the adaptive kernel suite
-    in :mod:`repro.kernels` supersedes it on the enumeration hot path.
-    Only *indices* are ordered by length — the caller's list-of-lists is
-    never rebound or reordered — and when the kernels' debug mode is on
-    (:func:`repro.kernels.set_check_sorted`) unsorted inputs raise.
-    """
-    import bisect
-
-    from ..kernels import maybe_assert_sorted
-
-    maybe_assert_sorted(lists)
-    if not lists:
-        return []
-    if len(lists) == 1:
-        return list(lists[0])
-    order = sorted(range(len(lists)), key=lambda i: len(lists[i]))
-    smallest = lists[order[0]]
-    rest = [lists[i] for i in order[1:]]
-    pointers = [0] * len(rest)
-    out: List[int] = []
-    for v in smallest:
-        keep = True
-        for i, other in enumerate(rest):
-            j = bisect.bisect_left(other, v, pointers[i])
-            pointers[i] = j
-            if j >= len(other) or other[j] != v:
-                keep = False
-                break
-        if keep:
-            out.append(v)
-    return out

@@ -14,7 +14,6 @@ import time
 from typing import Iterator, List, Optional, Sequence
 
 from ..graph import Graph
-from ..kernels import KERNEL_CHOICES
 from ..observability.progress import ProgressReporter
 from ..observability.tracer import NULL_TRACER
 from ..resilience.budget import (
@@ -52,9 +51,6 @@ class CECIMatcher:
     * ``use_intersection`` — Section 4 intersection-based enumeration
       on the set-at-a-time batch engine (off = the per-embedding
       recursion with per-edge verification; DESIGN.md §12);
-    * ``kernel`` — intersection kernel of Algorithm 2's NTE membership
-      step (``"auto"`` adaptive dispatch, or force ``"merge"`` /
-      ``"gallop"`` / ``"bitset"``);
     * ``budget`` — optional :class:`~repro.resilience.budget.Budget`
       capping the run (deadline / calls / embeddings / memory); use
       :meth:`run` to get the explicit ``truncated`` flag;
@@ -81,7 +77,6 @@ class CECIMatcher:
         use_refinement: bool = True,
         use_intersection: bool = True,
         budget: Optional[Budget] = None,
-        kernel: str = "auto",
         tracer=None,
         progress: Optional[ProgressReporter] = None,
     ) -> None:
@@ -89,17 +84,11 @@ class CECIMatcher:
             raise ValueError("query graph is empty")
         if not query.is_connected():
             raise ValueError("query graph must be connected")
-        if kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown intersection kernel {kernel!r}; "
-                f"expected one of {KERNEL_CHOICES}"
-            )
         self.query = query
         self.data = data
         self.order_strategy = order_strategy
         self.use_refinement = use_refinement
         self.use_intersection = use_intersection
-        self.kernel = kernel
         self.filter_config = FilterConfig(
             use_degree_filter=use_degree_filter,
             use_nlc_filter=use_nlc_filter,
@@ -164,7 +153,7 @@ class CECIMatcher:
 
         started = time.perf_counter()
         if self.use_refinement:
-            refine_ceci(ceci, self.stats, kernel=self.kernel, tracer=self.tracer)
+            refine_ceci(ceci, self.stats, tracer=self.tracer)
         else:
             _assign_uniform_cardinality(ceci)
         self._record_phase("refine", started)

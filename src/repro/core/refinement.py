@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..kernels import dispatch
 from ..observability.tracer import NULL_TRACER
 from .ceci import CECI
 from .stats import MatchStats
@@ -34,16 +33,14 @@ __all__ = ["refine_ceci"]
 def refine_ceci(
     ceci: CECI,
     stats: Optional[MatchStats] = None,
-    kernel: str = "auto",
     tracer=None,
 ) -> CECI:
     """Run Algorithm 2 in place and return the same (now refined) CECI.
 
-    The NTE membership constraint (lines 4-6) is evaluated as one k-way
-    sorted intersection per query vertex — the candidate list against
-    every NTE member list — through the adaptive kernel suite
-    (``kernel`` as in :class:`~repro.core.enumeration.Enumerator`).
-    An enabled ``tracer`` gets one child span per reverse-order vertex.
+    The NTE membership constraint (lines 4-6) is evaluated as one set
+    intersection per query vertex — the candidate set against every NTE
+    member set.  An enabled ``tracer`` gets one child span per
+    reverse-order vertex.
     """
     stats = stats if stats is not None else MatchStats()
     tracer = NULL_TRACER if tracer is None else tracer
@@ -51,32 +48,27 @@ def refine_ceci(
     if tracer.enabled:
         for u in tree.reverse_order():
             with tracer.span("refine:vertex", u=int(u)):
-                _refine_vertex(ceci, u, stats, kernel)
+                _refine_vertex(ceci, u, stats)
     else:
         for u in tree.reverse_order():
-            _refine_vertex(ceci, u, stats, kernel)
+            _refine_vertex(ceci, u, stats)
     return ceci
 
 
-def _refine_vertex(ceci: CECI, u: int, stats: MatchStats, kernel: str) -> None:
+def _refine_vertex(ceci: CECI, u: int, stats: MatchStats) -> None:
     """One reverse-order step of Algorithm 2: cardinalities for ``u``'s
     candidates, zero-cardinality deletion included."""
     tree = ceci.tree
     # In a TE-only index (CFLMatch's CPI shape) the NTE groups were
     # never built; only constrain against groups that exist.
-    member_lists = [
-        sorted(ceci.nte_member_set(u, u_n))
+    member_sets = [
+        ceci.nte_member_set(u, u_n)
         for u_n in tree.nte_parents[u]
         if u_n in ceci.nte[u]
     ]
-    if member_lists:
-        name, alive = dispatch(
-            [sorted(ceci.cand[u])] + member_lists, kernel
-        )
-        stats.count_kernel(name)
-        survivors: Optional[set] = set(alive)
-    else:
-        survivors = None
+    survivors: Optional[set] = (
+        set(ceci.cand[u]).intersection(*member_sets) if member_sets else None
+    )
     doomed = []
     for v in ceci.cand[u]:
         cardinality = _cardinality_of(ceci, u, v, survivors)

@@ -40,12 +40,7 @@ class MatchStats:
     #: Partial embeddings (frontier rows) expanded in batch.
     batch_rows: int = 0
 
-    # --- intersection kernels -------------------------------------------
-    #: Intersections executed by each kernel (adaptive dispatch or forced).
-    kernel_merge_calls: int = 0
-    kernel_gallop_calls: int = 0
-    kernel_bitset_calls: int = 0
-    #: Fully-vectorised intersections over compact-store array slices.
+    #: Whole-array NTE membership probes issued by the batch engine.
     kernel_array_calls: int = 0
 
     # --- filtering / refinement ----------------------------------------
@@ -102,18 +97,6 @@ class MatchStats:
         if theoretical == 0:
             return 0.0
         return 100.0 * (1.0 - self.index_bytes / theoretical)
-
-    def count_kernel(self, name: str) -> None:
-        """Record one intersection executed by kernel ``name`` (the
-        dispatcher's ``"trivial"`` passthrough is not counted)."""
-        if name == "merge":
-            self.kernel_merge_calls += 1
-        elif name == "gallop":
-            self.kernel_gallop_calls += 1
-        elif name == "bitset":
-            self.kernel_bitset_calls += 1
-        elif name == "array":
-            self.kernel_array_calls += 1
 
     def add_phase(self, phase: str, seconds: float) -> None:
         """Accumulate wall-clock time into a named phase."""

@@ -51,6 +51,11 @@ PairArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
+#: Cardinalities saturate here when frozen.  Algorithm 2's product of
+#: sums overflows int64 on large queries without NTE pruning (CFLMatch's
+#: CPI); cardinality is only a workload weight and a zero test.
+_CARD_MAX = int(np.iinfo(np.int64).max)
+
 
 def encode_pairs(mapping: Dict[int, Sequence[int]]) -> PairArrays:
     """Flatten ``{key: [sorted values]}`` into ``(keys, offsets,
@@ -159,7 +164,9 @@ class CompactCECI:
                 sorted(table), dtype=np.int64, count=len(table)
             )
             values = np.fromiter(
-                (table[int(k)] for k in keys), dtype=np.int64, count=len(keys)
+                (min(table[int(k)], _CARD_MAX) for k in keys),
+                dtype=np.int64,
+                count=len(keys),
             )
             card.append((keys, values))
         pivots = np.fromiter(

@@ -1,59 +1,18 @@
-"""Adaptive sorted-set intersection kernels and the batch engine's
-array primitives.
+"""Sorted-set intersection: the batch engine's whole-array primitives
+and one k-way :func:`intersect` (DESIGN.md §7).
 
 The k-way intersection of sorted candidate lists is the primitive of
-CECI (Lemma 2).  This subpackage provides three interchangeable list
-kernels — linear merge, galloping search, and bitset — behind an
-adaptive dispatcher that picks by size ratio and density (refinement's
-NTE membership step and TurboIso's intersection variant use it), plus
-the whole-array searchsorted / gather / membership primitives the batch
-engine expands frontiers with.  See DESIGN.md §7 for the dispatch rules.
+CECI (Lemma 2).  The batch engine expands and filters whole frontiers
+with :func:`searchsorted_blocks`, :func:`expand_blocks` and
+:func:`member_mask`; :func:`intersect` serves the few callers that
+intersect a handful of store slices at a time.
 """
 
-from .intersect import (
-    BITSET_MAX_SPAN,
-    BITSET_MIN_DENSITY,
-    BITSET_MIN_SHORTEST,
-    GALLOP_RATIO,
-    KERNEL_CHOICES,
-    KERNEL_NAMES,
-    choose_kernel,
-    dispatch,
-    expand_blocks,
-    intersect,
-    intersect_bitset,
-    intersect_gallop,
-    intersect_merge,
-    intersect_ndarray,
-    kernel_observer,
-    maybe_assert_sorted,
-    member_mask,
-    searchsorted_blocks,
-    set_check_sorted,
-    set_kernel_observer,
-    sorted_checks_enabled,
-)
+from .intersect import expand_blocks, intersect, member_mask, searchsorted_blocks
 
 __all__ = [
-    "BITSET_MAX_SPAN",
-    "BITSET_MIN_DENSITY",
-    "BITSET_MIN_SHORTEST",
-    "GALLOP_RATIO",
-    "KERNEL_CHOICES",
-    "KERNEL_NAMES",
-    "choose_kernel",
-    "dispatch",
     "expand_blocks",
     "intersect",
-    "intersect_bitset",
-    "intersect_gallop",
-    "intersect_merge",
-    "intersect_ndarray",
-    "kernel_observer",
-    "maybe_assert_sorted",
     "member_mask",
     "searchsorted_blocks",
-    "set_check_sorted",
-    "set_kernel_observer",
-    "sorted_checks_enabled",
 ]

@@ -1,319 +1,31 @@
-"""Sorted-set intersection kernels (k-way, strictly increasing inputs).
+"""Sorted-set intersection over int64 arrays (DESIGN.md §7).
 
-Three interchangeable kernels plus an adaptive dispatcher:
+The k-way intersection of sorted candidate lists is the primitive of
+CECI (Lemma 2).  Every function here works on strictly increasing int64
+numpy arrays — the layout of the compact store's CSR triples — and does
+its work in whole-array ``np.searchsorted`` calls:
 
-* :func:`intersect_merge` — k-way linear merge.  Cost ``O(Σ|L_i|)``;
-  optimal when the lists are of comparable length, because every element
-  is visited once with no search overhead.
-* :func:`intersect_gallop` — the shortest list drives; each other list
-  is probed with exponential (galloping) search from a resumable
-  pointer.  Cost ``O(|L_min| · Σ log(gap_i))``; the kernel of choice for
-  skewed size ratios (a 50-element NTE list against a 50 000-element hub
-  candidate list), where merge would walk the long list end to end.
-* :func:`intersect_bitset` — lists are rasterised into boolean masks
-  over the shared value span and combined word-parallel (numpy when
-  available — it is a declared dependency — else big-int ``&``).  Cost
-  ``O(Σ|L_i| + span/8)``; wins on dense candidate domains (small label
-  classes after filtering, where the lists cover much of a small span).
-
-All kernels require each input list to be **strictly increasing** — the
-invariant CECI maintains for candidate lists and adjacency tuples.  The
-module-level sorted-input check (:func:`set_check_sorted`, or the
-``REPRO_CHECK_SORTED`` environment variable) makes every kernel assert
-that invariant, at ``O(Σ|L_i|)`` per call; it is off by default so the
-hot path pays nothing.
-
-The dispatcher (:func:`choose_kernel` / :func:`dispatch`) inspects only
-list lengths and endpoint values — O(k) — so adaptivity is effectively
-free next to the intersection itself.
+* :func:`searchsorted_blocks` / :func:`expand_blocks` — locate and
+  gather the candidate block of every frontier row at once (the batch
+  engine's TE expansion);
+* :func:`member_mask` — batched membership of many needles in one
+  sorted haystack (the batch engine's NTE filter);
+* :func:`intersect` — k-way intersection of a handful of sorted arrays
+  (ExtremeCluster splitting's matching nodes).
 """
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_left
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Sequence
 
-try:  # numpy is a declared dependency, but the kernels degrade gracefully
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as np
 
 __all__ = [
-    "KERNEL_NAMES",
-    "KERNEL_CHOICES",
-    "GALLOP_RATIO",
-    "BITSET_MAX_SPAN",
-    "BITSET_MIN_DENSITY",
-    "BITSET_MIN_SHORTEST",
-    "choose_kernel",
-    "dispatch",
     "expand_blocks",
     "intersect",
-    "intersect_merge",
-    "intersect_gallop",
-    "intersect_bitset",
-    "intersect_ndarray",
-    "kernel_observer",
     "member_mask",
     "searchsorted_blocks",
-    "maybe_assert_sorted",
-    "set_check_sorted",
-    "set_kernel_observer",
-    "sorted_checks_enabled",
 ]
-
-SortedList = Sequence[int]
-
-#: The real kernels, in dispatch-priority order.
-KERNEL_NAMES: Tuple[str, ...] = ("merge", "gallop", "bitset")
-#: What callers may ask for (``auto`` = adaptive dispatch).
-KERNEL_CHOICES: Tuple[str, ...] = ("auto",) + KERNEL_NAMES
-
-#: Dispatch to galloping when the longest list is at least this many
-#: times the shortest — below that, merge's branch-free scan wins.
-GALLOP_RATIO = 8
-#: Never rasterise a span wider than this into a bitset (memory bound:
-#: 64 KiB span -> 8 KiB masks).
-BITSET_MAX_SPAN = 1 << 16
-#: Bitset needs the *shortest* list to cover at least this fraction of
-#: the shared span, otherwise the masks are mostly zeros and merge or
-#: gallop touches far fewer words (measured crossover ~1/16; 1/8 keeps
-#: a safety margin for the rasterisation cost).
-BITSET_MIN_DENSITY = 1 / 8
-#: ...and at least this many elements: rasterisation has a fixed setup
-#: cost (mask allocation, array conversion) that merge undercuts on
-#: small lists regardless of density (measured crossover ~300 elements).
-BITSET_MIN_SHORTEST = 256
-
-_check_sorted = os.environ.get("REPRO_CHECK_SORTED", "") not in ("", "0")
-
-
-def set_check_sorted(enabled: bool) -> None:
-    """Globally enable/disable the debug sorted-input assertion."""
-    global _check_sorted
-    _check_sorted = bool(enabled)
-
-
-def sorted_checks_enabled() -> bool:
-    """Whether kernels currently assert their inputs are sorted."""
-    return _check_sorted
-
-
-#: Optional dispatch observer ``fn(name, lists, result)`` — the hook the
-#: tracing layer attaches to (see ``repro.observability.kernel_events``).
-#: A module-level slot instead of a dispatch parameter keeps the hot path
-#: at one ``is None`` check when nothing is listening.
-_KERNEL_OBSERVER = None
-
-
-def set_kernel_observer(observer):
-    """Install ``observer(name, lists, result)`` on every non-trivial
-    dispatch; pass ``None`` to detach.  Returns the previous observer so
-    callers can restore it."""
-    global _KERNEL_OBSERVER
-    previous = _KERNEL_OBSERVER
-    _KERNEL_OBSERVER = observer
-    return previous
-
-
-def kernel_observer():
-    """The currently installed dispatch observer (or ``None``)."""
-    return _KERNEL_OBSERVER
-
-
-def maybe_assert_sorted(lists: Sequence[SortedList]) -> None:
-    """Debug-mode guard: raise ``AssertionError`` on a non-strictly-
-    increasing input list when checks are enabled; no-op otherwise."""
-    if not _check_sorted:
-        return
-    for values in lists:
-        for i in range(1, len(values)):
-            if values[i - 1] >= values[i]:
-                raise AssertionError(
-                    f"intersection input not strictly increasing at "
-                    f"position {i}: {values[i - 1]!r} >= {values[i]!r}"
-                )
-
-
-# ----------------------------------------------------------------------
-# Kernels
-# ----------------------------------------------------------------------
-def _merge_pair(a: SortedList, b: SortedList) -> List[int]:
-    """Two-pointer linear merge intersection of two sorted lists."""
-    out: List[int] = []
-    append = out.append
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x = a[i]
-        y = b[j]
-        if x == y:
-            append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def intersect_merge(lists: Sequence[SortedList]) -> List[int]:
-    """k-way intersection by iterated two-pointer merge, shortest lists
-    first so the running result shrinks as early as possible."""
-    maybe_assert_sorted(lists)
-    if not lists:
-        return []
-    if len(lists) == 1:
-        return list(lists[0])
-    if len(lists) == 2:
-        a, b = lists
-        return _merge_pair(a, b) if len(a) <= len(b) else _merge_pair(b, a)
-    order = sorted(range(len(lists)), key=lambda i: len(lists[i]))
-    result = list(lists[order[0]])
-    for i in order[1:]:
-        if not result:
-            return result
-        result = _merge_pair(result, lists[i])
-    return result
-
-
-def _gallop_to(values: SortedList, target: int, lo: int, hi: int) -> int:
-    """Leftmost index in ``values[lo:hi]`` whose element is >= ``target``,
-    found by exponential probing followed by a bounded binary search."""
-    if lo >= hi or values[lo] >= target:
-        return lo
-    # values[lo] < target: gallop the bound outward.
-    step = 1
-    prev = lo
-    probe = lo + 1
-    while probe < hi and values[probe] < target:
-        prev = probe
-        step <<= 1
-        probe = lo + step
-    return bisect_left(values, target, prev + 1, min(probe, hi))
-
-
-def intersect_gallop(lists: Sequence[SortedList]) -> List[int]:
-    """k-way intersection with the shortest list driving and galloping
-    probes (resumable pointers) into the others."""
-    maybe_assert_sorted(lists)
-    if not lists:
-        return []
-    if len(lists) == 1:
-        return list(lists[0])
-    if len(lists) == 2:
-        a, b = lists
-        if len(a) > len(b):
-            a, b = b, a
-        out: List[int] = []
-        append = out.append
-        j = 0
-        nb = len(b)
-        for v in a:
-            j = _gallop_to(b, v, j, nb)
-            if j >= nb:
-                return out
-            if b[j] == v:
-                append(v)
-        return out
-    order = sorted(range(len(lists)), key=lambda i: len(lists[i]))
-    smallest = lists[order[0]]
-    rest = [lists[i] for i in order[1:]]
-    pointers = [0] * len(rest)
-    lengths = [len(values) for values in rest]
-    out: List[int] = []
-    append = out.append
-    for v in smallest:
-        keep = True
-        for i, other in enumerate(rest):
-            j = _gallop_to(other, v, pointers[i], lengths[i])
-            pointers[i] = j
-            if j >= lengths[i] or other[j] != v:
-                keep = False
-                if j >= lengths[i]:
-                    return out  # a probe list is exhausted: done
-                break
-        if keep:
-            append(v)
-    return out
-
-
-#: ``_BYTE_BITS[b]`` — the set bit offsets of byte value ``b``; decodes
-#: an intersection mask byte-at-a-time instead of bit-at-a-time.
-_BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
-    tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
-)
-
-
-def intersect_bitset(lists: Sequence[SortedList]) -> List[int]:
-    """k-way intersection through bit masks over the shared value span.
-
-    Each list is rasterised into a boolean mask (one bit per value in
-    ``[lo, hi]``, where the window is the intersection of the lists'
-    value ranges), the masks are AND-ed word-parallel, and the surviving
-    positions are decoded.  Values outside the window can't be in the
-    intersection and are skipped during rasterisation.  With numpy
-    (a declared dependency) rasterise/AND/decode all run at C speed;
-    without it a bytearray/big-int fallback keeps the kernel available.
-    """
-    maybe_assert_sorted(lists)
-    if not lists:
-        return []
-    if len(lists) == 1:
-        return list(lists[0])
-    if any(len(values) == 0 for values in lists):
-        return []
-    lo = max(values[0] for values in lists)
-    hi = min(values[-1] for values in lists)
-    if lo > hi:
-        return []
-    span = hi - lo + 1
-    if _np is not None:
-        acc = None
-        for values in lists:
-            arr = _np.asarray(values, dtype=_np.int64)
-            arr = arr[(arr >= lo) & (arr <= hi)] - lo
-            mask = _np.zeros(span, dtype=bool)
-            mask[arr] = True
-            acc = mask if acc is None else acc & mask
-            if not acc.any():
-                return []
-        return (_np.flatnonzero(acc) + lo).tolist()
-    nbytes = (span + 7) >> 3
-    acc = -1  # all-ones sentinel; first mask replaces it via &
-    for values in lists:
-        bits = bytearray(nbytes)
-        start = bisect_left(values, lo)
-        for k in range(start, len(values)):
-            v = values[k]
-            if v > hi:
-                break
-            offset = v - lo
-            bits[offset >> 3] |= 1 << (offset & 7)
-        acc &= int.from_bytes(bits, "little")
-        if not acc:
-            return []
-    out: List[int] = []
-    append = out.append
-    byte_bits = _BYTE_BITS
-    for byte_index, byte in enumerate(acc.to_bytes(nbytes, "little")):
-        if byte:
-            base = lo + (byte_index << 3)
-            for bit in byte_bits[byte]:
-                append(base + bit)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Batched (frontier-at-a-time) primitives
-# ----------------------------------------------------------------------
-# The set-at-a-time enumeration engine (repro.core.batch) probes one CSR
-# triple with a whole frontier of keys at once.  These three primitives
-# are the vectorised counterparts of ``lookup_pairs`` + membership
-# testing: one ``np.searchsorted`` over all probes replaces one binary
-# search per partial embedding.  All inputs/outputs are int64 arrays.
 
 
 def searchsorted_blocks(keys, offsets, probes):
@@ -328,15 +40,15 @@ def searchsorted_blocks(keys, offsets, probes):
     n = len(keys)
     total = len(probes)
     if n == 0 or total == 0:
-        zeros = _np.zeros(total, dtype=_np.int64)
+        zeros = np.zeros(total, dtype=np.int64)
         return zeros, zeros.copy()
-    idx = _np.searchsorted(keys, probes)
-    idx_c = _np.minimum(idx, n - 1)
+    idx = np.searchsorted(keys, probes)
+    idx_c = np.minimum(idx, n - 1)
     found = keys[idx_c] == probes
-    starts = _np.where(found, offsets[idx_c], 0)
-    counts = _np.where(found, offsets[idx_c + 1] - offsets[idx_c], 0)
-    return starts.astype(_np.int64, copy=False), counts.astype(
-        _np.int64, copy=False
+    starts = np.where(found, offsets[idx_c], 0)
+    counts = np.where(found, offsets[idx_c + 1] - offsets[idx_c], 0)
+    return starts.astype(np.int64, copy=False), counts.astype(
+        np.int64, copy=False
     )
 
 
@@ -349,16 +61,16 @@ def expand_blocks(values, starts, counts):
     produced ``out[i]``.  This is the frontier-expansion gather: one
     partial embedding (probe) fans out into ``counts[i]`` extensions.
     """
-    counts = _np.asarray(counts, dtype=_np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total == 0:
-        empty = _np.empty(0, dtype=_np.int64)
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    rows = _np.repeat(_np.arange(len(counts), dtype=_np.int64), counts)
-    ends = _np.cumsum(counts)
+    rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    ends = np.cumsum(counts)
     firsts = ends - counts
-    within = _np.arange(total, dtype=_np.int64) - _np.repeat(firsts, counts)
-    return rows, values[_np.repeat(starts, counts) + within]
+    within = np.arange(total, dtype=np.int64) - np.repeat(firsts, counts)
+    return rows, values[np.repeat(starts, counts) + within]
 
 
 def member_mask(haystack, needles):
@@ -369,178 +81,27 @@ def member_mask(haystack, needles):
     """
     n = len(haystack)
     if n == 0:
-        return _np.zeros(len(needles), dtype=bool)
-    pos = _np.minimum(_np.searchsorted(haystack, needles), n - 1)
+        return np.zeros(len(needles), dtype=bool)
+    pos = np.minimum(np.searchsorted(haystack, needles), n - 1)
     return haystack[pos] == needles
 
 
-def intersect_ndarray(lists: Sequence[SortedList]) -> "SortedList":
-    """k-way intersection of sorted numpy int64 arrays, fully vectorised.
+def intersect(lists: Sequence) -> np.ndarray:
+    """k-way intersection of strictly increasing int64 arrays.
 
-    The shortest array drives; each other array is probed with one
-    ``np.searchsorted`` (vectorised galloping) and the survivors are
-    kept by boolean mask.  This is the kernel the compact CECI store
-    routes its zero-copy candidate slices through: no element boxing,
-    no per-call list materialisation, and the result is again an int64
-    array that downstream consumers can slice or iterate.
-
-    Requires numpy; :func:`dispatch` only selects it when every input
-    is already an ``ndarray``.
+    The shortest array drives; each other array filters it with one
+    :func:`member_mask` probe, so the running result only shrinks.  The
+    result is a new sorted int64 array (empty for no inputs).
     """
-    maybe_assert_sorted(lists)
-    if not lists:
-        return _np.empty(0, dtype=_np.int64)
-    order = sorted(range(len(lists)), key=lambda i: len(lists[i]))
-    current = lists[order[0]]
-    for i in order[1:]:
+    arrays = sorted(
+        (np.asarray(values, dtype=np.int64) for values in lists), key=len
+    )
+    if not arrays:
+        return np.empty(0, dtype=np.int64)
+    current = arrays[0]
+    for other in arrays[1:]:
         if len(current) == 0:
             break
-        other = lists[i]
-        if len(other) == 0:
-            return other[:0]
-        probes = _np.searchsorted(other, current)
-        probes[probes == len(other)] = len(other) - 1
-        current = current[other[probes] == current]
-    return current
-
-
-_KERNELS: Dict[str, Callable[[Sequence[SortedList]], List[int]]] = {
-    "merge": intersect_merge,
-    "gallop": intersect_gallop,
-    "bitset": intersect_bitset,
-}
-
-
-# ----------------------------------------------------------------------
-# Adaptive dispatch
-# ----------------------------------------------------------------------
-def choose_kernel(lists: Sequence[SortedList]) -> str:
-    """Pick a kernel for ``lists`` (>= 2 non-empty sorted lists).
-
-    Rules, in order (see DESIGN.md §7):
-
-    1. longest/shortest >= ``GALLOP_RATIO`` → ``gallop`` (skewed sizes:
-       driving the short list skips most of the long one);
-    2. shortest list >= ``BITSET_MIN_SHORTEST`` elements, shared span <=
-       ``BITSET_MAX_SPAN`` and the shortest list covers >=
-       ``BITSET_MIN_DENSITY`` of it → ``bitset`` (dense domain:
-       word-parallel AND beats element-at-a-time compares);
-    3. otherwise → ``merge``.
-    """
-    shortest = longest = len(lists[0])
-    for values in lists[1:]:
-        n = len(values)
-        if n < shortest:
-            shortest = n
-        elif n > longest:
-            longest = n
-    if longest >= GALLOP_RATIO * shortest:
-        return "gallop"
-    if shortest >= BITSET_MIN_SHORTEST:
-        lo = max(values[0] for values in lists)
-        hi = min(values[-1] for values in lists)
-        span = hi - lo + 1
-        if 0 < span <= BITSET_MAX_SPAN and (
-            shortest >= span * BITSET_MIN_DENSITY
-        ):
-            return "bitset"
-    return "merge"
-
-
-def dispatch(
-    lists: Sequence[SortedList], kernel: str = "auto"
-) -> Tuple[str, SortedList]:
-    """Intersect ``lists`` and report which kernel did the work.
-
-    Returns ``(name, result)``; ``name`` is ``"trivial"`` for the cases
-    no kernel ever sees (no lists, a single list, an empty input list),
-    ``"array"`` when every input is a sorted numpy array and ``auto``
-    dispatch routes through :func:`intersect_ndarray` (the result is
-    then itself an int64 array), otherwise one of :data:`KERNEL_NAMES`.
-    ``kernel="auto"`` applies :func:`choose_kernel`; a concrete name
-    forces that kernel.
-
-    The two-list case is enumeration's hot path (one TE list against one
-    NTE list), so it is special-cased to dodge the generic O(k) scans.
-    """
-    if _check_sorted:
-        maybe_assert_sorted(lists)
-    if len(lists) == 2:
-        a, b = lists
-        if len(a) == 0 or len(b) == 0:
-            return "trivial", []
-        if (
-            kernel == "auto"
-            and _np is not None
-            and isinstance(a, _np.ndarray)
-            and isinstance(b, _np.ndarray)
-        ):
-            # Compact-store slices: stay in array land, zero boxing.
-            result = intersect_ndarray(lists)
-            if _KERNEL_OBSERVER is not None:
-                _KERNEL_OBSERVER("array", lists, result)
-            return "array", result
-        if kernel == "auto":
-            na = len(a)
-            nb = len(b)
-            shortest, longest = (na, nb) if na <= nb else (nb, na)
-            if longest >= GALLOP_RATIO * shortest:
-                name = "gallop"
-            elif shortest >= BITSET_MIN_SHORTEST:
-                lo = a[0] if a[0] > b[0] else b[0]
-                hi = a[-1] if a[-1] < b[-1] else b[-1]
-                span = hi - lo + 1
-                if 0 < span <= BITSET_MAX_SPAN and (
-                    shortest >= span * BITSET_MIN_DENSITY
-                ):
-                    name = "bitset"
-                else:
-                    name = "merge"
-            else:
-                name = "merge"
-        else:
-            name = kernel
-            if name not in _KERNELS:
-                raise ValueError(
-                    f"unknown intersection kernel {kernel!r}; "
-                    f"expected one of {KERNEL_CHOICES}"
-                )
-        result = _KERNELS[name](lists)
-        if _KERNEL_OBSERVER is not None:
-            _KERNEL_OBSERVER(name, lists, result)
-        return name, result
-    if not lists:
-        return "trivial", []
-    if len(lists) == 1:
-        only = lists[0]
-        if _np is not None and isinstance(only, _np.ndarray):
-            return "trivial", only
-        return "trivial", list(only)
-    for values in lists:
-        if len(values) == 0:
-            return "trivial", []
-    if kernel == "auto" and _np is not None and all(
-        isinstance(values, _np.ndarray) for values in lists
-    ):
-        result = intersect_ndarray(lists)
-        if _KERNEL_OBSERVER is not None:
-            _KERNEL_OBSERVER("array", lists, result)
-        return "array", result
-    if kernel == "auto":
-        name = choose_kernel(lists)
-    elif kernel in _KERNELS:
-        name = kernel
-    else:
-        raise ValueError(
-            f"unknown intersection kernel {kernel!r}; "
-            f"expected one of {KERNEL_CHOICES}"
-        )
-    result = _KERNELS[name](lists)
-    if _KERNEL_OBSERVER is not None:
-        _KERNEL_OBSERVER(name, lists, result)
-    return name, result
-
-
-def intersect(lists: Sequence[SortedList], kernel: str = "auto") -> SortedList:
-    """Plain intersection result (dispatch without the kernel name)."""
-    return dispatch(lists, kernel)[1]
+        current = current[member_mask(other, current)]
+    # Fresh even when no probe ran, so a caller may mutate the result.
+    return current.copy() if current is arrays[0] else current

@@ -32,8 +32,6 @@ Service telemetry (DESIGN.md §13) builds on those primitives:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from .exporter import MetricsExporter
 from .flight import (
     FLIGHT_SCHEMA,
@@ -83,7 +81,6 @@ __all__ = [
     "TraceError",
     "TraceSummary",
     "Tracer",
-    "kernel_events",
     "load_flight_records",
     "read_history",
     "read_trace",
@@ -95,25 +92,3 @@ __all__ = [
     "validate_history_record",
 ]
 
-
-@contextmanager
-def kernel_events(tracer):
-    """Route sampled kernel-dispatch events into ``tracer`` for the
-    duration of the block (restores the previous observer on exit).
-
-    The kernel suite exposes one module-level observer hook
-    (:func:`repro.kernels.intersect.set_kernel_observer`) so its hot
-    dispatch path never needs a tracer parameter; this context manager
-    is the supported way to connect a traced run to it.  A disabled
-    tracer installs nothing.
-    """
-    if not tracer.enabled:
-        yield tracer
-        return
-    from ..kernels.intersect import set_kernel_observer
-
-    previous = set_kernel_observer(tracer.observe_kernel)
-    try:
-        yield tracer
-    finally:
-        set_kernel_observer(previous)

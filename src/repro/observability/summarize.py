@@ -14,8 +14,7 @@ decomposition from a trace produced with ``--trace``:
   table per request, so a multi-query service trace reads as
   per-request stories instead of one blended stream;
 * **span accounting** — counts and summed durations of the nested
-  ``b``/``e`` spans (per-cluster, per-filter-level, ...), plus sampled
-  kernel instants.
+  ``b``/``e`` spans (per-cluster, per-filter-level, ...).
 
 Validation happens while reading (:func:`read_trace`): the first line
 must be a schema-1 ``meta`` event, every line must parse, and within
@@ -66,8 +65,6 @@ class TraceSummary:
         self.requests: Dict[object, Dict[str, float]] = {}
         #: span name -> {"count": n, "seconds": total}
         self.spans: Dict[str, Dict[str, float]] = {}
-        #: kernel name -> sampled instant count
-        self.kernels: Dict[str, int] = {}
         self.instants = 0
 
     # -- accumulation ---------------------------------------------------
@@ -122,7 +119,6 @@ class TraceSummary:
             "spans": {
                 name: dict(entry) for name, entry in sorted(self.spans.items())
             },
-            "kernels": dict(sorted(self.kernels.items())),
         }
 
 
@@ -202,11 +198,6 @@ def read_trace(path: str) -> TraceSummary:
                 summary.add_span(event["name"], float(event.get("dur", 0.0)))
             elif kind == "i":
                 summary.instants += 1
-                if event.get("name") == "kernel":
-                    kernel = event.get("kernel", "?")
-                    summary.kernels[kernel] = (
-                        summary.kernels.get(kernel, 0) + 1
-                    )
             else:
                 raise TraceError(
                     f"line {lineno}: unknown event kind {kind!r}"
@@ -288,13 +279,6 @@ def render_summary(summary: TraceSummary) -> str:
                 f"{name:<20} {int(entry['count']):>8} "
                 f"{entry['seconds']:>12.6f}"
             )
-
-    if summary.kernels:
-        lines.append("")
-        sampled = " ".join(
-            f"{name}={count}" for name, count in sorted(summary.kernels.items())
-        )
-        lines.append(f"kernel dispatches (sampled): {sampled}")
     return "\n".join(lines)
 
 

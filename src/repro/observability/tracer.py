@@ -23,7 +23,7 @@ tracer's origin):
     ``MatchStats.phase_seconds``, so trace totals and stats totals agree
     bit-for-bit).
 ``{"ev": "i", "name": ..., ...}``
-    An instant event (sampled kernel calls, cache snapshots, progress).
+    An instant event (cache snapshots, progress).
 
 Two tracer flavours share the interface:
 
@@ -59,9 +59,6 @@ __all__ = [
 #: vocabulary changes so downstream parsers can refuse cleanly.
 TRACE_SCHEMA = 1
 
-#: Default sampling stride for per-kernel-call instants: one event per
-#: this many dispatches keeps the trace small next to the run itself.
-DEFAULT_KERNEL_SAMPLE = 64
 #: Default sampling stride for per-cluster spans (1 = every cluster).
 DEFAULT_CLUSTER_SAMPLE = 1
 
@@ -164,9 +161,6 @@ class NullTracer:
     def instant(self, name: str, **tags) -> None:
         return None
 
-    def observe_kernel(self, name, lists, result) -> None:
-        return None
-
     def scoped(self, **tags) -> "NullTracer":
         return self
 
@@ -189,9 +183,6 @@ class Tracer:
     sink:
         A path (opened for writing and closed by :meth:`close`) or any
         object with a ``write`` method (kept open; caller owns it).
-    sample_kernel_every:
-        Emit one ``kernel`` instant per this many observed dispatches
-        (sampling bounds trace volume on intersection-heavy runs).
     sample_cluster_every:
         Emit one per-cluster span per this many clusters.
     tags:
@@ -204,7 +195,6 @@ class Tracer:
     def __init__(
         self,
         sink: Union[str, IO[str]],
-        sample_kernel_every: int = DEFAULT_KERNEL_SAMPLE,
         sample_cluster_every: int = DEFAULT_CLUSTER_SAMPLE,
         tags: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -214,14 +204,12 @@ class Tracer:
         else:
             self._sink = sink
             self._owns_sink = False
-        self.sample_kernel_every = max(1, int(sample_kernel_every))
         self.sample_cluster_every = max(1, int(sample_cluster_every))
         self._tags = dict(tags or {})
         self._lock = threading.Lock()
         self._local = threading.local()
         self._ids = count(1)
         self._tids: Dict[int, int] = {}
-        self._kernel_seen = 0
         self._cluster_seen = 0
         self._closed = False
         self._origin = time.perf_counter()
@@ -303,25 +291,6 @@ class Tracer:
             **tags,
         })
 
-    def observe_kernel(self, name, lists, result) -> None:
-        """Kernel-dispatch observer (install with
-        :func:`repro.kernels.intersect.set_kernel_observer` or the
-        :func:`repro.observability.kernel_events` context manager).
-        Emits one sampled ``kernel`` instant per
-        ``sample_kernel_every`` dispatches."""
-        self._kernel_seen += 1
-        if (self._kernel_seen - 1) % self.sample_kernel_every:
-            return
-        sizes = [len(values) for values in lists]
-        self.instant(
-            "kernel",
-            kernel=name,
-            k=len(sizes),
-            shortest=min(sizes) if sizes else 0,
-            longest=max(sizes) if sizes else 0,
-            out=len(result),
-        )
-
     def scoped(self, **tags) -> "_ScopedTracer":
         """A view of this tracer that stamps ``tags`` on every event."""
         return _ScopedTracer(self, {**self._tags, **tags})
@@ -383,21 +352,6 @@ class _ScopedTracer:
             **self._scope,
             **tags,
         })
-
-    def observe_kernel(self, name, lists, result) -> None:
-        base = self._base
-        base._kernel_seen += 1
-        if (base._kernel_seen - 1) % base.sample_kernel_every:
-            return
-        sizes = [len(values) for values in lists]
-        self.instant(
-            "kernel",
-            kernel=name,
-            k=len(sizes),
-            shortest=min(sizes) if sizes else 0,
-            longest=max(sizes) if sizes else 0,
-            out=len(result),
-        )
 
     def scoped(self, **tags) -> "_ScopedTracer":
         return _ScopedTracer(self._base, {**self._scope, **tags})

@@ -1,6 +1,7 @@
 """Tests for CECI construction, filtering and refinement — including a
 vertex-by-vertex walk of the paper's Figure 1/3 worked example."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -9,11 +10,12 @@ from repro.core import (
     QueryTree,
     build_ceci,
     initial_candidates,
-    intersect_sorted,
     refine_ceci,
+    select_root,
 )
 from repro.core.filtering import FilterConfig
-from repro.graph import Graph
+from repro.graph import Graph, erdos_renyi, inject_labels
+from repro.kernels import intersect
 
 
 @pytest.fixture
@@ -194,22 +196,25 @@ class TestFilterConfigAblation:
 
 
 class TestIntersectSorted:
+    """The k-way intersection of sorted candidate arrays that cluster
+    enumeration runs on (Lemma 2)."""
+
     def test_empty_input(self):
-        assert intersect_sorted([]) == []
+        assert intersect([]).tolist() == []
 
     def test_single_list_copied(self):
-        src = [1, 2, 3]
-        out = intersect_sorted([src])
-        assert out == src and out is not src
+        src = np.array([1, 2, 3], dtype=np.int64)
+        out = intersect([src])
+        assert out.tolist() == [1, 2, 3] and out is not src
 
     def test_two_lists(self):
-        assert intersect_sorted([[1, 3, 5, 7], [3, 4, 5]]) == [3, 5]
+        assert intersect([[1, 3, 5, 7], [3, 4, 5]]).tolist() == [3, 5]
 
     def test_three_lists(self):
-        assert intersect_sorted([[1, 2, 3, 4], [2, 4, 6], [4, 5]]) == [4]
+        assert intersect([[1, 2, 3, 4], [2, 4, 6], [4, 5]]).tolist() == [4]
 
     def test_disjoint(self):
-        assert intersect_sorted([[1, 2], [3, 4]]) == []
+        assert intersect([[1, 2], [3, 4]]).tolist() == []
 
     def test_matches_set_intersection_on_random_input(self):
         import random
@@ -220,7 +225,67 @@ class TestIntersectSorted:
                 sorted(rng.sample(range(60), rng.randint(0, 25)))
                 for _ in range(rng.randint(1, 4))
             ]
-            expected = set(lists[0])
-            for other in lists[1:]:
-                expected &= set(other)
-            assert intersect_sorted(lists) == sorted(expected)
+            expected = set(lists[0]).intersection(*lists[1:])
+            assert intersect(lists).tolist() == sorted(expected)
+
+
+def _naive_refine(ceci):
+    """Algorithm 2 written out plainly: per reverse-order vertex, keep
+    ``cand ∩`` every NTE member set, price each survivor, then delete
+    the zero-cardinality candidates."""
+    tree = ceci.tree
+    for u in tree.reverse_order():
+        alive = set(ceci.cand[u])
+        for u_n in tree.nte_parents[u]:
+            if u_n in ceci.nte[u]:
+                alive &= ceci.nte_member_set(u, u_n)
+        doomed = []
+        for v in sorted(ceci.cand[u]):
+            closes = all(
+                ceci.nte[u_c].get(u) is None or ceci.nte[u_c][u].get(v)
+                for u_c in tree.nte_children[u]
+            )
+            cardinality = int(v in alive and closes)
+            for u_c in tree.children[u]:
+                cardinality *= sum(
+                    ceci.cardinality[u_c].get(v_c, 0)
+                    for v_c in ceci.te[u_c].get(v, ())
+                )
+            if cardinality:
+                ceci.cardinality[u][v] = cardinality
+            else:
+                doomed.append(v)
+        for v in doomed:
+            ceci.remove_candidate(u, v)
+
+
+def _clique(n):
+    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+class TestRefinementNTEIntersection:
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_matches_naive_reference(self, size):
+        """On clique queries, where a vertex has >= 2 NTE parents,
+        refinement's set-intersection form equals the naive reference
+        exactly, and it does prune on these instances."""
+        removed = 0
+        for seed in range(6):
+            data = inject_labels(erdos_renyi(50, 200, seed=seed), 3, seed=seed)
+            query = inject_labels(_clique(size), 3, seed=seed + 100)
+            root, pivots = select_root(query, data)
+            tree = QueryTree(query, root)
+            assert max(len(parents) for parents in tree.nte_parents) >= 2
+
+            refined = build_ceci(tree, data, pivots)
+            reference = build_ceci(tree, data, pivots)
+            stats = MatchStats()
+            refine_ceci(refined, stats)
+            _naive_refine(reference)
+            removed += stats.removed_by_refinement
+            assert refined.cand == reference.cand
+            assert refined.cardinality == reference.cardinality
+            assert refined.te == reference.te
+            assert refined.nte == reference.nte
+            assert refined.pivots == reference.pivots
+        assert removed > 0

@@ -3,13 +3,13 @@
 ``golden_counts.json`` pins the exact embedding count of a set of fixed
 instances — hand-built graphs with closed-form counts and seeded
 generator configurations.  Any enumeration-layer change that alters a
-count (kernels, refinement, symmetry machinery) fails here with
+count (intersection, refinement, symmetry machinery) fails here with
 the instance name, which is far easier to bisect than a broken
 integration test.
 
 Counts are full embedding sets (symmetry breaking disabled) and must be
-reproduced by every intersection kernel, by the batch engine and by the
-edge-verification recursion.
+reproduced by the batch engine, by the edge-verification recursion and
+by the service and sharded tiers.
 
 Regenerate after an *intentional* semantic change with::
 
@@ -33,9 +33,6 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_counts.json")
 
 MODES = [
     "auto",
-    "merge",
-    "gallop",
-    "bitset",
     "edge-verify",
     # Service-path configurations: the same instances answered by a
     # resident MatchService — "service-cold" pays a fresh build,
@@ -171,7 +168,6 @@ def count_with(query: Graph, data: Graph, mode: str) -> int:
         data,
         break_automorphisms=False,
         use_intersection=mode != "edge-verify",
-        kernel="auto" if mode == "edge-verify" else mode,
     )
     return matcher.count()
 

@@ -28,7 +28,6 @@ from repro.observability import (
     ProgressReporter,
     TraceError,
     Tracer,
-    kernel_events,
     read_trace,
     summarize_trace,
 )
@@ -105,18 +104,6 @@ class TestTracer:
         tagged = [e for e in _events(path) if e["ev"] in ("b", "e", "p", "i")]
         assert tagged and all(e["machine"] == 2 for e in tagged)
 
-    def test_kernel_sampling_stride(self, tmp_path):
-        path = _trace_path(tmp_path)
-        tracer = Tracer(path, sample_kernel_every=10)
-        for _ in range(25):
-            tracer.observe_kernel("merge", [[1, 2], [2, 3]], [2])
-        tracer.close()
-        kernels = [
-            e for e in _events(path)
-            if e["ev"] == "i" and e["name"] == "kernel"
-        ]
-        assert len(kernels) == 3  # dispatches 1, 11, 21
-
     def test_writes_to_caller_owned_stream(self):
         sink = io.StringIO()
         tracer = Tracer(sink)
@@ -133,7 +120,6 @@ class TestTracer:
             assert span.duration == 0.0
         NULL_TRACER.phase("p", 0.0, 1.0)
         NULL_TRACER.instant("i")
-        NULL_TRACER.observe_kernel("merge", [], [])
         assert NULL_TRACER.scoped(worker=1) is NULL_TRACER
         NULL_TRACER.close()
 
@@ -425,8 +411,7 @@ class TestTraceStatsAgreement:
         path = _trace_path(tmp_path)
         tracer = Tracer(path)
         matcher = CECIMatcher(query, data, tracer=tracer)
-        with kernel_events(tracer):
-            matcher.match()
+        matcher.match()
         tracer.close()
         _assert_agreement(matcher.stats, path)
         summary = read_trace(path)
@@ -465,33 +450,6 @@ class TestTraceStatsAgreement:
             if executor[0] is not None
         }
         assert len(machines_seen) > 1
-
-
-# ---------------------------------------------------------------------------
-# Kernel observer plumbing
-# ---------------------------------------------------------------------------
-class TestKernelEvents:
-    def test_installs_and_restores(self, instance, tmp_path):
-        from repro.kernels import kernel_observer
-
-        query, data = instance
-        path = _trace_path(tmp_path)
-        tracer = Tracer(path, sample_kernel_every=1)
-        assert kernel_observer() is None
-        matcher = CECIMatcher(query, data, tracer=tracer)
-        with kernel_events(tracer):
-            assert kernel_observer() is not None
-            matcher.match()
-        assert kernel_observer() is None
-        tracer.close()
-        summary = read_trace(path)
-        assert sum(summary.kernels.values()) > 0
-
-    def test_noop_for_disabled_tracer(self):
-        from repro.kernels import kernel_observer
-
-        with kernel_events(NULL_TRACER):
-            assert kernel_observer() is None
 
 
 # ---------------------------------------------------------------------------

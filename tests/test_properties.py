@@ -15,8 +15,8 @@ from typing import List, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro import CECIMatcher, Graph, match
-from repro.core import intersect_sorted
 from repro.graph import from_csr, to_csr
+from repro.kernels import intersect
 
 from conftest import brute_force_embeddings
 
@@ -138,10 +138,8 @@ def test_automorphism_breaking_lists_subgraphs_once(query, data):
     )
 )
 def test_intersect_sorted_equals_set_semantics(lists):
-    expected = set(lists[0])
-    for other in lists[1:]:
-        expected &= set(other)
-    assert intersect_sorted([list(l) for l in lists]) == sorted(expected)
+    expected = set(lists[0]).intersection(*lists[1:])
+    assert intersect(lists).tolist() == sorted(expected)
 
 
 @settings(max_examples=60, deadline=None)

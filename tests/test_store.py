@@ -227,3 +227,29 @@ class TestPivotMaintenance:
         ceci.pivots = [5, 3, 3, 1]
         assert ceci.pivots == [1, 3, 5]
         assert ceci._pivot_set == {1, 3, 5}
+
+
+class TestCardinalitySaturation:
+    def test_overflowing_cardinality_saturates_at_int64_max(
+        self, instance, tmp_path
+    ):
+        """A CPI without NTE pruning can price a pivot above int64;
+        freezing saturates it, and the value survives a CECIIDX3 save
+        and load.  A zero stays a zero."""
+        from repro.core.persist import load_ceci, save_ceci
+
+        ceci = refined_builder(*instance)
+        root = ceci.tree.root
+        big, small = ceci.pivots[0], ceci.pivots[1]
+        ceci.cardinality[root][big] = 2**70
+        ceci.cardinality[root][small] = 0
+        top = int(np.iinfo(np.int64).max)
+
+        store = ceci.compact()
+        assert store.cluster_cardinality(big) == top
+        assert store.cluster_cardinality(small) == 0
+        path = str(tmp_path / "saturated.ceci")
+        save_ceci(store, path)
+        loaded = load_ceci(path, instance[1])
+        assert loaded.cluster_cardinality(big) == top
+        assert loaded.cluster_cardinality(small) == 0
