@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""Index persistence, containment screening, and approximate counting.
+"""Index persistence and the cardinality bound.
 
-Three production-flavored workflows on top of the core matcher:
+Two workflows on top of the core matcher:
 
 1. build a CECI once, persist it (the paper's Section 6.4 plans exactly
    this for indexes that outgrow memory), reload and re-enumerate;
-2. screen a database of graphs for a pattern (containment search,
-   Section 7), seeing how the feature filter avoids most verifications;
-3. estimate an embedding count by cardinality-guided importance
-   sampling instead of full enumeration.
+2. read the upper bound on the embedding count that the refined
+   cardinalities give for free, next to the exact count.
 
 Run:  python examples/index_reuse_and_estimation.py
 """
@@ -18,14 +16,7 @@ import tempfile
 import time
 
 from repro import CECIMatcher, Graph
-from repro.core import (
-    Enumerator,
-    GraphDatabase,
-    cardinality_bound,
-    estimate_embeddings,
-    load_ceci,
-    save_ceci,
-)
+from repro.core import Enumerator, cardinality_bound, load_ceci, save_ceci
 from repro.graph import power_law
 
 data = power_law(2500, 6, seed=13, min_edges_per_vertex=1, name="web")
@@ -54,37 +45,13 @@ print(f"index built in {build_time * 1000:.1f} ms, "
 print(f"{count} diamond embeddings from the reloaded index\n")
 
 # ----------------------------------------------------------------------
-# 2. Containment screening over a database of small graphs.
-# ----------------------------------------------------------------------
-from repro.graph import erdos_renyi
-
-database = GraphDatabase(
-    erdos_renyi(30, 18 + seed % 45, seed=seed) for seed in range(200)
-)
-clique4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-result = database.contains(clique4)
-print(f"database screening: {len(result.matches)}/{len(database)} graphs "
-      f"contain a 4-clique")
-print(f"  feature filter skipped {result.filtered_out} graphs outright, "
-      f"{result.false_candidates} survived filtering but failed "
-      f"verification\n")
-
-# ----------------------------------------------------------------------
-# 3. Approximate counting vs exact enumeration.
+# 2. The cardinality bound vs exact enumeration.
 # ----------------------------------------------------------------------
 exact_matcher = CECIMatcher(diamond, data, break_automorphisms=False)
 started = time.perf_counter()
 exact = exact_matcher.count()
 exact_time = time.perf_counter() - started
 
-sample_matcher = CECIMatcher(diamond, data, break_automorphisms=False)
-started = time.perf_counter()
-estimate = estimate_embeddings(sample_matcher, samples=2000, seed=7)
-estimate_time = time.perf_counter() - started
-
-print(f"exact count     : {exact} ({exact_time * 1000:.0f} ms)")
-print(f"sampled estimate: {estimate.estimate:.0f} "
-      f"({estimate_time * 1000:.0f} ms, {estimate.samples} walks, "
-      f"{estimate.hits} complete)")
-print(f"cardinality bound (free with the index): "
-      f"{cardinality_bound(sample_matcher)}")
+print(f"exact count      : {exact} ({exact_time * 1000:.0f} ms)")
+print(f"cardinality bound: {cardinality_bound(exact_matcher)} "
+      f"(free with the index)")

@@ -8,8 +8,7 @@ from .automorphism import (
 )
 from .ceci import CECI
 from .clusters import WorkUnit, clusters_of, decompose_extreme_clusters
-from .database import ContainmentResult, GraphDatabase
-from .estimate import EstimateResult, cardinality_bound, estimate_embeddings
+from .estimate import cardinality_bound
 from .enumeration import Embedding, Enumerator
 from .filtering import FilterConfig, build_ceci
 from .matcher import CECIMatcher, count_embeddings, find_embedding, match
@@ -30,9 +29,6 @@ __all__ = [
     "CECI",
     "CECIMatcher",
     "CompactCECI",
-    "GraphDatabase",
-    "EstimateResult",
-    "ContainmentResult",
     "Embedding",
     "Enumerator",
     "FilterConfig",
@@ -50,7 +46,6 @@ __all__ = [
     "edge_ranked_order",
     "equivalence_groups",
     "dump_store_bytes",
-    "estimate_embeddings",
     "find_embedding",
     "gk_conditions",
     "initial_candidates",

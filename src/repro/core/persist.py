@@ -23,9 +23,14 @@ but need non-stdlib deps, and zlib's CRC32 catches the same bit-flip
 class).  Loads verify every block *before* any array is materialised
 or memory-mapped, so a corrupted file — torn write, bit rot, truncation
 — raises :class:`ChecksumError` instead of serving garbage candidates.
-Files written before 3.1 have no checksums and still load; the result
-is marked ``checksum_verified = False`` so callers (the service spill
-tier) can decide whether to trust them.
+Since 3.2 the header carries its own CRC32 (``"header_crc32"``, over
+the JSON of every other header field), and its recorded length is
+bounded by the bytes present, so a corrupt header raises
+:class:`ChecksumError` or ``ValueError`` instead of rebuilding the wrong
+query.  Files written before 3.1 have no checksums and still load; the
+result (like that of a 3.1 file, whose header is unchecked) is marked
+``checksum_verified = False`` so callers (the service spill tier) can
+decide whether to trust them.
 """
 
 from __future__ import annotations
@@ -92,16 +97,51 @@ def _rebuild_tree(header: Dict[str, object]) -> QueryTree:
     return QueryTree(query, header["root"], header["order"])
 
 
+def _header_crc(header: Dict[str, object]) -> int:
+    """CRC32 of the header's JSON text (``json.dumps`` output is
+    deterministic for the parsed dict, so a reader re-derives it)."""
+    return zlib.crc32(json.dumps(header).encode("utf-8")) & 0xFFFFFFFF
+
+
 def _write_header(buf: BinaryIO, magic: bytes, header: Dict[str, object]) -> None:
     buf.write(magic)
+    header = dict(header, header_crc32=_header_crc(header))
     payload = json.dumps(header).encode("utf-8")
     buf.write(len(payload).to_bytes(8, "little"))
     buf.write(payload)
 
 
-def _read_header(buf: BinaryIO) -> Dict[str, object]:
+def _read_header(
+    buf: BinaryIO, verify: bool
+) -> Tuple[Dict[str, object], bool]:
+    """The JSON header and whether its CRC was checked.
+
+    The recorded length is bounded by the bytes actually present; a
+    header that does not parse to a JSON object raises ``ValueError``,
+    and one whose ``header_crc32`` (written since 3.2) disagrees with
+    the rest of it raises :class:`ChecksumError`.
+    """
+    start = buf.tell()
+    available = buf.seek(0, io.SEEK_END) - start - 8
+    buf.seek(start)
     size = int.from_bytes(buf.read(8), "little")
-    return json.loads(buf.read(size).decode("utf-8"))
+    if size > available:
+        raise ValueError(
+            f"header length {size} exceeds the {max(available, 0)} "
+            f"bytes present"
+        )
+    header = json.loads(buf.read(size).decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("CECIIDX3 header is not a JSON object")
+    stored = header.pop("header_crc32", None)
+    if not verify or stored is None:
+        return header, False
+    actual = _header_crc(header)
+    if stored != actual:
+        raise ChecksumError(
+            f"header fails CRC32 (stored {stored!r}, computed {actual:#010x})"
+        )
+    return header, True
 
 
 # ----------------------------------------------------------------------
@@ -207,17 +247,29 @@ def _load_store(
     """Rebuild a :class:`CompactCECI` from a v3 stream positioned just
     after the magic — straight into arrays, never through dicts.
 
-    With ``verify`` (the default) every block is CRC-checked against
-    the header's ``block_crc32`` table before it is loaded or mapped;
-    pre-3.1 files have no table, load unverified, and come back with
-    ``checksum_verified = False``.
+    With ``verify`` (the default) the header is CRC-checked, then every
+    block against the header's ``block_crc32`` table before it is loaded
+    or mapped; pre-3.1 files have no table, load unverified, and come
+    back with ``checksum_verified = False``.  A structurally malformed
+    header raises ``ValueError``.
     """
-    header = _read_header(handle)
-    tree = _rebuild_tree(header)
-    n = tree.query.num_vertices
-    checksums = None
-    if verify and "block_crc32" in header and "block_bytes" in header:
-        checksums = list(zip(header["block_bytes"], header["block_crc32"]))
+    header, header_verified = _read_header(handle, verify)
+    try:
+        tree = _rebuild_tree(header)
+        n = tree.query.num_vertices
+        nte_groups = [
+            [int(u_n) for u_n in header["nte_groups"][u]] for u in range(n)
+        ]
+        checksums = None
+        if verify and "block_crc32" in header and "block_bytes" in header:
+            checksums = [
+                (int(length), int(crc))
+                for length, crc in zip(
+                    header["block_bytes"], header["block_crc32"]
+                )
+            ]
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed CECIIDX3 header: {exc!r}") from exc
     cursor = iter(checksums) if checksums is not None else None
 
     def block() -> np.ndarray:
@@ -237,15 +289,15 @@ def _load_store(
     for u in range(n):
         te.append((block(), block(), block()))
         groups: Dict[int, PairArrays] = {}
-        for u_n in header["nte_groups"][u]:
-            groups[int(u_n)] = (block(), block(), block())
+        for u_n in nte_groups[u]:
+            groups[u_n] = (block(), block(), block())
         nte.append(groups)
         card.append((block(), block()))
     store = CompactCECI(
         tree, data, pivots, te, nte, card,
         nte_built=bool(header.get("nte_built", True)),
     )
-    store.checksum_verified = checksums is not None
+    store.checksum_verified = header_verified and checksums is not None
     return store
 
 

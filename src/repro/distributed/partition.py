@@ -71,8 +71,9 @@ def distribute_pivots(
     workload, with Jaccard groups (in-memory mode only) kept together
     while the target machine stays under ``MAX_LOAD_FACTOR`` x average.
 
-    Degenerate shapes keep their obvious contracts — the sharded
-    service tier feeds this per query, so they all actually occur: an
+    Degenerate shapes keep their obvious contracts — the simulated
+    distributed runtime feeds this per run, so they all actually occur
+    (the service plans by refined cardinality instead): an
     empty pivot set yields ``num_machines`` empty lists; fewer pivots
     than machines leaves the surplus machines empty (callers skip
     empty partitions rather than dispatch no-op tasks); all-zero

@@ -25,7 +25,8 @@ its workers.  The per-job *unit lists* come from the same pool the
 parallel executors schedule (:mod:`repro.parallel.scheduling` consumes
 identical ``(prefix, workload)`` units); the service additionally runs
 :func:`~repro.parallel.scheduling.dynamic_schedule` over each admitted
-job's unit costs to publish the predicted makespan/skew as gauges.
+job's unit costs once: the shard executor runs that assignment, and its
+predicted makespan/skew are published as gauges.
 """
 
 from __future__ import annotations

@@ -224,8 +224,9 @@ def service_metric_specs() -> Tuple[MetricSpec, ...]:
             "service_plan_makespan",
             kind="gauge",
             merge="max",
-            help="Predicted pool makespan of the last batched job "
-                 "(dynamic_schedule over its unit costs).",
+            help="Predicted makespan of the last batched job's unit "
+                 "plan (dynamic_schedule over its unit costs; the shard "
+                 "tier runs that assignment).",
         ),
         MetricSpec(
             "service_plan_skew",
@@ -383,7 +384,9 @@ class Executor(Protocol):
 
     ``run_solo`` enumerates a job un-decomposed (sequential order, limit
     and budget honoured); ``run_units`` enumerates one cluster per pivot
-    (``workloads`` are their ``cluster_cardinality`` weights).  Outcomes
+    (``workloads`` are their ``cluster_cardinality`` weights, and
+    ``assignment`` is the front end's LPT plan over them: the pivots of
+    each of ``workers`` workers).  Outcomes
     go back through :meth:`MatchService._solo_done`,
     :meth:`MatchService._units_done` and
     :meth:`MatchService._unit_failed`; an executor never finalizes a
@@ -396,7 +399,11 @@ class Executor(Protocol):
     def run_solo(self, job: _Job) -> None: ...
 
     def run_units(
-        self, job: _Job, pivots: List[int], workloads: List[float]
+        self,
+        job: _Job,
+        pivots: List[int],
+        workloads: List[float],
+        assignment: List[List[int]],
     ) -> None: ...
 
     def healthy(self) -> int: ...
@@ -1039,7 +1046,16 @@ class MatchService:
         workloads = [
             max(float(store.cluster_cardinality(p)), 1.0) for p in pivots
         ]
-        plan = dynamic_schedule(sorted(workloads, reverse=True), self.workers)
+        # The one unit plan (Section 4's cardinality-driven balancing):
+        # LPT over the refined cluster cardinalities.  The shard tier
+        # runs its assignment; the thread pool pulls by ``workloads``.
+        order = sorted(
+            range(len(pivots)), key=workloads.__getitem__, reverse=True
+        )
+        plan = dynamic_schedule([workloads[i] for i in order], self.workers)
+        assignment = [
+            [pivots[order[i]] for i in units] for units in plan.worker_units
+        ]
         self.metrics.set_gauge("service_plan_makespan", plan.makespan)
         self.metrics.set_gauge("service_plan_skew", plan.skew)
         if job.flight is not None:
@@ -1051,7 +1067,7 @@ class MatchService:
         with job.lock:
             job.pivots = pivots
             job.remaining = len(pivots)
-        self.executor.run_units(job, pivots, workloads)
+        self.executor.run_units(job, pivots, workloads, assignment)
 
     def _enumerator(self, job: _Job, stats: MatchStats) -> Enumerator:
         """An in-process enumerator over the job's resolved index."""
@@ -1436,7 +1452,11 @@ class _ThreadExecutor:
             pass
 
     def run_units(
-        self, job: _Job, pivots: List[int], workloads: List[float]
+        self,
+        job: _Job,
+        pivots: List[int],
+        workloads: List[float],
+        assignment: List[List[int]],
     ) -> None:
         try:
             self._tasks.push_job([(job, p) for p in pivots], workloads)

@@ -15,11 +15,12 @@ and failure recovery:
   ``mmap=True``, so N processes share one copy of the candidate arrays
   through the OS page cache — the index is frozen once and mapped
   everywhere, never rebuilt or re-pickled per shard;
-* **partition-aware routing** — a batched job's units are grouped by
-  :func:`~repro.distributed.partition.distribute_pivots` (the same
-  Section 6.2 planner the simulated distributed executor uses) into one
-  *task per shard*; a solo job runs on the least-loaded shard,
-  un-decomposed, so its truncation prefix is the sequential matcher's;
+* **cardinality-planned routing** — a batched job arrives with the
+  front end's unit plan (LPT over the refined ``cluster_cardinality``
+  workloads, Section 4's cardinality-driven balancing), and each shard's
+  share of it becomes one *task per shard*; a solo job runs on the
+  least-loaded shard, un-decomposed, so its truncation prefix is the
+  sequential matcher's;
 * **window-of-one dispatch** — each shard has an outbox and at most one
   task in flight on its pipe, so a crash loses at most one task; a
   reader thread per shard turns replies into front-end callbacks with
@@ -75,7 +76,9 @@ from ..core.persist import (
 )
 from ..core.stats import MatchStats
 from ..core.store import CompactCECI
-from ..distributed.partition import distribute_pivots
+# Never called: perfbench/tracing.py patches ``shards.distribute_pivots``
+# by name (ROADMAP item 2 deletes it).
+from ..distributed.partition import distribute_pivots  # noqa: F401
 from ..graph import Graph
 from ..observability.metrics import MetricSpec
 from ..resilience.faults import FaultPlan
@@ -379,15 +382,18 @@ class _ShardExecutor:
         )
 
     def run_units(
-        self, job: _Job, pivots: List[int], workloads: List[float]
+        self,
+        job: _Job,
+        pivots: List[int],
+        workloads: List[float],
+        assignment: List[List[int]],
     ) -> None:
         base = self._spec(job, len(pivots), kind="units")
         if base is None:
             return
-        assignments = distribute_pivots(self.service.data, pivots, self.shards)
         owned = [
             (shard, assigned)
-            for shard, assigned in enumerate(assignments)
+            for shard, assigned in enumerate(assignment)
             if assigned
         ]
         job.fanout = len(owned)

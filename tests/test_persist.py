@@ -206,7 +206,7 @@ def _strip_checksums(blob: bytes) -> bytes:
     """Rewrite a v3 blob as a pre-3.1 file: same array blocks, header
     without the checksum table."""
     header, body_at = _split_v3(blob)
-    for key in ("checksum", "block_bytes", "block_crc32"):
+    for key in ("checksum", "block_bytes", "block_crc32", "header_crc32"):
         header.pop(key, None)
     payload = json.dumps(header).encode("utf-8")
     return (
@@ -290,3 +290,56 @@ class TestChecksums:
         loaded = load_store_bytes(corrupted, data, verify=False)
         assert isinstance(loaded, CompactCECI)
         assert loaded.checksum_verified is False
+
+
+class TestByteMutations:
+    """Exhaustive single-byte corruption of a small blob: every
+    mutation either raises ``ChecksumError``/``ValueError`` or loads a
+    store whose answers equal the original's — the JSON header
+    included, not only the array blocks."""
+
+    #: Bit masks applied to each byte: ASCII-preserving low bits reach
+    #: header digits and names that still parse; 0xFF breaks UTF-8.
+    MASKS = (0x01, 0x02, 0x04, 0xFF)
+
+    def test_every_byte_flip_is_rejected_or_harmless(self):
+        data = inject_labels(
+            power_law(60, 3, seed=5, min_edges_per_vertex=1), 2, seed=5
+        )
+        query = Graph(
+            4, [(0, 1), (1, 2), (2, 3), (0, 2)], labels=[0, 1, 0, 1]
+        )
+        matcher = CECIMatcher(query, data)
+        reference = matcher.match()
+        assert reference
+        blob = dump_store_bytes(matcher.build())
+        _, body_at = _split_v3(blob)
+        for pos in range(len(blob)):
+            # Block bytes are all CRC-covered; one mask per byte there.
+            for mask in self.MASKS if pos < body_at else (0x01,):
+                flipped = bytes([blob[pos] ^ mask])
+                mutated = blob[:pos] + flipped + blob[pos + 1:]
+                try:
+                    loaded = load_store_bytes(mutated, data)
+                except ValueError:  # ChecksumError included
+                    continue
+                got = Enumerator(loaded, symmetry=matcher.symmetry).collect()
+                assert got == reference, f"byte {pos} ^ {mask:#04x}"
+
+    def test_oversized_header_length_is_a_value_error(self, instance):
+        query, data = instance
+        blob = bytearray(dump_store_bytes(CECIMatcher(query, data).build()))
+        blob[15] ^= 0xFF  # top byte of the 8-byte header length
+        with pytest.raises(ValueError, match="header length"):
+            load_store_bytes(bytes(blob), data)
+
+    def test_header_edit_fails_the_header_crc(self, instance):
+        query, data = instance
+        blob = dump_store_bytes(CECIMatcher(query, data).build())
+        header, body_at = _split_v3(blob)
+        header["root"] = (header["root"] + 1) % query.num_vertices
+        payload = json.dumps(header).encode("utf-8")
+        size = len(payload).to_bytes(8, "little")
+        edited = blob[:8] + size + payload + blob[body_at:]
+        with pytest.raises(ChecksumError, match="header"):
+            load_store_bytes(edited, data)

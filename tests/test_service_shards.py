@@ -21,14 +21,17 @@ every query and request shape against them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.core.matcher import CECIMatcher
 from repro.graph import Graph, erdos_renyi, generate_query, inject_labels
 from repro.graph.generators import power_law
+from repro.parallel.scheduling import dynamic_schedule
 from repro.resilience.budget import Budget
 from repro.service import MatchRequest, MatchService, Status
+from repro.service import shards as shards_module
 from repro.service.shards import ShardedMatchService, sharded_metric_specs
 
 #: Data-graph configurations; with QUERIES_PER_DATA queries each and
@@ -255,6 +258,87 @@ class TestShardedLifecycle:
             assert Status.REJECTED in statuses
             ok = [s for s in statuses if s == Status.OK]
             assert ok, "admission control must not reject everything"
+
+
+class TestSinglePlan:
+    """The front end plans each batched request once (LPT over the
+    refined cluster cardinalities) and the shard tier runs that plan;
+    the Section 5 Jaccard planner is never on the service path."""
+
+    @staticmethod
+    def _lpt(query: Graph, data: Graph, shards: int):
+        """(pivots, per-shard pivot sets, makespan) of the LPT plan over
+        the built index's ``cluster_cardinality`` workloads."""
+        store = CECIMatcher(query, data, break_automorphisms=False).build()
+        pivots = [int(p) for p in store.pivots]
+        weights = [
+            max(float(store.cluster_cardinality(p)), 1.0) for p in pivots
+        ]
+        order = sorted(
+            range(len(pivots)), key=weights.__getitem__, reverse=True
+        )
+        plan = dynamic_schedule([weights[i] for i in order], shards)
+        sets = [
+            {pivots[order[i]] for i in units} for units in plan.worker_units
+        ]
+        return pivots, sets, plan.makespan
+
+    @staticmethod
+    def _record_tasks(service: ShardedMatchService) -> Dict[int, List[int]]:
+        """Shard -> pivots of every units task the executor enqueues."""
+        executor = service.executor
+        sent: Dict[int, List[int]] = {}
+        enqueue = executor._enqueue
+
+        def recording(shard, task, solo=False):
+            if not solo:
+                sent.setdefault(shard, []).extend(task.spec["pivots"])
+            return enqueue(shard, task, solo=solo)
+
+        executor._enqueue = recording
+        return sent
+
+    def test_shards_run_the_front_end_lpt_plan(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the service called distribute_pivots")
+
+        monkeypatch.setattr(shards_module, "distribute_pivots", forbidden)
+        data = make_data(4)
+        query = make_queries(data, 4)[0]
+        pivots, expected_sets, makespan = self._lpt(query, data, SHARDS)
+        assert len(pivots) > SHARDS
+        # The deadline turns a planner failure into a TIMEOUT, not a hang.
+        with ShardedMatchService(
+            data, shards=SHARDS, deadline_seconds=30
+        ) as service:
+            sent = self._record_tasks(service)
+            response = service.match(MatchRequest(query))
+            assert response.status == Status.OK
+            assert [tuple(e) for e in response.embeddings] == [
+                tuple(e) for e in CECIMatcher(query, data).match()
+            ]
+            got_sets = [set(sent.get(w, ())) for w in range(SHARDS)]
+            assert got_sets == expected_sets
+            assert service.metrics.get("service_plan_makespan") == makespan
+            assert response.shard_fanout == sum(1 for s in expected_sets if s)
+
+    def test_fewer_pivots_than_shards_fan_out_per_pivot(self):
+        # Two "A" vertices, so a single A-B edge query has two clusters.
+        data = Graph(
+            6,
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+            labels=["A", "B", "C", "A", "B", "C"],
+        )
+        query = Graph(2, [(0, 1)], labels=["A", "B"])
+        pivots, expected_sets, _ = self._lpt(query, data, 4)
+        assert 1 < len(pivots) < 4
+        with ShardedMatchService(data, shards=4) as service:
+            sent = self._record_tasks(service)
+            response = service.match(MatchRequest(query))
+            assert response.status == Status.OK
+            assert response.count == CECIMatcher(query, data).count()
+            assert response.shard_fanout == len(pivots) == len(sent)
+            assert [set(sent.get(w, ())) for w in range(4)] == expected_sets
 
 
 def test_sharded_metric_specs_extend_service_specs():

@@ -15,11 +15,7 @@ import pytest
 from conftest import refined_builder
 from repro import CECIMatcher, Graph
 from repro.core import CompactCECI, Enumerator
-from repro.core.estimate import (
-    cardinality_bound,
-    estimate_embeddings,
-    store_cardinality_bound,
-)
+from repro.core.estimate import cardinality_bound, store_cardinality_bound
 from repro.core.store import encode_pairs, lookup_pairs
 from repro.graph import inject_labels, power_law
 from repro.parallel import parallel_match
@@ -160,8 +156,6 @@ class TestEquivalence:
         assert cardinality_bound(matcher) == store_cardinality_bound(
             matcher.build()
         )
-        result = estimate_embeddings(matcher, samples=50, seed=1)
-        assert result.estimate >= 0.0
 
     def test_parallel_match_shares_the_frozen_store(self, instance):
         query, data = instance
