@@ -25,7 +25,7 @@ from ..graph import Graph
 from ..observability.tracer import NULL_TRACER
 from .ceci import CECI
 from .query_tree import QueryTree
-from .root_selection import initial_candidates, select_root
+from .root_selection import initial_candidates
 from .stats import MatchStats
 
 __all__ = ["build_ceci", "FilterConfig"]
@@ -112,31 +112,6 @@ def build_ceci(
         ceci.cand[u] = ceci.te_union(u)
 
     return ceci
-
-
-def _passes_filters(
-    query: Graph,
-    data: Graph,
-    u: int,
-    v: int,
-    stats: MatchStats,
-    config: FilterConfig,
-) -> bool:
-    """LF + DF + NLCF on one (query vertex, data vertex) pair."""
-    stats.candidates_initial += 1
-    if not data.label_matches(query.labels_of(u), v):
-        stats.removed_by_label += 1
-        return False
-    if config.use_degree_filter and data.degree(v) < query.degree(u):
-        stats.removed_by_degree += 1
-        return False
-    if config.use_nlc_filter:
-        nlc_v = data.neighbor_label_counts(v)
-        for label, needed in query.neighbor_label_counts(u).items():
-            if nlc_v.get(label, 0) < needed:
-                stats.removed_by_nlc += 1
-                return False
-    return True
 
 
 def _expand_tree_edge(

@@ -3,13 +3,13 @@
 Section 2.2: the root is the vertex minimizing
 ``|candidate(u)| / degree(u)``, where ``candidate(u)`` is obtained "by
 verifying each data node by the label, degree, and neighborhood label
-count".  That per-vertex scan is also exactly the pivot computation — the
+count".  That scan is also exactly the pivot computation — the
 root's candidates become the cluster pivots — so both live here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..graph import Graph
 from .stats import MatchStats
@@ -34,41 +34,38 @@ def initial_candidates(
     * **NLCF**: for every label ``l`` in ``u``'s neighborhood,
       ``count_v(l) >= count_u(l)``.
 
-    The label index makes the scan proportional to the label frequency
-    rather than ``|V|``.
+    The scan starts from the rarest query label's posting list, so it is
+    proportional to that label's frequency rather than ``|V|``, and
+    narrows it with one array mask per filter over the data graph's
+    :meth:`~repro.graph.Graph.scan_tables`.  Each vertex is counted as
+    removed by the first filter it fails, in the order above.
     """
-    query_labels = query.labels_of(u)
-    # Scan the rarest label's posting list, then subset-check the rest.
-    seed_label = min(
-        query_labels, key=lambda l: len(data.vertices_with_label(l))
-    )
-    degree_u = query.degree(u)
-    nlc_u = query.neighbor_label_counts(u)
-    out: List[int] = []
-    for v in data.vertices_with_label(seed_label):
-        if stats is not None:
-            stats.candidates_initial += 1
-        if not data.label_matches(query_labels, v):
-            if stats is not None:
-                stats.removed_by_label += 1
-            continue
-        if use_degree_filter and data.degree(v) < degree_u:
-            if stats is not None:
-                stats.removed_by_degree += 1
-            continue
-        if use_nlc_filter and not _nlc_ok(nlc_u, data.neighbor_label_counts(v)):
-            if stats is not None:
-                stats.removed_by_nlc += 1
-            continue
-        out.append(v)
-    return out
-
-
-def _nlc_ok(nlc_query: Dict, nlc_data: Dict) -> bool:
-    for label, needed in nlc_query.items():
-        if nlc_data.get(label, 0) < needed:
-            return False
-    return True
+    rows, member, nlc, degrees, postings = data.scan_tables()
+    query_rows = [rows.get(label) for label in query.labels_of(u)]
+    if None in query_rows:
+        return []  # a label the data lacks: the scanned posting is empty
+    query_rows.sort(key=lambda r: len(postings[r]))
+    survivors = postings[query_rows[0]]
+    scanned = len(survivors)
+    for r in query_rows[1:]:
+        survivors = survivors[member[r][survivors]]
+    labelled = len(survivors)
+    if use_degree_filter:
+        survivors = survivors[degrees[survivors] >= query.degree(u)]
+    sized = len(survivors)
+    if use_nlc_filter:
+        for label, needed in query.neighbor_label_counts(u).items():
+            r = rows.get(label)
+            if r is None:
+                survivors = survivors[:0]
+                break
+            survivors = survivors[nlc[r][survivors] >= needed]
+    if stats is not None:
+        stats.candidates_initial += scanned
+        stats.removed_by_label += scanned - labelled
+        stats.removed_by_degree += labelled - sized
+        stats.removed_by_nlc += sized - len(survivors)
+    return survivors.tolist()
 
 
 def select_root(

@@ -45,7 +45,7 @@ from ..core.filtering import build_ceci
 from ..core.matching_order import make_order
 from ..core.query_tree import QueryTree
 from ..core.refinement import refine_ceci
-from ..core.root_selection import initial_candidates, select_root
+from ..core.root_selection import initial_candidates
 from ..core.automorphism import SymmetryBreaker
 from ..core.stats import MatchStats
 from ..graph import Graph
@@ -180,11 +180,17 @@ class DistributedCECI:
         drop_rng = plan.rng() if plan is not None else None
 
         # --- coordinator preprocessing --------------------------------
-        root, pivots = select_root(self.query, self.data, MatchStats())
-        candidate_counts = [
-            len(initial_candidates(self.query, self.data, u))
-            for u in self.query.vertices()
-        ]
+        # One scan per query vertex serves the root cost function
+        # (select_root's rule: first vertex of minimal |cand|/deg) and
+        # the ranked matching order.
+        root, pivots, best_cost = -1, [], float("inf")
+        candidate_counts: List[int] = []
+        for u in self.query.vertices():
+            candidates = initial_candidates(self.query, self.data, u)
+            candidate_counts.append(len(candidates))
+            cost = len(candidates) / (self.query.degree(u) or 1)
+            if cost < best_cost:
+                root, pivots, best_cost = u, candidates, cost
         order = make_order(self.query, root, "bfs", candidate_counts)
         tree = QueryTree(self.query, root, order)
 

@@ -891,7 +891,14 @@ class MatchService:
                     job, [], status, error=self._abort_error(status)
                 )
                 continue
-            self._dispatch(job)
+            try:
+                self._dispatch(job)
+            except Exception as exc:  # noqa: BLE001 - as for _prepare
+                with job.lock:
+                    # Units the failed dispatch never started will not
+                    # report, so conclude the attempt now.
+                    job.remaining = 0
+                self._unit_failed(job, 0, repr(exc))
 
     def _cooperative_stall(self, seconds: float) -> None:
         """Injected scheduler stall — sleeps in small slices so a

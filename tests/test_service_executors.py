@@ -149,6 +149,35 @@ def test_build_fault_is_retried(executor):
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
+def test_failing_dispatch_fails_the_request_and_scheduling_goes_on(executor):
+    data, queries, _ = _workload()
+    expected = CECIMatcher(queries[0], data, break_automorphisms=False).match()
+    service = _service(executor, data)
+    try:
+        run_units = service.executor.run_units
+        raised = []
+
+        def raise_once(*args):
+            if not raised:
+                raised.append(True)
+                raise RuntimeError("dispatch broke")
+            return run_units(*args)
+
+        service.executor.run_units = raise_once
+        first = service.submit(_request(queries[0])).result(timeout=10)
+        assert first.status != Status.OK
+        assert "dispatch broke" in (first.error or "")
+        second = service.submit(_request(queries[0])).result(timeout=30)
+        assert second.ok, second.error
+        assert [tuple(e) for e in second.embeddings] == [
+            tuple(e) for e in expected
+        ]
+    finally:
+        # Bounded, so a dead scheduler fails the test instead of hanging.
+        service.close(timeout=10)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_history_has_one_line_per_response_in_submission_order(
     executor, tmp_path
 ):
