@@ -13,15 +13,17 @@ int64 array of partial embeddings (one row per embedding, one column per
 query vertex, ``-1`` for unmatched), and one matching-order step is a
 handful of whole-array numpy operations:
 
-* one vectorised ``searchsorted`` over the TE triple locates every
-  row's candidate block (:func:`~repro.kernels.searchsorted_blocks`);
-* one ragged gather materialises all extensions at once
-  (:func:`~repro.kernels.expand_blocks`);
-* NTE constraints become membership probes of combined
-  ``key * scale + value`` codes against a pre-sorted per-group array
-  (:meth:`~repro.core.store.CompactCECI.nte_combined` /
-  :func:`~repro.kernels.member_mask`) — the batched equivalent of the
-  TE∩NTE intersection;
+* one vectorised ``searchsorted`` per candidate source (the TE triple
+  and each NTE group) locates every row's candidate blocks
+  (:func:`~repro.kernels.searchsorted_blocks`);
+* per row the shortest block drives: one ragged gather per driver
+  partition materialises its extensions
+  (:func:`~repro.kernels.expand_blocks`), and each other source becomes
+  a membership probe of combined ``key * scale + value`` codes against
+  a pre-sorted array (:meth:`~repro.core.store.CompactCECI.te_combined`
+  / :meth:`~repro.core.store.CompactCECI.nte_combined` /
+  :func:`~repro.kernels.member_mask`) — the batched TE∩NTE
+  intersection, never gathering more than a row's shortest list;
 * injectivity and the Grochow–Kellis ordering rules are per-column
   boolean masks (:func:`used_exclusion_mask`) instead of per-row set
   and dict probes.
@@ -65,6 +67,12 @@ __all__ = [
 #: fixed cost.
 BLOCK_ROWS = 1 << 16
 
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+#: Stand-in for an absent NTE group: no key, so every row's block is
+#: empty and the intersection drops the row.
+_EMPTY_TRIPLE = (_EMPTY_I64, np.zeros(1, dtype=np.int64), _EMPTY_I64)
+
 
 def batch_capable(ceci, use_intersection: bool) -> bool:
     """Whether the batch engine serves this index.
@@ -103,16 +111,12 @@ def used_exclusion_mask(
 
 class _Level:
     """Precomputed per-depth expansion plan (one per matching-order
-    step): the TE triple to probe, the NTE membership arrays, and which
-    frontier columns the injectivity / symmetry masks compare against."""
+    step): the candidate sources to intersect, and which frontier
+    columns the injectivity / symmetry masks compare against."""
 
     __slots__ = (
         "u",
-        "parent_col",
-        "te_keys",
-        "te_offsets",
-        "te_values",
-        "nte",
+        "sources",
         "used_cols",
         "above_cols",
         "below_cols",
@@ -122,13 +126,25 @@ class _Level:
         tree = ceci.tree
         order = tree.order
         self.u = order[depth]
-        self.parent_col = tree.parent[self.u]
-        self.te_keys, self.te_offsets, self.te_values = ceci.te[self.u]
-        #: ``(column of the NTE parent, combined sorted codes)`` pairs.
-        self.nte: List[Tuple[int, np.ndarray]] = [
-            (u_n, ceci.nte_combined(self.u, u_n))
-            for u_n in tree.nte_parents[self.u]
+        #: ``(frontier column keying the triple, triple, combined codes)``
+        #: per candidate source: the TE triple first, then one per NTE
+        #: group.  A TE-only level never probes, so it builds no codes.
+        nte_parents = tree.nte_parents[self.u]
+        self.sources: List[Tuple[int, tuple, Optional[np.ndarray]]] = [
+            (
+                tree.parent[self.u],
+                ceci.te[self.u],
+                ceci.te_combined(self.u) if nte_parents else None,
+            )
         ]
+        self.sources.extend(
+            (
+                u_n,
+                ceci.nte[self.u].get(u_n, _EMPTY_TRIPLE),
+                ceci.nte_combined(self.u, u_n),
+            )
+            for u_n in nte_parents
+        )
         self.used_cols: Tuple[int, ...] = tuple(order[:depth])
         # Grochow-Kellis counterparts matched *before* this depth; later
         # ones are still -1 in every row, which `admissible` skips.
@@ -205,35 +221,68 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # Expansion
     # ------------------------------------------------------------------
+    def _candidates(
+        self, frontier: np.ndarray, level: _Level
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The level's matching nodes for a whole block, as ``(rows,
+        cand)`` in row order with each row's candidates sorted.
+
+        A TE-only level gathers every row's TE block.  Otherwise each
+        row's shortest block (TE on a tie) drives: its partition of rows
+        is gathered once and probed against every *other* source's
+        combined codes, so a row gathers ``min`` of its block sizes —
+        Lemma 2 per row.  Each row's candidates come from one sorted
+        block, so the stable merge of the partitions yields exactly the
+        TE block filtered by every NTE group, in the same order.
+        """
+        sources = level.sources
+        located = [
+            searchsorted_blocks(keys, offsets, frontier[:, col])
+            for col, (keys, offsets, _), _ in sources
+        ]
+        if len(sources) == 1:
+            starts, counts = located[0]
+            return expand_blocks(sources[0][1][2], starts, counts)
+        stats = self.stats
+        # One logical TE∩NTE intersection per row with a non-empty TE
+        # base — the recursive engine's counting convention.
+        stats.intersections += int(np.count_nonzero(located[0][1]))
+        driver = np.argmin(np.stack([counts for _, counts in located]), axis=0)
+        # Each source's ``key * scale`` half of the probe codes, per row.
+        bases = [frontier[:, col] * self.scale for col, _, _ in sources]
+        parts: List[Tuple[np.ndarray, np.ndarray]] = []
+        for s, (starts, counts) in enumerate(located):
+            mine = np.flatnonzero(driver == s)
+            if len(mine) == 0:
+                continue
+            rows, cand = expand_blocks(
+                sources[s][1][2], starts[mine], counts[mine]
+            )
+            rows = mine[rows]
+            for t, (_, _, combined) in enumerate(sources):
+                if t == s or len(cand) == 0:
+                    continue
+                stats.kernel_array_calls += 1
+                hit = member_mask(combined, bases[t][rows] + cand)
+                rows = rows[hit]
+                cand = cand[hit]
+            if len(cand):
+                parts.append((rows, cand))
+        if len(parts) <= 1:
+            return parts[0] if parts else (_EMPTY_I64, _EMPTY_I64)
+        rows = np.concatenate([rows for rows, _ in parts])
+        cand = np.concatenate([cand for _, cand in parts])
+        merged = np.argsort(rows, kind="stable")
+        return rows[merged], cand[merged]
+
     def _expand(self, frontier: np.ndarray, depth: int) -> Optional[np.ndarray]:
         """One matching-order step for a whole frontier block: returns
         the depth+1 frontier (or ``None`` when nothing survives)."""
         level = self.levels[depth]
-        stats = self.stats
-        starts, counts = searchsorted_blocks(
-            level.te_keys, level.te_offsets, frontier[:, level.parent_col]
-        )
-        if level.nte:
-            # One logical TE∩NTE intersection per row with a non-empty
-            # TE base — the recursive engine's counting convention.
-            stats.intersections += int(np.count_nonzero(counts))
-        rows, cand = expand_blocks(level.te_values, starts, counts)
+        rows, cand = self._candidates(frontier, level)
         if len(cand) == 0:
             return None
-        keep = None
-        if level.nte:
-            # Batched semi-join: each NTE group is one vectorised
-            # membership probe of combined (parent match, candidate)
-            # codes — the array-kernel path of this engine.
-            stats.kernel_array_calls += len(level.nte)
-            scale = self.scale
-            for col, combined in level.nte:
-                mask = member_mask(
-                    combined, frontier[rows, col] * scale + cand
-                )
-                keep = mask if keep is None else keep & mask
-        used = used_exclusion_mask(frontier, rows, cand, level.used_cols)
-        keep = used if keep is None else keep & used
+        keep = used_exclusion_mask(frontier, rows, cand, level.used_cols)
         for col in level.above_cols:
             keep &= frontier[rows, col] < cand
         for col in level.below_cols:

@@ -36,7 +36,7 @@ batch engine charges the same calls block by block.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -335,6 +335,41 @@ class Enumerator:
         except BudgetExhausted as stop:
             self._note_budget_stop(stop)
         return out
+
+    def collect_parts(
+        self, pivots: Sequence[int]
+    ) -> Dict[int, List[Embedding]]:
+        """All embeddings of each pivot's cluster, as ``{pivot:
+        [embeddings]}`` — one part per pivot, each equal to
+        ``collect_from_unit((pivot,))``; a pivot without embeddings maps
+        to ``[]``.
+
+        The batch engine runs the whole share as one root frontier over
+        the sorted pivots (DESIGN.md §12) and splits each complete block
+        on the root column: in DFS order one pivot's rows are
+        contiguous.  The recursion loops over the pivots.
+        """
+        parts: Dict[int, List[Embedding]] = {int(p): [] for p in pivots}
+        if self.engine != "batch":
+            for pivot in parts:
+                parts[pivot] = self.collect_from_unit((pivot,))
+            return parts
+        engine = self._batch_instance()
+        if self._tracker is not None:
+            self._tracker.start()
+        frontier = engine.root_frontier(sorted(parts))
+        root = self.tree.root
+        try:
+            for block in engine.blocks(frontier, 1, [None]):
+                roots = block[:, root]
+                cuts = np.flatnonzero(roots[1:] != roots[:-1]) + 1
+                bounds = [0, *cuts.tolist(), len(block)]
+                rows = list(map(tuple, block.tolist()))
+                for lo, hi in zip(bounds, bounds[1:]):
+                    parts[rows[lo][root]].extend(rows[lo:hi])
+        except BudgetExhausted as stop:
+            self._note_budget_stop(stop)
+        return parts
 
     def _collect_prefix(self, prefix, sink, limit, already) -> bool:
         """Seed the mapping with a prefix and recurse; returns False when

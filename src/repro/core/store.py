@@ -28,7 +28,7 @@ and persistence all read it.  Lookups return **zero-copy array slices**
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,10 +136,11 @@ class CompactCECI:
         self.nte = nte
         self.card = card
         self.nte_built = nte_built
-        # Lazily-built combined-key views for the batch engine (one
-        # sorted ``key * scale + value`` array per NTE group); see
-        # :meth:`nte_combined`.  Keyed ``(u, u_n)``.
-        self._nte_combined: Dict[Tuple[int, int], np.ndarray] = {}
+        # Lazily-built combined-code views for the batch engine (one
+        # sorted ``key * scale + value`` array per TE triple and per
+        # NTE group); see :meth:`_combined`.  Keyed ``(u, u_n)``, with
+        # ``u_n = None`` for ``te[u]``.
+        self._combined_views: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -201,36 +202,42 @@ class CompactCECI:
         data-vertex id works, and ``num_vertices`` is the smallest."""
         return max(int(self.data.num_vertices), 1)
 
-    def nte_combined(self, u: int, u_n: int) -> np.ndarray:
-        """The NTE group ``nte[u][u_n]`` as one globally-sorted array of
-        combined ``key * pair_scale + value`` codes.
+    def _combined(self, u: int, u_n: Optional[int]) -> np.ndarray:
+        """One triple (``te[u]`` when ``u_n`` is None, else the NTE
+        group ``nte[u][u_n]``) as one globally-sorted array of combined
+        ``key * pair_scale + value`` codes.
 
         Because the key column is sorted and each value block is sorted,
         the concatenation ``repeat(keys, block_len) * scale + values``
         is already sorted — so one ``searchsorted`` answers "is data
-        edge ``(v_n, c)`` a candidate edge of this group" for a whole
-        frontier of pairs at once.  Built lazily per group and memoised
+        edge ``(v_key, c)`` a candidate edge of this triple" for a whole
+        frontier of pairs at once.  Built lazily per triple and memoised
         on the store (a shared store may build a view twice under a
         race; both results are identical arrays, so last-write-wins is
         benign).
         """
-        cached = self._nte_combined.get((u, u_n))
+        cached = self._combined_views.get((u, u_n))
         if cached is not None:
             return cached
-        triple = self.nte[u].get(u_n)
-        if triple is None:
+        triple = self.te[u] if u_n is None else self.nte[u].get(u_n)
+        if triple is None or len(triple[2]) == 0:
             combined = _EMPTY_I64
         else:
             keys, offsets, values = triple
-            if len(values) == 0:
-                combined = _EMPTY_I64
-            else:
-                combined = (
-                    np.repeat(keys, np.diff(offsets)) * self.pair_scale
-                    + values
-                )
-        self._nte_combined[(u, u_n)] = combined
+            combined = (
+                np.repeat(keys, np.diff(offsets)) * self.pair_scale + values
+            )
+        self._combined_views[(u, u_n)] = combined
         return combined
+
+    def te_combined(self, u: int) -> np.ndarray:
+        """``te[u]`` as sorted combined codes (see :meth:`_combined`)."""
+        return self._combined(u, None)
+
+    def nte_combined(self, u: int, u_n: int) -> np.ndarray:
+        """The NTE group ``nte[u][u_n]`` as sorted combined codes (see
+        :meth:`_combined`); empty when the group is absent."""
+        return self._combined(u, u_n)
 
     def cardinality_of(self, u: int, v: int) -> int:
         """Refinement cardinality of ``u -> v`` (0 if pruned)."""

@@ -18,9 +18,10 @@ and failure recovery:
 * **cardinality-planned routing** — a batched job arrives with the
   front end's unit plan (LPT over the refined ``cluster_cardinality``
   workloads, Section 4's cardinality-driven balancing), and each shard's
-  share of it becomes one *task per shard*; a solo job runs on the
-  least-loaded shard, un-decomposed, so its truncation prefix is the
-  sequential matcher's;
+  share of it becomes one *task per shard*, enumerated as one frontier
+  (:meth:`~repro.core.enumeration.Enumerator.collect_parts`); a solo
+  job runs on the least-loaded shard, un-decomposed, so its truncation
+  prefix is the sequential matcher's;
 * **window-of-one dispatch** — each shard has an outbox and at most one
   task in flight on its pipe, so a crash loses at most one task; a
   reader thread per shard turns replies into front-end callbacks with
@@ -70,7 +71,7 @@ from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.automorphism import SymmetryBreaker
-from ..core.enumeration import Embedding, Enumerator
+from ..core.enumeration import Enumerator
 from ..core.persist import (
     ChecksumError, dump_store_bytes, load_ceci, publish_bytes,
 )
@@ -212,14 +213,13 @@ def _run_shard_task(
             "stop_reason": enumerator.stop_reason,
         }
     else:
-        # One enumerator per cluster, mirroring the in-process
-        # executor's per-unit isolation; symmetry-inadmissible pivots
-        # come back empty exactly as sequential ``collect`` skips them.
-        parts: Dict[int, List[Embedding]] = {}
-        for pivot in spec["pivots"]:
-            enumerator = Enumerator(store, symmetry=symmetry, stats=stats)
-            parts[pivot] = enumerator.collect_from_unit((pivot,))
-        payload = {"kind": "units", "parts": parts}
+        # The whole share runs as one frontier; each part equals the
+        # pivot's own ``collect_from_unit((pivot,))``.
+        enumerator = Enumerator(store, symmetry=symmetry, stats=stats)
+        payload = {
+            "kind": "units",
+            "parts": enumerator.collect_parts(spec["pivots"]),
+        }
     payload["stats"] = stats
     # Per-process CPU seconds: the honest busy measure when N shard
     # processes time-share fewer cores (perf_counter would charge

@@ -15,8 +15,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_labeled_instance
+from repro.baselines.cflmatch import CFLMatcher
+from repro.core import batch as batch_module
 from repro.core.batch import (
     BatchEngine,
     batch_capable,
@@ -24,8 +27,9 @@ from repro.core.batch import (
 )
 from repro.core.enumeration import Enumerator
 from repro.core.matcher import CECIMatcher
+from repro.core.stats import MatchStats
 from repro.core.store import encode_pairs, lookup_pairs
-from repro.graph import Graph
+from repro.graph import Graph, power_law
 from repro.kernels import expand_blocks, member_mask, searchsorted_blocks
 from repro.resilience import Budget
 
@@ -408,3 +412,204 @@ class TestBatchEngineInternals:
             query, data, use_intersection=False, break_automorphisms=False
         )
         assert streamed == recursive.match()
+
+
+#: Queries whose levels intersect one or two NTE groups: the diamond
+#: (4-cycle plus chord), K4, and Figure 6's QG5 (two squares sharing an
+#: edge).
+HUB_QUERIES = {
+    "diamond": Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+    "k4": Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "qg5": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]),
+}
+
+
+def _hub_data(n: int, m: int, hubs: int, seed: int) -> Graph:
+    """A power-law graph whose first ``hubs`` vertices are joined to
+    every other vertex: rows keyed by a hub see long TE blocks next to
+    short NTE blocks (and the reverse), so drivers mix in one block."""
+    edges = set(power_law(n, m, seed=seed).edges)
+    for h in range(hubs):
+        edges.update((h, v) for v in range(h + 1, n))
+    return Graph(n, sorted(edges))
+
+
+def _counting_recursion(ceci, symmetry):
+    """An edge-verification enumerator over ``ceci`` plus a one-cell
+    counter of its TE∩NTE steps: calls of ``matching_nodes`` at a level
+    with NTE parents whose TE block is non-empty."""
+    tree = ceci.tree
+    recursion = Enumerator(ceci, symmetry=symmetry, use_intersection=False)
+    steps = [0]
+    plain = recursion.matching_nodes
+
+    def counting(u, mapping):
+        if tree.nte_parents[u] and len(
+            ceci.te_values(u, mapping[tree.parent[u]])
+        ):
+            steps[0] += 1
+        return plain(u, mapping)
+
+    recursion.matching_nodes = counting
+    return recursion, steps
+
+
+class TestShortestListDrives:
+    """Each row's shortest candidate block drives the TE∩NTE step; the
+    answers and the accounting must still be the verification
+    recursion's, row for row (DESIGN.md §12)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(10, 36),
+        m=st.integers(1, 3),
+        hubs=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        shape=st.sampled_from(sorted(HUB_QUERIES)),
+        symmetry=st.booleans(),
+        refined=st.booleans(),
+        cut=st.integers(1, 80),
+    )
+    def test_rows_and_counters_equal_verification(
+        self, n, m, hubs, seed, shape, symmetry, refined, cut
+    ):
+        # Unrefined, the index keeps dead-end candidates, so more rows
+        # reach the TE∩NTE steps and die there.
+        matcher = CECIMatcher(
+            HUB_QUERIES[shape],
+            _hub_data(n, m, hubs, seed),
+            break_automorphisms=symmetry,
+            use_refinement=refined,
+        )
+        ceci = matcher.build()
+        batch = Enumerator(ceci, symmetry=matcher.symmetry)
+        assert batch.engine == "batch"
+        recursion, te_steps = _counting_recursion(ceci, matcher.symmetry)
+        assert recursion.engine == "recursive"
+        assert batch.collect() == recursion.collect()
+        assert batch.stats.recursive_calls == recursion.stats.recursive_calls
+        assert batch.stats.intersections == te_steps[0]
+
+        def fresh(use_intersection, **kwargs):
+            return Enumerator(
+                ceci,
+                symmetry=matcher.symmetry,
+                use_intersection=use_intersection,
+                **kwargs,
+            )
+
+        assert fresh(True).collect(cut) == fresh(False).collect(cut)
+        for budget in (Budget(max_calls=cut), Budget(max_embeddings=cut)):
+            b, r = fresh(True, budget=budget), fresh(False, budget=budget)
+            assert b.collect() == r.collect()
+            assert (b.truncated, b.stop_reason) == (
+                r.truncated, r.stop_reason
+            )
+            if budget.max_calls is not None:
+                # Single-row blocks under max_calls make the charge
+                # order, so the call count at the cut, the DFS's.
+                assert b.stats.recursive_calls == r.stats.recursive_calls
+
+    def test_gathers_at_most_the_shortest_block(self, monkeypatch):
+        """On a hub instance each TE∩NTE step gathers no more than
+        Σ_rows min(block sizes), TE and NTE drivers mix within one
+        block, and the total stays below the TE blocks' sum."""
+        matcher = CECIMatcher(
+            HUB_QUERIES["k4"], _hub_data(40, 2, 2, 3),
+            break_automorphisms=False,
+        )
+        ceci = matcher.build()
+        tree = ceci.tree
+        #: One dict per TE∩NTE step: candidates gathered, Σ_rows min
+        #: block size, Σ_rows TE block size, which sources drove.
+        steps = []
+        expand = batch_module.expand_blocks
+        candidates = BatchEngine._candidates
+
+        def counting_expand(values, starts, counts):
+            rows, out = expand(values, starts, counts)
+            if steps:
+                steps[-1]["gathered"] += len(out)
+                steps[-1]["drivers"].add(
+                    "te" if values is steps[-1]["te"] else "nte"
+                )
+            return rows, out
+
+        def bounded_candidates(self, frontier, level):
+            u = level.u
+            if not tree.nte_parents[u]:
+                return candidates(self, frontier, level)
+            step = dict(gathered=0, bound=0, te_total=0, drivers=set())
+            step["te"] = ceci.te[u][2]
+            for row in frontier.tolist():
+                te = len(ceci.te_values(u, row[tree.parent[u]]))
+                nte = [
+                    len(ceci.nte_values(u, u_n, row[u_n]))
+                    for u_n in tree.nte_parents[u]
+                ]
+                step["bound"] += min([te, *nte])
+                step["te_total"] += te
+            steps.append(step)
+            return candidates(self, frontier, level)
+
+        monkeypatch.setattr(batch_module, "expand_blocks", counting_expand)
+        monkeypatch.setattr(BatchEngine, "_candidates", bounded_candidates)
+        found = Enumerator(ceci, symmetry=matcher.symmetry).collect()
+        recursion = Enumerator(
+            ceci, symmetry=matcher.symmetry, use_intersection=False
+        )
+        assert found == recursion.collect()
+        assert steps
+        for step in steps:
+            assert step["gathered"] <= step["bound"]
+        assert any(step["drivers"] == {"te", "nte"} for step in steps)
+        assert sum(step["gathered"] for step in steps) < sum(
+            step["te_total"] for step in steps
+        )
+
+
+def _lpt_share(store):
+    """Every pivot of ``store`` in LPT order: descending cluster
+    cardinality, so not sorted by id."""
+    return sorted(
+        (int(p) for p in store.pivots),
+        key=lambda p: (-store.cluster_cardinality(p), p),
+    )
+
+
+class TestCollectParts:
+    """A shard's pivot share runs as one frontier; each part must equal
+    the pivot's own unit run, whichever engine the inputs pick."""
+
+    def _check(self, ceci, symmetry, engine):
+        share = _lpt_share(ceci)
+        assert share != sorted(share)
+        stats = MatchStats()
+        enumerator = Enumerator(ceci, symmetry=symmetry, stats=stats)
+        assert enumerator.engine == engine
+        parts = enumerator.collect_parts(share)
+        assert list(parts) == share
+        unit_stats = MatchStats()
+        for pivot in share:
+            alone = Enumerator(ceci, symmetry=symmetry, stats=unit_stats)
+            assert parts[pivot] == alone.collect_from_unit((pivot,)), pivot
+        assert stats.recursive_calls == unit_stats.recursive_calls
+        assert stats.intersections == unit_stats.intersections
+        assert stats.embeddings_found == unit_stats.embeddings_found
+        sizes = [len(part) for part in parts.values()]
+        assert 0 in sizes and max(sizes) > 0
+
+    @pytest.mark.parametrize("shape", sorted(HUB_QUERIES))
+    def test_batch_parts_equal_unit_runs(self, shape):
+        matcher = CECIMatcher(HUB_QUERIES[shape], _hub_data(40, 2, 2, 3))
+        self._check(matcher.build(), matcher.symmetry, "batch")
+
+    @pytest.mark.parametrize("shape", sorted(HUB_QUERIES))
+    def test_te_only_cpi_parts_equal_unit_runs(self, shape):
+        cfl = CFLMatcher(HUB_QUERIES[shape], _hub_data(40, 2, 2, 3))
+        self._check(cfl._build().ceci, cfl.symmetry, "recursive")
+
+    def test_empty_share(self):
+        matcher = CECIMatcher(HUB_QUERIES["k4"], _hub_data(20, 2, 1, 1))
+        enumerator = Enumerator(matcher.build(), symmetry=matcher.symmetry)
+        assert enumerator.collect_parts([]) == {}

@@ -197,6 +197,29 @@ def test_unbounded_requests_fan_out(service_pair):
     assert saw_fanout, "no query decomposed across more than one shard"
 
 
+def test_shard_counters_sum_to_the_sequential_matcher():
+    """Each shard runs its pivot share as one frontier; the counters it
+    reports, summed over the shards, are the sequential matcher's."""
+    data = make_data(4)
+    queries = make_queries(data, 4)
+    fanned_with_nte = 0
+    with ShardedMatchService(data, shards=SHARDS) as service:
+        for query in queries:
+            response = service.match(MatchRequest(query))
+            matcher = CECIMatcher(query, data)
+            assert response.status == Status.OK
+            assert [tuple(e) for e in response.embeddings] == matcher.match()
+            assert response.stats.recursive_calls == (
+                matcher.stats.recursive_calls
+            )
+            assert response.stats.intersections == (
+                matcher.stats.intersections
+            )
+            if response.shard_fanout > 1 and matcher.stats.intersections:
+                fanned_with_nte += 1
+    assert fanned_with_nte, "no query intersected across several shards"
+
+
 class TestShardedLifecycle:
     """Shape-of-the-tier checks that need their own service instances."""
 
