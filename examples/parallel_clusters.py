@@ -12,7 +12,8 @@ Run:  python examples/parallel_clusters.py
 from repro import CECIMatcher
 from repro.bench import QG3
 from repro.graph import power_law
-from repro.parallel import parallel_match, simulate_policy
+from repro.parallel import simulate_policy
+from repro.service import MatchRequest, MatchService
 
 data = power_law(num_vertices=1200, edges_per_vertex=5, seed=77, name="skewed")
 matcher = CECIMatcher(QG3, data)
@@ -47,14 +48,15 @@ for policy in ("ST", "CGD", "FGD"):
           f"(makespan {result.makespan:.0f} ops, skew {result.assignment.skew:.2f})")
 
 # ----------------------------------------------------------------------
-# 4. Real threads: the pull-based pool produces the exact sequential
-#    embedding set, partitioned across workers.
+# 4. Real threads: the match service's worker pool pulls one unit per
+#    cluster from a shared queue (CGD) and merges the parts back in pivot
+#    order — the exact sequential embedding list.
 # ----------------------------------------------------------------------
-sequential = set(CECIMatcher(QG3, data).match())
-fresh = CECIMatcher(QG3, data)
-parallel, reports = parallel_match(fresh, workers=4, policy="FGD", beta=0.2)
-print(f"\nthread pool: {len(parallel)} embeddings "
-      f"(sequential found {len(sequential)}; equal: {set(parallel) == sequential})")
-for report in reports:
-    print(f"  worker {report.worker_id}: {len(report.embeddings)} embeddings, "
-          f"{report.units_processed} units")
+sequential = CECIMatcher(QG3, data).match()
+with MatchService(data, workers=4) as service:
+    response = service.match(MatchRequest(QG3))
+print(f"\nthread pool: {response.count} embeddings "
+      f"(sequential found {len(sequential)}; "
+      f"equal: {response.embeddings == sequential})")
+print(f"  {service.metrics.get('service_units_total')} cluster units "
+      f"pulled by {service.workers} worker threads")

@@ -20,15 +20,15 @@ Subpackages
     Ullmann, VF2, QuickSI, TurboIso(+Boosted), CFLMatch, PsgL, DualSim
     and the bare-graph listing baseline.
 ``repro.parallel``
-    ST / CGD / FGD scheduling, crash-safe thread executor,
-    simulated-time executor.
+    ST / CGD / FGD scheduling and the simulated-time executor (the
+    in-process thread executor is ``repro.service.MatchService``).
 ``repro.kernels``
     Sorted-set intersection: the batch engine's whole-array join
     primitives and one k-way ``intersect``.
 ``repro.resilience``
     Enumeration budgets (:class:`Budget` / :class:`PartialResult`),
     seeded fault injection (:class:`FaultPlan`), retry/recovery
-    bookkeeping shared by the parallel and distributed runtimes.
+    bookkeeping for the service and the distributed runtime.
 ``repro.distributed``
     Simulated multi-machine runtime (replicated vs shared CSR storage,
     pivot partitioning, work stealing).

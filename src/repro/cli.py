@@ -4,7 +4,7 @@
 
     python -m repro match    QUERY DATA [--limit N] [--order bfs] [--all-autos]
                                         [--timeout S] [--max-calls N]
-                                        [--workers K] [--inject-faults SEED]
+                                        [--workers K]
                                         [--trace FILE.jsonl] [--progress]
                                         [--metrics {json,prom}] [--json]
     python -m repro count    QUERY DATA [--limit N] [...same flags]
@@ -34,10 +34,12 @@ The index is always frozen into flat sorted int64 arrays after refinement
 ``--timeout`` / ``--max-calls`` cap the run with a
 :class:`~repro.resilience.budget.Budget`; a truncated run prints a
 ``# truncated: <axis>`` line on stderr instead of hanging.
-``--workers K`` (K > 1) enumerates with the crash-safe thread executor,
-and ``--inject-faults SEED`` feeds it a seeded chaos
-:class:`~repro.resilience.faults.FaultPlan` — the embedding output must
-survive the injected crashes unchanged.
+``--workers K`` (K > 1, match/count only) sends the query as one
+request to a :class:`~repro.service.service.MatchService` with ``K``
+worker threads — the one in-process parallel executor, with its
+budgets, retries and watchdog — and prints exactly what the sequential
+run prints, ``--limit`` prefixes and budget cuts included.  A failed or
+crashed request exits 1 with its error on stderr.
 
 Observability (DESIGN.md §9): ``--trace FILE.jsonl`` writes the run's
 phase records and nested spans as JSON lines —
@@ -67,7 +69,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .core import CECIMatcher
+from .core import CECIMatcher, MatchStats
 from .core.persist import save_ceci
 from .observability import (
     ProgressReporter,
@@ -75,7 +77,7 @@ from .observability import (
     Tracer,
     summarize_trace,
 )
-from .resilience import Budget, FaultPlan
+from .resilience import Budget
 from .graph import (
     Graph,
     erdos_renyi,
@@ -148,109 +150,110 @@ def _emit_metrics(args: argparse.Namespace, stats) -> None:
         print(registry.to_prom(), file=sys.stderr, end="")
 
 
-def _run_embeddings(args, matcher):
-    """Shared match/count execution: returns (embeddings, truncated,
-    stop_reason), going through the crash-safe thread executor when
-    ``--workers`` asks for one."""
-    workers = getattr(args, "workers", None) or 1
-    quiet = bool(getattr(args, "json", False))
-    if workers > 1:
-        from .parallel import parallel_match
-
-        if matcher.budget is not None and not quiet:
-            print(
-                "# note: --timeout/--max-calls apply to the sequential "
-                "path; ignored under --workers",
-                file=sys.stderr,
-            )
-        plan = None
-        if args.inject_faults is not None:
-            plan = FaultPlan.chaos(args.inject_faults, num_workers=workers)
-        if matcher.progress is not None:
-            matcher.progress.start()
-        # parallel_match folds every worker's counters into
-        # matcher.stats through the single MatchStats.merge path.
-        embeddings, reports = parallel_match(
-            matcher, workers=workers, limit=args.limit, fault_plan=plan
-        )
-        if matcher.progress is not None:
-            # Workers tick their own per-unit enumerators, not this
-            # reporter; the merged stats still close the run with one
-            # truthful summary line.
-            matcher.progress.finish(force=True)
-        crashed = sum(1 for r in reports if r.crashed)
-        if crashed and not quiet:
-            print(
-                f"# recovered from {crashed} injected worker crash(es): "
-                f"{matcher.stats.retries} retries, "
-                f"{matcher.stats.reassignments} reassignments",
-                file=sys.stderr,
-            )
-        return embeddings, False, None
-    result = matcher.run(limit=args.limit)
-    return result.embeddings, result.truncated, result.stop_reason
-
-
-def _cmd_match(args: argparse.Namespace) -> int:
+def _run_embeddings(args: argparse.Namespace):
+    """Shared match/count execution: returns ``(embeddings, truncated,
+    stop_reason, stats, elapsed)``, or the error string of a request
+    the service could not answer.  ``--workers K`` (K > 1) goes through
+    :func:`_run_on_service`; otherwise the sequential matcher runs."""
+    if (args.workers or 1) > 1:
+        return _run_on_service(args)
     matcher = _make_matcher(args)
     try:
         started = time.perf_counter()
-        embeddings, truncated, stop_reason = _run_embeddings(args, matcher)
+        result = matcher.run(limit=args.limit)
         elapsed = time.perf_counter() - started
-        if args.json:
-            print(json.dumps({
-                "schema": OUTPUT_SCHEMA,
-                "command": "match",
-                "count": len(embeddings),
-                "embeddings": [
-                    [int(v) for v in embedding] for embedding in embeddings
-                ],
-                "truncated": truncated,
-                "stop_reason": stop_reason,
-                "elapsed_seconds": elapsed,
-                "stats": matcher.stats.registry().as_dict()["metrics"],
-            }, indent=2))
-        else:
+    finally:
+        matcher.tracer.close()
+    return (
+        result.embeddings, result.truncated, result.stop_reason,
+        matcher.stats, elapsed,
+    )
+
+
+def _run_on_service(args: argparse.Namespace):
+    """One request on ``MatchService(workers=K)``.  A ``limit`` or a
+    budget runs solo, so its prefix is the sequential one; an unbounded
+    request fans out one unit per cluster and merges in pivot order."""
+    from .service import MatchRequest, MatchService, Status
+
+    query = _load_graph(args.query)
+    data = _load_graph(args.data)
+    tracer = Tracer(args.trace) if args.trace else None
+    progress = None
+    if args.progress:
+        # Workers tick their own enumerators, not this reporter; it
+        # closes the run with one summary line over the request's stats.
+        progress = ProgressReporter(
+            MatchStats(), interval=args.progress_interval, tracer=tracer
+        ).start()
+    try:
+        with MatchService(
+            data, workers=args.workers, order_strategy=args.order,
+            tracer=tracer,
+        ) as service:
+            started = time.perf_counter()
+            response = service.match(MatchRequest(
+                query,
+                limit=args.limit,
+                budget=_budget_from(args),
+                break_automorphisms=not args.all_autos,
+            ))
+            elapsed = time.perf_counter() - started
+        if progress is not None:
+            progress.stats = response.stats
+            progress.finish(force=True)
+    finally:
+        if tracer is not None:
+            tracer.close()
+    if response.status not in (Status.OK, Status.TRUNCATED):
+        return f"{response.status}: {response.error}"
+    return (
+        response.embeddings, response.truncated, response.stop_reason,
+        response.stats, elapsed,
+    )
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    """``match`` (list the embeddings) and ``count``."""
+    outcome = _run_embeddings(args)
+    if isinstance(outcome, str):
+        print(f"error: {outcome}", file=sys.stderr)
+        return 1
+    embeddings, truncated, stop_reason, stats, elapsed = outcome
+    listing = args.command == "match"
+    if args.json:
+        payload = {
+            "schema": OUTPUT_SCHEMA,
+            "command": args.command,
+            "count": len(embeddings),
+        }
+        if listing:
+            payload["embeddings"] = [
+                [int(v) for v in embedding] for embedding in embeddings
+            ]
+        payload.update(
+            truncated=truncated,
+            stop_reason=stop_reason,
+            elapsed_seconds=elapsed,
+            stats=stats.registry().as_dict()["metrics"],
+        )
+        print(json.dumps(payload, indent=2))
+    else:
+        if listing:
             for embedding in embeddings:
                 print(" ".join(str(v) for v in embedding))
             print(
                 f"# {len(embeddings)} embeddings in {elapsed:.3f}s "
-                f"({matcher.stats.recursive_calls} recursive calls)",
+                f"({stats.recursive_calls} recursive calls)",
                 file=sys.stderr,
             )
-            if truncated:
-                print(f"# truncated: {stop_reason}", file=sys.stderr)
-        _emit_metrics(args, matcher.stats)
-        return 0
-    finally:
-        matcher.tracer.close()
-
-
-def _cmd_count(args: argparse.Namespace) -> int:
-    matcher = _make_matcher(args)
-    try:
-        started = time.perf_counter()
-        embeddings, truncated, stop_reason = _run_embeddings(args, matcher)
-        elapsed = time.perf_counter() - started
-        if args.json:
-            print(json.dumps({
-                "schema": OUTPUT_SCHEMA,
-                "command": "count",
-                "count": len(embeddings),
-                "truncated": truncated,
-                "stop_reason": stop_reason,
-                "elapsed_seconds": elapsed,
-                "stats": matcher.stats.registry().as_dict()["metrics"],
-            }, indent=2))
         else:
             print(len(embeddings))
             print(f"# counted in {elapsed:.3f}s", file=sys.stderr)
-            if truncated:
-                print(f"# truncated: {stop_reason}", file=sys.stderr)
-        _emit_metrics(args, matcher.stats)
-        return 0
-    finally:
-        matcher.tracer.close()
+        if truncated:
+            print(f"# truncated: {stop_reason}", file=sys.stderr)
+    _emit_metrics(args, stats)
+    return 0
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
@@ -645,12 +648,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-calls", type=int, default=None, metavar="N",
                        help="recursive-call budget (the paper's "
                             "search-space proxy)")
-        p.add_argument("--workers", type=int, default=None, metavar="K",
-                       help="enumerate with K crash-safe worker threads")
-        p.add_argument("--inject-faults", type=int, default=None,
-                       metavar="SEED",
-                       help="inject a seeded chaos FaultPlan into the "
-                            "--workers executor (requires --workers >= 2)")
         p.add_argument("--trace", default=None, metavar="FILE.jsonl",
                        help="write phase/span trace events as "
                             "JSON lines (render with 'repro trace "
@@ -667,19 +664,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seconds between --progress heartbeats "
                             "(default 1.0)")
 
-    p_match = sub.add_parser("match", help="list embeddings")
-    add_match_args(p_match)
-    p_match.add_argument("--json", action="store_true",
-                         help="emit one machine-readable object on stdout "
-                              "and silence the stderr counter lines")
-    p_match.set_defaults(fn=_cmd_match)
-
-    p_count = sub.add_parser("count", help="count embeddings")
-    add_match_args(p_count)
-    p_count.add_argument("--json", action="store_true",
-                         help="emit one machine-readable object on stdout "
-                              "and silence the stderr counter lines")
-    p_count.set_defaults(fn=_cmd_count)
+    for name, help_text in (
+        ("match", "list embeddings"), ("count", "count embeddings"),
+    ):
+        p_run = sub.add_parser(name, help=help_text)
+        add_match_args(p_run)
+        p_run.add_argument("--workers", type=int, default=None, metavar="K",
+                           help="run the query on a match service with K "
+                                "worker threads (same output as the "
+                                "sequential run)")
+        p_run.add_argument("--json", action="store_true",
+                           help="emit one machine-readable object on "
+                                "stdout and silence the stderr counter "
+                                "lines")
+        p_run.set_defaults(fn=_cmd_enumerate)
 
     p_index = sub.add_parser("index", help="build and persist a CECI index")
     add_match_args(p_index)
@@ -886,10 +884,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point (``python -m repro``)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "inject_faults", None) is not None and (
-        getattr(args, "workers", None) or 1
-    ) < 2:
-        parser.error("--inject-faults requires --workers >= 2")
     if getattr(args, "timeout", None) is not None and args.timeout <= 0:
         parser.error("--timeout must be positive")
     if getattr(args, "max_calls", None) is not None and args.max_calls <= 0:

@@ -67,8 +67,6 @@ class MatchStats:
     retries: int = 0
     #: Orphaned work pieces handed to a surviving executor.
     reassignments: int = 0
-    #: Worker threads lost to crashes.
-    worker_crashes: int = 0
     #: Simulated machines lost to crashes.
     machine_crashes: int = 0
     #: Coordinator messages dropped (and retransmitted).

@@ -121,9 +121,9 @@ class ProgressReporter:
         Runs shorter than ``check_every`` calls never consulted the
         clock, so this arms the reporter late — ``--progress`` always
         yields at least the final line.  ``force`` emits even with zero
-        ticks: parallel runs tick per-worker enumerators rather than
-        this reporter, but their merged stats still make a truthful
-        final summary."""
+        ticks: a ``--workers`` run's service workers tick their own
+        enumerators rather than this reporter, but the request's stats
+        still make a truthful final summary."""
         if self._ticks or force:
             self.start()
             self._emit(time.perf_counter(), final=True)

@@ -1,4 +1,9 @@
-"""Parallel execution: scheduling policies, thread executor, simulator."""
+"""Parallel execution: scheduling policies and the simulated-time executor.
+
+The in-process thread executor is the service's
+(:class:`~repro.service.service.MatchService`); this package keeps the
+ST / CGD / FGD policies and the makespan model that Figs 11-14 replay.
+"""
 
 from .scheduling import (
     POLICIES,
@@ -12,16 +17,13 @@ from .simulate import (
     simulate_policy,
     speedup_curve,
 )
-from .workers import WorkerReport, parallel_match
 
 __all__ = [
     "POLICIES",
     "Assignment",
     "PolicyResult",
-    "WorkerReport",
     "dynamic_schedule",
     "measure_unit_costs",
-    "parallel_match",
     "simulate_policy",
     "speedup_curve",
     "static_schedule",

@@ -12,8 +12,8 @@ ExtremeCluster fragments):
   ExtremeCluster-decomposed pool (the caller supplies decomposed units).
 
 Policies are pure functions from per-unit costs to an assignment, so the
-same code drives both the real thread executor and the simulated-time
-executor.
+same code plans the service's units (``dynamic_schedule`` over cluster
+cardinalities) and drives the simulated-time executor.
 """
 
 from __future__ import annotations

@@ -1,17 +1,17 @@
 """Resilience layer: enumeration budgets, deterministic fault injection,
-and recovery/retry accounting for the parallel and distributed runtimes.
+and retry/recovery accounting for the service and the distributed
+runtime.
 
 The three modules map onto the three failure surfaces of a production
 matcher:
 
 * :mod:`repro.resilience.budget` — a pathological query must return a
   flagged partial answer, not hang (``Budget`` / ``PartialResult``);
-* :mod:`repro.resilience.faults` — machine and worker failures are
-  described up front by a seeded ``FaultPlan`` so recovery is testable
-  and replayable;
-* :mod:`repro.resilience.recovery` — lost work is requeued with bounded
-  retries and every incident is logged; results are exact or loudly
-  incomplete, never silently short.
+* :mod:`repro.resilience.faults` — machine, service-worker, shard and
+  storage failures are described up front by a seeded ``FaultPlan`` so
+  recovery is testable and replayable;
+* :mod:`repro.resilience.recovery` — the retry policy both runtimes
+  share, and the distributed runtime's ordered recovery log.
 """
 
 from .budget import (
@@ -25,11 +25,8 @@ from .faults import (
     FaultPlan,
     InjectedBuildError,
     InjectedCrash,
-    InjectedUnitError,
 )
 from .recovery import (
-    FailureReport,
-    ParallelExecutionError,
     RecoveryEvent,
     RecoveryLog,
     RetryPolicy,
@@ -39,12 +36,9 @@ __all__ = [
     "Budget",
     "BudgetExhausted",
     "BudgetTracker",
-    "FailureReport",
     "FaultPlan",
     "InjectedBuildError",
     "InjectedCrash",
-    "InjectedUnitError",
-    "ParallelExecutionError",
     "PartialResult",
     "RecoveryEvent",
     "RecoveryLog",

@@ -1,4 +1,5 @@
-"""Deterministic fault injection for the parallel and distributed paths.
+"""Deterministic fault injection for the distributed runtime, the
+service and its shards.
 
 Testing recovery logic against *real* nondeterministic failures is
 hopeless; instead every failure the runtime can experience is described
@@ -8,13 +9,6 @@ up front by a :class:`FaultPlan` and injected at deterministic points:
   up its ``k``-th cluster (0-based), losing its unexplored queue and the
   in-flight cluster (the distributed event loop is single-threaded, so
   per-machine positions are fully deterministic);
-* ``worker_crash_picks = {k, ...}`` — the worker thread that starts the
-  ``k``-th unit *globally* (0-based, counted across all workers) dies,
-  losing the in-flight unit.  Real threads race for the queue, so *which*
-  worker dies depends on scheduling, but *that* exactly one worker dies
-  per index is deterministic;
-* ``worker_error_picks = {k, ...}`` — the globally ``k``-th unit attempt
-  raises a unit-level exception (the worker survives and keeps pulling);
 * ``message_drop_rate`` — each coordinator->machine pivot message is
   dropped with this probability (decided by the seeded RNG) and must be
   retransmitted at extra communication cost;
@@ -26,10 +20,12 @@ The **service-level** fault points drive the resident
 watchdog, retry, and spill-integrity paths) through the same seeded
 discipline:
 
-* ``service_worker_crash_picks = {k, ...}`` — the service worker that
+* ``thread_crash_picks = {k, ...}`` — the thread-executor worker that
   pops its ``k``-th task *globally* dies mid-job (the thread exits; the
   watchdog must detect the death, fail or retry the in-flight work, and
-  respawn the slot);
+  respawn the slot).  Real threads race for the queue, so *which*
+  worker dies depends on scheduling, but *that* exactly one dies per
+  pick is deterministic;
 * ``build_failure_picks = {k, ...}`` — the ``k``-th index build the
   service pays for raises :class:`InjectedBuildError`;
 * ``spill_torn_write_picks = {k, ...}`` — the ``k``-th spill write is
@@ -75,28 +71,16 @@ __all__ = [
     "FaultPlan",
     "InjectedBuildError",
     "InjectedCrash",
-    "InjectedUnitError",
 ]
 
 
 class InjectedCrash(RuntimeError):
-    """A planned crash of a worker thread or simulated machine."""
+    """A planned crash of a service worker thread or simulated machine."""
 
     def __init__(self, kind: str, subject: int) -> None:
         super().__init__(f"injected crash of {kind} {subject}")
         self.kind = kind
         self.subject = subject
-
-
-class InjectedUnitError(RuntimeError):
-    """A planned unit-level failure (the worker survives)."""
-
-    def __init__(self, worker: int, unit_index: int) -> None:
-        super().__init__(
-            f"injected failure of worker {worker}'s unit #{unit_index}"
-        )
-        self.worker = worker
-        self.unit_index = unit_index
 
 
 class InjectedBuildError(RuntimeError):
@@ -115,14 +99,10 @@ class FaultPlan:
 
     seed: int = 0
     machine_crashes: Dict[int, int] = field(default_factory=dict)
-    worker_crash_picks: FrozenSet[int] = field(default_factory=frozenset)
-    worker_error_picks: FrozenSet[int] = field(default_factory=frozenset)
     message_drop_rate: float = 0.0
     slow_machines: Dict[int, float] = field(default_factory=dict)
     # Service-level fault points (see module docstring).
-    service_worker_crash_picks: FrozenSet[int] = field(
-        default_factory=frozenset
-    )
+    thread_crash_picks: FrozenSet[int] = field(default_factory=frozenset)
     build_failure_picks: FrozenSet[int] = field(default_factory=frozenset)
     spill_torn_write_picks: FrozenSet[int] = field(default_factory=frozenset)
     spill_read_corrupt_picks: FrozenSet[int] = field(
@@ -173,21 +153,13 @@ class FaultPlan:
         """Does ``machine`` die when starting its n-th cluster?"""
         return self.machine_crashes.get(machine) == clusters_started
 
-    def worker_crash_at(self, global_pick: int) -> bool:
-        """Does the worker starting the globally n-th unit die?"""
-        return global_pick in self.worker_crash_picks
-
-    def worker_error_at(self, global_pick: int) -> bool:
-        """Does the globally n-th unit attempt raise (worker survives)?"""
-        return global_pick in self.worker_error_picks
-
     def slowdown(self, machine: int) -> float:
         """Cost multiplier for ``machine`` (1.0 = healthy)."""
         return self.slow_machines.get(machine, 1.0)
 
-    def service_worker_crashes_at(self, task_pick: int) -> bool:
+    def thread_crashes_at(self, task_pick: int) -> bool:
         """Does the service worker popping the globally n-th task die?"""
-        return task_pick in self.service_worker_crash_picks
+        return task_pick in self.thread_crash_picks
 
     def build_fails_at(self, build_index: int) -> bool:
         """Does the n-th service index build raise?"""
@@ -222,11 +194,9 @@ class FaultPlan:
         """True when the plan injects nothing at all."""
         return (
             not self.machine_crashes
-            and not self.worker_crash_picks
-            and not self.worker_error_picks
             and self.message_drop_rate == 0.0
             and not self.slow_machines
-            and not self.service_worker_crash_picks
+            and not self.thread_crash_picks
             and not self.build_failure_picks
             and not self.spill_torn_write_picks
             and not self.spill_read_corrupt_picks
@@ -244,34 +214,25 @@ class FaultPlan:
         cls,
         seed: int,
         num_machines: int = 0,
-        num_workers: int = 0,
         crash_fraction: float = 0.25,
         message_drop_rate: float = 0.0,
         max_crash_position: int = 3,
     ) -> "FaultPlan":
-        """A randomized-but-deterministic plan: ``crash_fraction`` of the
-        machines crash at a seeded early cluster position, and the same
-        fraction of worker-count crash picks are injected at seeded
-        early global unit indices.  The same seed always yields the same
-        plan."""
+        """A randomized-but-deterministic distributed plan:
+        ``crash_fraction`` of the machines (never all of them) crash at
+        a seeded early cluster position.  The same seed always yields
+        the same plan; :meth:`service_chaos` is the service's
+        counterpart."""
         rng = random.Random(seed)
         machine_crashes: Dict[int, int] = {}
-        crash_picks: set = set()
         if num_machines > 0:
             count = max(1, int(num_machines * crash_fraction))
             count = min(count, num_machines - 1) if num_machines > 1 else 0
             for m in rng.sample(range(num_machines), count):
                 machine_crashes[m] = rng.randrange(max_crash_position + 1)
-        if num_workers > 1:
-            count = min(
-                max(1, int(num_workers * crash_fraction)), num_workers - 1
-            )
-            span = max(num_workers * (max_crash_position + 1), count)
-            crash_picks.update(rng.sample(range(span), count))
         return cls(
             seed=seed,
             machine_crashes=machine_crashes,
-            worker_crash_picks=frozenset(crash_picks),
             message_drop_rate=message_drop_rate,
         )
 
@@ -329,7 +290,7 @@ class FaultPlan:
         shard_stalls = shard_picks(shard_stall_fraction)
         return cls(
             seed=seed,
-            service_worker_crash_picks=picks(crash_fraction, requests),
+            thread_crash_picks=picks(crash_fraction, requests),
             build_failure_picks=picks(build_failure_fraction, requests),
             spill_torn_write_picks=picks(
                 spill_fault_fraction, max(requests // 2, 1)

@@ -1,28 +1,28 @@
-"""Retry accounting and failure reporting shared by the parallel-thread
-and simulated-distributed runtimes.
+"""Retry policy and recovery accounting.
 
-Both runtimes follow the same recovery contract:
+Two runtimes recover lost work:
 
-1. a failed piece of work (a thread's :class:`~repro.core.clusters.
-   WorkUnit`, a machine's embedding cluster) is requeued to the
-   surviving executors with its attempt counter bumped;
-2. a piece whose attempts exceed ``RetryPolicy.max_retries`` is reported
-   *failed* instead of being retried forever;
-3. every crash / retry / reassignment is appended to a
-   :class:`RecoveryLog`, and the final result either provably covers the
-   full embedding set or carries (or raises with) a complete
-   :class:`FailureReport` — work is never silently dropped.
+* the resident service (:mod:`repro.service.service`) re-runs a request
+  failed by a worker crash or an injected transient fault, as its
+  :class:`RetryPolicy` allows, backing off between attempts;
+* the simulated distributed runtime (:mod:`repro.distributed.runtime`)
+  requeues a crashed machine's in-flight cluster with its attempt
+  counter bumped, reports a cluster whose attempts exceed
+  ``RetryPolicy.max_retries`` as failed instead of retrying it forever,
+  and appends every crash / retry / reassignment to a
+  :class:`RecoveryLog`.
+
+Either way the result covers the full embedding set or says that it
+does not: work is never silently dropped.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
-    "FailureReport",
-    "ParallelExecutionError",
     "RecoveryEvent",
     "RecoveryLog",
     "RetryPolicy",
@@ -40,8 +40,8 @@ class RetryPolicy:
     seconds, capped at ``backoff_max_seconds``, multiplied by a seeded
     jitter factor drawn uniformly from ``1 ± jitter_fraction`` so a
     burst of simultaneous failures does not retry in lockstep.  The
-    defaults (``backoff_base_seconds=0``) retry immediately, which keeps
-    the parallel/distributed runtimes' historical behaviour.
+    defaults (``backoff_base_seconds=0``) retry immediately;
+    ``repro serve --retries N`` backs off from 10 ms.
     """
 
     max_retries: int = 2
@@ -92,11 +92,11 @@ class RetryPolicy:
 class RecoveryEvent:
     """One recovery-relevant incident.
 
-    ``kind`` is one of ``"worker_crash"``, ``"machine_crash"``,
-    ``"unit_error"``, ``"requeue"``, ``"reassign"``, ``"message_drop"``,
-    ``"give_up"``; ``subject`` is the worker/machine id involved and
-    ``work`` identifies the unit prefix or cluster pivot (None for
-    events without an associated piece of work).
+    ``kind`` is one of ``"machine_crash"``, ``"requeue"``,
+    ``"reassign"``, ``"message_drop"``, ``"give_up"``; ``subject`` is
+    the machine id involved (-1 for the coordinator) and ``work``
+    identifies the cluster pivot (None for events without an associated
+    piece of work).
     """
 
     kind: str
@@ -140,49 +140,3 @@ class RecoveryLog:
 
     def __iter__(self):
         return iter(self.events)
-
-
-@dataclass
-class FailureReport:
-    """Everything that went permanently wrong in one run."""
-
-    #: Work pieces that exceeded the retry policy: (identifier, reason).
-    failed_work: List[Tuple[Tuple[int, ...], str]] = field(
-        default_factory=list
-    )
-    #: Executor ids (workers or machines) that crashed.
-    crashed: List[int] = field(default_factory=list)
-    #: The full event log of the run.
-    log: RecoveryLog = field(default_factory=RecoveryLog)
-
-    @property
-    def ok(self) -> bool:
-        """True when no work was permanently lost (crashes that were
-        fully recovered from still leave ``ok`` True)."""
-        return not self.failed_work
-
-    def describe(self) -> str:
-        lines = []
-        if self.crashed:
-            lines.append(
-                f"crashed executors: {sorted(self.crashed)}"
-            )
-        for work, reason in self.failed_work:
-            lines.append(f"failed work {work}: {reason}")
-        if not lines:
-            lines.append("no permanent failures")
-        return "; ".join(lines)
-
-
-class ParallelExecutionError(RuntimeError):
-    """Raised when a parallel run cannot guarantee the full embedding
-    set — some work exceeded its retries or no workers survived.  Never
-    raised for failures that were fully recovered."""
-
-    def __init__(self, report: FailureReport, reports: Any = None) -> None:
-        super().__init__(
-            f"parallel execution lost work: {report.describe()}"
-        )
-        self.report = report
-        #: The per-worker WorkerReport list (when available).
-        self.worker_reports = reports

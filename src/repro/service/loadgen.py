@@ -416,7 +416,7 @@ def run_chaos(
                     "index_capacity": index_capacity,
                 },
                 "injected": {
-                    "worker_crashes": len(plan.service_worker_crash_picks),
+                    "worker_crashes": len(plan.thread_crash_picks),
                     "build_failures": len(plan.build_failure_picks),
                     "torn_spill_writes": len(plan.spill_torn_write_picks),
                     "corrupt_spill_reads": len(plan.spill_read_corrupt_picks),

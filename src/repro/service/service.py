@@ -1096,16 +1096,18 @@ class MatchService:
         stats: MatchStats,
         seconds: float,
         started: Optional[float],
+        worker: Optional[int],
         **detail,
     ) -> None:
         """Book one finished task's enumeration time into its stats, the
-        trace (when the executor measured ``started`` in this process)
-        and the flight record."""
+        trace (when the executor measured ``started`` in this process,
+        tagged with the request and the ``worker`` slot that ran it) and
+        the flight record."""
         stats.add_phase("enumerate", seconds)
         if started is not None and self.tracer.enabled:
             self.tracer.phase(
                 "enumerate", started, seconds,
-                request=job.request.request_id,
+                request=job.request.request_id, worker=worker,
             )
         if job.flight is not None:
             job.flight.event(ev, seconds=round(seconds, 6), **detail)
@@ -1119,10 +1121,11 @@ class MatchService:
         stats: MatchStats,
         seconds: float,
         started: Optional[float] = None,
+        worker: Optional[int] = None,
     ) -> None:
         """A solo run finished (possibly truncated by its budget)."""
         self._record_enumeration(
-            job, "solo", stats, seconds, started,
+            job, "solo", stats, seconds, started, worker,
             embeddings=len(embeddings), truncated=truncated,
         )
         with job.lock:
@@ -1139,6 +1142,7 @@ class MatchService:
         stats: MatchStats,
         seconds: float,
         started: Optional[float] = None,
+        worker: Optional[int] = None,
     ) -> None:
         """Some units finished: ``parts`` maps each pivot to its cluster's
         embeddings and ``stats`` is their private counters, merged under
@@ -1146,7 +1150,7 @@ class MatchService:
         writing one stats object would drop counts).  The last unit
         merges every part back in ``store.pivots`` order."""
         self._record_enumeration(
-            job, "unit", stats, seconds, started,
+            job, "unit", stats, seconds, started, worker,
             units=len(parts),
             embeddings=sum(len(part) for part in parts.values()),
         )
@@ -1531,10 +1535,10 @@ class _ThreadExecutor:
                     slot, job, pivot, time.perf_counter()
                 )
             try:
-                if plan is not None and plan.service_worker_crashes_at(pick):
+                if plan is not None and plan.thread_crashes_at(pick):
                     raise InjectedCrash("service-worker", slot)
                 if not job.done:  # the monitor resolves deadline/cancel
-                    self._run(job, pivot)
+                    self._run(job, pivot, slot)
             except InjectedCrash:
                 # Simulated thread death: exit without any cleanup (a
                 # really-dead thread cleans up nothing), leaving the
@@ -1549,10 +1553,10 @@ class _ThreadExecutor:
             with self._pool_lock:
                 self._active.pop(ident, None)
 
-    def _run(self, job: _Job, pivot: int) -> None:
-        """Enumerate one task into private stats.  A solo run replays
-        the sequential matcher exactly, so budget truncation and
-        ``limit`` prefixes are bit-identical."""
+    def _run(self, job: _Job, pivot: int, slot: int) -> None:
+        """Enumerate one task into private stats on worker ``slot``.  A
+        solo run replays the sequential matcher exactly, so budget
+        truncation and ``limit`` prefixes are bit-identical."""
         service = self.service
         stats = MatchStats()
         started = time.perf_counter()
@@ -1562,13 +1566,13 @@ class _ThreadExecutor:
             service._solo_done(
                 job, embeddings, enumerator.truncated,
                 enumerator.stop_reason, stats,
-                time.perf_counter() - started, started,
+                time.perf_counter() - started, started, slot,
             )
         else:
             part = enumerator.collect_from_unit((pivot,))
             service._units_done(
                 job, {pivot: part}, stats,
-                time.perf_counter() - started, started,
+                time.perf_counter() - started, started, slot,
             )
 
     # -- Watchdog ---------------------------------------------------------

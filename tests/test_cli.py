@@ -51,6 +51,81 @@ class TestCountCommand:
         assert capsys.readouterr().out.strip() == "2"
 
 
+class TestWorkersOption:
+    """``--workers K`` runs the query on ``MatchService(workers=K)`` and
+    prints exactly what the sequential command prints."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self, tmp_path_factory):
+        from repro.graph import power_law
+
+        tmp_path = tmp_path_factory.mktemp("workers")
+        qpath = str(tmp_path / "q.graph")
+        dpath = str(tmp_path / "d.graph")
+        save_graph_format(Graph(3, [(0, 1), (1, 2), (0, 2)]), qpath)
+        save_graph_format(power_law(300, 4, seed=7), dpath)
+        return qpath, dpath
+
+    @staticmethod
+    def _json(capsys, argv):
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        return {
+            key: payload.get(key)
+            for key in ("count", "embeddings", "truncated", "stop_reason")
+        }
+
+    @pytest.mark.parametrize("command", ["match", "count"])
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    @pytest.mark.parametrize("bound", [
+        [], ["--limit", "5"], ["--max-calls", "50"],
+        ["--timeout", "1e-9"], ["--timeout", "60"],
+    ], ids=["unbounded", "limit", "max-calls", "timeout-cut", "timeout"])
+    def test_output_equals_sequential(
+        self, skewed, capsys, command, workers, bound
+    ):
+        qpath, dpath = skewed
+        argv = [command, qpath, dpath, *bound]
+        sequential = self._json(capsys, argv)
+        assert self._json(capsys, argv + ["--workers", workers]) == (
+            sequential
+        )
+        assert sequential["count"] > 0 or sequential["truncated"]
+
+    def test_budget_cut_reported_without_note(self, skewed, capsys):
+        qpath, dpath = skewed
+        assert main(["count", qpath, dpath, "--workers", "2",
+                     "--max-calls", "50"]) == 0
+        err = capsys.readouterr().err
+        assert "# truncated: max_calls" in err
+        assert "note" not in err
+
+    def test_failed_request_exits_nonzero(self, files, capsys, monkeypatch):
+        from repro.service.service import MatchService
+
+        def broken(self, job, stats):
+            raise RuntimeError("enumerator unavailable")
+
+        monkeypatch.setattr(MatchService, "_enumerator", broken)
+        qpath, dpath, _ = files
+        assert main(["count", qpath, dpath, "--workers", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: failed" in captured.err
+        assert "enumerator unavailable" in captured.err
+
+    @pytest.mark.parametrize("command", ["index", "stats"])
+    def test_only_match_and_count_take_workers(
+        self, files, capsys, command
+    ):
+        qpath, dpath, tmp_path = files
+        extra = [str(tmp_path / "idx.ceci")] if command == "index" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, qpath, dpath, *extra, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
 class TestIndexCommand:
     def test_writes_loadable_index(self, files):
         from repro.core import Enumerator, load_ceci

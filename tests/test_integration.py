@@ -17,7 +17,8 @@ from repro.graph import (
     power_law,
     save_graph_format,
 )
-from repro.parallel import parallel_match, simulate_policy
+from repro.parallel import simulate_policy
+from repro.service import MatchRequest, MatchService
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +48,12 @@ class TestEndToEndPipelines:
         assert sorted(vf2_match(query, labeled_graph)) == reference
 
     def test_sequential_parallel_distributed_agree(self, social_graph):
-        sequential = set(match(QG3, social_graph))
-        par, _ = parallel_match(
-            CECIMatcher(QG3, social_graph), workers=3, policy="FGD"
-        )
-        assert set(par) == sequential
+        sequential = match(QG3, social_graph)
+        with MatchService(social_graph, workers=3) as service:
+            par = service.match(MatchRequest(QG3))
+        assert par.ok, par.error
+        assert par.embeddings == sequential
+        sequential = set(sequential)
         dist = DistributedCECI(QG3, social_graph, num_machines=3).run()
         assert set(dist.embeddings) == sequential
 

@@ -4,8 +4,8 @@ Covers the tracer's span pairing and nesting invariants, the metrics
 registry's declared merge semantics (sum counters vs. peak gauges), the
 progress reporter, and the headline acceptance criterion: the phase
 totals reported by ``trace summarize`` agree with the run's
-``MatchStats.phase_seconds`` — for single-process, ``--workers K`` and
-distributed runs alike — because both sides book the *same float*.
+``MatchStats.phase_seconds`` — for single-process, service worker-pool
+and distributed runs alike — because both sides book the *same float*.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.observability import (
     read_trace,
     summarize_trace,
 )
-from repro.parallel import parallel_match
+from repro.service import MatchRequest, MatchService
 
 
 @pytest.fixture
@@ -421,20 +421,30 @@ class TestTraceStatsAgreement:
         query, data = instance
         path = _trace_path(tmp_path)
         tracer = Tracer(path)
-        matcher = CECIMatcher(query, data, tracer=tracer)
-        embeddings, reports = parallel_match(matcher, workers=3)
+        with MatchService(data, workers=3, tracer=tracer) as service:
+            response = service.match(MatchRequest(query))
         tracer.close()
-        _assert_agreement(matcher.stats, path)
-        # Worker-tagged enumerate phases landed in the executor table.
+        assert response.ok, response.error
         summary = read_trace(path)
+        # The request's build and enumerate phases agree with its
+        # request-tagged trace phases.  ``queue`` is trace-only: the
+        # wait before the scheduler picks the request up is service
+        # time, not matching work, so MatchStats never books it.
+        traced = dict(summary.requests[response.request_id])
+        assert traced.pop("queue") >= 0.0
+        assert set(traced) == set(response.phase_seconds)
+        for name, seconds in response.phase_seconds.items():
+            assert traced[name] == pytest.approx(
+                seconds, rel=0.01, abs=1e-12
+            ), name
+        # Worker-tagged enumerate phases landed in the executor table.
         workers_seen = {
             executor for executor in summary.executors
             if executor[1] is not None
         }
         assert workers_seen
-        # And the parallel run still matches the sequential answer.
-        sequential = CECIMatcher(query, data).match()
-        assert sorted(embeddings) == sorted(sequential)
+        # And the pool's answer is the sequential one.
+        assert response.embeddings == CECIMatcher(query, data).match()
 
     def test_distributed(self, instance, tmp_path):
         query, data = instance
@@ -568,8 +578,9 @@ class TestCLI:
         assert "(done)" in capsys.readouterr().err
 
     def test_progress_final_line_under_workers(self, files, capsys):
-        # Workers tick their own enumerators, not the CLI reporter, so
-        # the parallel branch force-emits one merged-stats summary.
+        # Service workers tick their own enumerators, not the CLI
+        # reporter, so the --workers route force-emits one summary over
+        # the request's stats.
         from repro.cli import main
 
         qpath, dpath, _ = files

@@ -5,10 +5,10 @@ import pytest
 
 from repro import CECIMatcher, Graph
 from repro.graph import power_law
+from repro.service import MatchRequest, MatchService
 from repro.parallel import (
     dynamic_schedule,
     measure_unit_costs,
-    parallel_match,
     simulate_policy,
     speedup_curve,
     static_schedule,
@@ -66,34 +66,29 @@ class TestDynamicSchedule:
 
 
 class TestThreadExecutor:
-    def test_matches_sequential_for_all_policies(self, matcher, triangle):
-        data = matcher.data
-        sequential = set(CECIMatcher(triangle, data).match())
-        for policy in ("ST", "CGD", "FGD"):
-            fresh = CECIMatcher(triangle, data)
-            found, reports = parallel_match(fresh, workers=4, policy=policy)
-            assert set(found) == sequential
-            assert len(found) == len(sequential)  # no duplicates either
-            assert len(reports) == 4
+    """The in-process thread executor is the service's: its worker pool
+    returns the sequential answer (FGD-unit exactness is pinned by
+    ``test_properties.py::test_work_units_partition_embeddings`` and
+    ``test_enumeration_clusters.py::TestWorkUnits``)."""
 
-    def test_limit_respected(self, matcher):
-        found, _ = parallel_match(matcher, workers=4, policy="CGD", limit=7)
-        assert len(found) == 7
+    def test_limit_respected(self, matcher, triangle):
+        reference = matcher.match()
+        with MatchService(matcher.data, workers=4) as service:
+            response = service.match(MatchRequest(triangle, limit=7))
+        assert response.ok, response.error
+        assert response.embeddings == reference[:7]
 
     def test_single_worker(self, triangle):
         data = power_law(100, 3, seed=71)
-        sequential = set(CECIMatcher(triangle, data).match())
-        fresh = CECIMatcher(triangle, data)
-        found, _ = parallel_match(fresh, workers=1, policy="FGD")
-        assert set(found) == sequential
-
-    def test_unknown_policy_rejected(self, matcher):
-        with pytest.raises(ValueError):
-            parallel_match(matcher, workers=2, policy="MAGIC")
+        sequential = CECIMatcher(triangle, data).match()
+        with MatchService(data, workers=1) as service:
+            response = service.match(MatchRequest(triangle))
+        assert response.ok, response.error
+        assert response.embeddings == sequential
 
     def test_invalid_worker_count_rejected(self, matcher):
         with pytest.raises(ValueError):
-            parallel_match(matcher, workers=0)
+            MatchService(matcher.data, workers=0)
 
 
 class TestSimulator:

@@ -1,22 +1,23 @@
 """Tests for the resilience layer: enumeration budgets, deterministic
-fault injection, and crash recovery in the parallel and distributed
-runtimes."""
+fault injection, and crash recovery in the service's thread pool and
+the distributed runtime."""
+
+import dataclasses
 
 import pytest
 
 from repro import CECIMatcher, Graph
 from repro.graph import power_law
-from repro.parallel import parallel_match
 from repro.distributed import DistributedCECI
 from repro.resilience import (
     Budget,
     BudgetExhausted,
     FaultPlan,
-    ParallelExecutionError,
     PartialResult,
     RecoveryLog,
     RetryPolicy,
 )
+from repro.service import MatchRequest, MatchService
 
 
 @pytest.fixture(scope="module")
@@ -232,20 +233,19 @@ class TestPartialResult:
 
 class TestFaultPlan:
     def test_chaos_is_deterministic(self):
-        a = FaultPlan.chaos(42, num_machines=4, num_workers=4)
-        b = FaultPlan.chaos(42, num_machines=4, num_workers=4)
+        a = FaultPlan.chaos(42, num_machines=4)
+        b = FaultPlan.chaos(42, num_machines=4)
         assert a == b
 
     def test_chaos_varies_with_seed(self):
         plans = [
-            FaultPlan.chaos(s, num_machines=8, num_workers=8) for s in range(8)
+            FaultPlan.chaos(s, num_machines=8) for s in range(8)
         ]
         assert any(p != plans[0] for p in plans[1:])
 
     def test_chaos_never_kills_everyone(self):
-        plan = FaultPlan.chaos(1, num_machines=4, num_workers=4)
+        plan = FaultPlan.chaos(1, num_machines=4)
         assert 0 < len(plan.machine_crashes) < 4
-        assert 0 < len(plan.worker_crash_picks) < 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -282,85 +282,23 @@ class TestRecoveryPrimitives:
 
 
 class TestParallelCrashSafety:
-    @pytest.mark.parametrize("policy", ["ST", "CGD", "FGD"])
-    def test_worker_crash_recovered_exactly(
-        self, policy, triangle_query, data, sequential
-    ):
-        matcher = CECIMatcher(triangle_query, data)
-        plan = FaultPlan(seed=1, worker_crash_picks=frozenset({5}))
-        found, reports = parallel_match(
-            matcher, workers=4, policy=policy, fault_plan=plan
-        )
-        assert set(found) == sequential
-        assert len(found) == len(sequential)  # no duplicates either
-        assert sum(1 for r in reports if r.crashed) == 1
-        assert matcher.stats.worker_crashes == 1
-        assert matcher.stats.retries >= 1
-
-    def test_unit_errors_are_retried_not_dropped(
-        self, triangle_query, data, sequential
-    ):
-        matcher = CECIMatcher(triangle_query, data)
-        plan = FaultPlan(seed=1, worker_error_picks=frozenset({0, 3, 7}))
-        found, reports = parallel_match(
-            matcher, workers=4, policy="FGD", fault_plan=plan
-        )
-        assert set(found) == sequential
-        assert matcher.stats.retries == 3
-        assert sum(r.units_failed for r in reports) == 3
-        assert any(r.failures for r in reports)
-
-    def test_all_workers_crashing_raises_with_report(
-        self, triangle_query, data
-    ):
-        matcher = CECIMatcher(triangle_query, data)
-        plan = FaultPlan(seed=1, worker_crash_picks=frozenset(range(500)))
-        with pytest.raises(ParallelExecutionError) as err:
-            parallel_match(
-                matcher, workers=2, policy="CGD", fault_plan=plan
-            )
-        assert not err.value.report.ok
-        assert err.value.report.failed_work
-        assert sorted(err.value.report.crashed) == [0, 1]
-
-    def test_retries_exhausted_raises(self, triangle_query, data):
-        # every attempt of every unit errors out -> retries must run dry
-        matcher = CECIMatcher(triangle_query, data)
-        plan = FaultPlan(seed=1, worker_error_picks=frozenset(range(10**4)))
-        with pytest.raises(ParallelExecutionError) as err:
-            parallel_match(
-                matcher, workers=4, policy="CGD", fault_plan=plan,
-                max_retries=1,
-            )
-        assert "retries exhausted" in str(err.value)
-
-    def test_units_processed_accounts_every_unit(self, triangle_query, data):
-        matcher = CECIMatcher(triangle_query, data)
-        units = len(matcher.work_units(beta=None))
-        found, reports = parallel_match(matcher, workers=4, policy="CGD")
-        assert sum(r.units_processed for r in reports) == units
-
-    def test_units_processed_counts_limit_stopped_units(
-        self, triangle_query, data
-    ):
-        matcher = CECIMatcher(triangle_query, data)
-        found, reports = parallel_match(
-            matcher, workers=4, policy="CGD", limit=7
-        )
-        # the unit that hit the limit still counts as processed
-        assert sum(r.units_processed for r in reports) >= 1
+    """The service's worker pool under an injected worker crash (the
+    full crash matrix is ``tests/test_service_chaos.py``)."""
 
     @pytest.mark.parametrize("limit", [1, 7, 50])
-    def test_limit_exact_under_faults(
-        self, limit, triangle_query, data, sequential
-    ):
-        matcher = CECIMatcher(triangle_query, data)
-        plan = FaultPlan(seed=1, worker_crash_picks=frozenset({2}))
-        found, _ = parallel_match(
-            matcher, workers=4, policy="FGD", limit=limit, fault_plan=plan
-        )
-        assert len(found) == min(limit, len(sequential))
-        assert set(found) <= sequential
+    def test_limit_exact_under_faults(self, limit, triangle_query, data):
+        reference = CECIMatcher(triangle_query, data).match()
+        plan = FaultPlan(seed=1, thread_crash_picks=frozenset({0}))
+        with MatchService(
+            data, workers=4, fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=2),
+        ) as service:
+            response = service.match(
+                MatchRequest(triangle_query, limit=limit)
+            )
+        assert response.ok, response.error
+        assert response.retries == 1
+        assert response.embeddings == reference[:limit]
 
 
 class TestDistributedRecovery:
@@ -441,22 +379,26 @@ class TestDistributedRecovery:
 
 
 class TestAcceptanceScenario:
-    """The ISSUE's bar: 1 of 4 machines and 1 of 4 workers crash
-    mid-run; both paths still return the exact sequential set and the
-    stats expose the recovery work."""
+    """1 of 4 machines and one worker thread of 4 crash mid-run; both
+    paths still return the exact sequential set and expose the recovery
+    work."""
 
     def test_both_paths_survive_chaos(self, triangle_query, data, sequential):
-        plan = FaultPlan.chaos(42, num_machines=4, num_workers=4)
-        assert plan.machine_crashes and plan.worker_crash_picks
-
-        matcher = CECIMatcher(triangle_query, data)
-        par, reports = parallel_match(
-            matcher, workers=4, policy="FGD", fault_plan=plan
+        plan = dataclasses.replace(
+            FaultPlan.chaos(42, num_machines=4),
+            thread_crash_picks=frozenset({2}),
         )
-        assert set(par) == sequential
-        assert len(par) == len(sequential)
-        assert matcher.stats.worker_crashes == len(plan.worker_crash_picks)
-        assert matcher.stats.retries >= 1
+        assert plan.machine_crashes
+
+        with MatchService(
+            data, workers=4, fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=2),
+        ) as service:
+            response = service.match(MatchRequest(triangle_query))
+        assert response.ok, response.error
+        assert set(response.embeddings) == sequential
+        assert len(response.embeddings) == len(sequential)
+        assert response.retries == 1
 
         dist = DistributedCECI(
             triangle_query, data, num_machines=4, fault_plan=plan

@@ -77,7 +77,7 @@ def test_worker_crash_recovered_by_retry():
     respawns the slot, the retry re-runs the request, and the answer is
     still exact."""
     data, queries, counts = _workload()
-    plan = FaultPlan(seed=1, service_worker_crash_picks=frozenset({0}))
+    plan = FaultPlan(seed=1, thread_crash_picks=frozenset({0}))
     with MatchService(
         data, workers=2, fault_plan=plan, retry_policy=RETRY
     ) as service:
@@ -95,7 +95,7 @@ def test_worker_crash_recovered_by_retry():
 
 def test_worker_crash_without_retry_is_crashed():
     data, queries, _ = _workload()
-    plan = FaultPlan(seed=1, service_worker_crash_picks=frozenset({0}))
+    plan = FaultPlan(seed=1, thread_crash_picks=frozenset({0}))
     with MatchService(data, workers=2, fault_plan=plan) as service:
         response = service.match(
             MatchRequest(queries[0], break_automorphisms=False)
@@ -111,7 +111,7 @@ def test_crash_retries_exhausted_resolves_crashed():
     an honest CRASHED, not a hang."""
     data, queries, _ = _workload()
     plan = FaultPlan(
-        seed=1, service_worker_crash_picks=frozenset(range(4096))
+        seed=1, thread_crash_picks=frozenset(range(4096))
     )
     with MatchService(
         data, workers=2, fault_plan=plan, retry_policy=RETRY

@@ -18,7 +18,7 @@ from repro.core import CompactCECI, Enumerator
 from repro.core.estimate import cardinality_bound, store_cardinality_bound
 from repro.core.store import encode_pairs, lookup_pairs
 from repro.graph import inject_labels, power_law
-from repro.parallel import parallel_match
+from repro.service import MatchRequest, MatchService
 
 
 @pytest.fixture(scope="module")
@@ -157,12 +157,13 @@ class TestEquivalence:
             matcher.build()
         )
 
-    def test_parallel_match_shares_the_frozen_store(self, instance):
+    def test_service_workers_share_the_frozen_store(self, instance):
         query, data = instance
-        reference = sorted(CECIMatcher(query, data).match())
-        matcher = CECIMatcher(query, data)
-        embeddings, _ = parallel_match(matcher, workers=3)
-        assert sorted(embeddings) == reference
+        reference = CECIMatcher(query, data).match()
+        with MatchService(data, workers=3) as service:
+            response = service.match(MatchRequest(query))
+        assert response.ok, response.error
+        assert response.embeddings == reference
 
     def test_array_kernel_engaged_on_compact_store(self, instance):
         query, data = instance
