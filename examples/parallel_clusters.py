@@ -48,15 +48,16 @@ for policy in ("ST", "CGD", "FGD"):
           f"(makespan {result.makespan:.0f} ops, skew {result.assignment.skew:.2f})")
 
 # ----------------------------------------------------------------------
-# 4. Real threads: the match service's worker pool pulls one unit per
-#    cluster from a shared queue (CGD) and merges the parts back in pivot
-#    order — the exact sequential embedding list.
+# 4. Real threads: the match service plans the clusters once (LPT over
+#    their cardinalities, one share per worker), runs each share as one
+#    task, and merges the parts back in pivot order — the exact
+#    sequential embedding list.
 # ----------------------------------------------------------------------
 sequential = CECIMatcher(QG3, data).match()
 with MatchService(data, workers=4) as service:
     response = service.match(MatchRequest(QG3))
-print(f"\nthread pool: {response.count} embeddings "
-      f"(sequential found {len(sequential)}; "
-      f"equal: {response.embeddings == sequential})")
-print(f"  {service.metrics.get('service_units_total')} cluster units "
-      f"pulled by {service.workers} worker threads")
+tasks = service.snapshot()["scheduler"]["pushed_units"]
+print(f"\nthread pool: {response.count} embeddings from "
+      f"{service.metrics.get('service_units_total')} cluster units "
+      f"in {tasks} tasks on {service.workers} worker threads")
+assert response.embeddings == sequential, "pool answer differs"

@@ -173,7 +173,8 @@ def _run_embeddings(args: argparse.Namespace):
 def _run_on_service(args: argparse.Namespace):
     """One request on ``MatchService(workers=K)``.  A ``limit`` or a
     budget runs solo, so its prefix is the sequential one; an unbounded
-    request fans out one unit per cluster and merges in pivot order."""
+    request runs as one task per worker share of its clusters (the LPT
+    plan over their cardinalities) and merges in pivot order."""
     from .service import MatchRequest, MatchService, Status
 
     query = _load_graph(args.query)

@@ -31,15 +31,18 @@ Event vocabulary (``t`` is seconds since the request was admitted):
     Execution shape: ``mode`` = ``solo``/``batched``, unit count and
     the predicted ``makespan``/``skew`` for batched jobs.
 ``solo`` / ``unit``
-    One enumeration task finished (per-unit seconds, embeddings,
-    recursive calls).
+    One enumeration task finished: a solo run, or one share of the
+    batched plan (its ``seconds``, ``embeddings`` and, for a share, the
+    ``units`` it covered).
 ``unit_failed``
-    A unit raised (``kind`` = crash/fault/error).
+    A task failed (``kind`` = crash/fault/error/timeout) and took its
+    ``units`` with it (0 for a solo run).
 ``retry``
     The retry policy re-ran the request (``attempt``, backoff delay).
 ``worker_crash`` / ``worker_stall``
     The watchdog recovered this request from a dead or condemned
-    worker slot.
+    worker ``slot``; ``units`` is the size of the share it held (0 for
+    a solo run).
 ``final``
     Terminal status resolved.
 

@@ -6,8 +6,8 @@ graph resident and answers *streams* of queries:
 
 * :class:`~repro.service.service.MatchService` — the front end
   (admission, index resolution, deadlines, retries, exact merge,
-  telemetry) over an executor; by default a thread pool with fair
-  cluster-level batching;
+  telemetry) over an executor; by default a thread pool running each
+  request's cluster plan as one task per worker share;
 * :class:`~repro.service.shards.ShardedMatchService` — the same front
   end over the shard executor (``repro serve --shards N``): pivot
   partitions fanned out across worker processes sharing mmap'd
@@ -32,14 +32,13 @@ from .loadgen import (
     sample_query,
 )
 from .request import MatchRequest, MatchResponse, Status
-from .scheduler import FairTaskQueue, fair_interleave
+from .scheduler import TaskQueue
 from .server import serve
 from .service import MatchService, PendingMatch, service_metric_specs
 from .shards import ShardedMatchService, sharded_metric_specs
 
 __all__ = [
     "CacheEntry",
-    "FairTaskQueue",
     "IndexCache",
     "MatchRequest",
     "MatchResponse",
@@ -47,7 +46,7 @@ __all__ = [
     "PendingMatch",
     "ShardedMatchService",
     "Status",
-    "fair_interleave",
+    "TaskQueue",
     "generate_workload",
     "run_benchmark",
     "run_chaos",

@@ -4,7 +4,7 @@
 :class:`~repro.service.request.MatchRequest`\\ s.  CECI's embedding
 clusters (Section 4.2) are the unit of parallel work, and the service
 is split along that line: a **front end** that owns everything
-request-level, and an **executor** that only gets units to workers and
+request-level, and an **executor** that only gets tasks to workers and
 recovers lost ones.  The pieces, and where each lives:
 
 * **admission control** — :meth:`MatchService.submit` counts in-flight
@@ -13,11 +13,15 @@ recovers lost ones.  The pieces, and where each lives:
 * **index reuse** — a scheduler thread resolves each admitted request's
   index through the cross-query :class:`~repro.service.cache.IndexCache`
   (LRU hit / spilled-blob warm / in-flight coalesce / fresh build);
-* **units** — an unbounded request becomes one unit per pivot, in
-  ``store.pivots`` order, weighted by ``cluster_cardinality``;
+* **one unit plan** — an unbounded request is planned once, as LPT
+  shares over its clusters' ``cluster_cardinality`` (one share per
+  worker), and every executor runs one task per non-empty share;
   budgeted/limited requests run *solo* so their truncation prefixes are
   exactly the sequential matcher's;
-* **exact merge** — executors hand back per-pivot parts; the front end
+* **one task body** — :func:`run_task` enumerates a solo run or a share
+  (as one frontier) over a resolved index; threads run it in process,
+  shard processes in the child;
+* **exact merge** — a share hands back per-pivot parts; the front end
   concatenates them in ``store.pivots`` order, which *is* sequential
   ``collect`` order;
 * **deadlines & cancellation** — each request may carry an end-to-end
@@ -37,15 +41,16 @@ recovers lost ones.  The pieces, and where each lives:
   every executor.
 
 Executors implement the small :class:`Executor` protocol and report
-back through three front-end callbacks (:meth:`MatchService._solo_done`,
-:meth:`MatchService._units_done`, :meth:`MatchService._unit_failed`):
+back through two front-end callbacks (:meth:`MatchService._task_done`
+with :func:`run_task`'s payload, :meth:`MatchService._unit_failed`):
 
-* :class:`_ThreadExecutor` (this module, the default) — a fair task
-  queue drained by worker threads.  A heartbeat watchdog respawns a
-  worker thread that *died* holding a unit (the unit fails as a crash)
-  and condemns one *wedged* past ``stall_after_seconds`` (its request
-  resolves ``TIMEOUT``; Python threads cannot be killed, so the
-  condemned thread exits at its next loop boundary);
+* :class:`_ThreadExecutor` (this module, the default) — a
+  :class:`~repro.service.scheduler.TaskQueue` drained by worker
+  threads.  A heartbeat watchdog respawns a worker thread that *died*
+  holding a task (the task's units fail as a crash) and condemns one
+  *wedged* past ``stall_after_seconds`` (its request resolves
+  ``TIMEOUT``; Python threads cannot be killed, so the condemned thread
+  exits at its next loop boundary);
 * the shard executor (:mod:`repro.service.shards`) — forked worker
   processes sharing mmap'd indexes, used by
   :class:`~repro.service.shards.ShardedMatchService`.
@@ -54,8 +59,8 @@ back through three front-end callbacks (:meth:`MatchService._solo_done`,
 ``CECIMatcher(query, data).run(limit)`` whenever the request's labeling
 matches the cached representative's (always true for cold builds and
 exact repeats): the frozen store is the same arrays, solo runs replay
-the sequential recursion, and batched runs concatenate per-pivot cluster
-results back in pivot order.  For an isomorphic-but-relabeled hit the
+the sequential enumeration, and batched runs concatenate per-pivot
+cluster results back in pivot order.  For an isomorphic-but-relabeled hit the
 transplanted index yields the same embedding *set* (enumeration order
 may differ; symmetry breaking is applied with the request's own breaker,
 so the chosen representatives are the request's, not the cached
@@ -72,7 +77,8 @@ import random
 import threading
 import time
 from typing import (
-    Callable, Dict, List, Optional, Protocol, Set, TextIO, Tuple, Union,
+    Callable, Dict, List, Optional, Protocol, Sequence, Set, TextIO, Tuple,
+    Union,
 )
 
 from ..core.automorphism import SymmetryBreaker
@@ -92,12 +98,13 @@ from ..resilience.faults import FaultPlan, InjectedBuildError, InjectedCrash
 from ..resilience.recovery import RetryPolicy
 from .cache import IndexCache
 from .request import MatchRequest, MatchResponse, Status
-from .scheduler import FairTaskQueue
+from .scheduler import TaskQueue
 
 __all__ = [
     "Executor",
     "MatchService",
     "PendingMatch",
+    "run_task",
     "service_metric_specs",
 ]
 
@@ -108,9 +115,6 @@ _POP_INTERVAL = 0.1
 
 #: How often the deadline/cancel monitor scans in-flight jobs (seconds).
 _MONITOR_INTERVAL = 0.01
-
-#: The pivot of a thread-executor task that runs its job solo.
-_SOLO = -1
 
 _CLOSE = object()
 
@@ -206,7 +210,7 @@ def service_metric_specs() -> Tuple[MetricSpec, ...]:
             "service_task_queue_depth",
             kind="gauge",
             merge="max",
-            help="Tasks waiting on the fair queue (scrape-time).",
+            help="Tasks waiting on the task queue (scrape-time).",
         ),
         MetricSpec(
             "service_healthy_workers",
@@ -225,8 +229,8 @@ def service_metric_specs() -> Tuple[MetricSpec, ...]:
             kind="gauge",
             merge="max",
             help="Predicted makespan of the last batched job's unit "
-                 "plan (dynamic_schedule over its unit costs; the shard "
-                 "tier runs that assignment).",
+                 "plan (dynamic_schedule over its unit costs; both "
+                 "executors run that assignment).",
         ),
         MetricSpec(
             "service_plan_skew",
@@ -264,6 +268,41 @@ def _stat_counters(stats: MatchStats) -> Dict[str, int]:
         if value:
             out[field.name] = value
     return out
+
+
+def run_task(
+    store: CompactCECI,
+    symmetry: SymmetryBreaker,
+    share: Optional[Sequence[int]],
+    limit: Optional[int],
+    tracker: Optional[BudgetTracker],
+) -> Dict:
+    """Enumerate one task over a resolved index — the task body of both
+    executors (threads call it in process, shard processes in the
+    child).
+
+    With ``share=None`` the job runs solo: the whole enumeration in
+    sequential order, ``limit`` and ``tracker`` honoured, so a
+    truncation prefix is the sequential matcher's.  Otherwise the
+    clusters of ``share``'s pivots run as one frontier
+    (:meth:`~repro.core.enumeration.Enumerator.collect_parts`).  The
+    payload :meth:`MatchService._task_done` consumes holds the task's
+    private ``stats`` and either ``parts`` (pivot -> embeddings) or the
+    solo ``embeddings``, ``truncated`` and ``stop_reason``.
+    """
+    stats = MatchStats()
+    enumerator = Enumerator(
+        store, symmetry=symmetry, stats=stats, tracker=tracker
+    )
+    if share is not None:
+        return {"parts": enumerator.collect_parts(share), "stats": stats}
+    embeddings = enumerator.collect(limit)
+    return {
+        "embeddings": embeddings,
+        "truncated": enumerator.truncated,
+        "stop_reason": enumerator.stop_reason,
+        "stats": stats,
+    }
 
 
 class PendingMatch:
@@ -382,14 +421,13 @@ class _Job:
 class Executor(Protocol):
     """Dispatch and failure recovery for prepared jobs.
 
-    ``run_solo`` enumerates a job un-decomposed (sequential order, limit
-    and budget honoured); ``run_units`` enumerates one cluster per pivot
-    (``workloads`` are their ``cluster_cardinality`` weights, and
-    ``assignment`` is the front end's LPT plan over them: the pivots of
-    each of ``workers`` workers).  Outcomes
-    go back through :meth:`MatchService._solo_done`,
-    :meth:`MatchService._units_done` and
-    :meth:`MatchService._unit_failed`; an executor never finalizes a
+    ``run_solo`` runs a job as one un-decomposed task (sequential order,
+    limit and budget honoured); ``run_units`` runs the front end's LPT
+    ``assignment`` (the pivots of each of ``workers`` workers) as one
+    task per non-empty share.  Each task is :func:`run_task`, and its
+    payload goes back through :meth:`MatchService._task_done`; a lost
+    or failed task reports its share's units through
+    :meth:`MatchService._unit_failed`.  An executor never finalizes a
     job.  ``healthy`` counts live workers, ``queue_depth`` waiting
     tasks, ``snapshot`` returns entries for :meth:`MatchService.snapshot`,
     and ``close`` stops every worker within the ``left()`` join window,
@@ -398,13 +436,7 @@ class Executor(Protocol):
 
     def run_solo(self, job: _Job) -> None: ...
 
-    def run_units(
-        self,
-        job: _Job,
-        pivots: List[int],
-        workloads: List[float],
-        assignment: List[List[int]],
-    ) -> None: ...
+    def run_units(self, job: _Job, assignment: List[List[int]]) -> None: ...
 
     def healthy(self) -> int: ...
 
@@ -432,9 +464,9 @@ class MatchService:
 
     Thread-executor knobs: ``workers`` sizes the pool;
     ``stall_after_seconds`` arms the watchdog's wedged-worker detection
-    (it must exceed the longest *legitimate* single unit, or healthy
-    slow work gets condemned); ``watchdog_interval`` is its patrol
-    period.
+    (it must exceed the longest *legitimate* task — a solo run, or one
+    worker's share of a batched request — or healthy slow work gets
+    condemned); ``watchdog_interval`` is its patrol period.
 
     Use as a context manager, or call :meth:`close` when done.
     """
@@ -1036,7 +1068,8 @@ class MatchService:
 
     def _dispatch(self, job: _Job) -> None:
         """Hand the job to the executor: solo for budgeted/limited
-        requests, one unit per embedding cluster otherwise."""
+        requests, otherwise as the LPT plan of its embedding clusters,
+        one share per worker."""
         if job.done:  # resolved (monitor, timed-out close) during prepare
             return
         if job.request.solo:
@@ -1054,8 +1087,8 @@ class MatchService:
             max(float(store.cluster_cardinality(p)), 1.0) for p in pivots
         ]
         # The one unit plan (Section 4's cardinality-driven balancing):
-        # LPT over the refined cluster cardinalities.  The shard tier
-        # runs its assignment; the thread pool pulls by ``workloads``.
+        # LPT over the refined cluster cardinalities.  Both executors
+        # run one task per non-empty share.
         order = sorted(
             range(len(pivots)), key=workloads.__getitem__, reverse=True
         )
@@ -1074,17 +1107,7 @@ class MatchService:
         with job.lock:
             job.pivots = pivots
             job.remaining = len(pivots)
-        self.executor.run_units(job, pivots, workloads, assignment)
-
-    def _enumerator(self, job: _Job, stats: MatchStats) -> Enumerator:
-        """An in-process enumerator over the job's resolved index."""
-        assert job.store is not None and job.symmetry is not None
-        return Enumerator(
-            job.store,
-            symmetry=job.symmetry,
-            stats=stats,
-            tracker=job.tracker,
-        )
+        self.executor.run_units(job, assignment)
 
     # ------------------------------------------------------------------
     # Executor callbacks
@@ -1112,43 +1135,37 @@ class MatchService:
         if job.flight is not None:
             job.flight.event(ev, seconds=round(seconds, 6), **detail)
 
-    def _solo_done(
+    def _task_done(
         self,
         job: _Job,
-        embeddings: List[Embedding],
-        truncated: bool,
-        stop_reason: Optional[str],
-        stats: MatchStats,
+        payload: Dict,
         seconds: float,
         started: Optional[float] = None,
         worker: Optional[int] = None,
     ) -> None:
-        """A solo run finished (possibly truncated by its budget)."""
-        self._record_enumeration(
-            job, "solo", stats, seconds, started, worker,
-            embeddings=len(embeddings), truncated=truncated,
-        )
-        with job.lock:
-            if job.done:
-                return
-            job.stats.merge(stats)
-        status = Status.TRUNCATED if truncated else Status.OK
-        self._finalize(job, embeddings, status, stop_reason=stop_reason)
-
-    def _units_done(
-        self,
-        job: _Job,
-        parts: Dict[int, List[Embedding]],
-        stats: MatchStats,
-        seconds: float,
-        started: Optional[float] = None,
-        worker: Optional[int] = None,
-    ) -> None:
-        """Some units finished: ``parts`` maps each pivot to its cluster's
-        embeddings and ``stats`` is their private counters, merged under
-        the job lock (``int +=`` is not atomic, so concurrent units
-        writing one stats object would drop counts).  The last unit
-        merges every part back in ``store.pivots`` order."""
+        """One task finished with :func:`run_task`'s ``payload``.  A solo
+        run (possibly truncated by its budget) resolves the job.  A
+        share's private stats merge under the job lock (``int +=`` is
+        not atomic, so concurrent tasks writing one stats object would
+        drop counts), and the last share to report merges every part
+        back in ``store.pivots`` order."""
+        stats = payload["stats"]
+        if job.request.solo:
+            embeddings = payload["embeddings"]
+            self._record_enumeration(
+                job, "solo", stats, seconds, started, worker,
+                embeddings=len(embeddings), truncated=payload["truncated"],
+            )
+            with job.lock:
+                if job.done:
+                    return
+                job.stats.merge(stats)
+            status = Status.TRUNCATED if payload["truncated"] else Status.OK
+            self._finalize(
+                job, embeddings, status, stop_reason=payload["stop_reason"]
+            )
+            return
+        parts: Dict[int, List[Embedding]] = payload["parts"]
         self._record_enumeration(
             job, "unit", stats, seconds, started, worker,
             units=len(parts),
@@ -1167,7 +1184,7 @@ class MatchService:
         if failed:
             self._conclude_failure(job)
             return
-        embeddings: List[Embedding] = []
+        embeddings = []
         for pivot in job.pivots:
             embeddings.extend(job.parts[pivot])
         self._finalize(job, embeddings, Status.OK)
@@ -1175,10 +1192,11 @@ class MatchService:
     def _unit_failed(
         self, job: _Job, units: int, error: str, kind: str = "error"
     ) -> None:
-        """``units`` units (0 for a solo run or a failed prepare) failed.
-        ``kind`` is "crash", "fault" or "error"; the attempt concludes
-        once every outstanding unit has reported.  "timeout" (a wedged
-        worker) resolves the job ``TIMEOUT`` at once."""
+        """A task covering ``units`` units (0 for a solo run or a failed
+        prepare) failed.  ``kind`` is "crash", "fault" or "error"; the
+        attempt concludes once every outstanding unit has reported.
+        "timeout" (a wedged worker) resolves the job ``TIMEOUT`` at
+        once."""
         if job.flight is not None:
             job.flight.event(
                 "unit_failed", units=units, kind=kind, error=error
@@ -1386,35 +1404,42 @@ class MatchService:
 
 
 # ----------------------------------------------------------------------
-# Thread executor: fair queue, worker threads, heartbeat watchdog
+# Thread executor: task queue, worker threads, heartbeat watchdog
 # ----------------------------------------------------------------------
+#: A task on the worker channel: a job and the pivots of its share,
+#: ``None`` when the job runs solo.
+_Task = Tuple[_Job, Optional[List[int]]]
+
+
+def _units(share: Optional[List[int]]) -> int:
+    """How many units a task covers (0 for a solo run)."""
+    return 0 if share is None else len(share)
+
+
 class _Beat:
     """One worker's heartbeat: which task it holds and since when."""
 
-    __slots__ = ("slot", "job", "pivot", "started")
+    __slots__ = ("slot", "job", "share", "started")
 
-    def __init__(self, slot: int, job: _Job, pivot: int, now: float) -> None:
+    def __init__(
+        self, slot: int, job: _Job, share: Optional[List[int]], now: float
+    ) -> None:
         self.slot = slot
         self.job = job
-        self.pivot = pivot
+        self.share = share
         self.started = now
 
 
-#: A task on the worker channel: ``(job, pivot)`` runs the cluster of
-#: ``pivot``; ``(job, _SOLO)`` runs the job solo.
-_Task = Tuple[_Job, int]
-
-
 class _ThreadExecutor:
-    """Units on a :class:`~repro.service.scheduler.FairTaskQueue`,
-    drained by ``workers`` threads under a heartbeat watchdog.
+    """Tasks on a :class:`~repro.service.scheduler.TaskQueue`, drained
+    by ``workers`` threads under a heartbeat watchdog.
 
     The watchdog patrols every ``watchdog_interval`` seconds: a worker
     thread that *died* holding a task (real bug or injected crash) has
-    the task failed as a crash and its slot respawned, so the pool never
-    silently shrinks; with ``stall_after_seconds`` set, a worker wedged
-    that long on one heartbeat is condemned, its request resolves
-    ``TIMEOUT``, and a replacement is spawned immediately.
+    the task's units failed as a crash and its slot respawned, so the
+    pool never silently shrinks; with ``stall_after_seconds`` set, a
+    worker wedged that long on one heartbeat is condemned, its request
+    resolves ``TIMEOUT``, and a replacement is spawned immediately.
     """
 
     def __init__(
@@ -1431,7 +1456,7 @@ class _ThreadExecutor:
         self.service = service
         self.stall_after_seconds = stall_after_seconds
         self.watchdog_interval = watchdog_interval
-        self._tasks: FairTaskQueue[_Task] = FairTaskQueue()
+        self._tasks: TaskQueue[_Task] = TaskQueue()
         #: Monotone pick counter feeding the fault plan's predicate.
         self._task_picks = itertools.count()
         self._closing = False
@@ -1456,21 +1481,17 @@ class _ThreadExecutor:
     # -- Executor protocol ---------------------------------------------
     def run_solo(self, job: _Job) -> None:
         try:
-            self._tasks.push_solo((job, _SOLO))
+            self._tasks.push_solo((job, None))
         except RuntimeError:
             # The queue closed mid-push (timed-out close): the close
             # path has already force-finalized every leftover job.
             pass
 
-    def run_units(
-        self,
-        job: _Job,
-        pivots: List[int],
-        workloads: List[float],
-        assignment: List[List[int]],
-    ) -> None:
+    def run_units(self, job: _Job, assignment: List[List[int]]) -> None:
         try:
-            self._tasks.push_job([(job, p) for p in pivots], workloads)
+            for share in assignment:
+                if share:
+                    self._tasks.push((job, share))
         except RuntimeError:
             pass  # closed mid-push, as in run_solo
 
@@ -1528,17 +1549,25 @@ class _ThreadExecutor:
                 if self._tasks.closed:
                     return
                 continue
-            job, pivot = task
+            job, share = task
             pick = next(self._task_picks)
             with self._pool_lock:
                 self._active[ident] = _Beat(
-                    slot, job, pivot, time.perf_counter()
+                    slot, job, share, time.perf_counter()
                 )
             try:
                 if plan is not None and plan.thread_crashes_at(pick):
                     raise InjectedCrash("service-worker", slot)
                 if not job.done:  # the monitor resolves deadline/cancel
-                    self._run(job, pivot, slot)
+                    started = time.perf_counter()
+                    payload = run_task(
+                        job.store, job.symmetry, share, job.request.limit,
+                        job.tracker,
+                    )
+                    service._task_done(
+                        job, payload, time.perf_counter() - started,
+                        started, slot,
+                    )
             except InjectedCrash:
                 # Simulated thread death: exit without any cleanup (a
                 # really-dead thread cleans up nothing), leaving the
@@ -1547,33 +1576,9 @@ class _ThreadExecutor:
                 return
             except Exception as exc:  # noqa: BLE001 - fail the request,
                 # not the worker: the pool must survive any one query
-                service._unit_failed(
-                    job, 0 if pivot == _SOLO else 1, repr(exc)
-                )
+                service._unit_failed(job, _units(share), repr(exc))
             with self._pool_lock:
                 self._active.pop(ident, None)
-
-    def _run(self, job: _Job, pivot: int, slot: int) -> None:
-        """Enumerate one task into private stats on worker ``slot``.  A
-        solo run replays the sequential matcher exactly, so budget
-        truncation and ``limit`` prefixes are bit-identical."""
-        service = self.service
-        stats = MatchStats()
-        started = time.perf_counter()
-        enumerator = service._enumerator(job, stats)
-        if pivot == _SOLO:
-            embeddings = enumerator.collect(job.request.limit)
-            service._solo_done(
-                job, embeddings, enumerator.truncated,
-                enumerator.stop_reason, stats,
-                time.perf_counter() - started, started, slot,
-            )
-        else:
-            part = enumerator.collect_from_unit((pivot,))
-            service._units_done(
-                job, {pivot: part}, stats,
-                time.perf_counter() - started, started, slot,
-            )
 
     # -- Watchdog ---------------------------------------------------------
     def _watchdog_loop(self) -> None:
@@ -1620,22 +1625,24 @@ class _ThreadExecutor:
                     metrics.inc("service_worker_respawns")
                     stalled.append(beat)
         for beat in crashed:
+            units = _units(beat.share)
             if beat.job.flight is not None:
                 beat.job.flight.event(
-                    "worker_crash", slot=beat.slot, unit=beat.pivot
+                    "worker_crash", slot=beat.slot, units=units
                 )
             self.service._unit_failed(
-                beat.job, 0 if beat.pivot == _SOLO else 1,
+                beat.job, units,
                 f"worker died holding the request (slot {beat.slot})",
                 kind="crash",
             )
         for beat in stalled:
+            units = _units(beat.share)
             if beat.job.flight is not None:
                 beat.job.flight.event(
-                    "worker_stall", slot=beat.slot, unit=beat.pivot
+                    "worker_stall", slot=beat.slot, units=units
                 )
             self.service._unit_failed(
-                beat.job, 0 if beat.pivot == _SOLO else 1,
+                beat.job, units,
                 f"request stalled past {self.stall_after_seconds}s "
                 f"on a worker; the worker was condemned and replaced",
                 kind="timeout",

@@ -18,17 +18,18 @@ and failure recovery:
 * **cardinality-planned routing** — a batched job arrives with the
   front end's unit plan (LPT over the refined ``cluster_cardinality``
   workloads, Section 4's cardinality-driven balancing), and each shard's
-  share of it becomes one *task per shard*, enumerated as one frontier
-  (:meth:`~repro.core.enumeration.Enumerator.collect_parts`); a solo
-  job runs on the least-loaded shard, un-decomposed, so its truncation
-  prefix is the sequential matcher's;
+  share of it becomes one *task per shard*; a solo job runs on the
+  least-loaded shard, un-decomposed, so its truncation prefix is the
+  sequential matcher's.  Either way the shard runs the front end's task
+  body, :func:`~repro.service.service.run_task`, as the thread executor
+  does;
 * **window-of-one dispatch** — each shard has an outbox and at most one
   task in flight on its pipe, so a crash loses at most one task; a
   reader thread per shard turns replies into front-end callbacks with
   per-pivot parts, which the front end merges in ``store.pivots`` order;
 * **crash recovery** — a shard process death is observed as pipe EOF;
   the executor respawns the shard and re-dispatches the lost task
-  head-of-line (:meth:`~repro.service.scheduler.FairTaskQueue.push_recovered`),
+  head-of-line (:meth:`~repro.service.scheduler.TaskQueue.push_recovered`),
   at most ``max_redispatch`` times per task before reporting the units
   failed as a crash (which the retry policy may then re-run).  Replies
   are atomic — a whole task's results or nothing — so recovery is
@@ -71,11 +72,9 @@ from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.automorphism import SymmetryBreaker
-from ..core.enumeration import Enumerator
 from ..core.persist import (
     ChecksumError, dump_store_bytes, load_ceci, publish_bytes,
 )
-from ..core.stats import MatchStats
 from ..core.store import CompactCECI
 # Never called: perfbench/tracing.py patches ``shards.distribute_pivots``
 # by name (ROADMAP item 2 deletes it).
@@ -83,8 +82,8 @@ from ..distributed.partition import distribute_pivots  # noqa: F401
 from ..graph import Graph
 from ..observability.metrics import MetricSpec
 from ..resilience.faults import FaultPlan
-from .scheduler import FairTaskQueue
-from .service import MatchService, _Job, service_metric_specs
+from .scheduler import TaskQueue
+from .service import MatchService, _Job, run_task, service_metric_specs
 
 __all__ = ["ShardedMatchService", "sharded_metric_specs"]
 
@@ -158,8 +157,6 @@ def sharded_metric_specs() -> Tuple[MetricSpec, ...]:
     )
 
 
-
-
 # ----------------------------------------------------------------------
 # Shard process (child side)
 # ----------------------------------------------------------------------
@@ -182,7 +179,8 @@ def _shard_store(
 def _run_shard_task(
     spec: Dict, data: Graph, stores: "OrderedDict[str, CompactCECI]"
 ) -> Dict:
-    """Execute one task spec inside a shard process.
+    """Execute one task spec inside a shard process: :func:`run_task`
+    over the mmap'd index, plus the task's busy and wall seconds.
 
     The symmetry breaker is built from the *request's own* query graph
     (shipped in the spec), not the header-round-tripped query inside
@@ -195,32 +193,13 @@ def _run_shard_task(
     symmetry = SymmetryBreaker(
         spec["query"], enabled=spec["break_automorphisms"]
     )
-    stats = MatchStats()
-    payload: Dict
-    if spec["kind"] == "solo":
-        budget = spec["budget"]
-        tracker = None
-        if budget is not None and not budget.unlimited:
-            tracker = budget.tracker().start()
-        enumerator = Enumerator(
-            store, symmetry=symmetry, stats=stats, tracker=tracker
-        )
-        embeddings = enumerator.collect(spec["limit"])
-        payload = {
-            "kind": "solo",
-            "embeddings": embeddings,
-            "truncated": enumerator.truncated,
-            "stop_reason": enumerator.stop_reason,
-        }
-    else:
-        # The whole share runs as one frontier; each part equals the
-        # pivot's own ``collect_from_unit((pivot,))``.
-        enumerator = Enumerator(store, symmetry=symmetry, stats=stats)
-        payload = {
-            "kind": "units",
-            "parts": enumerator.collect_parts(spec["pivots"]),
-        }
-    payload["stats"] = stats
+    budget = spec["budget"]
+    tracker = None
+    if budget is not None and not budget.unlimited:
+        tracker = budget.tracker().start()
+    payload = run_task(
+        store, symmetry, spec["pivots"], spec["limit"], tracker
+    )
     # Per-process CPU seconds: the honest busy measure when N shard
     # processes time-share fewer cores (perf_counter would charge
     # scheduler wait to the task).
@@ -340,8 +319,8 @@ class _ShardExecutor:
         self._closing = False
         # Per-shard dispatch state: an outbox queue, a window-of-one
         # semaphore, and the in-flight task table.
-        self._outboxes: List[FairTaskQueue[_ShardTask]] = [
-            FairTaskQueue() for _ in range(shards)
+        self._outboxes: List[TaskQueue[_ShardTask]] = [
+            TaskQueue() for _ in range(shards)
         ]
         self._windows = [threading.Semaphore(1) for _ in range(shards)]
         #: One send lock per shard pipe: a dispatcher's task send and
@@ -368,11 +347,9 @@ class _ShardExecutor:
 
     # -- Executor protocol ---------------------------------------------
     def run_solo(self, job: _Job) -> None:
-        request = job.request
-        spec = self._spec(job, 0, kind="solo")
+        spec = self._spec(job, 0)
         if spec is None:
             return
-        spec.update(limit=request.limit, budget=request.budget)
         job.fanout = 1
         self.metrics.inc("service_shard_solo_routed")
         self._enqueue(
@@ -381,14 +358,8 @@ class _ShardExecutor:
             solo=True,
         )
 
-    def run_units(
-        self,
-        job: _Job,
-        pivots: List[int],
-        workloads: List[float],
-        assignment: List[List[int]],
-    ) -> None:
-        base = self._spec(job, len(pivots), kind="units")
+    def run_units(self, job: _Job, assignment: List[List[int]]) -> None:
+        base = self._spec(job, sum(map(len, assignment)))
         if base is None:
             return
         owned = [
@@ -496,10 +467,11 @@ class _ShardExecutor:
         )
 
     # -- Publication -------------------------------------------------------
-    def _spec(self, job: _Job, units: int, kind: str) -> Optional[Dict]:
-        """The task spec fields every task of ``job`` shares, with its
-        index published; on a publish failure the job's ``units`` are
-        reported failed and None is returned."""
+    def _spec(self, job: _Job, units: int) -> Optional[Dict]:
+        """The task spec of ``job`` run solo (``pivots`` None), with its
+        index published; a share's spec sets ``pivots``.  On a
+        publish failure the job's ``units`` are reported failed and None
+        is returned."""
         request = job.request
         try:
             path = self._publish(request.query.fingerprint(), job.store)
@@ -508,10 +480,12 @@ class _ShardExecutor:
             self.service._unit_failed(job, units, repr(exc))
             return None
         return {
-            "kind": kind,
             "index_path": path,
             "query": request.query,
             "break_automorphisms": request.break_automorphisms,
+            "pivots": None,
+            "limit": request.limit,
+            "budget": request.budget,
         }
 
     def _publish(self, fingerprint: str, store: CompactCECI) -> str:
@@ -581,7 +555,7 @@ class _ShardExecutor:
             if solo:
                 self._outboxes[shard].push_solo(task)
             else:
-                self._outboxes[shard].push(1.0, task)
+                self._outboxes[shard].push(task)
         except RuntimeError:
             # Outbox closed mid-push (timed-out close): the close path
             # force-finalizes every leftover job.
@@ -615,7 +589,8 @@ class _ShardExecutor:
                 if task.job.flight is not None:
                     task.job.flight.event(
                         "shard_dispatch", shard=shard_index,
-                        task=task.task_id, kind=task.spec["kind"],
+                        task=task.task_id,
+                        kind="units" if task.units else "solo",
                     )
             except Exception:  # noqa: BLE001 - dead pipe: the reader
                 # respawns the shard; requeue and hand the permit back.
@@ -750,15 +725,7 @@ class _ShardExecutor:
                 "shard_result", shard=shard_index, task=record.task_id,
                 busy=round(float(payload["busy"]), 6),
             )
-        if payload["kind"] == "solo":
-            self.service._solo_done(
-                job, payload["embeddings"], payload["truncated"],
-                payload["stop_reason"], payload["stats"], payload["seconds"],
-            )
-        else:
-            self.service._units_done(
-                job, payload["parts"], payload["stats"], payload["seconds"]
-            )
+        self.service._task_done(job, payload, payload["seconds"])
 
 
 class ShardedMatchService(MatchService):

@@ -101,12 +101,12 @@ class TestWorkersOption:
         assert "note" not in err
 
     def test_failed_request_exits_nonzero(self, files, capsys, monkeypatch):
-        from repro.service.service import MatchService
+        from repro.service import service as service_module
 
-        def broken(self, job, stats):
+        def broken(store, symmetry, share, limit, tracker):
             raise RuntimeError("enumerator unavailable")
 
-        monkeypatch.setattr(MatchService, "_enumerator", broken)
+        monkeypatch.setattr(service_module, "run_task", broken)
         qpath, dpath, _ = files
         assert main(["count", qpath, dpath, "--workers", "2"]) == 1
         captured = capsys.readouterr()

@@ -28,11 +28,10 @@ from repro.graph import Graph, inject_labels
 from repro.graph.generators import power_law
 from repro.service import (
     CacheEntry,
-    FairTaskQueue,
     IndexCache,
     MatchRequest,
     MatchService,
-    fair_interleave,
+    TaskQueue,
     transplant_store,
 )
 
@@ -318,53 +317,36 @@ def test_adapt_refuses_non_isomorphic_representative():
 
 
 # ----------------------------------------------------------------------
-# Fair interleaving
+# Task queue lanes
 # ----------------------------------------------------------------------
 
-def test_fair_interleave_preserves_in_job_order():
-    out = fair_interleave([[3.0, 1.0, 2.0], [1.0, 1.0], [5.0]])
-    for job in range(3):
-        units = [i for j, i in out if j == job]
-        assert units == sorted(units)
-    assert sorted(out) == [
-        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
-    ]
-
-
-def test_fair_interleave_alternates_equal_jobs():
-    out = fair_interleave([[1.0] * 3, [1.0] * 3])
-    assert out == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
-
-
-def test_fair_interleave_big_job_cannot_starve_small():
-    """A 10-unit job and a 2-unit job: the small job's first unit lands
-    at virtual time 0.5 — after five, not ten, of the big job's."""
-    out = fair_interleave([[1.0] * 10, [5.0, 5.0]])
-    assert out.index((1, 0)) == 5
-    assert out.index((1, 1)) == len(out) - 1
-
-
-def test_fair_task_queue_orders_by_virtual_time():
-    queue: FairTaskQueue[str] = FairTaskQueue()
-    queue.push_job(["a0", "a1", "a2"], [1.0, 1.0, 1.0])
-    queue.push_job(["b0", "b1", "b2"], [1.0, 1.0, 1.0])
-    queue.push_solo("solo")
+def test_task_queue_serves_lanes_in_priority_order():
+    """Recovered tasks first, then solo, then batched; FIFO within a
+    lane, whatever the push order."""
+    queue: TaskQueue[str] = TaskQueue()
+    queue.push("a0")
+    queue.push("b0")
+    queue.push_solo("s0")
+    queue.push("a1")
+    queue.push_recovered("r0")
+    queue.push_solo("s1")
+    queue.push_recovered("r1")
     drained = [queue.pop(timeout=0.1) for _ in range(7)]
-    assert drained[0] == "solo"
-    assert drained[1:] == ["a0", "b0", "a1", "b1", "a2", "b2"]
+    assert drained == ["r0", "r1", "s0", "s1", "a0", "b0", "a1"]
+    assert queue.pop(timeout=0.01) is None
+    snapshot = queue.snapshot()
+    assert snapshot["depth"] == 0 and snapshot["popped"] == 7
+    assert (
+        snapshot["pushed_recovered"], snapshot["pushed_solo"],
+        snapshot["pushed_units"],
+    ) == (2, 2, 3)
 
 
 def test_fair_task_queue_close_drains_then_signals():
-    queue: FairTaskQueue[int] = FairTaskQueue()
+    queue: TaskQueue[int] = TaskQueue()
     queue.push_solo(1)
     queue.close()
     assert queue.pop() == 1
     assert queue.pop() is None
     with pytest.raises(RuntimeError):
         queue.push_solo(2)
-
-
-def test_fair_task_queue_mismatched_workloads_rejected():
-    queue: FairTaskQueue[int] = FairTaskQueue()
-    with pytest.raises(ValueError):
-        queue.push_job([1, 2], [1.0])

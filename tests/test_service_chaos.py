@@ -37,10 +37,12 @@ from typing import List, Tuple
 import pytest
 
 from repro.core.matcher import CECIMatcher
+from repro.core.stats import MatchStats
 from repro.graph import Graph, inject_labels
 from repro.graph.generators import power_law
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RetryPolicy
+from repro.service import service as service_module
 from repro.service import (
     MatchRequest,
     MatchService,
@@ -72,38 +74,91 @@ def _workload(
 # Worker crashes
 # ----------------------------------------------------------------------
 
+def _pivots(query: Graph, data: Graph) -> int:
+    return len(CECIMatcher(query, data, break_automorphisms=False).build()
+               .pivots)
+
+
+def _record_plans(service: MatchService) -> List[List[List[int]]]:
+    """Every LPT assignment the front end hands the executor."""
+    plans: List[List[List[int]]] = []
+    run_units = service.executor.run_units
+
+    def recording(job, assignment):
+        plans.append([list(share) for share in assignment])
+        return run_units(job, assignment)
+
+    service.executor.run_units = recording
+    return plans
+
+
+def _crash_events(service: MatchService, request_id: int):
+    """The request's ``worker_crash`` and ``unit_failed`` events and the
+    units its finished shares reported."""
+    (record,) = service.flight_records(request_id=request_id)
+    events = record["events"]
+    crashes = [e for e in events if e["ev"] == "worker_crash"]
+    failed = [e for e in events if e["ev"] == "unit_failed"]
+    done = sum(e["units"] for e in events if e["ev"] == "unit")
+    return crashes, failed, done
+
+
 def test_worker_crash_recovered_by_retry():
-    """The first task pick kills its worker mid-job: the watchdog
-    respawns the slot, the retry re-runs the request, and the answer is
-    still exact."""
+    """The first attempt's two task picks kill their workers mid-job:
+    the watchdog respawns both slots and fails each whole share (the
+    large one included), the retry re-runs the request, and the answer
+    is still exact."""
     data, queries, counts = _workload()
-    plan = FaultPlan(seed=1, thread_crash_picks=frozenset({0}))
+    assert _pivots(queries[0], data) > 2
+    plan = FaultPlan(seed=1, thread_crash_picks=frozenset({0, 1}))
     with MatchService(
-        data, workers=2, fault_plan=plan, retry_policy=RETRY
+        data, workers=2, fault_plan=plan, retry_policy=RETRY,
+        flight_records=8,
     ) as service:
-        response = service.match(
-            MatchRequest(queries[0], break_automorphisms=False)
-        )
+        plans = _record_plans(service)
+        # The deadline turns a unit miscount into a TIMEOUT, not a hang.
+        response = service.match(MatchRequest(
+            queries[0], break_automorphisms=False, deadline_seconds=30,
+        ))
         assert response.ok, response.error
         assert response.count == counts[0]
-        assert response.retries >= 1
-        # The watchdog noticed the death and restored the pool.
+        assert response.retries == 1
+        crashes, failed, _ = _crash_events(service, response.request_id)
+        shares = sorted(len(share) for share in plans[0] if share)
+        assert max(shares) > 1
+        assert sorted(e["units"] for e in crashes) == shares
+        assert sorted(e["units"] for e in failed) == shares
+        assert {e["kind"] for e in failed} == {"crash"}
+        # The watchdog noticed the deaths and restored the pool.
         assert service.healthy_workers() == 2
-        assert service.metrics.get("service_worker_respawns") >= 1
-        assert service.metrics.get("service_retries_total") >= 1
+        assert service.metrics.get("service_worker_respawns") >= 2
+        assert service.metrics.get("service_retries_total") == 1
 
 
 def test_worker_crash_without_retry_is_crashed():
+    """The crashed share fails all of its units, so the request resolves
+    once, after the other share reports, with every unit accounted."""
     data, queries, _ = _workload()
+    pivots = _pivots(queries[0], data)
+    assert pivots > 2
     plan = FaultPlan(seed=1, thread_crash_picks=frozenset({0}))
-    with MatchService(data, workers=2, fault_plan=plan) as service:
-        response = service.match(
-            MatchRequest(queries[0], break_automorphisms=False)
-        )
+    with MatchService(
+        data, workers=2, fault_plan=plan, flight_records=8
+    ) as service:
+        plans = _record_plans(service)
+        # The deadline turns a unit miscount into a TIMEOUT, not a hang.
+        response = service.match(MatchRequest(
+            queries[0], break_automorphisms=False, deadline_seconds=30,
+        ))
         assert response.status == Status.CRASHED
         assert response.embeddings == []
         assert "worker died" in (response.error or "")
         assert service.healthy_workers() == 2  # pool still respawned
+        crashes, failed, done = _crash_events(service, response.request_id)
+        assert len(crashes) == len(failed) == 1
+        assert failed[0]["units"] == crashes[0]["units"]
+        assert failed[0]["units"] in {len(share) for share in plans[0]}
+        assert failed[0]["units"] + done == pivots
 
 
 def test_crash_retries_exhausted_resolves_crashed():
@@ -263,7 +318,7 @@ def test_service_wide_default_deadline_applies():
 # Wedged-worker condemnation
 # ----------------------------------------------------------------------
 
-def test_watchdog_condemns_wedged_worker():
+def test_watchdog_condemns_wedged_worker(monkeypatch):
     """A worker stuck inside enumeration past ``stall_after_seconds``:
     the watchdog fails the request with TIMEOUT, condemns the thread and
     restores the pool without waiting for the wedge to clear."""
@@ -271,25 +326,19 @@ def test_watchdog_condemns_wedged_worker():
     gate = threading.Event()
     entered = threading.Event()
 
-    class _Wedged:
-        truncated = False
-        stop_reason = None
+    def wedged(store, symmetry, share, limit, tracker):
+        entered.set()
+        gate.wait(timeout=60)
+        return {
+            "embeddings": [], "truncated": False, "stop_reason": None,
+            "stats": MatchStats(),
+        }
 
-        def collect(self, limit=None):
-            entered.set()
-            gate.wait(timeout=60)
-            return []
-
-        def collect_from_unit(self, prefix):
-            entered.set()
-            gate.wait(timeout=60)
-            return []
-
+    monkeypatch.setattr(service_module, "run_task", wedged)
     service = MatchService(
         data, workers=2, stall_after_seconds=0.2, watchdog_interval=0.02
     )
     try:
-        service._enumerator = lambda job, stats: _Wedged()
         response = service.match(MatchRequest(
             queries[0], break_automorphisms=False, limit=10,
         ))

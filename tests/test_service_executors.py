@@ -6,14 +6,15 @@ so every test here runs twice: on the thread executor
 (``MatchService``) and on the shard executor (``ShardedMatchService``).
 Each holds one request in flight deterministically by gating the index
 cache's ``get_or_build`` — the front end's own step, identical for both
-executors.
+executors.  Both executors also run one unit model: a batched request
+becomes one task per non-empty share of the front end's LPT plan.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 import pytest
 
@@ -21,8 +22,10 @@ from repro.core.matcher import CECIMatcher
 from repro.graph import Graph, inject_labels
 from repro.graph.generators import power_law
 from repro.observability import read_history
+from repro.parallel.scheduling import dynamic_schedule
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RetryPolicy
+from repro.service import service as service_module
 from repro.service import (
     MatchRequest,
     MatchService,
@@ -32,6 +35,9 @@ from repro.service import (
 )
 
 EXECUTORS = ("threads", "shards")
+
+#: Worker threads, or shard processes, of every service built here.
+WORKERS = 2
 
 
 def _workload() -> Tuple[Graph, List[Graph], List[int]]:
@@ -48,8 +54,8 @@ def _workload() -> Tuple[Graph, List[Graph], List[int]]:
 
 def _service(executor: str, data: Graph, **kwargs) -> MatchService:
     if executor == "shards":
-        return ShardedMatchService(data, shards=2, **kwargs)
-    return MatchService(data, workers=2, **kwargs)
+        return ShardedMatchService(data, shards=WORKERS, **kwargs)
+    return MatchService(data, workers=WORKERS, **kwargs)
 
 
 def _gate(service: MatchService):
@@ -70,6 +76,77 @@ def _gate(service: MatchService):
 
 def _request(query: Graph, **kwargs) -> MatchRequest:
     return MatchRequest(query, break_automorphisms=False, **kwargs)
+
+
+def _lpt_shares(
+    query: Graph, data: Graph, workers: int
+) -> Tuple[List[int], List[Set[int]]]:
+    """The pivots of the built index and the non-empty pivot sets of the
+    LPT plan over their ``cluster_cardinality`` workloads."""
+    store = CECIMatcher(query, data, break_automorphisms=False).build()
+    pivots = [int(p) for p in store.pivots]
+    weights = [
+        max(float(store.cluster_cardinality(p)), 1.0) for p in pivots
+    ]
+    order = sorted(range(len(pivots)), key=weights.__getitem__, reverse=True)
+    plan = dynamic_schedule([weights[i] for i in order], workers)
+    shares = [{pivots[order[i]] for i in units} for units in plan.worker_units]
+    return pivots, [share for share in shares if share]
+
+
+def _record_shares(
+    executor: str, service: MatchService, monkeypatch
+) -> List[List[int]]:
+    """The pivots of every batched task the executor runs: thread tasks
+    as they enter the shared task body, shard tasks as they are queued
+    for their shard."""
+    shares: List[List[int]] = []
+    if executor == "shards":
+        enqueue = service.executor._enqueue
+
+        def queued(shard, task, solo=False):
+            if not solo:
+                shares.append(list(task.spec["pivots"]))
+            return enqueue(shard, task, solo=solo)
+
+        service.executor._enqueue = queued
+    else:
+        run_task = service_module.run_task
+
+        def ran(store, symmetry, share, limit, tracker):
+            if share is not None:
+                shares.append(list(share))
+            return run_task(store, symmetry, share, limit, tracker)
+
+        monkeypatch.setattr(service_module, "run_task", ran)
+    return shares
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_batched_request_runs_one_task_per_lpt_share(executor, monkeypatch):
+    """More pivots than workers: the request becomes min(workers,
+    pivots) batched tasks, each holding exactly one LPT share, and the
+    merged list is the sequential matcher's."""
+    data, queries, _ = _workload()
+    query = queries[0]
+    pivots, expected = _lpt_shares(query, data, WORKERS)
+    assert len(pivots) > WORKERS
+    sequential = CECIMatcher(query, data, break_automorphisms=False).match()
+    with _service(executor, data) as service:
+        shares = _record_shares(executor, service, monkeypatch)
+        response = service.match(_request(query))
+        assert response.ok, response.error
+        tasks = (
+            service.metrics.get("service_shard_tasks_total")
+            if executor == "shards"
+            else service.executor.snapshot()["scheduler"]["pushed_units"]
+        )
+        assert tasks == len(shares) == min(WORKERS, len(pivots))
+        assert sorted(map(sorted, shares)) == sorted(map(sorted, expected))
+        assert service.metrics.get("service_units_total") == len(pivots)
+        assert [tuple(e) for e in response.embeddings] == [
+            tuple(e) for e in sequential
+        ]
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)

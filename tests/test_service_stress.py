@@ -30,9 +30,11 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from repro.core.matcher import CECIMatcher
+from repro.core.stats import MatchStats
 from repro.graph import Graph, inject_labels
 from repro.graph.generators import power_law
 from repro.resilience.budget import Budget
+from repro.service import service as service_module
 from repro.service import (
     MatchRequest,
     MatchService,
@@ -267,7 +269,7 @@ def test_drain_timeout_with_inflight_work():
         assert service.close(timeout=30)
 
 
-def test_close_timeout_with_wedged_request_is_bounded():
+def test_close_timeout_with_wedged_request_is_bounded(monkeypatch):
     """A worker wedged inside enumeration: ``close(timeout=...)`` must
     return within the bound, resolve the stuck request TIMEOUT, and —
     once the wedge clears — leak no threads."""
@@ -276,22 +278,16 @@ def test_close_timeout_with_wedged_request_is_bounded():
     entered = threading.Event()
     before = threading.active_count()
 
-    class _Wedged:
-        truncated = False
-        stop_reason = None
+    def wedged(store, symmetry, share, limit, tracker):
+        entered.set()
+        gate.wait(timeout=60)
+        return {
+            "embeddings": [], "truncated": False, "stop_reason": None,
+            "stats": MatchStats(),
+        }
 
-        def collect(self, limit=None):
-            entered.set()
-            gate.wait(timeout=60)
-            return []
-
-        def collect_from_unit(self, prefix):
-            entered.set()
-            gate.wait(timeout=60)
-            return []
-
+    monkeypatch.setattr(service_module, "run_task", wedged)
     service = MatchService(data, workers=2, max_pending=4)
-    service._enumerator = lambda job, stats: _Wedged()
     handle = service.submit(MatchRequest(
         queries[0], break_automorphisms=False, limit=10,
     ))
