@@ -13,6 +13,12 @@ int64 array of partial embeddings (one row per embedding, one column per
 query vertex, ``-1`` for unmatched), and one matching-order step is a
 handful of whole-array numpy operations:
 
+* rows that agree on the level's key columns (TE parent and NTE
+  parents) get the same candidates, and in DFS order they sit in
+  adjacent runs: the TE∩NTE step runs on each run's head only and its
+  list is broadcast to the run (:func:`~repro.kernels.expand_blocks`),
+  unless the heads exceed half the rows (redundant-extension
+  elimination, after CEMR);
 * one vectorised ``searchsorted`` per candidate source (the TE triple
   and each NTE group) locates every row's candidate blocks
   (:func:`~repro.kernels.searchsorted_blocks`);
@@ -26,7 +32,7 @@ handful of whole-array numpy operations:
   intersection, never gathering more than a row's shortest list;
 * injectivity and the Grochow–Kellis ordering rules are per-column
   boolean masks (:func:`used_exclusion_mask`) instead of per-row set
-  and dict probes.
+  and dict probes; they run on every row, after the broadcast.
 
 Frontier blocks are processed **depth-first** off an explicit stack
 (expansion chunks pushed in reverse), so complete embeddings stream out
@@ -38,7 +44,9 @@ blocks are truncated *exactly* at the budget boundary before being
 committed, preserving the recursive engine's ``PartialResult``
 semantics; when ``max_calls`` is active, blocks shrink to single rows so
 the charge order equals the recursive engine's DFS node order and the
-truncation point is identical.  See DESIGN.md §12.
+truncation point is identical.  ``intersections`` is charged once per
+row with a non-empty TE block, a run head once per row of its run, as
+the recursion counts.  See DESIGN.md §12.
 """
 
 from __future__ import annotations
@@ -227,26 +235,70 @@ class BatchEngine:
         """The level's matching nodes for a whole block, as ``(rows,
         cand)`` in row order with each row's candidates sorted.
 
-        A TE-only level gathers every row's TE block.  Otherwise each
-        row's shortest block (TE on a tie) drives: its partition of rows
-        is gathered once and probed against every *other* source's
+        A TE-only level gathers every row's TE block.  Otherwise a row's
+        candidates depend only on its key columns (TE parent and NTE
+        parents), and in DFS order rows that agree on them sit in
+        adjacent runs: the intersection runs on the run heads only
+        (:meth:`_intersect`) and each head's list is broadcast to its
+        run.  When the heads exceed half the rows the rows intersect
+        directly: near that point the broadcast costs about what the
+        repeats would (measured in DESIGN.md §12).
+        """
+        sources = level.sources
+        if len(sources) == 1:
+            col, (keys, offsets, values), _ = sources[0]
+            starts, counts = searchsorted_blocks(
+                keys, offsets, frontier[:, col]
+            )
+            return expand_blocks(values, starts, counts)
+        n_rows = len(frontier)
+        # A row heads a run unless it equals its predecessor on every
+        # key column.
+        head = np.zeros(n_rows, dtype=bool)
+        head[:1] = True
+        for col, _, _ in sources:
+            column = frontier[:, col]
+            head[1:] |= column[1:] != column[:-1]
+        heads = np.flatnonzero(head)
+        if 2 * len(heads) > n_rows:
+            return self._intersect(frontier, sources, None)
+        runs = np.diff(heads, append=n_rows)
+        rows, cand = self._intersect(frontier[heads], sources, runs)
+        sizes = np.bincount(rows, minlength=len(heads))
+        firsts = np.cumsum(sizes) - sizes
+        return expand_blocks(
+            cand, np.repeat(firsts, runs), np.repeat(sizes, runs)
+        )
+
+    def _intersect(
+        self,
+        frontier: np.ndarray,
+        sources: Sequence[Tuple[int, tuple, Optional[np.ndarray]]],
+        runs: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The TE∩NTE step for every row of ``frontier``, as ``(rows,
+        cand)`` in row order.
+
+        Each row's shortest block (TE on a tie) drives: its partition of
+        rows is gathered once and probed against every *other* source's
         combined codes, so a row gathers ``min`` of its block sizes —
         Lemma 2 per row.  Each row's candidates come from one sorted
         block, so the stable merge of the partitions yields exactly the
         TE block filtered by every NTE group, in the same order.
+        ``runs[i]`` is how many frontier rows row ``i`` stands for
+        (``None``: one each), which weights the intersection count.
         """
-        sources = level.sources
         located = [
             searchsorted_blocks(keys, offsets, frontier[:, col])
             for col, (keys, offsets, _), _ in sources
         ]
-        if len(sources) == 1:
-            starts, counts = located[0]
-            return expand_blocks(sources[0][1][2], starts, counts)
         stats = self.stats
         # One logical TE∩NTE intersection per row with a non-empty TE
         # base — the recursive engine's counting convention.
-        stats.intersections += int(np.count_nonzero(located[0][1]))
+        te_hit = located[0][1] > 0
+        stats.intersections += int(
+            np.count_nonzero(te_hit) if runs is None else runs[te_hit].sum()
+        )
         driver = np.argmin(np.stack([counts for _, counts in located]), axis=0)
         # Each source's ``key * scale`` half of the probe codes, per row.
         bases = [frontier[:, col] * self.scale for col, _, _ in sources]

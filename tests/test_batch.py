@@ -11,6 +11,8 @@ truncation points.
 
 from __future__ import annotations
 
+import functools
+import pickle
 import random
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.core.batch import (
     batch_capable,
     used_exclusion_mask,
 )
-from repro.core.enumeration import Enumerator
+from repro.core.enumeration import Enumerator, embedding_tuples
 from repro.core.matcher import CECIMatcher
 from repro.core.stats import MatchStats
 from repro.core.store import encode_pairs, lookup_pairs
@@ -613,3 +615,249 @@ class TestCollectParts:
         matcher = CECIMatcher(HUB_QUERIES["k4"], _hub_data(20, 2, 1, 1))
         enumerator = Enumerator(matcher.build(), symmetry=matcher.symmetry)
         assert enumerator.collect_parts([]) == {}
+
+
+#: Levels whose frontiers the redundant-extension tests rebuild, as
+#: ``(query, symmetry breaking, depth)``: QG5's u=4 and u=2 steps have
+#: matched columns outside their key columns (injectivity differs inside
+#: a run), the symmetric diamond's last step compares against a non-key
+#: column (the Grochow-Kellis mask differs inside a run), K4's steps
+#: key on every matched column, and QG5's u=1 and u=3 steps are TE-only.
+DEDUP_CASES = [
+    ("qg5", False, 3),
+    ("qg5", False, 4),
+    ("qg5", True, 4),
+    ("diamond", True, 3),
+    ("k4", True, 3),
+    ("qg5", False, 1),
+    ("qg5", False, 2),
+]
+
+
+def _case_id(case):
+    shape, symmetry, depth = case
+    return f"{shape}-{'sym' if symmetry else 'plain'}-d{depth}"
+
+
+@functools.lru_cache(maxsize=None)
+def _level_frontier(shape, symmetry, depth):
+    """``(matcher, index, the real frontier reaching depth)`` for one
+    hub instance: the all-pivots root frontier expanded level by
+    level."""
+    matcher = CECIMatcher(
+        HUB_QUERIES[shape], _hub_data(30, 2, 2, 3),
+        break_automorphisms=symmetry,
+    )
+    ceci = matcher.build()
+    engine = BatchEngine(ceci, matcher.symmetry, MatchStats())
+    frontier = engine.root_frontier(ceci.pivots)
+    for d in range(1, depth):
+        frontier = engine._expand(frontier, d)
+    assert frontier is not None and len(frontier) > 1
+    return matcher, ceci, frontier
+
+
+def _fresh_engine(shape, symmetry, depth):
+    matcher, ceci, _ = _level_frontier(shape, symmetry, depth)
+    return BatchEngine(ceci, matcher.symmetry, MatchStats())
+
+
+def _key_heads(frontier, level):
+    """Indices of the rows that start a run of equal key columns."""
+    head = np.ones(len(frontier), dtype=bool)
+    for col, _, _ in level.sources:
+        column = frontier[:, col]
+        head[1:] &= column[1:] == column[:-1]
+    head[1:] = ~head[1:]
+    return np.flatnonzero(head)
+
+
+def _row_by_row(engine, frontier, depth):
+    """The reference: every row expanded as its own one-row frontier,
+    the results concatenated in row order (``None`` when none grow)."""
+    grown = [
+        engine._expand(frontier[i : i + 1], depth)
+        for i in range(len(frontier))
+    ]
+    grown = [block for block in grown if block is not None]
+    return np.concatenate(grown) if grown else None
+
+
+def _assert_same_expansion(case, frontier):
+    """``_expand`` on ``frontier`` equals the row-by-row reference, and
+    charges the same intersections."""
+    shape, symmetry, depth = case
+    batched = _fresh_engine(*case)
+    single = _fresh_engine(*case)
+    got = batched._expand(frontier, depth)
+    want = _row_by_row(single, frontier, depth)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, want)
+    assert batched.stats.intersections == single.stats.intersections
+
+
+class TestRedundantExtensions:
+    """Rows equal on a level's key columns (TE parent and NTE parents)
+    share one TE∩NTE step, broadcast to their run; the per-row masks
+    still run on every row (DESIGN.md §12)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(DEDUP_CASES), data=st.data())
+    def test_expand_equals_row_by_row(self, case, data):
+        """Runs of rows that agree on the key columns but differ on the
+        other matched columns, so injectivity and symmetry masks differ
+        inside a run."""
+        matcher, _, real = _level_frontier(*case)
+        level = _fresh_engine(*case).levels[case[2]]
+        keys = {col for col, _, _ in level.sources}
+        free = [col for col in level.used_cols if col not in keys]
+        vertices = st.integers(0, matcher.data.num_vertices - 1)
+        # Consecutive real rows as bases: neighbours there often share
+        # some key columns but not all, the near misses a run must split.
+        start = data.draw(st.integers(0, len(real) - 1))
+        runs = data.draw(st.lists(st.integers(1, 6), max_size=12))
+        rows = []
+        for offset, run in enumerate(runs):
+            for _ in range(run):
+                row = real[(start + offset) % len(real)].copy()
+                for col in free:
+                    if data.draw(st.booleans()):
+                        row[col] = data.draw(vertices)
+                rows.append(row)
+        frontier = (
+            np.array(rows, dtype=np.int64)
+            if rows
+            else np.empty((0, real.shape[1]), dtype=np.int64)
+        )
+        _assert_same_expansion(case, frontier)
+
+    def test_cases_exercise_every_mask(self):
+        """The property's cases really put injectivity and symmetry
+        columns outside the key columns, and include TE-only levels."""
+        free_used = free_symmetry = te_only = False
+        for case in DEDUP_CASES:
+            level = _fresh_engine(*case).levels[case[2]]
+            keys = {col for col, _, _ in level.sources}
+            te_only |= len(level.sources) == 1
+            free_used |= any(c not in keys for c in level.used_cols)
+            free_symmetry |= any(
+                c not in keys for c in level.above_cols + level.below_cols
+            )
+        assert free_used and free_symmetry and te_only
+
+    @pytest.mark.parametrize("case", DEDUP_CASES, ids=_case_id)
+    def test_edge_frontiers(self, case):
+        """Empty frontier, a single row, and one run spanning the whole
+        frontier."""
+        _, _, real = _level_frontier(*case)
+        _assert_same_expansion(case, real[:0])
+        _assert_same_expansion(case, real[:1])
+        _assert_same_expansion(case, np.repeat(real[:1], 7, axis=0))
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize(
+        "case",
+        [c for c in DEDUP_CASES if c[2] >= 3 and c[0] != "k4"],
+        ids=_case_id,
+    )
+    def test_fallback_point(self, case, dedup, monkeypatch):
+        """Heads at exactly half the rows intersect the heads only; one
+        head more and every row intersects.  Both give the row-by-row
+        answer."""
+        _, _, real = _level_frontier(*case)
+        level = _fresh_engine(*case).levels[case[2]]
+        bases = real[_key_heads(real, level)[:20]]
+        assert len(bases) == 20
+        runs = [2] * len(bases)
+        if not dedup:
+            runs[-1] = 1
+        frontier = np.repeat(bases, runs, axis=0)
+        assert (2 * len(bases) > len(frontier)) is not dedup
+        intersected = []
+        plain = BatchEngine._intersect
+
+        def recording(self, rows, sources, weights):
+            intersected.append(len(rows))
+            return plain(self, rows, sources, weights)
+
+        monkeypatch.setattr(BatchEngine, "_intersect", recording)
+        engine = _fresh_engine(*case)
+        engine._expand(frontier, case[2])
+        assert intersected == [len(bases) if dedup else len(frontier)]
+        monkeypatch.undo()
+        _assert_same_expansion(case, frontier)
+
+    def test_repeats_probe_no_extra_needles(self, monkeypatch):
+        """Structural, not timed: on QG5 over a one-hub tree-like graph
+        (every vertex attached once, so rows share parents) fewer
+        needles reach ``member_mask`` than rows reach the TE∩NTE steps
+        (0.6 per row; per-row probing sends 3.1), and a frontier with
+        every row repeated three times probes no more needles than the
+        original, yields each row's extensions three times and charges
+        three times the intersections."""
+        needles = [0]
+        probe = batch_module.member_mask
+
+        def counting(haystack, probes):
+            needles[0] += len(probes)
+            return probe(haystack, probes)
+
+        nte_rows = [0]
+        candidates = BatchEngine._candidates
+
+        def counting_rows(self, frontier, level):
+            if len(level.sources) > 1:
+                nte_rows[0] += len(frontier)
+            return candidates(self, frontier, level)
+
+        monkeypatch.setattr(batch_module, "member_mask", counting)
+        monkeypatch.setattr(BatchEngine, "_candidates", counting_rows)
+        matcher = CECIMatcher(
+            HUB_QUERIES["qg5"], _hub_data(60, 1, 1, 1),
+            break_automorphisms=False,
+        )
+        matcher.match()
+        assert 0 < needles[0] < nte_rows[0]
+
+        case = ("qg5", False, 4)
+        _, _, real = _level_frontier(*case)
+        frontier = real[:120]
+        repeats = np.repeat(frontier, 3, axis=0)
+        once, repeated = _fresh_engine(*case), _fresh_engine(*case)
+        needles[0] = 0
+        want = once._expand(frontier, case[2])
+        single_needles = needles[0]
+        needles[0] = 0
+        got = repeated._expand(repeats, case[2])
+        assert needles[0] <= single_needles
+        assert repeated.stats.intersections == 3 * once.stats.intersections
+        # Row by row, each row's extensions come out three times in a row.
+        reference = _fresh_engine(*case)
+        assert np.array_equal(want, _row_by_row(reference, frontier, case[2]))
+        assert np.array_equal(got, _row_by_row(reference, repeats, case[2]))
+
+
+class TestEmbeddingTuples:
+    """The one array-to-tuple conversion every batch entry point uses."""
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            np.array([[3, 1, 4], [1, 5, 9], [2, 6, 5]], dtype=np.int64),
+            np.array([[7], [0], [2**40]], dtype=np.int64),
+            np.empty((0, 4), dtype=np.int64),
+            np.empty((0, 1), dtype=np.int64),
+            np.arange(24, dtype=np.int64).reshape(6, 4)[::2, 1:],
+        ],
+        ids=["square", "one-column", "empty", "empty-one-column", "strided"],
+    )
+    def test_equals_row_wise_conversion(self, block):
+        got = embedding_tuples(block)
+        assert got == list(map(tuple, block.tolist()))
+        assert all(
+            type(row) is tuple and all(type(v) is int for v in row)
+            for row in got
+        )
+        assert pickle.loads(pickle.dumps(got)) == got
