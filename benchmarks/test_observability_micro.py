@@ -14,8 +14,8 @@ engine that runs by default, the set-at-a-time batch engine:
   left off (its default state).
 
 Both run over the same pre-built index, in paired rounds so drift hits
-both sides equally, on an instance where one enumeration takes well
-over 100 ms.  The acceptance bar: instrumented-but-disabled enumeration
+both sides equally, on an instance where one enumeration takes 50-70
+ms.  The acceptance bar: instrumented-but-disabled enumeration
 within ``MAX_DISABLED_OVERHEAD`` of the seed.  For scale the report also
 measures the *enabled* cost (tracing to a null sink).
 
@@ -48,7 +48,7 @@ ROUNDS = 20
 
 #: A 5-vertex query with a non-tree edge, so every expansion runs the
 #: batch engine's TE gather and NTE membership probe; one enumeration
-#: (45 842 embeddings) takes about 0.2 s on a 2-vCPU VM.
+#: (45 842 embeddings) takes 50-70 ms on a 2-vCPU VM.
 INSTANCE = {"vertices": 2000, "labels": 2, "qsize": 5, "seed": 6}
 
 
@@ -90,16 +90,15 @@ class _SeedBatchEngine(BatchEngine):
 
 
 class _SeedEnumerator(Enumerator):
-    """The unlimited batch path of :class:`Enumerator` without tracer or
-    progress hooks: one all-pivots frontier through the engine above."""
+    """The unlimited batch path of :class:`Enumerator`'s block stream
+    without tracer or progress hooks: the same all-pivots root frontier
+    over the same units, through the engine above."""
 
-    def _batch_blocks(self, limit):
+    def _blocks(self, units, limit, spans=False):
         assert limit is None and self._tracker is None
         engine = _SeedBatchEngine(self.ceci, self.symmetry, self.stats)
-        if len(self.ceci.pivots):
-            yield from engine.blocks(
-                engine.root_frontier(self.ceci.pivots), 1, [None]
-            )
+        frontier = engine.root_frontier([unit[0] for unit in units])
+        yield from engine.blocks(frontier, 1, [None])
 
 
 class _NullSink:

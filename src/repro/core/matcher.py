@@ -11,7 +11,7 @@ the one-line entry points used throughout the examples.
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, TypeVar
 
 from ..graph import Graph
 from ..observability.progress import ProgressReporter
@@ -35,6 +35,8 @@ from .stats import MatchStats
 from .store import CompactCECI
 
 __all__ = ["CECIMatcher", "match", "count_embeddings", "find_embedding"]
+
+T = TypeVar("T")
 
 
 class CECIMatcher:
@@ -251,12 +253,23 @@ class CECIMatcher:
             self._finish_progress()
 
     def match(self, limit: Optional[int] = None) -> List[Embedding]:
-        """All embeddings (or the first ``limit``) as a list (uses the
-        non-generator fast path)."""
-        enumerator = self.enumerator()  # builds the index if needed
+        """All embeddings (or the first ``limit``) as a list."""
+        # The enumerator is built (and the index with it) before the
+        # ``enumerate`` clock starts.
+        return self._enumerate(self.enumerator().collect, limit)
+
+    def count(self, limit: Optional[int] = None) -> int:
+        """Embedding count (up to ``limit``): the batch engine's blocks
+        are counted without building embedding tuples."""
+        return self._enumerate(self.enumerator().count, limit)
+
+    def _enumerate(
+        self, entry: Callable[[Optional[int]], T], limit: Optional[int]
+    ) -> T:
+        """Run one enumerator entry point as the ``enumerate`` phase."""
         started = time.perf_counter()
         try:
-            return enumerator.collect(limit)
+            return entry(limit)
         finally:
             self._record_phase("enumerate", started)
             self._finish_progress()
@@ -264,11 +277,6 @@ class CECIMatcher:
     def _finish_progress(self) -> None:
         if self.progress is not None:
             self.progress.finish()
-
-    def count(self, limit: Optional[int] = None) -> int:
-        """Embedding count (fast path; embeddings are materialized in
-        bulk, then discarded)."""
-        return len(self.match(limit))
 
     def run(self, limit: Optional[int] = None) -> PartialResult:
         """Match under the configured ``budget`` and say so explicitly.
@@ -296,12 +304,7 @@ class CECIMatcher:
                 stats=self.stats,
             )
         enumerator = self.enumerator(tracker=tracker)
-        started = time.perf_counter()
-        try:
-            embeddings = enumerator.collect(limit)
-        finally:
-            self._record_phase("enumerate", started)
-            self._finish_progress()
+        embeddings = self._enumerate(enumerator.collect, limit)
         truncated = enumerator.truncated
         exhausted = not truncated and (
             limit is None or len(embeddings) < limit
@@ -333,12 +336,6 @@ class CECIMatcher:
         return decompose_extreme_clusters(
             ceci, worker_count, beta, self.symmetry
         )
-
-    def embeddings_of_unit(
-        self, unit: WorkUnit, limit: Optional[int] = None
-    ) -> List[Embedding]:
-        """Embeddings of one work unit (used by the schedulers)."""
-        return list(self.enumerator().embeddings_from_unit(unit.prefix, limit))
 
 
 def _assign_uniform_cardinality(ceci: CECI) -> None:

@@ -291,7 +291,7 @@ class DistributedCECI:
                         stats=cluster_stats,
                         tracer=mtracer,
                     )
-                    found = list(cluster_enum.embeddings_from_unit((pivot,)))
+                    found = cluster_enum.collect_from_unit((pivot,))
                 cluster_embeddings[pivot] = found
                 clusters.append(
                     (pivot, ENUM_OP_COST * cluster_stats.recursive_calls)

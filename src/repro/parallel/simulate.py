@@ -56,8 +56,7 @@ def measure_unit_costs(
             use_intersection=matcher.use_intersection,
             stats=stats,
         )
-        for _ in enumerator.embeddings_from_unit(unit.prefix):
-            pass
+        enumerator.collect_from_unit(unit.prefix)
         costs.append(float(stats.recursive_calls))
     return costs
 

@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_labeled_instance
 from repro.baselines.cflmatch import CFLMatcher
@@ -268,8 +268,8 @@ class TestUnitPrefixParity:
         for query, data in _instances(4):
             (bm, be), (rm, re_) = self._enumerators(query, data)
             for unit in bm.work_units(beta=None):
-                got = list(be.embeddings_from_unit(unit.prefix))
-                want = list(re_.embeddings_from_unit(unit.prefix))
+                got = be.collect_from_unit(unit.prefix)
+                want = re_.collect_from_unit(unit.prefix)
                 assert got == want, unit.prefix
 
     def test_collect_from_unit_respects_limit(self):
@@ -287,15 +287,83 @@ class TestUnitPrefixParity:
         data = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         (bm, be), (rm, re_) = self._enumerators(query, data)
         dead = (0, 0)
-        assert list(be.embeddings_from_unit(dead)) == []
-        assert list(re_.embeddings_from_unit(dead)) == []
+        assert be.collect_from_unit(dead) == []
+        assert re_.collect_from_unit(dead) == []
 
     def test_overlong_prefix_rejected(self):
         query = Graph(2, [(0, 1)])
         data = Graph(3, [(0, 1), (1, 2)])
         (bm, be), _ = self._enumerators(query, data)
         with pytest.raises(ValueError):
-            list(be.embeddings_from_unit((0, 1, 2)))
+            be.collect_from_unit((0, 1, 2))
+
+
+class TestEntryPointAgreement:
+    """Every ``Enumerator`` entry point reads one block stream, so under
+    any budget shape they must agree on the rows, the flags and the
+    call count — on both engines."""
+
+    @staticmethod
+    def _run(matcher, use_intersection, budget, method, *args):
+        """``method(*args)`` on a fresh enumerator over ``matcher``'s
+        index, with ``(truncated, stop_reason, recursive_calls)``."""
+        enumerator = Enumerator(
+            matcher.build(),
+            symmetry=matcher.symmetry,
+            use_intersection=use_intersection,
+            budget=budget,
+        )
+        result = getattr(enumerator, method)(*args)
+        if method == "embeddings":
+            result = list(result)
+        return result, (
+            enumerator.truncated,
+            enumerator.stop_reason,
+            enumerator.stats.recursive_calls,
+        )
+
+    @pytest.mark.parametrize(
+        "shape", ["unbounded", "limit", "max_calls", "max_embeddings"]
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 400),
+        cut=st.integers(1, 30),
+        use_intersection=st.booleans(),
+        symmetric=st.booleans(),
+    )
+    def test_entry_points_agree(
+        self, shape, seed, cut, use_intersection, symmetric
+    ):
+        instance = random_labeled_instance(seed)
+        assume(instance is not None)
+        query, data = instance
+        matcher = CECIMatcher(
+            query, data, use_intersection=use_intersection,
+            break_automorphisms=symmetric,
+        )
+        limit = cut if shape == "limit" else None
+        budget = None
+        if shape in ("max_calls", "max_embeddings"):
+            budget = Budget(**{shape: cut})
+        run = functools.partial(self._run, matcher, use_intersection, budget)
+
+        rows, outcome = run("collect", limit)
+        assert run("embeddings", limit) == (rows, outcome)
+        assert run("count", limit) == (len(rows), outcome)
+
+        # A share in LPT-like (unsorted) order runs as the sorted units:
+        # concatenated in pivot order, its parts are the whole-index
+        # stream under the same budget.
+        full, full_outcome = run("collect", None)
+        share = [int(p) for p in matcher.build().pivots][::-1]
+        parts, parts_outcome = run("collect_parts", share)
+        assert [row for p in sorted(parts) for row in parts[p]] == full
+        assert parts_outcome == full_outcome
+        if not parts_outcome[0]:
+            for pivot in share:
+                alone, _ = run("collect_from_unit", (pivot,))
+                assert parts[pivot] == alone, pivot
 
 
 class TestBudgetTruncationParity:

@@ -94,9 +94,10 @@ class TestWorkUnits:
         sequential = matcher.match()
         for beta in (None, 1.0, 0.2):
             units = matcher.work_units(worker_count=4, beta=beta)
+            enumerator = matcher.enumerator()
             from_units = []
             for unit in units:
-                from_units.extend(matcher.embeddings_of_unit(unit))
+                from_units.extend(enumerator.collect_from_unit(unit.prefix))
             assert sorted(from_units) == sorted(sequential)
 
     def test_decomposition_respects_threshold(self, skewed_instance):
@@ -121,7 +122,7 @@ class TestWorkUnits:
         ceci = matcher.build()
         for pivot in ceci.pivots:
             true_count = len(
-                matcher.embeddings_of_unit(WorkUnit((pivot,), 0.0))
+                matcher.enumerator().collect_from_unit((pivot,))
             )
             assert ceci.cluster_cardinality(pivot) >= true_count
 

@@ -1,6 +1,7 @@
 """Tests for CECI index persistence (the CECIIDX3 compact format)."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -293,16 +294,16 @@ class TestChecksums:
 
 
 class TestByteMutations:
-    """Exhaustive single-byte corruption of a small blob: every
-    mutation either raises ``ChecksumError``/``ValueError`` or loads a
-    store whose answers equal the original's — the JSON header
-    included, not only the array blocks."""
+    """Exhaustive single-byte corruption, every truncation and seeded
+    multi-byte corruption of a small blob: every mutation either raises
+    ``ChecksumError``/``ValueError`` or loads a store whose answers
+    equal the original's — the JSON header included, not only the
+    array blocks."""
 
-    #: Bit masks applied to each byte: ASCII-preserving low bits reach
-    #: header digits and names that still parse; 0xFF breaks UTF-8.
-    MASKS = (0x01, 0x02, 0x04, 0xFF)
-
-    def test_every_byte_flip_is_rejected_or_harmless(self):
+    @pytest.fixture(scope="class")
+    def small_blob(self):
+        """``(blob, data, symmetry, reference embeddings)`` of a small
+        store with TE, NTE and cardinality blocks."""
         data = inject_labels(
             power_law(60, 3, seed=5, min_edges_per_vertex=1), 2, seed=5
         )
@@ -313,6 +314,14 @@ class TestByteMutations:
         reference = matcher.match()
         assert reference
         blob = dump_store_bytes(matcher.build())
+        return blob, data, matcher.symmetry, reference
+
+    #: Bit masks applied to each byte: ASCII-preserving low bits reach
+    #: header digits and names that still parse; 0xFF breaks UTF-8.
+    MASKS = (0x01, 0x02, 0x04, 0xFF)
+
+    def test_every_byte_flip_is_rejected_or_harmless(self, small_blob):
+        blob, data, symmetry, reference = small_blob
         _, body_at = _split_v3(blob)
         for pos in range(len(blob)):
             # Block bytes are all CRC-covered; one mask per byte there.
@@ -323,8 +332,36 @@ class TestByteMutations:
                     loaded = load_store_bytes(mutated, data)
                 except ValueError:  # ChecksumError included
                     continue
-                got = Enumerator(loaded, symmetry=matcher.symmetry).collect()
+                got = Enumerator(loaded, symmetry=symmetry).collect()
                 assert got == reference, f"byte {pos} ^ {mask:#04x}"
+
+    def test_every_truncation_is_rejected(self, small_blob):
+        """No prefix of a blob loads: each one raises ``ValueError``
+        (``ChecksumError`` for a cut inside the array blocks)."""
+        blob, data, _, _ = small_blob
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                load_store_bytes(blob[:cut], data)
+
+    #: Seeded multi-byte mutations per run.
+    MUTATIONS = 3000
+
+    def test_multi_byte_mutations_are_rejected_or_harmless(self, small_blob):
+        """2-8 random bytes XORed with random non-zero masks anywhere in
+        the blob: only ``ValueError`` subclasses escape, and a mutation
+        that loads answers exactly as the original."""
+        blob, data, symmetry, reference = small_blob
+        rng = random.Random(24)
+        for trial in range(self.MUTATIONS):
+            mutated = bytearray(blob)
+            for pos in rng.sample(range(len(blob)), rng.randint(2, 8)):
+                mutated[pos] ^= rng.randint(1, 0xFF)
+            try:
+                loaded = load_store_bytes(bytes(mutated), data)
+            except ValueError:  # ChecksumError included
+                continue
+            got = Enumerator(loaded, symmetry=symmetry).collect()
+            assert got == reference, f"mutation {trial}"
 
     def test_oversized_header_length_is_a_value_error(self, instance):
         query, data = instance

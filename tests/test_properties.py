@@ -103,9 +103,10 @@ def test_work_units_partition_embeddings(query, data, workers, beta):
     matcher = CECIMatcher(query, data, break_automorphisms=False)
     sequential = sorted(matcher.match())
     units = matcher.work_units(worker_count=workers, beta=beta)
+    enumerator = matcher.enumerator()
     from_units: list = []
     for unit in units:
-        from_units.extend(matcher.embeddings_of_unit(unit))
+        from_units.extend(enumerator.collect_from_unit(unit.prefix))
     assert sorted(from_units) == sequential
 
 
