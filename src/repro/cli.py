@@ -47,7 +47,9 @@ render the per-phase / per-worker breakdown with ``repro trace
 summarize FILE.jsonl``; ``--metrics {json,prom}`` dumps the full
 metrics registry to stderr after the run; ``--progress`` prints a
 heartbeat line (calls/s, embeddings/s, budget left, cardinality-bound
-ETA) on stderr during long enumerations.  ``--json`` (match/count)
+ETA) on stderr during long enumerations; under ``--workers`` each
+line reads the request's live counters (units done, embeddings so
+far).  ``--json`` (match/count)
 emits one machine-readable object (``"schema": 1``) on stdout and
 silences the stderr counter lines.
 
@@ -182,8 +184,9 @@ def _run_on_service(args: argparse.Namespace):
     tracer = Tracer(args.trace) if args.trace else None
     progress = None
     if args.progress:
-        # Workers tick their own enumerators, not this reporter; it
-        # closes the run with one summary line over the request's stats.
+        # Workers tick their own enumerators, not this reporter: it
+        # prints heartbeats from the request's live counters while the
+        # caller waits, and one closing line over the request's stats.
         progress = ProgressReporter(
             MatchStats(), interval=args.progress_interval, tracer=tracer
         ).start()
@@ -193,12 +196,13 @@ def _run_on_service(args: argparse.Namespace):
             tracer=tracer,
         ) as service:
             started = time.perf_counter()
-            response = service.match(MatchRequest(
+            pending = service.submit(MatchRequest(
                 query,
                 limit=args.limit,
                 budget=_budget_from(args),
                 break_automorphisms=not args.all_autos,
             ))
+            response = _await_response(pending, progress)
             elapsed = time.perf_counter() - started
         if progress is not None:
             progress.stats = response.stats
@@ -212,6 +216,21 @@ def _run_on_service(args: argparse.Namespace):
         response.embeddings, response.truncated, response.stop_reason,
         response.stats, elapsed,
     )
+
+
+def _await_response(pending, progress: Optional[ProgressReporter]):
+    """Wait for ``pending``'s response.  With a reporter (and a
+    positive interval) the wait runs in ``--progress-interval`` slices,
+    and each slice that passes without a result prints one heartbeat
+    from the request's live counters: units done, calls and embeddings
+    so far."""
+    if progress is None or progress.interval <= 0:
+        return pending.result()
+    while True:
+        try:
+            return pending.result(timeout=progress.interval)
+        except TimeoutError:
+            progress.heartbeat(*pending.progress())
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

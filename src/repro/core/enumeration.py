@@ -42,7 +42,7 @@ batch engine charges the same calls block by block.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -197,31 +197,31 @@ class Enumerator:
             out.extend(_rows(block))
         return out
 
-    def collect_parts(
-        self, pivots: Sequence[int]
-    ) -> Dict[int, List[Embedding]]:
-        """All embeddings of each pivot's cluster, as ``{pivot:
-        [embeddings]}`` — one part per pivot, each equal to
-        ``collect_from_unit((pivot,))``; a pivot without embeddings maps
-        to ``[]``.
+    def collect_rows(
+        self, pivots: Sequence[int], dtype=np.int64
+    ) -> np.ndarray:
+        """All embeddings of the clusters of ``pivots`` as one packed
+        ``(rows, query vertices)`` array of ``dtype``, in sorted-pivot
+        DFS order: each pivot's rows are contiguous and equal
+        ``collect_from_unit((pivot,))``.  An empty share gives shape
+        ``(0, n)``.
 
-        The units run over the sorted pivots; the batch engine runs the
-        whole share as one root frontier (DESIGN.md §12) and each
-        complete block is split on the root column: in DFS order one
-        pivot's rows are contiguous.
+        The batch engine runs the whole share as one root frontier
+        (DESIGN.md §12) and its blocks are concatenated as they are;
+        the recursion's per-unit lists are packed.  No tuple is built —
+        a service share ships these rows to the front end, which builds
+        the tuples once.
         """
-        parts: Dict[int, List[Embedding]] = {int(p): [] for p in pivots}
-        root = self.tree.root
-        for block in self._blocks([(p,) for p in sorted(parts)], None):
-            rows = _rows(block)
-            bounds = [0, len(rows)]
-            if isinstance(block, np.ndarray):
-                roots = block[:, root]
-                cuts = np.flatnonzero(roots[1:] != roots[:-1]) + 1
-                bounds[1:1] = cuts.tolist()
-            for lo, hi in zip(bounds, bounds[1:]):
-                parts[rows[lo][root]].extend(rows[lo:hi])
-        return parts
+        n = self.tree.query.num_vertices
+        units = [(p,) for p in sorted({int(p) for p in pivots})]
+        blocks = [
+            block if isinstance(block, np.ndarray)
+            else np.array(block, dtype=dtype).reshape(-1, n)
+            for block in self._blocks(units, None)
+        ]
+        if not blocks:
+            return np.empty((0, n), dtype=dtype)
+        return np.concatenate(blocks, dtype=dtype)
 
     def _pivot_units(self) -> List[Tuple[int, ...]]:
         """One ``(pivot,)`` unit per embedding cluster, in pivot order."""

@@ -33,7 +33,8 @@ Event vocabulary (``t`` is seconds since the request was admitted):
 ``solo`` / ``unit``
     One enumeration task finished: a solo run, or one share of the
     batched plan (its ``seconds``, ``embeddings`` and, for a share, the
-    ``units`` it covered).
+    ``units`` it covered and the front end's ``decode`` seconds for
+    turning its packed rows into tuples).
 ``unit_failed``
     A task failed (``kind`` = crash/fault/error/timeout) and took its
     ``units`` with it (0 for a solo run).

@@ -128,8 +128,19 @@ class ProgressReporter:
             self.start()
             self._emit(time.perf_counter(), final=True)
 
+    def heartbeat(self, units: int, stats) -> None:
+        """One line for a request in flight on a service: ``units``
+        reported back so far and the request's live ``stats`` (the
+        ``--workers`` route, whose workers tick their own
+        enumerators)."""
+        self.stats = stats
+        self.start()
+        self._emit(time.perf_counter(), units=units)
+
     # ------------------------------------------------------------------
-    def _emit(self, now: float, final: bool = False) -> None:
+    def _emit(
+        self, now: float, final: bool = False, units: Optional[int] = None
+    ) -> None:
         elapsed = max(now - (self._started_at or now), 1e-9)
         self._next_emit_at = now + self.interval
         stats = self.stats
@@ -137,8 +148,10 @@ class ProgressReporter:
         found = stats.embeddings_found
         call_rate = calls / elapsed
         found_rate = found / elapsed
-        parts = [
-            f"# progress: {elapsed:.1f}s",
+        parts = [f"# progress: {elapsed:.1f}s"]
+        if units is not None:
+            parts.append(f"units={units}")
+        parts += [
             f"calls={calls} ({call_rate:.0f}/s)",
             f"embeddings={found} ({found_rate:.0f}/s)",
         ]

@@ -21,9 +21,10 @@ recovers lost ones.  The pieces, and where each lives:
 * **one task body** — :func:`run_task` enumerates a solo run or a share
   (as one frontier) over a resolved index; threads run it in process,
   shard processes in the child;
-* **exact merge** — a share hands back per-pivot parts; the front end
-  concatenates them in ``store.pivots`` order, which *is* sequential
-  ``collect`` order;
+* **exact merge** — a share hands back its rows as one packed array;
+  the front end builds the tuples once, splits them into per-pivot
+  parts as each reply arrives, and concatenates the parts in
+  ``store.pivots`` order, which *is* sequential ``collect`` order;
 * **deadlines & cancellation** — each request may carry an end-to-end
   ``deadline_seconds`` (service-wide default available) measured from
   submit and covering queue wait + index resolution + matching.  One
@@ -81,8 +82,11 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from ..core.automorphism import SymmetryBreaker
-from ..core.enumeration import Embedding, Enumerator
+from ..core.batch import BLOCK_ROWS
+from ..core.enumeration import Embedding, Enumerator, embedding_tuples
 from ..core.estimate import plan_facts
 from ..core.matcher import CECIMatcher
 from ..core.stats import MatchStats
@@ -270,6 +274,38 @@ def _stat_counters(stats: MatchStats) -> Dict[str, int]:
     return out
 
 
+def _row_dtype(num_vertices: int) -> np.dtype:
+    """The narrowest of int32/int64 that holds every vertex id of a
+    data graph with ``num_vertices`` vertices: the dtype a share's
+    packed rows travel in (int32 halves a shard reply)."""
+    return np.dtype(np.int32 if num_vertices < 2**31 else np.int64)
+
+
+def _decode_rows(rows: np.ndarray, root: int) -> Dict[int, List[Embedding]]:
+    """A share's packed rows as ``{pivot: [embedding tuples]}``.
+
+    The rows are in sorted-pivot DFS order, so each pivot's rows are
+    contiguous.  They are decoded ``BLOCK_ROWS`` at a time: each slice
+    becomes tuples and is split on the root column into per-pivot runs,
+    so the transient per-column lists never exceed one slice.
+    """
+    parts: Dict[int, List[Embedding]] = {}
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        block = rows[lo:lo + BLOCK_ROWS]
+        tuples = embedding_tuples(block)
+        roots = block[:, root]
+        cuts = (np.flatnonzero(roots[1:] != roots[:-1]) + 1).tolist()
+        for start, end in zip([0, *cuts], [*cuts, len(tuples)]):
+            run = tuples[start:end]
+            pivot = run[0][root]
+            part = parts.get(pivot)
+            if part is None:
+                parts[pivot] = run
+            else:
+                part.extend(run)
+    return parts
+
+
 def run_task(
     store: CompactCECI,
     symmetry: SymmetryBreaker,
@@ -285,17 +321,22 @@ def run_task(
     sequential order, ``limit`` and ``tracker`` honoured, so a
     truncation prefix is the sequential matcher's.  Otherwise the
     clusters of ``share``'s pivots run as one frontier
-    (:meth:`~repro.core.enumeration.Enumerator.collect_parts`).  The
+    (:meth:`~repro.core.enumeration.Enumerator.collect_rows`).  The
     payload :meth:`MatchService._task_done` consumes holds the task's
-    private ``stats`` and either ``parts`` (pivot -> embeddings) or the
-    solo ``embeddings``, ``truncated`` and ``stop_reason``.
+    private ``stats`` and either the share's packed ``rows`` (one array
+    in sorted-pivot DFS order, no tuples, in :func:`_row_dtype`) and
+    its ``units`` count, or the solo ``embeddings``, ``truncated`` and
+    ``stop_reason``.
     """
     stats = MatchStats()
     enumerator = Enumerator(
         store, symmetry=symmetry, stats=stats, tracker=tracker
     )
     if share is not None:
-        return {"parts": enumerator.collect_parts(share), "stats": stats}
+        rows = enumerator.collect_rows(
+            share, _row_dtype(store.data.num_vertices)
+        )
+        return {"rows": rows, "units": len(share), "stats": stats}
     embeddings = enumerator.collect(limit)
     return {
         "embeddings": embeddings,
@@ -334,6 +375,16 @@ class PendingMatch:
             )
         assert self._response is not None
         return self._response
+
+    def progress(self) -> Tuple[int, MatchStats]:
+        """The request's live counters while it is in flight: how many
+        units its executor has reported back, and its stats so far (a
+        share's counters land when the share reports)."""
+        job = self._job
+        if job is None:
+            return 0, MatchStats()
+        with job.lock:
+            return len(job.pivots) - job.remaining, job.stats
 
     def cancel(self) -> bool:
         """Ask the service to abandon this request.
@@ -1120,14 +1171,15 @@ class MatchService:
         seconds: float,
         started: Optional[float],
         worker: Optional[int],
+        traced: bool,
         **detail,
     ) -> None:
         """Book one finished task's enumeration time into its stats, the
-        trace (when the executor measured ``started`` in this process,
-        tagged with the request and the ``worker`` slot that ran it) and
-        the flight record."""
+        trace (when ``traced`` and the executor measured ``started`` in
+        this process, tagged with the request and the ``worker`` slot
+        that ran it) and the flight record."""
         stats.add_phase("enumerate", seconds)
-        if started is not None and self.tracer.enabled:
+        if traced and started is not None:
             self.tracer.phase(
                 "enumerate", started, seconds,
                 request=job.request.request_id, worker=worker,
@@ -1144,16 +1196,23 @@ class MatchService:
         worker: Optional[int] = None,
     ) -> None:
         """One task finished with :func:`run_task`'s ``payload``.  A solo
-        run (possibly truncated by its budget) resolves the job.  A
-        share's private stats merge under the job lock (``int +=`` is
-        not atomic, so concurrent tasks writing one stats object would
-        drop counts), and the last share to report merges every part
-        back in ``store.pivots`` order."""
+        run (possibly truncated by its budget) resolves the job.
+
+        A share's packed rows become tuples here, once, as the reply
+        arrives and outside the job lock (:func:`_decode_rows`).  Its
+        private stats then merge under the lock (``int +=`` is not
+        atomic, so concurrent tasks writing one stats object would drop
+        counts), and the last share to report concatenates every part
+        in ``store.pivots`` order.  The decode and that concatenation
+        are the request's ``merge`` phase: booked in its stats, traced
+        per task (tagged with the request and the ``worker``) and, for
+        the decode, the flight ``unit`` event's ``decode`` seconds."""
         stats = payload["stats"]
+        traced = self.tracer.enabled
         if job.request.solo:
             embeddings = payload["embeddings"]
             self._record_enumeration(
-                job, "solo", stats, seconds, started, worker,
+                job, "solo", stats, seconds, started, worker, traced,
                 embeddings=len(embeddings), truncated=payload["truncated"],
             )
             with job.lock:
@@ -1165,28 +1224,45 @@ class MatchService:
                 job, embeddings, status, stop_reason=payload["stop_reason"]
             )
             return
-        parts: Dict[int, List[Embedding]] = payload["parts"]
+        rows = payload["rows"]
+        units = payload["units"]
+        merge_started = time.perf_counter()
+        parts = _decode_rows(rows, job.store.tree.root)
+        merge_seconds = time.perf_counter() - merge_started
+        stats.add_phase("merge", merge_seconds)
         self._record_enumeration(
-            job, "unit", stats, seconds, started, worker,
-            units=len(parts),
-            embeddings=sum(len(part) for part in parts.values()),
+            job, "unit", stats, seconds, started, worker, traced,
+            units=units, embeddings=len(rows),
+            decode=round(merge_seconds, 6),
         )
-        self.metrics.inc("service_units_total", len(parts))
+        self.metrics.inc("service_units_total", units)
         with job.lock:
             if job.done:  # finalized (deadline/cancel/stall) meanwhile
                 return
             job.parts.update(parts)
             job.stats.merge(stats)
-            job.remaining -= len(parts)
-            if job.remaining > 0:
-                return
+            job.remaining -= units
+            last = job.remaining <= 0
             failed = job.error is not None
+        embeddings: List[Embedding] = []
+        if last and not failed:
+            # Every share has reported: no other task touches the job.
+            concat_started = time.perf_counter()
+            for pivot in job.pivots:
+                embeddings.extend(job.parts.get(pivot, ()))
+            concat = time.perf_counter() - concat_started
+            job.stats.add_phase("merge", concat)
+            merge_seconds += concat
+        if traced:
+            self.tracer.phase(
+                "merge", merge_started, merge_seconds,
+                request=job.request.request_id, worker=worker,
+            )
+        if not last:
+            return
         if failed:
             self._conclude_failure(job)
             return
-        embeddings = []
-        for pivot in job.pivots:
-            embeddings.extend(job.parts[pivot])
         self._finalize(job, embeddings, Status.OK)
 
     def _unit_failed(

@@ -25,8 +25,11 @@ and failure recovery:
   does;
 * **window-of-one dispatch** — each shard has an outbox and at most one
   task in flight on its pipe, so a crash loses at most one task; a
-  reader thread per shard turns replies into front-end callbacks with
-  per-pivot parts, which the front end merges in ``store.pivots`` order;
+  reader thread per shard hands each reply to the front end's
+  callback.  A share's reply is one packed row array (int32 unless
+  the data graph needs int64) plus its stats: no tuple is built or
+  pickled in the shard, and the front end builds the tuples once and
+  merges them in ``store.pivots`` order;
 * **crash recovery** — a shard process death is observed as pipe EOF;
   the executor respawns the shard and re-dispatches the lost task
   head-of-line (:meth:`~repro.service.scheduler.TaskQueue.push_recovered`),
@@ -725,7 +728,9 @@ class _ShardExecutor:
                 "shard_result", shard=shard_index, task=record.task_id,
                 busy=round(float(payload["busy"]), 6),
             )
-        self.service._task_done(job, payload, payload["seconds"])
+        self.service._task_done(
+            job, payload, payload["seconds"], worker=shard_index
+        )
 
 
 class ShardedMatchService(MatchService):

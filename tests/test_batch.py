@@ -353,17 +353,20 @@ class TestEntryPointAgreement:
         assert run("count", limit) == (len(rows), outcome)
 
         # A share in LPT-like (unsorted) order runs as the sorted units:
-        # concatenated in pivot order, its parts are the whole-index
-        # stream under the same budget.
+        # its packed rows are the whole-index stream under the same
+        # budget, each pivot's rows one contiguous run.
         full, full_outcome = run("collect", None)
-        share = [int(p) for p in matcher.build().pivots][::-1]
-        parts, parts_outcome = run("collect_parts", share)
-        assert [row for p in sorted(parts) for row in parts[p]] == full
-        assert parts_outcome == full_outcome
-        if not parts_outcome[0]:
+        store = matcher.build()
+        share = [int(p) for p in store.pivots][::-1]
+        rows, rows_outcome = run("collect_rows", share)
+        assert rows.shape == (len(full), query.num_vertices)
+        assert embedding_tuples(rows) == full
+        assert rows_outcome == full_outcome
+        if not rows_outcome[0]:
+            parts = _split_rows(rows, store.tree.root)
             for pivot in share:
                 alone, _ = run("collect_from_unit", (pivot,))
-                assert parts[pivot] == alone, pivot
+                assert parts.get(pivot, []) == alone, pivot
 
 
 class TestBudgetTruncationParity:
@@ -647,9 +650,23 @@ def _lpt_share(store):
     )
 
 
+def _split_rows(rows, root):
+    """``{pivot: [embedding tuples]}`` of a packed share, checking that
+    the pivots come in sorted order, each as one contiguous run."""
+    parts = {}
+    for row in embedding_tuples(rows):
+        pivot = row[root]
+        if pivot not in parts:
+            assert not parts or pivot > max(parts), pivot
+            parts[pivot] = []
+        parts[pivot].append(row)
+    return parts
+
+
 class TestCollectParts:
-    """A shard's pivot share runs as one frontier; each part must equal
-    the pivot's own unit run, whichever engine the inputs pick."""
+    """A shard's pivot share runs as one frontier and comes back as one
+    packed row array (``collect_rows``); each pivot's part of it must
+    equal the pivot's own unit run, whichever engine the inputs pick."""
 
     def _check(self, ceci, symmetry, engine):
         share = _lpt_share(ceci)
@@ -657,17 +674,28 @@ class TestCollectParts:
         stats = MatchStats()
         enumerator = Enumerator(ceci, symmetry=symmetry, stats=stats)
         assert enumerator.engine == engine
-        parts = enumerator.collect_parts(share)
-        assert list(parts) == share
+        rows = enumerator.collect_rows(share)
+        assert rows.dtype == np.int64
+        assert rows.shape[1] == ceci.tree.query.num_vertices
+        parts = _split_rows(rows, ceci.tree.root)
+        assert set(parts) <= set(share)
         unit_stats = MatchStats()
+        sizes = []
         for pivot in share:
             alone = Enumerator(ceci, symmetry=symmetry, stats=unit_stats)
-            assert parts[pivot] == alone.collect_from_unit((pivot,)), pivot
+            part = alone.collect_from_unit((pivot,))
+            assert parts.get(pivot, []) == part, pivot
+            sizes.append(len(part))
         assert stats.recursive_calls == unit_stats.recursive_calls
         assert stats.intersections == unit_stats.intersections
         assert stats.embeddings_found == unit_stats.embeddings_found
-        sizes = [len(part) for part in parts.values()]
         assert 0 in sizes and max(sizes) > 0
+        # A narrower dtype carries the same rows.
+        narrow = Enumerator(ceci, symmetry=symmetry).collect_rows(
+            share, np.int32
+        )
+        assert narrow.dtype == np.int32
+        assert np.array_equal(narrow, rows)
 
     @pytest.mark.parametrize("shape", sorted(HUB_QUERIES))
     def test_batch_parts_equal_unit_runs(self, shape):
@@ -682,7 +710,10 @@ class TestCollectParts:
     def test_empty_share(self):
         matcher = CECIMatcher(HUB_QUERIES["k4"], _hub_data(20, 2, 1, 1))
         enumerator = Enumerator(matcher.build(), symmetry=matcher.symmetry)
-        assert enumerator.collect_parts([]) == {}
+        for dtype in (np.int64, np.int32):
+            rows = enumerator.collect_rows([], dtype)
+            assert rows.shape == (0, 4) and rows.dtype == dtype
+            assert embedding_tuples(rows) == []
 
 
 #: Levels whose frontiers the redundant-extension tests rebuild, as

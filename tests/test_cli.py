@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -113,6 +114,34 @@ class TestWorkersOption:
         assert captured.out == ""
         assert "error: failed" in captured.err
         assert "enumerator unavailable" in captured.err
+
+    def test_progress_heartbeats_while_the_request_runs(
+        self, skewed, capsys, monkeypatch
+    ):
+        # Each task sleeps past the interval first, so the caller's wait
+        # outlasts at least one --progress-interval slice.
+        from repro.service import service as service_module
+
+        run_task = service_module.run_task
+
+        def slow(*args):
+            time.sleep(0.2)
+            return run_task(*args)
+
+        monkeypatch.setattr(service_module, "run_task", slow)
+        qpath, dpath = skewed
+        assert main(["count", qpath, dpath, "--workers", "2", "--progress",
+                     "--progress-interval", "0.02"]) == 0
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("# progress:")
+        ]
+        assert len(lines) >= 2
+        assert lines[-1].endswith("(done)")
+        heartbeats = lines[:-1]
+        assert all("units=" in line and "embeddings=" in line
+                   for line in heartbeats)
+        assert not any(line.endswith("(done)") for line in heartbeats)
 
     @pytest.mark.parametrize("command", ["index", "stats"])
     def test_only_match_and_count_take_workers(

@@ -12,11 +12,15 @@ becomes one task per non-empty share of the front end's LPT plan.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
+from types import SimpleNamespace
 from typing import List, Set, Tuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.matcher import CECIMatcher
 from repro.graph import Graph, inject_labels
@@ -147,6 +151,75 @@ def test_batched_request_runs_one_task_per_lpt_share(executor, monkeypatch):
         assert [tuple(e) for e in response.embeddings] == [
             tuple(e) for e in sequential
         ]
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_random_shares_and_reply_order_merge_exactly(executor, monkeypatch):
+    """Whatever shares the plan cuts, whatever order their packed
+    replies arrive in, and wherever the front end's decode slices fall,
+    the response is the sequential matcher's list."""
+    data, queries, _ = _workload()
+    expected = [
+        CECIMatcher(q, data, break_automorphisms=False).match()
+        for q in queries
+    ]
+    workers = 3
+    if executor == "shards":
+        service = ShardedMatchService(data, shards=workers)
+    else:
+        service = MatchService(data, workers=workers)
+    # Hypothesis draws each example's shares, reply order and slice
+    # length; the patched plan and callback read them from ``draw``.
+    draw = SimpleNamespace(rng=random.Random(0), shares=1)
+
+    def random_plan(costs, count):
+        units = [[] for _ in range(count)]
+        for i in range(len(costs)):
+            units[draw.rng.randrange(draw.shares)].append(i)
+        return SimpleNamespace(worker_units=units, makespan=0.0, skew=1.0)
+
+    held = {}
+    task_done = service._task_done
+
+    def shuffled_replies(job, payload, *args, **kwargs):
+        replies = held.setdefault(job, [])
+        replies.append((payload, args, kwargs))
+        if sum(reply[0]["units"] for reply in replies) < len(job.pivots):
+            return
+        del held[job]
+        draw.rng.shuffle(replies)
+        for payload, args, kwargs in replies:
+            task_done(job, payload, *args, **kwargs)
+
+    monkeypatch.setattr(service_module, "dynamic_schedule", random_plan)
+    service._task_done = shuffled_replies
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        index=st.integers(0, len(queries) - 1),
+        shares=st.integers(1, workers),
+        seed=st.integers(0, 2**16),
+        block_rows=st.integers(1, 9),
+    )
+    def check(index, shares, seed, block_rows):
+        draw.rng = random.Random(seed)
+        draw.shares = shares
+        monkeypatch.setattr(service_module, "BLOCK_ROWS", block_rows)
+        response = service.match(_request(queries[index]))
+        assert response.ok, response.error
+        assert response.embeddings == expected[index]
+
+    try:
+        check()
+    finally:
+        service.close(timeout=30)
+
+
+def test_row_dtype_is_the_narrowest_that_holds_every_vertex():
+    # A stub vertex count: no graph of that size is built.
+    assert service_module._row_dtype(2**31 - 1) == np.int32
+    assert service_module._row_dtype(2**31) == np.int64
+    assert service_module._row_dtype(2**40) == np.int64
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)

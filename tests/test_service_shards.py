@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from repro.core.matcher import CECIMatcher
@@ -362,6 +363,40 @@ class TestSinglePlan:
             assert response.count == CECIMatcher(query, data).count()
             assert response.shard_fanout == len(pivots) == len(sent)
             assert [set(sent.get(w, ())) for w in range(4)] == expected_sets
+
+
+def test_share_reply_is_one_packed_array():
+    """A share's reply crosses the pipe as one int32 row array plus its
+    unit count and stats: no tuple is built or pickled in the shard."""
+    data = make_data(4)
+    query = make_queries(data, 4)[0]
+    with ShardedMatchService(data, shards=2) as service:
+        executor = service.executor
+        replies = []
+        handle = executor._handle_message
+
+        def recording(shard_index, message):
+            replies.append(message)
+            return handle(shard_index, message)
+
+        executor._handle_message = recording
+        response = service.match(MatchRequest(query))
+        assert response.status == Status.OK
+        assert response.embeddings == CECIMatcher(query, data).match()
+    payloads = [message[2] for message in replies]
+    assert [message[0] for message in replies] == ["result"] * len(replies)
+    assert len(payloads) == response.shard_fanout > 1
+    for payload in payloads:
+        rows = payload["rows"]
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.int32
+        assert rows.shape[1] == query.num_vertices
+        assert "parts" not in payload and "embeddings" not in payload
+    assert sum(len(payload["rows"]) for payload in payloads) == (
+        response.count
+    )
+    assert sum(payload["units"] for payload in payloads) == (
+        service.metrics.get("service_units_total")
+    )
 
 
 def test_sharded_metric_specs_extend_service_specs():
