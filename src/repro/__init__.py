@@ -27,8 +27,8 @@ Subpackages
     primitives and one k-way ``intersect``.
 ``repro.resilience``
     Enumeration budgets (:class:`Budget` / :class:`PartialResult`),
-    seeded fault injection (:class:`FaultPlan`), retry/recovery
-    bookkeeping for the service and the distributed runtime.
+    seeded fault injection (:class:`FaultPlan`) and the retry policy
+    of the service.
 ``repro.distributed``
     Simulated multi-machine runtime (replicated vs shared CSR storage,
     pivot partitioning, work stealing).

@@ -52,8 +52,10 @@ def clusters_of(ceci: CompactCECI) -> List[WorkUnit]:
     ``cardinality(u_s, v_s)``, sorted largest first (the paper sorts the
     work pool by cardinality so big clusters start early)."""
     units = [
-        WorkUnit((int(pivot),), float(ceci.cluster_cardinality(pivot)))
-        for pivot in ceci.pivots
+        WorkUnit((pivot,), float(workload))
+        for pivot, workload in zip(
+            ceci.pivots.tolist(), ceci.cluster_cardinalities().tolist()
+        )
     ]
     units.sort(key=lambda unit: (-unit.workload, unit.prefix))
     return units
@@ -77,16 +79,14 @@ def decompose_extreme_clusters(
     if beta <= 0:
         raise ValueError("beta must be positive")
     symmetry = symmetry or SymmetryBreaker(ceci.tree.query, enabled=False)
-    total = float(
-        sum(ceci.cluster_cardinality(pivot) for pivot in ceci.pivots)
-    )
+    cardinalities = ceci.cluster_cardinalities().tolist()
+    total = float(sum(cardinalities))
     if total == 0.0:
         return []
     threshold = beta * (total / worker_count)
     units: List[WorkUnit] = []
-    for pivot in ceci.pivots:
-        pivot = int(pivot)
-        workload = float(ceci.cluster_cardinality(pivot))
+    for pivot, workload in zip(ceci.pivots.tolist(), cardinalities):
+        workload = float(workload)
         if workload <= 0.0:
             continue
         if workload <= threshold:

@@ -35,7 +35,7 @@ def store_cardinality_bound(store) -> int:
     """:func:`cardinality_bound` computed directly from a built store
     — what the service uses, since a cache hit has a store but no
     matcher."""
-    return int(sum(store.cluster_cardinality(pivot) for pivot in store.pivots))
+    return sum(store.cluster_cardinalities().tolist())
 
 
 def level_cardinalities(store) -> List[Tuple[int, int]]:

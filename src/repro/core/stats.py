@@ -60,17 +60,9 @@ class MatchStats:
     #: accounting, which is representation-independent.
     memory_bytes: int = 0
 
-    # --- resilience (budgets, fault recovery) ---------------------------
+    # --- budgets and distributed enumeration ---------------------------
     #: Enumerations stopped early by a Budget axis.
     budget_stops: int = 0
-    #: Work pieces (units/clusters) re-run after a failure.
-    retries: int = 0
-    #: Orphaned work pieces handed to a surviving executor.
-    reassignments: int = 0
-    #: Simulated machines lost to crashes.
-    machine_crashes: int = 0
-    #: Coordinator messages dropped (and retransmitted).
-    messages_dropped: int = 0
     #: Work-steal operations (distributed enumeration phase).
     steals: int = 0
 

@@ -251,6 +251,18 @@ class CompactCECI:
         """Maximum embeddings in the cluster rooted at ``pivot``."""
         return self.cardinality_of(self.tree.root, pivot)
 
+    def cluster_cardinalities(self) -> np.ndarray:
+        """:meth:`cluster_cardinality` of every pivot, in pivot order:
+        one ``searchsorted`` of the pivots over the root's cardinality
+        keys, 0 where a pivot has no entry."""
+        keys, values = self.card[self.tree.root]
+        if len(keys) == 0:
+            return np.zeros(len(self._pivots), dtype=np.int64)
+        at = np.minimum(np.searchsorted(keys, self._pivots), len(keys) - 1)
+        return np.where(keys[at] == self._pivots, values[at], 0).astype(
+            np.int64, copy=False
+        )
+
     def candidates(self, u: int) -> np.ndarray:
         """Sorted candidates of ``u``: the pivots for the root, else the
         distinct TE values (exactly the builder's frontier union)."""

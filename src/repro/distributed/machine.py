@@ -39,14 +39,8 @@ class MachineReport:
     steals: int = 0
     #: Number of embeddings this machine reported.
     embeddings: int = 0
-    #: Simulated time this machine went idle (or died).
+    #: Simulated time this machine went idle.
     finish_time: float = 0.0
-
-    # --- resilience ----------------------------------------------------
-    #: True once a fault plan killed this machine mid-enumeration.
-    crashed: bool = False
-    #: Orphaned clusters of crashed machines this machine adopted.
-    reassigned: int = 0
 
     # --- real wall-clock telemetry (observability layer) ----------------
     #: Measured seconds building + refining (+ freezing) this machine's

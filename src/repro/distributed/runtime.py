@@ -1,12 +1,10 @@
-"""The simulated distributed CECI system (Section 5), with fault
-recovery.
+"""The simulated distributed CECI system (Section 5).
 
 Execution proceeds exactly as the paper describes:
 
 1. the coordinator preprocesses the query (root, tree, pivots) and
    distributes the cluster pivots with the lightweight workload estimate
-   (synchronous sends — a per-pivot message cost; dropped messages are
-   retransmitted at extra cost);
+   (synchronous sends — a per-pivot message cost);
 2. every machine builds its *own* CECI over its pivot share, reading the
    graph through its storage model (replicated memory, or shared CSR
    with metered IO);
@@ -17,21 +15,9 @@ Execution proceeds exactly as the paper describes:
    remote-access penalty on the stolen cluster);
 4. results are accumulated to machine 0.
 
-Failure model (see DESIGN.md, "Failure model & budgets"): a seeded
-:class:`~repro.resilience.faults.FaultPlan` can crash machines mid-
-enumeration, drop coordinator messages, and slow machines down.  A
-crashed machine's *unexplored* clusters — including the one it was
-enumerating when it died, whose partial output is discarded — move to an
-orphan pool that survivors drain through the same work-stealing loop,
-with per-cluster retry accounting: a cluster lost more than
-``max_retries`` times is reported in ``failed_clusters`` instead of
-looping forever.  Clusters a crashed machine *completed* were already
-accumulated at machine 0 and are not re-run, so the embedding union
-stays exact whenever no cluster exhausts its retries.
-
 Costs are simulated (DESIGN.md documents the substitution); the
 *embeddings* are real — the union over machines is checked against the
-sequential result in the test suite, fault plans included.
+sequential result in the test suite.
 """
 
 from __future__ import annotations
@@ -50,8 +36,6 @@ from ..core.automorphism import SymmetryBreaker
 from ..core.stats import MatchStats
 from ..graph import Graph
 from ..observability.tracer import NULL_TRACER
-from ..resilience.faults import FaultPlan
-from ..resilience.recovery import RecoveryLog, RetryPolicy
 from .machine import MachineReport
 from .partition import distribute_pivots
 from .storage import InMemoryStorage, SharedStorage, StorageModel
@@ -64,11 +48,6 @@ PIVOT_MSG_COST = 0.5
 STEAL_COST = 25.0
 #: Remote-cluster penalty factor on stolen enumeration work.
 STEAL_PENALTY = 1.15
-#: Extra cost of adopting an orphaned cluster after a crash: the
-#: survivor must re-fetch the victim's candidate data and replay the
-#: cluster from scratch, which we price as one steal plus a rebuild
-#: surcharge on the cluster's enumeration cost.
-RECOVERY_PENALTY = 1.5
 #: Per-embedding cost of accumulating results on machine 0.
 ACCUMULATE_COST = 0.01
 #: Compute cost units per filter evaluation during construction.
@@ -87,29 +66,15 @@ class DistributedResult:
         construction_makespan: float,
         enumeration_makespan: float,
         accumulation_cost: float,
-        failed_clusters: Optional[List[int]] = None,
         stats: Optional[MatchStats] = None,
-        recovery: Optional[RecoveryLog] = None,
     ) -> None:
         self.reports = reports
         self.embeddings = embeddings
         self.construction_makespan = construction_makespan
         self.enumeration_makespan = enumeration_makespan
         self.accumulation_cost = accumulation_cost
-        #: Cluster pivots permanently lost (retries exhausted, or no
-        #: surviving machine was left to adopt them).
-        self.failed_clusters = failed_clusters or []
-        #: Aggregate counters, including the resilience group
-        #: (machine_crashes, retries, reassignments, steals, ...).
+        #: Aggregate counters (construction, enumeration, steals).
         self.stats = stats if stats is not None else MatchStats()
-        #: Ordered recovery-event log of the run.
-        self.recovery = recovery if recovery is not None else RecoveryLog()
-
-    @property
-    def complete(self) -> bool:
-        """True when every cluster was enumerated by some machine —
-        the embedding union is exactly the sequential set."""
-        return not self.failed_clusters
 
     @property
     def total_time(self) -> float:
@@ -134,11 +99,6 @@ class DistributedResult:
 class DistributedCECI:
     """Distributed subgraph listing over 1..N simulated machines.
 
-    ``fault_plan`` injects deterministic machine crashes, coordinator
-    message drops and stragglers; ``max_retries`` bounds how many times
-    one cluster may be re-adopted after crashes before it is reported
-    failed.
-
     ``tracer`` (optional) receives every machine's spans and phases,
     tagged ``machine=m`` — the per-machine streams merge into one trace
     file, and the run's real wall-clock filter / refine / enumerate
@@ -156,8 +116,6 @@ class DistributedCECI:
         mode: str = "memory",
         break_automorphisms: bool = True,
         similarity_top: int = 1000,
-        fault_plan: Optional[FaultPlan] = None,
-        max_retries: int = 2,
         tracer=None,
     ) -> None:
         if mode not in ("memory", "shared"):
@@ -168,16 +126,11 @@ class DistributedCECI:
         self.mode = mode
         self.similarity_top = similarity_top
         self.symmetry = SymmetryBreaker(query, enabled=break_automorphisms)
-        self.fault_plan = fault_plan
-        self.retry_policy = RetryPolicy(max_retries)
         self.tracer = NULL_TRACER if tracer is None else tracer
 
     def run(self) -> DistributedResult:
         """Execute the full distributed pipeline."""
         stats = MatchStats()
-        recovery = RecoveryLog()
-        plan = self.fault_plan
-        drop_rng = plan.rng() if plan is not None else None
 
         # --- coordinator preprocessing --------------------------------
         # One scan per query vertex serves the root cost function
@@ -216,20 +169,7 @@ class DistributedCECI:
         for m, my_pivots in enumerate(machine_pivots):
             report = reports[m]
             report.pivots = my_pivots
-            messages = len(my_pivots)
-            dropped = 0
-            if drop_rng is not None and plan.message_drop_rate > 0.0:
-                # Each synchronous send may be lost and retransmitted
-                # (the coordinator notices the missing ack).
-                dropped = sum(
-                    1
-                    for _ in range(messages)
-                    if drop_rng.random() < plan.message_drop_rate
-                )
-            if dropped:
-                stats.messages_dropped += dropped
-                recovery.record("message_drop", m, attempt=dropped)
-            report.construction_comm = PIVOT_MSG_COST * (messages + dropped)
+            report.construction_comm = PIVOT_MSG_COST * len(my_pivots)
             if not my_pivots:
                 machine_clusters.append([])
                 continue
@@ -309,17 +249,10 @@ class DistributedCECI:
         )
         stats.memory_bytes = max((r.index_bytes for r in reports), default=0)
 
-        # --- enumeration with work stealing and crash recovery ---------
+        # --- enumeration with work stealing ----------------------------
         embeddings: List[Tuple[int, ...]] = []
-        enumeration_makespan, failed_clusters = _simulate_work_stealing(
-            machine_clusters,
-            reports,
-            cluster_embeddings,
-            embeddings,
-            plan,
-            self.retry_policy,
-            stats,
-            recovery,
+        enumeration_makespan = _simulate_work_stealing(
+            machine_clusters, reports, cluster_embeddings, embeddings, stats
         )
         accumulation = ACCUMULATE_COST * len(embeddings)
         return DistributedResult(
@@ -328,9 +261,7 @@ class DistributedCECI:
             construction_makespan,
             enumeration_makespan,
             accumulation,
-            failed_clusters=failed_clusters,
             stats=stats,
-            recovery=recovery,
         )
 
 
@@ -339,109 +270,41 @@ def _simulate_work_stealing(
     reports: List[MachineReport],
     cluster_embeddings: Dict[int, List[Tuple[int, ...]]],
     embeddings_out: List[Tuple[int, ...]],
-    plan: Optional[FaultPlan],
-    retry_policy: RetryPolicy,
     stats: MatchStats,
-    recovery: RecoveryLog,
-) -> Tuple[float, List[int]]:
+) -> float:
     """Event-driven makespan: machines drain local queues, then steal
-    from the machine with the most unexplored clusters (the victim),
-    then adopt orphaned clusters of crashed machines.
+    from the machine with the most unexplored clusters (the victim).
 
-    A cluster's embeddings are accumulated exactly when some machine
-    *completes* it, so crashes can never double-report or silently drop
-    a cluster; returns ``(makespan, failed_cluster_pivots)``.
+    A cluster's embeddings are accumulated when its machine completes
+    it; returns the makespan.
     """
     n = len(machine_clusters)
-    # Queue items are (pivot, cost, attempts): attempts counts how many
-    # machines already died while holding this cluster.
-    queues = [
-        deque((pivot, cost, 0) for pivot, cost in clusters)
-        for clusters in machine_clusters
-    ]
-    orphans: deque = deque()
+    queues = [deque(clusters) for clusters in machine_clusters]
     clock = [0.0] * n
-    clusters_started = [0] * n
     active = set(range(n))
-    failed: List[int] = []
-
-    def crash(m: int, item: Tuple[int, float, int]) -> None:
-        """Machine ``m`` dies holding ``item``: discard its partial
-        output, orphan the in-flight cluster (one attempt burned) and
-        its whole unexplored queue (no attempt burned — those clusters
-        were never started)."""
-        pivot, cost, attempt = item
-        reports[m].crashed = True
-        reports[m].finish_time = clock[m]
-        stats.machine_crashes += 1
-        recovery.record("machine_crash", m, (pivot,), attempt)
-        active.discard(m)
-        if retry_policy.allows(attempt + 1):
-            stats.retries += 1
-            recovery.record("requeue", m, (pivot,), attempt + 1)
-            orphans.append((pivot, cost, attempt + 1))
-        else:
-            recovery.record("give_up", m, (pivot,), attempt + 1)
-            failed.append(pivot)
-        while queues[m]:
-            orphans.append(queues[m].popleft())
-
     while active:
         m = min(active, key=lambda i: clock[i])
         report = reports[m]
-        slowdown = plan.slowdown(m) if plan is not None else 1.0
         if queues[m]:
-            item = queues[m].popleft()
-            kind = "local"
+            pivot, charge = queues[m].popleft()
+            report.local_enumeration += charge
         else:
             victim = max(
                 (i for i in range(n) if queues[i]),
                 key=lambda i: len(queues[i]),
                 default=None,
             )
-            if victim is not None:
-                item = queues[victim].pop()
-                kind = "steal"
-            elif orphans:
-                item = orphans.popleft()
-                kind = "recover"
-            else:
+            if victim is None:
                 report.finish_time = clock[m]
                 active.discard(m)
                 continue
-        if plan is not None and plan.machine_crashes_at(
-            m, clusters_started[m]
-        ):
-            crash(m, item)
-            continue
-        clusters_started[m] += 1
-        pivot, cost, _attempt = item
-        if kind == "local":
-            charge = cost * slowdown
-            report.local_enumeration += charge
-        elif kind == "steal":
-            charge = STEAL_COST + cost * STEAL_PENALTY * slowdown
+            pivot, cost = queues[victim].pop()
+            charge = STEAL_COST + cost * STEAL_PENALTY
             report.stolen_enumeration += charge
             report.steals += 1
             stats.steals += 1
-        else:  # recover
-            charge = STEAL_COST + cost * RECOVERY_PENALTY * slowdown
-            report.stolen_enumeration += charge
-            report.reassigned += 1
-            stats.reassignments += 1
-            recovery.record("reassign", m, (pivot,))
         clock[m] += charge
-        found = cluster_embeddings.get(pivot, [])
+        found = cluster_embeddings[pivot]
         embeddings_out.extend(found)
         report.embeddings += len(found)
-    # Machines all went idle (or died): anything still orphaned has no
-    # surviving machine left to adopt it.
-    while orphans:
-        pivot, _cost, attempt = orphans.popleft()
-        recovery.record("give_up", -1, (pivot,), attempt)
-        failed.append(pivot)
-    makespan = max(
-        (clock[i] for i in range(n) if not reports[i].crashed),
-        default=0.0,
-    )
-    return makespan, failed
+    return max(clock, default=0.0)

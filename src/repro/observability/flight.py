@@ -298,8 +298,12 @@ def load_flight_records(path: str) -> List[Dict]:
     """
     import json
 
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FlightError(f"{path}: not UTF-8 ({exc})")
     records: List[Dict] = []
     stripped = text.strip()
     if not stripped:

@@ -223,9 +223,12 @@ def read_history(
         raise HistoryError(f"{path}: no history segments found")
     records: List[Dict] = []
     for name in files:
-        with open(name, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
+        with open(name, "rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise HistoryError(f"{name}:{lineno}: not UTF-8 ({exc})")
                 if not line:
                     continue
                 try:

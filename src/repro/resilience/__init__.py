@@ -1,17 +1,16 @@
 """Resilience layer: enumeration budgets, deterministic fault injection,
-and retry/recovery accounting for the service and the distributed
-runtime.
+and the service's retry policy.
 
 The three modules map onto the three failure surfaces of a production
 matcher:
 
 * :mod:`repro.resilience.budget` — a pathological query must return a
   flagged partial answer, not hang (``Budget`` / ``PartialResult``);
-* :mod:`repro.resilience.faults` — machine, service-worker, shard and
+* :mod:`repro.resilience.faults` — service-worker, build, shard and
   storage failures are described up front by a seeded ``FaultPlan`` so
   recovery is testable and replayable;
-* :mod:`repro.resilience.recovery` — the retry policy both runtimes
-  share, and the distributed runtime's ordered recovery log.
+* :mod:`repro.resilience.recovery` — the service's ``RetryPolicy``:
+  how often lost work is re-run, and how long to back off.
 """
 
 from .budget import (
@@ -26,11 +25,7 @@ from .faults import (
     InjectedBuildError,
     InjectedCrash,
 )
-from .recovery import (
-    RecoveryEvent,
-    RecoveryLog,
-    RetryPolicy,
-)
+from .recovery import RetryPolicy
 
 __all__ = [
     "Budget",
@@ -40,8 +35,6 @@ __all__ = [
     "InjectedBuildError",
     "InjectedCrash",
     "PartialResult",
-    "RecoveryEvent",
-    "RecoveryLog",
     "RetryPolicy",
     "embedding_bytes",
 ]

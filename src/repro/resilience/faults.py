@@ -1,24 +1,12 @@
-"""Deterministic fault injection for the distributed runtime, the
-service and its shards.
+"""Deterministic fault injection for the service and its shards.
 
 Testing recovery logic against *real* nondeterministic failures is
-hopeless; instead every failure the runtime can experience is described
-up front by a :class:`FaultPlan` and injected at deterministic points:
-
-* ``machine_crashes[m] = k`` — simulated machine ``m`` dies when it picks
-  up its ``k``-th cluster (0-based), losing its unexplored queue and the
-  in-flight cluster (the distributed event loop is single-threaded, so
-  per-machine positions are fully deterministic);
-* ``message_drop_rate`` — each coordinator->machine pivot message is
-  dropped with this probability (decided by the seeded RNG) and must be
-  retransmitted at extra communication cost;
-* ``slow_machines[m] = f`` — machine ``m``'s enumeration costs are
-  multiplied by ``f`` (a straggler), which drives extra work stealing.
+hopeless; instead every failure the service can experience is described
+up front by a :class:`FaultPlan` and injected at deterministic points.
 
 The **service-level** fault points drive the resident
 :class:`~repro.service.service.MatchService`'s hardening layer (the
-watchdog, retry, and spill-integrity paths) through the same seeded
-discipline:
+watchdog, retry, and spill-integrity paths):
 
 * ``thread_crash_picks = {k, ...}`` — the thread-executor worker that
   pops its ``k``-th task *globally* dies mid-job (the thread exits; the
@@ -57,15 +45,15 @@ shared-mmap index publishes) through the same seeded discipline:
   refuse to serve from it, and the parent must republish.
 
 Every stochastic decision flows from ``seed`` through
-:meth:`FaultPlan.rng`, so a plan replays identically run after run —
-the deterministic-seed guarantee DESIGN.md documents.
+:meth:`FaultPlan.service_chaos`, so a plan replays identically run after
+run — the deterministic-seed guarantee DESIGN.md documents.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from typing import FrozenSet, Tuple
 
 __all__ = [
     "FaultPlan",
@@ -75,7 +63,7 @@ __all__ = [
 
 
 class InjectedCrash(RuntimeError):
-    """A planned crash of a service worker thread or simulated machine."""
+    """A planned crash of a service worker thread."""
 
     def __init__(self, kind: str, subject: int) -> None:
         super().__init__(f"injected crash of {kind} {subject}")
@@ -98,9 +86,6 @@ class FaultPlan:
     """A complete, seeded description of the failures to inject."""
 
     seed: int = 0
-    machine_crashes: Dict[int, int] = field(default_factory=dict)
-    message_drop_rate: float = 0.0
-    slow_machines: Dict[int, float] = field(default_factory=dict)
     # Service-level fault points (see module docstring).
     thread_crash_picks: FrozenSet[int] = field(default_factory=frozenset)
     build_failure_picks: FrozenSet[int] = field(default_factory=frozenset)
@@ -121,13 +106,6 @@ class FaultPlan:
     publish_torn_picks: FrozenSet[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.message_drop_rate < 1.0:
-            raise ValueError("message_drop_rate must be in [0, 1)")
-        for m, factor in self.slow_machines.items():
-            if factor < 1.0:
-                raise ValueError(
-                    f"slow_machines[{m}] must be >= 1.0, got {factor}"
-                )
         if self.scheduler_stall_seconds < 0.0:
             raise ValueError("scheduler_stall_seconds must be >= 0")
         if self.scheduler_stall_picks and self.scheduler_stall_seconds == 0.0:
@@ -141,22 +119,9 @@ class FaultPlan:
                 "shard_stall_picks requires shard_stall_seconds > 0"
             )
 
-    def rng(self) -> random.Random:
-        """A fresh RNG seeded by the plan — identical streams on every
-        replay of the same plan."""
-        return random.Random(self.seed)
-
     # ------------------------------------------------------------------
     # Injection predicates (all deterministic)
     # ------------------------------------------------------------------
-    def machine_crashes_at(self, machine: int, clusters_started: int) -> bool:
-        """Does ``machine`` die when starting its n-th cluster?"""
-        return self.machine_crashes.get(machine) == clusters_started
-
-    def slowdown(self, machine: int) -> float:
-        """Cost multiplier for ``machine`` (1.0 = healthy)."""
-        return self.slow_machines.get(machine, 1.0)
-
     def thread_crashes_at(self, task_pick: int) -> bool:
         """Does the service worker popping the globally n-th task die?"""
         return task_pick in self.thread_crash_picks
@@ -189,53 +154,9 @@ class FaultPlan:
         """Is the n-th shared-index publish written torn?"""
         return publish_index in self.publish_torn_picks
 
-    @property
-    def empty(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (
-            not self.machine_crashes
-            and self.message_drop_rate == 0.0
-            and not self.slow_machines
-            and not self.thread_crash_picks
-            and not self.build_failure_picks
-            and not self.spill_torn_write_picks
-            and not self.spill_read_corrupt_picks
-            and not self.scheduler_stall_picks
-            and not self.shard_crash_picks
-            and not self.shard_stall_picks
-            and not self.publish_torn_picks
-        )
-
     # ------------------------------------------------------------------
-    # Generators
+    # Generator
     # ------------------------------------------------------------------
-    @classmethod
-    def chaos(
-        cls,
-        seed: int,
-        num_machines: int = 0,
-        crash_fraction: float = 0.25,
-        message_drop_rate: float = 0.0,
-        max_crash_position: int = 3,
-    ) -> "FaultPlan":
-        """A randomized-but-deterministic distributed plan:
-        ``crash_fraction`` of the machines (never all of them) crash at
-        a seeded early cluster position.  The same seed always yields
-        the same plan; :meth:`service_chaos` is the service's
-        counterpart."""
-        rng = random.Random(seed)
-        machine_crashes: Dict[int, int] = {}
-        if num_machines > 0:
-            count = max(1, int(num_machines * crash_fraction))
-            count = min(count, num_machines - 1) if num_machines > 1 else 0
-            for m in rng.sample(range(num_machines), count):
-                machine_crashes[m] = rng.randrange(max_crash_position + 1)
-        return cls(
-            seed=seed,
-            machine_crashes=machine_crashes,
-            message_drop_rate=message_drop_rate,
-        )
-
     @classmethod
     def service_chaos(
         cls,

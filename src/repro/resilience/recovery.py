@@ -1,32 +1,19 @@
-"""Retry policy and recovery accounting.
+"""Retry policy of the resident service.
 
-Two runtimes recover lost work:
-
-* the resident service (:mod:`repro.service.service`) re-runs a request
-  failed by a worker crash or an injected transient fault, as its
-  :class:`RetryPolicy` allows, backing off between attempts;
-* the simulated distributed runtime (:mod:`repro.distributed.runtime`)
-  requeues a crashed machine's in-flight cluster with its attempt
-  counter bumped, reports a cluster whose attempts exceed
-  ``RetryPolicy.max_retries`` as failed instead of retrying it forever,
-  and appends every crash / retry / reassignment to a
-  :class:`RecoveryLog`.
-
-Either way the result covers the full embedding set or says that it
-does not: work is never silently dropped.
+The service (:mod:`repro.service.service`) re-runs a request failed by
+a worker crash or an injected transient fault, as its
+:class:`RetryPolicy` allows, backing off between attempts.  A retried
+answer is exactly a first-attempt one, and a request past its retry
+budget resolves with its error: work is never silently dropped.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
-__all__ = [
-    "RecoveryEvent",
-    "RecoveryLog",
-    "RetryPolicy",
-]
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -86,57 +73,3 @@ class RetryPolicy:
         if rng is not None and self.jitter_fraction > 0.0:
             delay *= 1.0 + self.jitter_fraction * (2.0 * rng.random() - 1.0)
         return max(delay, 0.0)
-
-
-@dataclass(frozen=True)
-class RecoveryEvent:
-    """One recovery-relevant incident.
-
-    ``kind`` is one of ``"machine_crash"``, ``"requeue"``,
-    ``"reassign"``, ``"message_drop"``, ``"give_up"``; ``subject`` is
-    the machine id involved (-1 for the coordinator) and ``work``
-    identifies the cluster pivot (None for events without an associated
-    piece of work).
-    """
-
-    kind: str
-    subject: int
-    work: Optional[Tuple[int, ...]] = None
-    attempt: int = 0
-    detail: str = ""
-
-
-class RecoveryLog:
-    """Ordered record of every recovery event in one run."""
-
-    def __init__(self) -> None:
-        self.events: List[RecoveryEvent] = []
-
-    def record(
-        self,
-        kind: str,
-        subject: int,
-        work: Optional[Tuple[int, ...]] = None,
-        attempt: int = 0,
-        detail: str = "",
-    ) -> RecoveryEvent:
-        event = RecoveryEvent(kind, subject, work, attempt, detail)
-        self.events.append(event)
-        return event
-
-    def count(self, kind: str) -> int:
-        """Number of events of one kind."""
-        return sum(1 for e in self.events if e.kind == kind)
-
-    def summary(self) -> Dict[str, int]:
-        """Event counts keyed by kind."""
-        out: Dict[str, int] = {}
-        for event in self.events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)

@@ -1130,13 +1130,15 @@ class MatchService:
             return
         store = job.store
         assert store is not None
-        pivots = [int(p) for p in store.pivots]
+        pivots = store.pivots.tolist()
         if not pivots:
             self._finalize(job, [], Status.OK)
             return
-        workloads = [
-            max(float(store.cluster_cardinality(p)), 1.0) for p in pivots
-        ]
+        workloads = (
+            np.maximum(store.cluster_cardinalities(), 1)
+            .astype(np.float64)
+            .tolist()
+        )
         # The one unit plan (Section 4's cardinality-driven balancing):
         # LPT over the refined cluster cardinalities.  Both executors
         # run one task per non-empty share.

@@ -12,7 +12,6 @@ from repro.distributed import (
     lightweight_workload,
 )
 from repro.graph import power_law
-from repro.resilience import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -267,13 +266,19 @@ class TestDistributedRuns:
         assert result.construction_breakdown()["io"] == 0.0
 
     def test_work_stealing_happens_on_imbalance(self, triangle_query, data):
-        result = DistributedCECI(
-            triangle_query, data, num_machines=8, mode="memory"
-        ).run()
-        assert sum(r.steals for r in result.reports) >= 0  # never negative
-        # every machine report accounts its pivots
-        all_pivots = sorted(v for r in result.reports for v in r.pivots)
-        assert len(all_pivots) == len(set(all_pivots))
+        sequential = set(CECIMatcher(triangle_query, data).match())
+        for mode in ("memory", "shared"):
+            result = DistributedCECI(
+                triangle_query, data, num_machines=8, mode=mode
+            ).run()
+            steals = sum(r.steals for r in result.reports)
+            assert steals > 0, mode
+            assert steals == result.stats.steals
+            assert set(result.embeddings) == sequential
+            assert len(result.embeddings) == len(sequential)
+            # every machine report accounts its pivots
+            all_pivots = sorted(v for r in result.reports for v in r.pivots)
+            assert len(all_pivots) == len(set(all_pivots))
 
     def test_unknown_mode_rejected(self, triangle_query, data):
         with pytest.raises(ValueError):
@@ -295,7 +300,6 @@ class TestDistributedEdgeCases:
         result = DistributedCECI(
             triangle_query, tiny_data, num_machines=8
         ).run()
-        assert result.complete
         assert set(result.embeddings) == sequential
         assert len(result.embeddings) == len(sequential)
         assert any(not r.pivots for r in result.reports)
@@ -312,33 +316,3 @@ class TestDistributedEdgeCases:
             assert report.construction_io == 0.0
             assert report.construction_compute == 0.0
             assert report.local_enumeration == 0.0
-            assert not report.crashed
-
-    def test_crash_with_more_machines_than_pivots(
-        self, triangle_query, tiny_data
-    ):
-        sequential = set(CECIMatcher(triangle_query, tiny_data).match())
-        plan = FaultPlan(seed=5, machine_crashes={0: 0})
-        result = DistributedCECI(
-            triangle_query, tiny_data, num_machines=8, fault_plan=plan
-        ).run()
-        assert result.complete
-        assert set(result.embeddings) == sequential
-
-    def test_all_clusters_stolen_from_straggler(self, triangle_query, data):
-        # Make machine 0 pathologically slow: after its first cluster it
-        # never gets scheduled again, so survivors steal its entire
-        # remaining queue — the union must still be exact.
-        sequential = set(CECIMatcher(triangle_query, data).match())
-        plan = FaultPlan(seed=2, slow_machines={0: 1e9})
-        result = DistributedCECI(
-            triangle_query, data, num_machines=4, fault_plan=plan
-        ).run()
-        assert result.complete
-        assert set(result.embeddings) == sequential
-        assert len(result.embeddings) == len(sequential)
-        straggler = result.reports[0]
-        assert len(straggler.pivots) > 1
-        # Everything past the straggler's first pick was stolen.
-        stolen = sum(r.steals for r in result.reports)
-        assert stolen >= len(straggler.pivots) - 1

@@ -1,20 +1,15 @@
 """Tests for the resilience layer: enumeration budgets, deterministic
-fault injection, and crash recovery in the service's thread pool and
-the distributed runtime."""
-
-import dataclasses
+fault injection, and crash recovery in the service's thread pool."""
 
 import pytest
 
 from repro import CECIMatcher, Graph
 from repro.graph import power_law
-from repro.distributed import DistributedCECI
 from repro.resilience import (
     Budget,
     BudgetExhausted,
     FaultPlan,
     PartialResult,
-    RecoveryLog,
     RetryPolicy,
 )
 from repro.service import MatchRequest, MatchService
@@ -232,36 +227,20 @@ class TestPartialResult:
 
 
 class TestFaultPlan:
-    def test_chaos_is_deterministic(self):
-        a = FaultPlan.chaos(42, num_machines=4)
-        b = FaultPlan.chaos(42, num_machines=4)
-        assert a == b
-
-    def test_chaos_varies_with_seed(self):
-        plans = [
-            FaultPlan.chaos(s, num_machines=8) for s in range(8)
-        ]
-        assert any(p != plans[0] for p in plans[1:])
-
-    def test_chaos_never_kills_everyone(self):
-        plan = FaultPlan.chaos(1, num_machines=4)
-        assert 0 < len(plan.machine_crashes) < 4
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            FaultPlan(message_drop_rate=1.5)
+            FaultPlan(scheduler_stall_seconds=-1.0)
         with pytest.raises(ValueError):
-            FaultPlan(slow_machines={0: 0.5})
+            FaultPlan(shard_stall_picks=frozenset({(0, 0)}))
 
-    def test_rng_replays(self):
-        plan = FaultPlan(seed=9)
-        assert [plan.rng().random() for _ in range(3)] == [
-            plan.rng().random() for _ in range(3)
-        ]
+    def test_service_chaos_replays_by_seed(self):
+        def plan(seed):
+            return FaultPlan.service_chaos(
+                seed, requests=24, num_shards=2, shard_crash_fraction=0.2
+            )
 
-    def test_empty(self):
-        assert FaultPlan().empty
-        assert not FaultPlan(machine_crashes={0: 1}).empty
+        assert plan(42) == plan(42)
+        assert any(plan(seed) != plan(42) for seed in range(8))
 
 
 class TestRecoveryPrimitives:
@@ -270,15 +249,6 @@ class TestRecoveryPrimitives:
         assert policy.allows(2) and not policy.allows(3)
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
-
-    def test_recovery_log_counts(self):
-        log = RecoveryLog()
-        log.record("requeue", 1, (3,))
-        log.record("requeue", 2, (4,))
-        log.record("give_up", 1, (5,))
-        assert log.count("requeue") == 2
-        assert log.summary() == {"requeue": 2, "give_up": 1}
-        assert len(log) == 3
 
 
 class TestParallelCrashSafety:
@@ -301,95 +271,12 @@ class TestParallelCrashSafety:
         assert response.embeddings == reference[:limit]
 
 
-class TestDistributedRecovery:
-    def test_machine_crash_recovered_exactly(
-        self, triangle_query, data, sequential
-    ):
-        plan = FaultPlan(seed=7, machine_crashes={1: 2})
-        result = DistributedCECI(
-            triangle_query, data, num_machines=4, fault_plan=plan
-        ).run()
-        assert result.complete
-        assert set(result.embeddings) == sequential
-        assert len(result.embeddings) == len(sequential)
-        assert result.reports[1].crashed
-        assert result.stats.machine_crashes == 1
-        assert result.stats.retries >= 1
-        assert result.stats.reassignments >= 1
-        assert sum(r.reassigned for r in result.reports) == (
-            result.stats.reassignments
-        )
-
-    def test_fault_run_is_replayable(self, triangle_query, data):
-        plan = FaultPlan(seed=7, machine_crashes={1: 2}, message_drop_rate=0.2)
-        a = DistributedCECI(
-            triangle_query, data, num_machines=4, fault_plan=plan
-        ).run()
-        b = DistributedCECI(
-            triangle_query, data, num_machines=4, fault_plan=plan
-        ).run()
-        assert a.embeddings == b.embeddings
-        assert a.stats.messages_dropped == b.stats.messages_dropped
-        assert a.total_time == b.total_time
-
-    def test_message_drops_cost_and_count(self, triangle_query, data):
-        plan = FaultPlan(seed=3, message_drop_rate=0.3)
-        dropped = DistributedCECI(
-            triangle_query, data, num_machines=4, fault_plan=plan
-        ).run()
-        clean = DistributedCECI(triangle_query, data, num_machines=4).run()
-        assert dropped.stats.messages_dropped > 0
-        assert set(dropped.embeddings) == set(clean.embeddings)
-        assert sum(
-            r.construction_comm for r in dropped.reports
-        ) > sum(r.construction_comm for r in clean.reports)
-
-    def test_slow_machine_sheds_work_to_peers(self, triangle_query, data):
-        plan = FaultPlan(seed=3, slow_machines={0: 50.0})
-        slow = DistributedCECI(
-            triangle_query, data, num_machines=4, fault_plan=plan
-        ).run()
-        clean = DistributedCECI(triangle_query, data, num_machines=4).run()
-        assert set(slow.embeddings) == set(clean.embeddings)
-        assert sum(r.steals for r in slow.reports) >= sum(
-            r.steals for r in clean.reports
-        )
-
-    def test_losing_every_machine_is_flagged_not_silent(
-        self, triangle_query, data
-    ):
-        plan = FaultPlan(
-            seed=7, machine_crashes={0: 0, 1: 0, 2: 0, 3: 0}
-        )
-        result = DistributedCECI(
-            triangle_query, data, num_machines=4, fault_plan=plan
-        ).run()
-        assert not result.complete
-        assert result.failed_clusters
-        assert result.recovery.count("machine_crash") == 4
-
-    def test_retry_accounting_in_recovery_log(self, triangle_query, data):
-        plan = FaultPlan(seed=7, machine_crashes={1: 0})
-        result = DistributedCECI(
-            triangle_query, data, num_machines=4, fault_plan=plan
-        ).run()
-        assert result.recovery.count("machine_crash") == 1
-        assert result.recovery.count("requeue") == 1
-        assert result.recovery.count("reassign") >= 1
-
-
 class TestAcceptanceScenario:
-    """1 of 4 machines and one worker thread of 4 crash mid-run; both
-    paths still return the exact sequential set and expose the recovery
-    work."""
+    """One worker thread of 4 crashes mid-run; the service still returns
+    the exact sequential set and exposes the recovery work."""
 
     def test_both_paths_survive_chaos(self, triangle_query, data, sequential):
-        plan = dataclasses.replace(
-            FaultPlan.chaos(42, num_machines=4),
-            thread_crash_picks=frozenset({2}),
-        )
-        assert plan.machine_crashes
-
+        plan = FaultPlan(seed=42, thread_crash_picks=frozenset({2}))
         with MatchService(
             data, workers=4, fault_plan=plan,
             retry_policy=RetryPolicy(max_retries=2),
@@ -399,15 +286,6 @@ class TestAcceptanceScenario:
         assert set(response.embeddings) == sequential
         assert len(response.embeddings) == len(sequential)
         assert response.retries == 1
-
-        dist = DistributedCECI(
-            triangle_query, data, num_machines=4, fault_plan=plan
-        ).run()
-        assert dist.complete
-        assert set(dist.embeddings) == sequential
-        assert len(dist.embeddings) == len(sequential)
-        assert dist.stats.machine_crashes == len(plan.machine_crashes)
-        assert dist.stats.retries + dist.stats.reassignments >= 1
 
     def test_tight_budget_returns_partial_not_unbounded(
         self, triangle_query, data

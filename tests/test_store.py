@@ -248,3 +248,43 @@ class TestCardinalitySaturation:
         loaded = load_ceci(path, instance[1])
         assert loaded.cluster_cardinality(big) == top
         assert loaded.cluster_cardinality(small) == 0
+
+
+class TestClusterCardinalities:
+    """The one-lookup form the planners use equals the per-pivot
+    :meth:`CompactCECI.cluster_cardinality`, for every pivot."""
+
+    def test_matches_per_pivot_lookup(self, stores):
+        _, store = stores
+        expected = [store.cluster_cardinality(p) for p in store.pivots]
+        assert store.cluster_cardinalities().tolist() == expected
+
+    def test_zeroed_missing_and_saturated_pivots(self, instance, tmp_path):
+        from repro.core.persist import load_ceci, save_ceci
+
+        ceci = refined_builder(*instance)
+        table = ceci.cardinality[ceci.tree.root]
+        table[ceci.pivots[0]] = 0
+        del table[ceci.pivots[1]]
+        table[ceci.pivots[-1]] = 2**70
+        store = ceci.compact()
+        path = str(tmp_path / "zeroed.ceci")
+        save_ceci(store, path)
+        for frozen in (store, load_ceci(path, instance[1])):
+            expected = [frozen.cluster_cardinality(p) for p in frozen.pivots]
+            assert expected[:2] == [0, 0]
+            assert expected[-1] == int(np.iinfo(np.int64).max)
+            assert frozen.cluster_cardinalities().tolist() == expected
+
+    def test_unrefined_store_gives_zeros(self, instance):
+        """Only refinement fills the cardinality tables, so a store
+        frozen straight after filtering has none."""
+        from repro.core import QueryTree, build_ceci, select_root
+
+        query, data = instance
+        root, pivots = select_root(query, data)
+        store = build_ceci(QueryTree(query, root), data, pivots).compact()
+        assert len(store.pivots) > 0
+        assert store.cluster_cardinalities().tolist() == [0] * len(
+            store.pivots
+        )

@@ -18,7 +18,9 @@ Four subsystems, one acceptance bar:
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import random
 import threading
 import urllib.error
 import urllib.request
@@ -52,6 +54,7 @@ from repro.service import (
     ShardedMatchService,
     Status,
     generate_workload,
+    serve,
 )
 
 DATA = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
@@ -279,6 +282,92 @@ class TestQueryHistory:
         assert len(records) == 100
         # Interleaved writers must never tear a JSON line.
         assert len({r["request_id"] for r in records}) == 100
+
+
+# ---------------------------------------------------------------------------
+# Untrusted telemetry files: every truncation and seeded byte flips
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def served_telemetry(tmp_path_factory):
+    """The bytes of a history file and of a flight dump line written by
+    the serve loop over three requests."""
+    root = tmp_path_factory.mktemp("served")
+    history = root / "history.jsonl"
+    request = {"query": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}}
+    lines = [{**request, "id": i} for i in (1, 2, 3)] + [{"op": "flight"}]
+    out = io.StringIO()
+    with MatchService(
+        DATA, workers=2, flight_records=8, history=str(history)
+    ) as service:
+        serve(
+            service,
+            io.StringIO("".join(json.dumps(line) + "\n" for line in lines)),
+            out,
+        )
+    dump = out.getvalue().splitlines()[-1] + "\n"
+    return history.read_bytes(), dump.encode("utf-8")
+
+
+def _load_or_typed_error(path, blob: bytes, loader, error):
+    """Write ``blob`` to ``path`` and load it: the records, or None when
+    the loader raised its typed error."""
+    path.write_bytes(blob)
+    try:
+        return loader(str(path))
+    except error:
+        return None
+
+
+_TELEMETRY_READERS = {
+    "history": (read_history, HistoryError, 0),
+    "flight": (load_flight_records, FlightError, 1),
+}
+
+
+class TestTelemetryFileFuzz:
+    """``read_history`` and ``load_flight_records`` on damaged files:
+    each either loads records or raises its own typed error."""
+
+    @pytest.mark.parametrize("kind", sorted(_TELEMETRY_READERS))
+    def test_every_truncation_loads_a_prefix_or_raises_typed(
+        self, kind, served_telemetry, tmp_path
+    ):
+        loader, error, which = _TELEMETRY_READERS[kind]
+        blob = served_telemetry[which]
+        path = tmp_path / "file"
+        full = _load_or_typed_error(path, blob, loader, error)
+        assert full is not None and len(full) == 3
+        for cut in range(len(blob)):
+            loaded = _load_or_typed_error(path, blob[:cut], loader, error)
+            if loaded is not None:
+                assert loaded == full[: len(loaded)], cut
+
+    @pytest.mark.parametrize("kind", sorted(_TELEMETRY_READERS))
+    def test_seeded_byte_flips_load_or_raise_typed(
+        self, kind, served_telemetry, tmp_path
+    ):
+        loader, error, which = _TELEMETRY_READERS[kind]
+        blob = served_telemetry[which]
+        path = tmp_path / "file"
+        rng = random.Random(26)
+        for _ in range(400):
+            mutated = bytearray(blob)
+            mutated[rng.randrange(len(blob))] ^= rng.randrange(1, 256)
+            loaded = _load_or_typed_error(path, bytes(mutated), loader, error)
+            # One flipped byte cannot add or drop a record without
+            # breaking the JSON around it.
+            assert loaded is None or len(loaded) == 3
+
+    @pytest.mark.parametrize("kind", sorted(_TELEMETRY_READERS))
+    def test_undecodable_tail_raises_typed_error(
+        self, kind, served_telemetry, tmp_path
+    ):
+        loader, error, which = _TELEMETRY_READERS[kind]
+        path = tmp_path / "file"
+        # A file cut in the middle of a multi-byte UTF-8 sequence.
+        path.write_bytes(served_telemetry[which] + "\u20ac".encode()[:2])
+        with pytest.raises(error, match=str(path)):
+            loader(str(path))
 
 
 # ---------------------------------------------------------------------------
