@@ -2,22 +2,29 @@
 labeled queries of growing size, on the RD and HU analogs.
 
 Paper protocol (Section 6.2): RD gets random labels injected (100 on
-their 0.5M-vertex graph; scaled here to 8 so candidates-per-label stays
+their 0.5M-vertex graph; scaled here to 16 so candidates-per-label stays
 in the paper's regime); HU is natively multi-labeled (CECI uses all
 labels, CFLMatch only the first); queries of growing size are
 DFS-extracted so each has at least one embedding; both systems run
-single-threaded and stop at 1,024 embeddings.
+single-threaded and stop at 1,024 embeddings.  Each time covers the
+index build and the enumeration.  One untimed match per system comes
+first (the process's first match pays one-off costs), and the systems
+take turns running first on a query (the second run finds the data it
+touches in cache).
 
 Paper result: CECI wins by ~3.5x on RD and ~1.9x on HU.  NOTE: this
 reimplementation of CFLMatch deliberately shares CECI's optimized
 filtering and enumeration substrate (differing only in its TE-only CPI,
 edge verification, and core-forest-leaf order), which makes it a far
-stronger baseline than the original C++ binary.  On small queries the
-two run at parity; on the largest low-selectivity queries CFLMatch's
-missing NTE refinement explodes — at size 24 on RD we measured ~30x
-(and at 8 labels, ~2500x — capped out of the default run for time),
-which is the very effect the paper credits CECI's NTE candidates for.
-The mechanism is additionally isolated by
+stronger baseline than the original C++ binary.  The size-4 RD queries
+are trees, so both systems run the same batch engine and that row is
+parity.  From size 8 on, CFLMatch's missing NTE candidates make it
+verify edges over ever larger TE candidate sets, and CECI's lead grows
+to about 9x at size 24 — the very effect the paper credits CECI's NTE
+candidates for.  A limited run takes frontier chunks no larger than
+the embeddings it still needs (DESIGN.md §12).  CFLMatch's batch runs
+use that rule too, so its HU times fell with it at sizes 4-12, and the
+HU speedups with them.  The mechanism is additionally isolated by
 ``test_ablation_intersection.py``.
 """
 
@@ -43,6 +50,7 @@ def test_fig09_cflmatch(benchmark, publish):
             ["Dataset", "|Vq|", "CECI(ms)", "CFLMatch(ms)", "speedup"],
         )
         ratios = []
+        first = True
         for abbr in ("RD", "HU"):
             data = load_dataset(abbr)
             keep_all = abbr == "HU"  # CECI exploits HU's multi-labels
@@ -54,21 +62,35 @@ def test_fig09_cflmatch(benchmark, publish):
                     keep_all_labels=keep_all,
                 )
                 ceci_total = cfl_total = 0.0
-                for query in queries:
-                    started = time.perf_counter()
-                    found = CECIMatcher(
-                        query, data, order_strategy="edge_ranked"
-                    ).match(limit=LIMIT)
-                    ceci_total += time.perf_counter() - started
-                    assert found, "DFS queries must embed at least once"
-
+                for index, query in enumerate(queries):
                     # CFLMatch only sees the primary label per vertex.
                     cfl_query = query if not keep_all else relabel_with(
                         query, [query.label_of(u) for u in query.vertices()]
                     )
-                    started = time.perf_counter()
-                    CFLMatcher(cfl_query, data).match(limit=LIMIT)
-                    cfl_total += time.perf_counter() - started
+                    runs = [
+                        lambda: CECIMatcher(
+                            query, data, order_strategy="edge_ranked"
+                        ).match(limit=LIMIT),
+                        lambda: CFLMatcher(cfl_query, data).match(
+                            limit=LIMIT
+                        ),
+                    ]
+                    if first:
+                        # Untimed: the process's first match pays one-off
+                        # costs (lazy imports, first numpy calls).
+                        for run in runs:
+                            run()
+                        first = False
+                    # Alternate which system runs first: the second run
+                    # of a query finds the data it touches in cache.
+                    seconds = [0.0, 0.0]
+                    for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+                        started = time.perf_counter()
+                        found = runs[side]()
+                        seconds[side] = time.perf_counter() - started
+                        assert found, "DFS queries must embed at least once"
+                    ceci_total += seconds[0]
+                    cfl_total += seconds[1]
                 ratio = cfl_total / ceci_total if ceci_total > 0 else 1.0
                 ratios.append(ratio)
                 table.add(Dataset=abbr, **{

@@ -4,6 +4,9 @@ embeddings of DFS-generated labeled queries on the HU analog.
 Paper result: CECI is on average 2.71x faster than TurboIso and 2.52x
 than Boosted-TurboIso; the boost (data-side symmetry) helps TurboIso a
 little but CECI's NTE intersection and one-pass filtering keep it ahead.
+Each time covers the index build and the enumeration; one untimed match
+per system comes first, because the process's first match pays one-off
+costs.
 """
 
 import time
@@ -37,6 +40,14 @@ def test_fig10_turboiso(benchmark, publish):
             queries = generate_query_set(data, size, QUERIES_PER_SIZE,
                                          seed=size * 13)
             ceci_total = turbo_total = boosted_total = 0.0
+            if size == QUERY_SIZES[0]:
+                # Untimed: the process's first match pays one-off costs
+                # (lazy imports, first numpy calls).
+                CECIMatcher(
+                    queries[0], data, order_strategy="edge_ranked"
+                ).match(limit=LIMIT)
+                TurboIsoMatcher(queries[0], data).match(limit=LIMIT)
+                BoostedTurboIsoMatcher(queries[0], data).match(limit=LIMIT)
             for query in queries:
                 started = time.perf_counter()
                 found = CECIMatcher(

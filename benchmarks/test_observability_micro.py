@@ -3,21 +3,24 @@
 The tracing layer's contract is that the *disabled* path is near-free:
 with the default :class:`~repro.observability.tracer.NullTracer` and no
 progress reporter, enumeration pays a ``None`` check per frontier block
-and no per-cluster span.  This benchmark measures that price on the
-engine that runs by default, the set-at-a-time batch engine:
+and one ``tracer.enabled`` check per run.  This benchmark measures that
+price on the engine that runs by default, the set-at-a-time batch
+engine:
 
 * **seed control** — an :class:`Enumerator` subclass whose batch path
-  has the hooks taken out: no ``cluster_span`` and no
+  has the hooks taken out: no ``cluster`` records and no
   ``progress.tick_many``, i.e. the batch engine as it would read
   without the observability layer;
 * **instrumented** — the shipping :class:`Enumerator` with observability
   left off (its default state).
 
 Both run over the same pre-built index, in paired rounds so drift hits
-both sides equally, on an instance where one enumeration takes 50-70
-ms.  The acceptance bar: instrumented-but-disabled enumeration
+both sides equally, on an instance where one enumeration takes about
+0.2-0.3 s.  The acceptance bar: instrumented-but-disabled enumeration
 within ``MAX_DISABLED_OVERHEAD`` of the seed.  For scale the report also
-measures the *enabled* cost (tracing to a null sink).
+measures the *enabled* cost (tracing to a null sink), ungated: a traced
+run keeps the untraced schedule and adds one ``cluster`` record per
+pivot.
 
 Results land in ``benchmarks/results/BENCH_observability.json``; the CI
 observability job re-runs this and fails the build on a regression.
@@ -35,7 +38,7 @@ import time
 from typing import Dict, List
 
 from repro import CECIMatcher
-from repro.core.batch import BLOCK_ROWS, BatchEngine
+from repro.core.batch import BatchEngine
 from repro.core.enumeration import Enumerator
 from repro.graph import generate_query, inject_labels, power_law
 from repro.observability import Tracer
@@ -48,14 +51,16 @@ ROUNDS = 20
 
 #: A 5-vertex query with a non-tree edge, so every expansion runs the
 #: batch engine's TE gather and NTE membership probe; one enumeration
-#: (45 842 embeddings) takes 50-70 ms on a 2-vCPU VM.
-INSTANCE = {"vertices": 2000, "labels": 2, "qsize": 5, "seed": 6}
+#: (91 027 embeddings) takes 0.27-0.31 s on a 2-vCPU VM, far above
+#: timer and scheduler noise.
+INSTANCE = {"vertices": 3000, "labels": 2, "qsize": 5, "seed": 20}
 
 
 class _SeedBatchEngine(BatchEngine):
     """:meth:`BatchEngine.blocks` and ``_emit`` for an unbudgeted,
-    unlimited run, without the progress ticks — the delta against the
-    shipping engine is the hooks and nothing else."""
+    unlimited run — the same chunk rule, without the budget branch or
+    the progress ticks — so the delta against the shipping engine is
+    the hooks and nothing else."""
 
     def blocks(self, frontier, depth, remaining):
         total_depth = self.depth_total
@@ -63,24 +68,19 @@ class _SeedBatchEngine(BatchEngine):
         stack = [(depth, frontier)]
         while stack:
             d, block = stack.pop()
-            n_rows = len(block)
-            if n_rows == 0:
-                continue
+            cap = self._chunk_rows(remaining)
+            if len(block) > cap:
+                stack.append((d, block[cap:]))
+                block = block[:cap]
             if d >= total_depth:
                 yield from self._emit(block, remaining)
                 continue
+            n_rows = len(block)
             stats.batch_blocks += 1
             stats.batch_rows += n_rows
             stats.recursive_calls += n_rows
             grown = self._expand(block, d)
-            if grown is None:
-                continue
-            if len(grown) > BLOCK_ROWS:
-                stack.extend(
-                    (d + 1, grown[i : i + BLOCK_ROWS])
-                    for i in reversed(range(0, len(grown), BLOCK_ROWS))
-                )
-            else:
+            if grown is not None:
                 stack.append((d + 1, grown))
 
     def _emit(self, block, remaining):
@@ -90,11 +90,11 @@ class _SeedBatchEngine(BatchEngine):
 
 
 class _SeedEnumerator(Enumerator):
-    """The unlimited batch path of :class:`Enumerator`'s block stream
-    without tracer or progress hooks: the same all-pivots root frontier
-    over the same units, through the engine above."""
+    """:class:`Enumerator`'s block stream for an unlimited, unbudgeted
+    run without tracer or progress hooks: the same all-pivots root
+    frontier over the same units, through the engine above."""
 
-    def _blocks(self, units, limit, spans=False):
+    def _blocks(self, units, limit):
         assert limit is None and self._tracker is None
         engine = _SeedBatchEngine(self.ceci, self.symmetry, self.stats)
         frontier = engine.root_frontier([unit[0] for unit in units])
@@ -167,15 +167,24 @@ def test_observability_micro(results_dir):
             gc.enable()
 
     # Correctness gate (outside the timed rounds): the seed control must
-    # produce the instrumented enumerator's exact embedding set.
-    seed_set = sorted(_enumerator(matcher, _SeedEnumerator).collect())
-    inst_set = sorted(_enumerator(matcher, Enumerator).collect())
+    # produce the instrumented enumerator's exact embeddings through the
+    # same blocks, and so must a traced run.
+    seed = _enumerator(matcher, _SeedEnumerator)
+    seed_set = seed.collect()
+    inst = _enumerator(matcher, Enumerator)
+    inst_set = inst.collect()
+    traced = _enumerator(matcher, Enumerator, tracer=Tracer(_NullSink()))
+    assert traced.collect() == inst_set
     assert seed_set == inst_set, (
         "seed control diverged from the instrumented enumerator"
     )
+    for other in (seed, traced):
+        assert (other.stats.batch_blocks, other.stats.batch_rows) == (
+            inst.stats.batch_blocks, inst.stats.batch_rows
+        ), "the schedules diverged"
     count = len(inst_set)
     assert count > 0, "workload produced no embeddings"
-    del seed_set, inst_set
+    del seed, seed_set, inst, inst_set, traced
 
     # Paired rounds: seed and instrumented run back to back, so bursty
     # machine noise (shared CI boxes) hits both sides of a ratio alike;

@@ -35,18 +35,23 @@ handful of whole-array numpy operations:
   and dict probes; they run on every row, after the broadcast.
 
 Frontier blocks are processed **depth-first** off an explicit stack
-(expansion chunks pushed in reverse), so complete embeddings stream out
-in exactly the recursive engine's DFS order — ``limit`` prefixes are
+(chunks pushed in reverse), so complete embeddings stream out in
+exactly the recursive engine's DFS order — ``limit`` prefixes are
 bit-identical — while memory stays bounded by ``O(depth x block x
-fanout)`` rows.  Budget axes charge whole blocks at once
+fanout)`` rows.  One chunk rule cuts the seed frontier and every
+expansion: single rows under ``max_calls``, else at most the
+embeddings the run still needs (``limit`` left, ``max_embeddings`` /
+``max_memory`` capacity), else ``BLOCK_ROWS`` — so a limited run
+reaches its first leaves without expanding whole levels.  Budget axes
+charge whole blocks at once
 (:meth:`~repro.resilience.budget.BudgetTracker.charge_calls`) and leaf
 blocks are truncated *exactly* at the budget boundary before being
 committed, preserving the recursive engine's ``PartialResult``
-semantics; when ``max_calls`` is active, blocks shrink to single rows so
-the charge order equals the recursive engine's DFS node order and the
-truncation point is identical.  ``intersections`` is charged once per
-row with a non-empty TE block, a run head once per row of its run, as
-the recursion counts.  See DESIGN.md §12.
+semantics; single rows make the charge order the recursive engine's
+DFS node order, so under ``max_calls`` (and with one embedding to
+find) the call count at the cut is identical.  ``intersections`` is
+charged once per row with a non-empty TE block, a run head once per
+row of its run, as the recursion counts.  See DESIGN.md §12.
 """
 
 from __future__ import annotations
@@ -69,10 +74,10 @@ __all__ = [
     "used_exclusion_mask",
 ]
 
-#: Row cap per frontier block: expansion output larger than this is
-#: split into chunks processed depth-first, bounding peak frontier
-#: memory while keeping each numpy call big enough to amortise its
-#: fixed cost.
+#: Row cap per frontier block of an unbounded run: a frontier larger
+#: than this is split into chunks processed depth-first, bounding peak
+#: frontier memory while keeping each numpy call big enough to amortise
+#: its fixed cost.
 BLOCK_ROWS = 1 << 16
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -363,33 +368,33 @@ class BatchEngine:
         ``remaining`` is the shared one-cell ``limit`` budget (``[None]``
         for unlimited); budget axes raise :class:`BudgetExhausted`
         exactly where the recursive engine would.  Each popped block is
-        charged ``len(block)`` extension calls; complete blocks are
-        truncated to the tightest remaining capacity before being
-        committed, so truncation lands mid-block with no overshoot.
+        cut to :meth:`_chunk_rows` rows (the rest goes back on the
+        stack) and charged ``len(block)`` extension calls; complete
+        blocks are truncated to the tightest remaining capacity before
+        being committed, so truncation lands mid-block with no
+        overshoot.
         """
         total_depth = self.depth_total
         stats = self.stats
         tracker = self.tracker
         progress = self.progress
-        if remaining[0] is not None and remaining[0] <= 0:
+        if not len(frontier) or (
+            remaining[0] is not None and remaining[0] <= 0
+        ):
             return
-        # Exact max_calls parity needs the charge order to equal the
-        # DFS node order, which only single-row blocks give; the other
-        # axes truncate at leaf emission, so full blocks are fine.
-        row_cap = BLOCK_ROWS
-        if tracker is not None and tracker.budget.max_calls is not None:
-            row_cap = 1
         stack: List[Tuple[int, np.ndarray]] = [(depth, frontier)]
         while stack:
             d, block = stack.pop()
-            n_rows = len(block)
-            if n_rows == 0:
-                continue
+            cap = self._chunk_rows(remaining)
+            if len(block) > cap:
+                stack.append((d, block[cap:]))
+                block = block[:cap]
             if d >= total_depth:
                 yield from self._emit(block, remaining)
                 if remaining[0] is not None and remaining[0] <= 0:
                     return
                 continue
+            n_rows = len(block)
             stats.batch_blocks += 1
             stats.batch_rows += n_rows
             if tracker is None:
@@ -403,15 +408,24 @@ class BatchEngine:
             if progress is not None:
                 progress.tick_many(n_rows)
             grown = self._expand(block, d)
-            if grown is None:
-                continue
-            if len(grown) > row_cap:
-                stack.extend(
-                    (d + 1, grown[i : i + row_cap])
-                    for i in reversed(range(0, len(grown), row_cap))
-                )
-            else:
+            if grown is not None:
                 stack.append((d + 1, grown))
+
+    def _chunk_rows(self, remaining: List[Optional[int]]) -> int:
+        """Rows to take off the stack: single rows under ``max_calls``
+        (the charge order is then the DFS node order), else at most the
+        embeddings the run still needs (``limit`` left, ``max_embeddings``
+        / ``max_memory`` capacity) but at least one, else
+        ``BLOCK_ROWS``."""
+        tracker = self.tracker
+        cap = BLOCK_ROWS if remaining[0] is None else remaining[0]
+        if tracker is not None:
+            if tracker.budget.max_calls is not None:
+                return 1
+            left, _ = tracker.embedding_capacity(self.num_vertices)
+            if left is not None:
+                cap = min(cap, left)
+        return max(min(cap, BLOCK_ROWS), 1)
 
     def _emit(
         self, block: np.ndarray, remaining: List[Optional[int]]

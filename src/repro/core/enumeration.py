@@ -24,7 +24,9 @@ unit — and the stream runs one of two engines, picked from the inputs
   the TE∩NTE intersection for whole frontiers at once and streams
   numpy blocks of complete embeddings; it serves every query without
   non-tree edges and every intersection-mode run on an index with NTE
-  groups;
+  groups.  Pivot units always seed one root frontier; a ``limit`` or
+  a counting budget only shrinks its chunks to what the run still
+  needs;
 * **recursion** — one partial embedding at a time, scanning TE
   candidates and verifying each non-tree edge on the data graph, one
   list of embeddings per unit (a whole cluster is materialised before
@@ -107,9 +109,10 @@ class Enumerator:
         index construction).
     tracer:
         Optional :class:`~repro.observability.tracer.Tracer`; when
-        enabled, each cluster of a whole-index run (:meth:`collect`,
-        :meth:`embeddings`, :meth:`count`) gets a (sampled) child span.
-        The default null tracer costs one attribute check per cluster.
+        enabled, every run records one ``cluster`` instant per pivot
+        that streamed embeddings, with their count, and runs the
+        untraced schedule.  The default null tracer costs one attribute check
+        per run.
     progress:
         Optional
         :class:`~repro.observability.progress.ProgressReporter`;
@@ -168,14 +171,14 @@ class Enumerator:
         """Yield embeddings cluster by cluster (pivot order).  The batch
         engine streams blocks of up to ``BLOCK_ROWS`` rows; the
         recursion materialises each cluster before yielding it."""
-        for block in self._blocks(self._pivot_units(), limit, spans=True):
+        for block in self._blocks(self._pivot_units(), limit):
             yield from _rows(block)
 
     def collect(self, limit: Optional[int] = None) -> List[Embedding]:
         """All embeddings (or the first ``limit``) as a list.  Under a
         budget the list may be partial — check ``truncated``."""
         out: List[Embedding] = []
-        for block in self._blocks(self._pivot_units(), limit, spans=True):
+        for block in self._blocks(self._pivot_units(), limit):
             out.extend(_rows(block))
         return out
 
@@ -184,7 +187,7 @@ class Enumerator:
         blocks are counted, never turned into tuples."""
         return sum(
             len(block)
-            for block in self._blocks(self._pivot_units(), limit, spans=True)
+            for block in self._blocks(self._pivot_units(), limit)
         )
 
     def collect_from_unit(
@@ -231,70 +234,76 @@ class Enumerator:
     # The one block stream
     # ------------------------------------------------------------------
     def _blocks(
-        self,
-        units: Sequence[Tuple[int, ...]],
-        limit: Optional[int],
-        spans: bool = False,
+        self, units: Sequence[Tuple[int, ...]], limit: Optional[int]
     ) -> Iterator[Block]:
         """Stream the complete embeddings of ``units`` in order, as
         :data:`Block` items, never empty.
 
         The one place that starts the budget tracker, keeps the shared
-        ``limit`` cell, opens cluster spans (``spans``: whole-index runs
-        only — a distributed machine opens its own span around each
-        unit) and turns :class:`BudgetExhausted` into ``truncated`` /
+        ``limit`` cell, records ``cluster`` counts on an enabled tracer
+        and turns :class:`BudgetExhausted` into ``truncated`` /
         ``stop_reason``.  A cut cluster's partial rows are yielded
-        before the stop is recorded.  Several units are always pivot
-        units, which the batch engine may seed as one root frontier.
+        before the stop is recorded.  The recursion runs the units one
+        by one; the batch engine seeds several pivot units as one root
+        frontier and a single unit as its prefix, whatever the limit,
+        budget or tracer (DESIGN.md §12).
         """
         if self._tracker is not None:
             self._tracker.start()
         remaining: List[Optional[int]] = [limit]
-        span = self.tracer.cluster_span if spans else NULL_TRACER.cluster_span
         engine = self._batch
+        stream: Iterator[Block]
+        if engine is None:
+            stream = (
+                rows
+                for unit in units
+                if remaining[0] is None or remaining[0] > 0
+                for rows in self._collect_prefix(unit, remaining)
+            )
+        elif len(units) == 1:
+            frontier = engine.seed_frontier(units[0])
+            stream = iter(()) if frontier is None else engine.blocks(
+                frontier, len(units[0]), remaining
+            )
+        else:
+            stream = engine.blocks(
+                engine.root_frontier([unit[0] for unit in units]), 1,
+                remaining,
+            )
+        if self.tracer.enabled:
+            stream = self._cluster_records(stream)
         try:
-            if engine is not None and len(units) > 1 and (
-                not self._batch_serial(limit, spans)
-            ):
-                frontier = engine.root_frontier([unit[0] for unit in units])
-                yield from engine.blocks(frontier, 1, remaining)
-                return
-            for unit in units:
-                if remaining[0] is not None and remaining[0] <= 0:
-                    return
-                with span(unit[0]):
-                    if engine is None:
-                        yield from self._collect_prefix(unit, remaining)
-                        continue
-                    frontier = engine.seed_frontier(unit)
-                    if frontier is not None:
-                        yield from engine.blocks(frontier, len(unit), remaining)
+            yield from stream
         except BudgetExhausted as stop:
             self.truncated = True
             self.stop_reason = stop.reason
             self.stats.budget_stops += 1
 
-    def _batch_serial(self, limit: Optional[int], spans: bool) -> bool:
-        """Whether the batch engine seeds one frontier per unit instead
-        of one root frontier over all of them.
-
-        Serial is required whenever per-cluster behavior is observable:
-        an enabled tracer wants per-cluster spans, a ``limit`` must not
-        pay for clusters past the cut, and a counting budget axis must
-        charge clusters in the recursive engine's order.  The
-        unbudgeted, unlimited perf path takes the all-pivots mega-batch
-        (which still yields exact DFS order — see DESIGN.md §12).
-        """
-        if limit is not None or (spans and self.tracer.enabled):
-            return True
-        if self._tracker is not None:
-            budget = self._tracker.budget
-            return not (
-                budget.max_calls is None
-                and budget.max_embeddings is None
-                and budget.max_memory_bytes is None
-            )
-        return False
+    def _cluster_records(self, stream: Iterator[Block]) -> Iterator[Block]:
+        """Pass ``stream`` through, recording one ``cluster`` instant per
+        pivot that streamed embeddings, with their count: each block is
+        split on the root column, and a pivot's rows are contiguous but
+        may span blocks.  The clusters of one frontier share their
+        expansions, so no time is recorded."""
+        root = self.tree.root
+        pivot, found = None, 0
+        try:
+            for block in stream:
+                roots = np.asarray(block)[:, root]
+                heads = np.flatnonzero(np.diff(roots, prepend=-1))
+                sizes = np.diff(heads, append=len(roots))
+                for head, size in zip(roots[heads].tolist(), sizes.tolist()):
+                    if head != pivot and found:
+                        self.tracer.instant(
+                            "cluster", pivot=pivot, embeddings=found
+                        )
+                        found = 0
+                    pivot = head
+                    found += size
+                yield block
+        finally:
+            if found:
+                self.tracer.instant("cluster", pivot=pivot, embeddings=found)
 
     # ------------------------------------------------------------------
     # The recursion (edge verification)

@@ -58,7 +58,7 @@ class CECIMatcher:
       :meth:`run` to get the explicit ``truncated`` flag;
     * ``tracer`` — optional
       :class:`~repro.observability.tracer.Tracer`; every phase and
-      per-cluster span of the run lands in its JSONL stream (the
+      per-cluster embedding count of the run lands in its JSONL stream (the
       default :data:`~repro.observability.tracer.NULL_TRACER` makes
       this free);
     * ``progress`` — optional

@@ -224,12 +224,9 @@ class DistributedCECI:
             for pivot in ceci.pivots:
                 pivot = int(pivot)
                 cluster_stats = MatchStats()
-                with mtracer.cluster_span(pivot):
+                with mtracer.span("cluster", pivot=pivot):
                     cluster_enum = Enumerator(
-                        ceci,
-                        symmetry=self.symmetry,
-                        stats=cluster_stats,
-                        tracer=mtracer,
+                        ceci, symmetry=self.symmetry, stats=cluster_stats
                     )
                     found = cluster_enum.collect_from_unit((pivot,))
                 cluster_embeddings[pivot] = found

@@ -28,7 +28,7 @@ tracer's origin):
 Two tracer flavours share the interface:
 
 * :class:`Tracer` — the real thing: thread-safe writer, per-thread span
-  stacks, per-name sampling counters to bound trace volume;
+  stacks;
 * :class:`NullTracer` — the default everywhere: ``enabled`` is False and
   every method is a no-op returning a shared immutable null span, so the
   hot path pays one attribute check at most when tracing is off.
@@ -58,9 +58,6 @@ __all__ = [
 #: Version stamped into the trace meta line; bump on incompatible event
 #: vocabulary changes so downstream parsers can refuse cleanly.
 TRACE_SCHEMA = 1
-
-#: Default sampling stride for per-cluster spans (1 = every cluster).
-DEFAULT_CLUSTER_SAMPLE = 1
 
 
 class Span:
@@ -152,9 +149,6 @@ class NullTracer:
     def span(self, name: str, **tags) -> _NullSpan:
         return _NULL_SPAN
 
-    def cluster_span(self, pivot: int, **tags) -> _NullSpan:
-        return _NULL_SPAN
-
     def phase(self, name: str, start: float, seconds: float, **tags) -> None:
         return None
 
@@ -176,15 +170,13 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """JSONL span/event writer with per-thread nesting and sampling.
+    """JSONL span/event writer with per-thread nesting.
 
     Parameters
     ----------
     sink:
         A path (opened for writing and closed by :meth:`close`) or any
         object with a ``write`` method (kept open; caller owns it).
-    sample_cluster_every:
-        Emit one per-cluster span per this many clusters.
     tags:
         Tags stamped on every event this tracer (and its scoped views)
         emits — e.g. ``machine=0`` on a distributed machine stream.
@@ -195,7 +187,6 @@ class Tracer:
     def __init__(
         self,
         sink: Union[str, IO[str]],
-        sample_cluster_every: int = DEFAULT_CLUSTER_SAMPLE,
         tags: Optional[Dict[str, Any]] = None,
     ) -> None:
         if isinstance(sink, str):
@@ -204,13 +195,11 @@ class Tracer:
         else:
             self._sink = sink
             self._owns_sink = False
-        self.sample_cluster_every = max(1, int(sample_cluster_every))
         self._tags = dict(tags or {})
         self._lock = threading.Lock()
         self._local = threading.local()
         self._ids = count(1)
         self._tids: Dict[int, int] = {}
-        self._cluster_seen = 0
         self._closed = False
         self._origin = time.perf_counter()
         self._emit({
@@ -257,13 +246,6 @@ class Tracer:
         if self._tags:
             tags = {**self._tags, **tags}
         return Span(self, name, tags)
-
-    def cluster_span(self, pivot: int, **tags) -> Union[Span, _NullSpan]:
-        """A per-cluster child span, subject to cluster sampling."""
-        self._cluster_seen += 1
-        if (self._cluster_seen - 1) % self.sample_cluster_every:
-            return _NULL_SPAN
-        return self.span("cluster", pivot=int(pivot), **tags)
 
     def phase(self, name: str, start: float, seconds: float, **tags) -> None:
         """Record a phase with caller-measured timing.  ``start`` is a
@@ -324,13 +306,6 @@ class _ScopedTracer:
 
     def span(self, name: str, **tags) -> Span:
         return Span(self._base, name, {**self._scope, **tags})
-
-    def cluster_span(self, pivot: int, **tags) -> Union[Span, _NullSpan]:
-        base = self._base
-        base._cluster_seen += 1
-        if (base._cluster_seen - 1) % base.sample_cluster_every:
-            return _NULL_SPAN
-        return self.span("cluster", pivot=int(pivot), **tags)
 
     def phase(self, name: str, start: float, seconds: float, **tags) -> None:
         base = self._base

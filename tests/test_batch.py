@@ -369,6 +369,27 @@ class TestEntryPointAgreement:
                 assert parts.get(pivot, []) == alone, pivot
 
 
+    @pytest.mark.parametrize("shape", ["limit", "max_embeddings"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 400), symmetric=st.booleans())
+    def test_one_embedding_left_charges_the_recursion_calls(
+        self, shape, seed, symmetric
+    ):
+        """With one embedding to find, the batch engine's chunks are
+        single rows, so every entry point charges the verification
+        recursion's calls at the cut, not just its rows and flags."""
+        instance = random_labeled_instance(seed)
+        assume(instance is not None)
+        query, data = instance
+        matcher = CECIMatcher(query, data, break_automorphisms=symmetric)
+        limit = 1 if shape == "limit" else None
+        budget = Budget(max_embeddings=1) if shape != "limit" else None
+        for method in ("collect", "embeddings", "count"):
+            batch = self._run(matcher, True, budget, method, limit)
+            recursion = self._run(matcher, False, budget, method, limit)
+            assert batch == recursion, method
+
+
 class TestBudgetTruncationParity:
     """Budget axes must cut the batch stream at the *same embedding* as
     the recursive engine — PartialResult semantics are part of the
@@ -572,15 +593,23 @@ class TestShortestListDrives:
             )
 
         assert fresh(True).collect(cut) == fresh(False).collect(cut)
-        for budget in (Budget(max_calls=cut), Budget(max_embeddings=cut)):
+        b, r = fresh(True), fresh(False)
+        assert b.collect(1) == r.collect(1)
+        assert b.stats.recursive_calls == r.stats.recursive_calls
+        for budget in (
+            Budget(max_calls=cut),
+            Budget(max_embeddings=cut),
+            Budget(max_embeddings=1),
+        ):
             b, r = fresh(True, budget=budget), fresh(False, budget=budget)
             assert b.collect() == r.collect()
             assert (b.truncated, b.stop_reason) == (
                 r.truncated, r.stop_reason
             )
-            if budget.max_calls is not None:
-                # Single-row blocks under max_calls make the charge
-                # order, so the call count at the cut, the DFS's.
+            if budget.max_calls is not None or budget.max_embeddings == 1:
+                # Single-row chunks (under max_calls, or with one
+                # embedding left to find) make the charge order, so the
+                # call count at the cut, the DFS's.
                 assert b.stats.recursive_calls == r.stats.recursive_calls
 
     def test_gathers_at_most_the_shortest_block(self, monkeypatch):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import threading
+from collections import Counter
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.observability import (
     read_trace,
     summarize_trace,
 )
+from repro.resilience import Budget
 from repro.service import MatchRequest, MatchService
 
 
@@ -414,8 +416,9 @@ class TestTraceStatsAgreement:
         matcher.match()
         tracer.close()
         _assert_agreement(matcher.stats, path)
-        summary = read_trace(path)
-        assert summary.spans.get("cluster", {}).get("count", 0) > 0
+        records = _cluster_records(path)
+        assert records
+        assert sum(records.values()) == matcher.stats.embeddings_found
 
     def test_worker_threads(self, instance, tmp_path):
         query, data = instance
@@ -460,6 +463,81 @@ class TestTraceStatsAgreement:
             if executor[0] is not None
         }
         assert len(machines_seen) > 1
+
+
+def _cluster_records(path: str):
+    """``{pivot: embeddings}`` from a trace's ``cluster`` instants; each
+    pivot must be recorded once."""
+    records = {}
+    for event in _events(path):
+        if event["ev"] == "i" and event["name"] == "cluster":
+            assert event["pivot"] not in records, event
+            assert event["embeddings"] > 0, event
+            records[event["pivot"]] = event["embeddings"]
+    return records
+
+
+class TestTracedSchedule:
+    """An enabled tracer observes the enumeration without changing it:
+    the traced run takes the untraced run's blocks, and its ``cluster``
+    records count each pivot's embeddings (DESIGN.md §9)."""
+
+    def _run(self, query, data, tmp_path, **kwargs):
+        path = _trace_path(tmp_path)
+        tracer = Tracer(path)
+        matcher = CECIMatcher(query, data, tracer=tracer, **kwargs)
+        result = matcher.run()
+        tracer.close()
+        return matcher, result, path
+
+    def test_tracing_keeps_the_schedule(self, instance, tmp_path):
+        query, data = instance
+        plain = CECIMatcher(query, data)
+        want = plain.match()
+        tracer = Tracer(_trace_path(tmp_path))
+        traced = CECIMatcher(query, data, tracer=tracer)
+        got = traced.match()
+        tracer.close()
+        assert traced.enumerator().engine == "batch"
+        assert got == want
+        assert plain.stats.batch_blocks > 0
+        for field in ("batch_blocks", "batch_rows", "recursive_calls"):
+            assert getattr(traced.stats, field) == (
+                getattr(plain.stats, field)
+            ), field
+
+    @pytest.mark.parametrize("use_intersection", [True, False])
+    @pytest.mark.parametrize(
+        "budget", [None, Budget(max_embeddings=7), Budget(max_calls=40)],
+        ids=["unbounded", "max_embeddings", "max_calls"],
+    )
+    def test_cluster_records_count_each_pivot(
+        self, instance, tmp_path, use_intersection, budget
+    ):
+        query, data = instance
+        matcher, result, path = self._run(
+            query, data, tmp_path,
+            use_intersection=use_intersection, budget=budget,
+        )
+        assert matcher.enumerator().engine == (
+            "batch" if use_intersection else "recursive"
+        )
+        assert result.truncated == (budget is not None)
+        root = matcher.build().tree.root
+        per_pivot = Counter(embedding[root] for embedding in result)
+        assert _cluster_records(path) == per_pivot
+        assert sum(per_pivot.values()) == matcher.stats.embeddings_found
+
+    def test_pivot_runs_spanning_blocks_give_one_record(
+        self, instance, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("repro.core.batch.BLOCK_ROWS", 2)
+        query, data = instance
+        matcher, result, path = self._run(query, data, tmp_path)
+        assert matcher.stats.batch_rows > 2 * len(matcher.build().pivots)
+        records = _cluster_records(path)
+        assert sum(records.values()) == len(result)
+        assert max(records.values()) > 2
 
 
 # ---------------------------------------------------------------------------
