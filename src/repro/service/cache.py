@@ -45,6 +45,7 @@ from ..core.persist import ChecksumError, dump_store_bytes, load_store_bytes
 from ..core.query_tree import QueryTree
 from ..core.store import CompactCECI, PairArrays
 from ..graph import Graph
+from ..parallel.scheduling import Assignment
 
 __all__ = ["CacheEntry", "IndexCache", "transplant_store"]
 
@@ -52,9 +53,12 @@ __all__ = ["CacheEntry", "IndexCache", "transplant_store"]
 class CacheEntry:
     """One cached frozen index plus what :meth:`IndexCache.adapt` needs
     to re-target it: the representative query's canonical order and the
-    build cost (for the warm-speedup accounting)."""
+    build cost (for the warm-speedup accounting).  ``unit_plan`` is the
+    owning service's memo of the index's batched unit plan
+    (``(pivots, assignment plan, pivots per worker)``); it lives and
+    dies with the entry, so an evicted index is planned afresh."""
 
-    __slots__ = ("key", "store", "canon_order", "build_seconds")
+    __slots__ = ("key", "store", "canon_order", "build_seconds", "unit_plan")
 
     def __init__(
         self,
@@ -67,6 +71,9 @@ class CacheEntry:
         self.store = store
         self.canon_order = canon_order
         self.build_seconds = build_seconds
+        self.unit_plan: Optional[
+            Tuple[List[int], Assignment, List[List[int]]]
+        ] = None
 
 
 def transplant_store(

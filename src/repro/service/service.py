@@ -13,17 +13,18 @@ recovers lost ones.  The pieces, and where each lives:
 * **index reuse** — a scheduler thread resolves each admitted request's
   index through the cross-query :class:`~repro.service.cache.IndexCache`
   (LRU hit / spilled-blob warm / in-flight coalesce / fresh build);
-* **one unit plan** — an unbounded request is planned once, as LPT
-  shares over its clusters' ``cluster_cardinality`` (one share per
-  worker), and every executor runs one task per non-empty share;
+* **one unit plan** — an unbounded request is planned as LPT shares
+  over its clusters' ``cluster_cardinality`` (one share per worker),
+  computed once per cached index, and every executor runs one task per
+  non-empty share;
   budgeted/limited requests run *solo* so their truncation prefixes are
   exactly the sequential matcher's;
 * **one task body** — :func:`run_task` enumerates a solo run or a share
   (as one frontier) over a resolved index; threads run it in process,
   shard processes in the child;
 * **exact merge** — a share hands back its rows as one packed array;
-  the front end builds the tuples once, splits them into per-pivot
-  parts as each reply arrives, and concatenates the parts in
+  as each reply arrives the front end unpacks every pivot's run of
+  rows straight into tuples, and concatenates the parts in
   ``store.pivots`` order, which *is* sequential ``collect`` order;
 * **deadlines & cancellation** — each request may carry an end-to-end
   ``deadline_seconds`` (service-wide default available) measured from
@@ -85,8 +86,7 @@ from typing import (
 import numpy as np
 
 from ..core.automorphism import SymmetryBreaker
-from ..core.batch import BLOCK_ROWS
-from ..core.enumeration import Embedding, Enumerator, embedding_tuples
+from ..core.enumeration import Embedding, Enumerator, row_struct
 from ..core.estimate import plan_facts
 from ..core.matcher import CECIMatcher
 from ..core.stats import MatchStats
@@ -96,11 +96,11 @@ from ..observability.flight import FLIGHT_SCHEMA, FlightRecorder
 from ..observability.history import QueryHistory
 from ..observability.metrics import MetricSpec, MetricsRegistry
 from ..observability.tracer import NULL_TRACER
-from ..parallel.scheduling import dynamic_schedule
+from ..parallel.scheduling import Assignment, dynamic_schedule
 from ..resilience.budget import BudgetExhausted, BudgetTracker
 from ..resilience.faults import FaultPlan, InjectedBuildError, InjectedCrash
 from ..resilience.recovery import RetryPolicy
-from .cache import IndexCache
+from .cache import CacheEntry, IndexCache
 from .request import MatchRequest, MatchResponse, Status
 from .scheduler import TaskQueue
 
@@ -285,24 +285,23 @@ def _decode_rows(rows: np.ndarray, root: int) -> Dict[int, List[Embedding]]:
     """A share's packed rows as ``{pivot: [embedding tuples]}``.
 
     The rows are in sorted-pivot DFS order, so each pivot's rows are
-    contiguous.  They are decoded ``BLOCK_ROWS`` at a time: each slice
-    becomes tuples and is split on the root column into per-pivot runs,
-    so the transient per-column lists never exceed one slice.
+    one contiguous run.  The root column is cut into those runs once,
+    and each run is unpacked straight from the reply buffer by the row
+    format :func:`~repro.core.enumeration.embedding_tuples` uses: no
+    column list, no list of the whole reply and no numpy view per run
+    is built on the way.
     """
+    if not len(rows):
+        return {}
+    roots = rows[:, root]
+    cuts = (np.flatnonzero(roots[1:] != roots[:-1]) + 1).tolist()
+    rows = np.ascontiguousarray(rows)
+    unpack = row_struct(rows.shape[1], rows.dtype.str).iter_unpack
+    view = memoryview(rows)
     parts: Dict[int, List[Embedding]] = {}
-    for lo in range(0, len(rows), BLOCK_ROWS):
-        block = rows[lo:lo + BLOCK_ROWS]
-        tuples = embedding_tuples(block)
-        roots = block[:, root]
-        cuts = (np.flatnonzero(roots[1:] != roots[:-1]) + 1).tolist()
-        for start, end in zip([0, *cuts], [*cuts, len(tuples)]):
-            run = tuples[start:end]
-            pivot = run[0][root]
-            part = parts.get(pivot)
-            if part is None:
-                parts[pivot] = run
-            else:
-                part.extend(run)
+    for start, end in zip([0, *cuts], [*cuts, len(rows)]):
+        run = list(unpack(view[start:end]))
+        parts[run[0][root]] = run
     return parts
 
 
@@ -379,7 +378,8 @@ class PendingMatch:
     def progress(self) -> Tuple[int, MatchStats]:
         """The request's live counters while it is in flight: how many
         units its executor has reported back, and its stats so far (a
-        share's counters land when the share reports)."""
+        share's counters land when the share reports).  Once resolved,
+        the final counts: the response's units and its stats."""
         job = self._job
         if job is None:
             return 0, MatchStats()
@@ -420,7 +420,7 @@ class _Job:
         "request", "pending", "submitted_at", "prepared_at", "deadline_at",
         "symmetry", "store", "cache_tag", "signature", "tracker", "stats",
         "pivots", "parts", "remaining", "error", "error_kind", "retries",
-        "fanout", "cancelled", "done", "lock", "flight", "plan",
+        "fanout", "cancelled", "done", "lock", "flight", "plan", "entry",
     )
 
     def __init__(
@@ -430,12 +430,17 @@ class _Job:
         submitted_at: float,
     ) -> None:
         self.request = request
-        self.pending = pending
+        #: The caller's handle, until the job resolves it: the handle
+        #: keeps the job (for ``progress``), never the other way round.
+        self.pending: Optional[PendingMatch] = pending
         self.submitted_at = submitted_at
         self.prepared_at = submitted_at
         self.deadline_at: Optional[float] = None
         self.symmetry: Optional[SymmetryBreaker] = None
         self.store: Optional[CompactCECI] = None
+        #: The index cache entry ``store`` was adapted from (None for a
+        #: private build): it memoises the store's unit plan.
+        self.entry: Optional[CacheEntry] = None
         self.cache_tag: Optional[str] = None
         #: The canonical query signature the index cache keyed the
         #: request's index under (flight and history records carry it).
@@ -859,14 +864,18 @@ class MatchService:
         """Resolve expired and cancelled jobs without waiting for the
         executor to reach a boundary."""
         while not self._monitor_stop.wait(_MONITOR_INTERVAL):
-            with self._state_lock:
-                jobs = list(self._jobs)
-            for job in jobs:
-                status = None if job.done else self._abort_status(job)
-                if status is not None:
-                    self._finalize(
-                        job, [], status, error=self._abort_error(status)
-                    )
+            self._expire()
+
+    def _expire(self) -> None:
+        """One monitor scan (its own frame, so no job outlives it)."""
+        with self._state_lock:
+            jobs = list(self._jobs)
+        for job in jobs:
+            status = None if job.done else self._abort_status(job)
+            if status is not None:
+                self._finalize(
+                    job, [], status, error=self._abort_error(status)
+                )
 
     def _conclude_failure(self, job: _Job) -> None:
         """The current attempt failed: schedule a retry if the policy,
@@ -917,6 +926,7 @@ class MatchService:
             return
         with job.lock:
             job.store = None
+            job.entry = None
             job.cache_tag = None
             job.signature = None
             job.tracker = None
@@ -940,48 +950,52 @@ class MatchService:
             with self._inbox_ready:
                 while not self._inbox:
                     self._inbox_ready.wait()
-                item = self._inbox.pop(0)
-            if item is _CLOSE:
+                job = self._inbox.pop(0)
+            if job is _CLOSE:
                 return
-            job: _Job = item
-            if job.done:  # resolved (monitor, timed-out close) meanwhile
-                continue
-            seq = admitted
-            admitted += 1
-            plan = self.fault_plan
-            if plan is not None and plan.scheduler_stalls_at(seq):
-                self._cooperative_stall(plan.scheduler_stall_seconds)
-            status = self._abort_status(job)
-            if status is None:
-                try:
-                    self._prepare(job)
-                except BudgetExhausted as stop:
-                    job.stats.budget_stops += 1
-                    self._finalize(
-                        job, [], Status.TRUNCATED, stop_reason=stop.reason
-                    )
-                    continue
-                except (InjectedBuildError, InjectedCrash) as exc:
-                    self._unit_failed(job, 0, repr(exc), kind="fault")
-                    continue
-                except Exception as exc:  # noqa: BLE001 - one bad request
-                    # must not take the scheduler (and service) down
-                    self._unit_failed(job, 0, repr(exc))
-                    continue
-                status = self._abort_status(job)
-            if status is not None:
-                self._finalize(
-                    job, [], status, error=self._abort_error(status)
-                )
-                continue
+            if not job.done:  # resolved (monitor, timed-out close) meanwhile
+                self._schedule(job, admitted)
+                admitted += 1
+            # Wait for the next job holding none: a finished job must
+            # die with its caller's handle, not linger in this frame.
+            del job
+
+    def _schedule(self, job: _Job, seq: int) -> None:
+        """Prepare the ``seq``-th admitted job and dispatch it, or
+        resolve it if it fails, runs out of budget or is abandoned on
+        the way."""
+        plan = self.fault_plan
+        if plan is not None and plan.scheduler_stalls_at(seq):
+            self._cooperative_stall(plan.scheduler_stall_seconds)
+        status = self._abort_status(job)
+        if status is None:
             try:
-                self._dispatch(job)
-            except Exception as exc:  # noqa: BLE001 - as for _prepare
-                with job.lock:
-                    # Units the failed dispatch never started will not
-                    # report, so conclude the attempt now.
-                    job.remaining = 0
+                self._prepare(job)
+            except BudgetExhausted as stop:
+                job.stats.budget_stops += 1
+                self._finalize(
+                    job, [], Status.TRUNCATED, stop_reason=stop.reason
+                )
+                return
+            except (InjectedBuildError, InjectedCrash) as exc:
+                self._unit_failed(job, 0, repr(exc), kind="fault")
+                return
+            except Exception as exc:  # noqa: BLE001 - one bad request
+                # must not take the scheduler (and service) down
                 self._unit_failed(job, 0, repr(exc))
+                return
+            status = self._abort_status(job)
+        if status is not None:
+            self._finalize(job, [], status, error=self._abort_error(status))
+            return
+        try:
+            self._dispatch(job)
+        except Exception as exc:  # noqa: BLE001 - as for _prepare
+            with job.lock:
+                # Units the failed dispatch never started will not
+                # report, so conclude the attempt now.
+                job.remaining = 0
+            self._unit_failed(job, 0, repr(exc))
 
     def _cooperative_stall(self, seconds: float) -> None:
         """Injected scheduler stall — sleeps in small slices so a
@@ -1045,6 +1059,8 @@ class MatchService:
             store = built
             build_stats.append(matcher.stats)
             tag = "miss"
+        else:
+            job.entry = entry
         job.store = store
         job.cache_tag = tag
         job.signature = entry.key[1]
@@ -1128,27 +1144,10 @@ class MatchService:
                 job.flight.event("planned", mode="solo")
             self.executor.run_solo(job)
             return
-        store = job.store
-        assert store is not None
-        pivots = store.pivots.tolist()
+        pivots, plan, assignment = self._unit_plan(job)
         if not pivots:
             self._finalize(job, [], Status.OK)
             return
-        workloads = (
-            np.maximum(store.cluster_cardinalities(), 1)
-            .astype(np.float64)
-            .tolist()
-        )
-        # The one unit plan (Section 4's cardinality-driven balancing):
-        # LPT over the refined cluster cardinalities.  Both executors
-        # run one task per non-empty share.
-        order = sorted(
-            range(len(pivots)), key=workloads.__getitem__, reverse=True
-        )
-        plan = dynamic_schedule([workloads[i] for i in order], self.workers)
-        assignment = [
-            [pivots[order[i]] for i in units] for units in plan.worker_units
-        ]
         self.metrics.set_gauge("service_plan_makespan", plan.makespan)
         self.metrics.set_gauge("service_plan_skew", plan.skew)
         if job.flight is not None:
@@ -1161,6 +1160,38 @@ class MatchService:
             job.pivots = pivots
             job.remaining = len(pivots)
         self.executor.run_units(job, assignment)
+
+    def _unit_plan(
+        self, job: _Job
+    ) -> Tuple[List[int], Assignment, List[List[int]]]:
+        """The job's pivots, their LPT plan over the refined cluster
+        cardinalities (Section 4's cardinality-driven balancing) and the
+        pivots of each worker's share.  The plan depends only on the
+        index and ``workers``, so it is computed once per cache entry
+        and read back by every later request on that index (and on its
+        transplants, which share the pivots and cardinalities)."""
+        entry = job.entry
+        if entry is not None and entry.unit_plan is not None:
+            return entry.unit_plan
+        store = job.store
+        assert store is not None
+        pivots = store.pivots.tolist()
+        workloads = (
+            np.maximum(store.cluster_cardinalities(), 1)
+            .astype(np.float64)
+            .tolist()
+        )
+        order = sorted(
+            range(len(pivots)), key=workloads.__getitem__, reverse=True
+        )
+        plan = dynamic_schedule([workloads[i] for i in order], self.workers)
+        assignment = [
+            [pivots[order[i]] for i in units] for units in plan.worker_units
+        ]
+        unit_plan = (pivots, plan, assignment)
+        if entry is not None:
+            entry.unit_plan = unit_plan
+        return unit_plan
 
     # ------------------------------------------------------------------
     # Executor callbacks
@@ -1201,14 +1232,17 @@ class MatchService:
         run (possibly truncated by its budget) resolves the job.
 
         A share's packed rows become tuples here, once, as the reply
-        arrives and outside the job lock (:func:`_decode_rows`).  Its
-        private stats then merge under the lock (``int +=`` is not
-        atomic, so concurrent tasks writing one stats object would drop
-        counts), and the last share to report concatenates every part
-        in ``store.pivots`` order.  The decode and that concatenation
-        are the request's ``merge`` phase: booked in its stats, traced
-        per task (tagged with the request and the ``worker``) and, for
-        the decode, the flight ``unit`` event's ``decode`` seconds."""
+        arrives and outside the job lock: :func:`_decode_rows` unpacks
+        each pivot's run straight from the reply buffer.  Its private
+        stats then merge under the lock (``int +=`` is not atomic, so
+        concurrent tasks writing one stats object would drop counts),
+        and the last share to report concatenates every part in
+        ``store.pivots`` order; :meth:`_finalize` then drops the parts,
+        so the response holds the only copy of the answer.  The decode
+        and that concatenation are the request's ``merge`` phase: booked
+        in its stats, traced per task (tagged with the request and the
+        ``worker``) and, for the decode, the flight ``unit`` event's
+        ``decode`` seconds."""
         stats = payload["stats"]
         traced = self.tracer.enabled
         if job.request.solo:
@@ -1306,6 +1340,12 @@ class MatchService:
             if job.done:  # first resolution wins
                 return
             job.done = True
+            # The answer is the response's now.  Dropping the per-pivot
+            # parts and the job's link to its handle leaves no cycle, so
+            # the job and the answer die by refcount once the caller
+            # drops the handle and the response.
+            pending, job.pending = job.pending, None
+            job.parts = {}
         now = time.perf_counter()
         latency = now - job.submitted_at
         service_seconds = now - job.prepared_at
@@ -1361,7 +1401,7 @@ class MatchService:
             except Exception:  # noqa: BLE001 - telemetry I/O must never
                 # fail a request that already has its answer
                 pass
-        job.pending._resolve(MatchResponse(
+        pending._resolve(MatchResponse(
             request_id=job.request.request_id,
             status=status,
             embeddings=embeddings,
@@ -1614,8 +1654,6 @@ class _ThreadExecutor:
 
     def _worker_loop(self, slot: int) -> None:
         ident = threading.get_ident()
-        service = self.service
-        plan = service.fault_plan
         while True:
             with self._pool_lock:
                 if ident in self._condemned:
@@ -1627,36 +1665,47 @@ class _ThreadExecutor:
                 if self._tasks.closed:
                     return
                 continue
-            job, share = task
-            pick = next(self._task_picks)
-            with self._pool_lock:
-                self._active[ident] = _Beat(
-                    slot, job, share, time.perf_counter()
-                )
-            try:
-                if plan is not None and plan.thread_crashes_at(pick):
-                    raise InjectedCrash("service-worker", slot)
-                if not job.done:  # the monitor resolves deadline/cancel
-                    started = time.perf_counter()
-                    payload = run_task(
-                        job.store, job.symmetry, share, job.request.limit,
-                        job.tracker,
-                    )
-                    service._task_done(
-                        job, payload, time.perf_counter() - started,
-                        started, slot,
-                    )
-            except InjectedCrash:
-                # Simulated thread death: exit without any cleanup (a
-                # really-dead thread cleans up nothing), leaving the
-                # heartbeat registered so the watchdog recovers the
-                # in-flight task and respawns the slot.
+            if not self._run(ident, slot, *task):
                 return
-            except Exception as exc:  # noqa: BLE001 - fail the request,
-                # not the worker: the pool must survive any one query
-                service._unit_failed(job, _units(share), repr(exc))
-            with self._pool_lock:
-                self._active.pop(ident, None)
+            # Pop the next task holding none (see _run).
+            del task
+
+    def _run(
+        self, ident: int, slot: int, job: _Job, share: Optional[List[int]]
+    ) -> bool:
+        """Run one task on this worker; False if the worker died doing
+        it.  Its own frame, so neither the job nor the task's payload
+        outlives the task in an idle worker."""
+        service = self.service
+        plan = service.fault_plan
+        pick = next(self._task_picks)
+        with self._pool_lock:
+            self._active[ident] = _Beat(slot, job, share, time.perf_counter())
+        try:
+            if plan is not None and plan.thread_crashes_at(pick):
+                raise InjectedCrash("service-worker", slot)
+            if not job.done:  # the monitor resolves deadline/cancel
+                started = time.perf_counter()
+                payload = run_task(
+                    job.store, job.symmetry, share, job.request.limit,
+                    job.tracker,
+                )
+                service._task_done(
+                    job, payload, time.perf_counter() - started,
+                    started, slot,
+                )
+        except InjectedCrash:
+            # Simulated thread death: exit without any cleanup (a
+            # really-dead thread cleans up nothing), leaving the
+            # heartbeat registered so the watchdog recovers the
+            # in-flight task and respawns the slot.
+            return False
+        except Exception as exc:  # noqa: BLE001 - fail the request,
+            # not the worker: the pool must survive any one query
+            service._unit_failed(job, _units(share), repr(exc))
+        with self._pool_lock:
+            self._active.pop(ident, None)
+        return True
 
     # -- Watchdog ---------------------------------------------------------
     def _watchdog_loop(self) -> None:

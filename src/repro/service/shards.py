@@ -572,42 +572,51 @@ class _ShardExecutor:
             task = outbox.pop()
             if task is None:  # closed and drained
                 return
-            if task.job.done:  # finalized while queued — skip the send
-                window.release()
-                continue
-            with self._task_lock:
-                self._inflight_tasks[task.task_id] = task
-                self._current[shard_index] = task.task_id
-                pick = self._dispatch_counts[shard_index]
-                self._dispatch_counts[shard_index] += 1
-                self.metrics.set_gauge(
-                    "service_shard_inflight", len(self._inflight_tasks)
+            self._send(shard_index, task)
+            # Wait for the next task holding none: a finished job must
+            # die with its caller's handle, not linger in this frame.
+            del task
+
+    def _send(self, shard_index: int, task: _ShardTask) -> None:
+        """Send one task to its shard under a window permit the caller
+        acquired (released here if the task is not sent)."""
+        window = self._windows[shard_index]
+        if task.job.done:  # finalized while queued — skip the send
+            window.release()
+            return
+        with self._task_lock:
+            self._inflight_tasks[task.task_id] = task
+            self._current[shard_index] = task.task_id
+            pick = self._dispatch_counts[shard_index]
+            self._dispatch_counts[shard_index] += 1
+            self.metrics.set_gauge(
+                "service_shard_inflight", len(self._inflight_tasks)
+            )
+        try:
+            with self._fork_lock:
+                conn = self._shards[shard_index].conn
+            with self._send_locks[shard_index]:
+                conn.send(("task", task.task_id, pick, task.spec))
+            self.metrics.inc("service_shard_tasks_total")
+            if task.job.flight is not None:
+                task.job.flight.event(
+                    "shard_dispatch", shard=shard_index,
+                    task=task.task_id,
+                    kind="units" if task.units else "solo",
                 )
-            try:
-                with self._fork_lock:
-                    conn = self._shards[shard_index].conn
-                with self._send_locks[shard_index]:
-                    conn.send(("task", task.task_id, pick, task.spec))
-                self.metrics.inc("service_shard_tasks_total")
-                if task.job.flight is not None:
-                    task.job.flight.event(
-                        "shard_dispatch", shard=shard_index,
-                        task=task.task_id,
-                        kind="units" if task.units else "solo",
-                    )
-            except Exception:  # noqa: BLE001 - dead pipe: the reader
-                # respawns the shard; requeue and hand the permit back.
-                # Whoever claims the in-flight record owns the permit
-                # release — if the reader's crash recovery claimed it
-                # first, it also released, and we must not double up.
-                if self._take_task(shard_index, task.task_id) is not None:
-                    window.release()
-                    if not self._closing:
-                        try:
-                            outbox.push_recovered(task)
-                        except RuntimeError:
-                            pass
-                time.sleep(0.005)
+        except Exception:  # noqa: BLE001 - dead pipe: the reader
+            # respawns the shard; requeue and hand the permit back.
+            # Whoever claims the in-flight record owns the permit
+            # release — if the reader's crash recovery claimed it
+            # first, it also released, and we must not double up.
+            if self._take_task(shard_index, task.task_id) is not None:
+                window.release()
+                if not self._closing:
+                    try:
+                        self._outboxes[shard_index].push_recovered(task)
+                    except RuntimeError:
+                        pass
+            time.sleep(0.005)
 
     def _take_task(
         self, shard_index: int, task_id: int
@@ -635,6 +644,9 @@ class _ShardExecutor:
                     self._handle_shard_death(shard, conn, proc)
                 return
             self._handle_message(shard.index, message)
+            # A reply holds its rows (or a solo answer): wait for the
+            # next one without it.
+            del message
 
     def _handle_shard_death(self, shard: _Shard, conn, proc) -> None:
         """Pipe EOF from a live executor: the shard process died.  Claim

@@ -12,6 +12,7 @@ becomes one task per non-empty share of the front end's LPT plan.
 
 from __future__ import annotations
 
+import gc
 import random
 import threading
 import time
@@ -21,7 +22,9 @@ from typing import List, Set, Tuple
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.core.enumeration import embedding_tuples
 from repro.core.matcher import CECIMatcher
 from repro.graph import Graph, inject_labels
 from repro.graph.generators import power_law
@@ -155,9 +158,8 @@ def test_batched_request_runs_one_task_per_lpt_share(executor, monkeypatch):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_random_shares_and_reply_order_merge_exactly(executor, monkeypatch):
-    """Whatever shares the plan cuts, whatever order their packed
-    replies arrive in, and wherever the front end's decode slices fall,
-    the response is the sequential matcher's list."""
+    """Whatever shares the plan cuts and whatever order their packed
+    replies arrive in, the response is the sequential matcher's list."""
     data, queries, _ = _workload()
     expected = [
         CECIMatcher(q, data, break_automorphisms=False).match()
@@ -168,8 +170,8 @@ def test_random_shares_and_reply_order_merge_exactly(executor, monkeypatch):
         service = ShardedMatchService(data, shards=workers)
     else:
         service = MatchService(data, workers=workers)
-    # Hypothesis draws each example's shares, reply order and slice
-    # length; the patched plan and callback read them from ``draw``.
+    # Hypothesis draws each example's shares and reply order; the
+    # patched plan and callback read them from ``draw``.
     draw = SimpleNamespace(rng=random.Random(0), shares=1)
 
     def random_plan(costs, count):
@@ -199,12 +201,13 @@ def test_random_shares_and_reply_order_merge_exactly(executor, monkeypatch):
         index=st.integers(0, len(queries) - 1),
         shares=st.integers(1, workers),
         seed=st.integers(0, 2**16),
-        block_rows=st.integers(1, 9),
     )
-    def check(index, shares, seed, block_rows):
+    def check(index, shares, seed):
         draw.rng = random.Random(seed)
         draw.shares = shares
-        monkeypatch.setattr(service_module, "BLOCK_ROWS", block_rows)
+        # Plan every example afresh: drop the cached indexes' plans.
+        for entry in service.index_cache._lru.values():
+            entry.unit_plan = None
         response = service.match(_request(queries[index]))
         assert response.ok, response.error
         assert response.embeddings == expected[index]
@@ -220,6 +223,139 @@ def test_row_dtype_is_the_narrowest_that_holds_every_vertex():
     assert service_module._row_dtype(2**31 - 1) == np.int32
     assert service_module._row_dtype(2**31) == np.int64
     assert service_module._row_dtype(2**40) == np.int64
+
+
+@st.composite
+def _row_blocks(draw):
+    """An int32 or int64 block (0-12 rows, 1-8 columns, any value of its
+    dtype) in every layout a reply or an engine block can take:
+    C-contiguous, a row slice, a column-strided view and Fortran order."""
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    info = np.iinfo(dtype)
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(1, 8))
+    base = draw(hnp.arrays(
+        dtype, (rows + 2, 2 * cols),
+        elements=st.integers(int(info.min), int(info.max)),
+    ))
+    return [
+        np.ascontiguousarray(base[:rows, :cols]),
+        np.ascontiguousarray(base[:, :cols])[1:rows + 1],
+        base[1:rows + 1, ::2],
+        np.asfortranarray(base[:rows, :cols]),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=_row_blocks(), data=st.data())
+def test_decode_equals_row_wise_conversion(blocks, data):
+    """``embedding_tuples`` is ``map(tuple, tolist())`` with plain
+    ``int`` elements, and ``_decode_rows`` is the per-pivot split of
+    those tuples, for every dtype, value and layout."""
+    root = data.draw(st.integers(0, blocks[0].shape[1] - 1))
+    for block in blocks:
+        expected = list(map(tuple, block.tolist()))
+        got = embedding_tuples(block)
+        assert got == expected
+        assert all(type(v) is int for row in got for v in row)
+        # A share's rows arrive grouped by pivot (the root column).
+        grouped = block[np.argsort(block[:, root], kind="stable")]
+        split = {}
+        for row in map(tuple, grouped.tolist()):
+            split.setdefault(row[root], []).append(row)
+        parts = service_module._decode_rows(grouped, root)
+        assert parts == split
+        assert list(parts) == list(split)
+        assert all(type(pivot) is int for pivot in parts)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_finished_answer_is_freed_by_refcount(executor):
+    """With the cyclic collector off, a caller that drops a response
+    and its handle frees the job and the answer list: nothing holds
+    them in a reference cycle.  ``progress()`` on a resolved handle
+    reports the final unit count and the response's stats."""
+    data, queries, _ = _workload()
+    query = queries[0]
+    pivots, _ = _lpt_shares(query, data, WORKERS)
+
+    def leftovers(first):
+        """Live jobs, and live lists that start with ``first``."""
+        return [
+            o for o in gc.get_objects()
+            if isinstance(o, service_module._Job)
+            or (type(o) is list and o and o[0] is first)
+        ]
+
+    with _service(executor, data) as service:
+        for request, units in (
+            (_request(query), len(pivots)),
+            (_request(query, limit=5), 0),
+        ):
+            gc.collect()
+            gc.disable()
+            try:
+                pending = service.submit(request)
+                response = pending.result(timeout=60)
+                assert response.ok, response.error
+                assert pending.progress() == (units, response.stats)
+                assert pending.progress()[1] is response.stats
+                first = response.embeddings[0]
+                del pending, response
+                # The resolving thread may still be unwinding its frame.
+                deadline = time.monotonic() + 10
+                while leftovers(first) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert leftovers(first) == []
+            finally:
+                gc.enable()
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_each_cached_index_is_planned_once(executor, monkeypatch):
+    """Requests on one cached index reuse its LPT plan, which equals a
+    freshly computed one; an evicted and rebuilt index is planned
+    afresh; the plan gauges and the flight ``planned`` event still come
+    once per request."""
+    data, queries, _ = _workload()
+    query, other = queries[0], queries[1]
+    _, expected = _lpt_shares(query, data, WORKERS)
+    plans = []
+    schedule = service_module.dynamic_schedule
+
+    def counted(costs, workers):
+        plans.append(len(costs))
+        return schedule(costs, workers)
+
+    monkeypatch.setattr(service_module, "dynamic_schedule", counted)
+    with _service(
+        executor, data, index_capacity=1, flight_records=16
+    ) as service:
+        gauges = []
+        set_gauge = service.metrics.set_gauge
+
+        def recorded(name, value):
+            gauges.append(name)
+            return set_gauge(name, value)
+
+        service.metrics.set_gauge = recorded
+        shares = _record_shares(executor, service, monkeypatch)
+        for _ in range(2):
+            assert service.match(_request(query)).ok
+        assert len(plans) == 1
+        assert sorted(map(sorted, shares)) == sorted(
+            map(sorted, expected + expected)
+        )
+        assert service.match(_request(other)).ok  # evicts ``query``
+        assert len(plans) == 2
+        assert service.match(_request(query)).ok  # rebuilt: fresh plan
+        assert len(plans) == 3
+        records = service.flight_records()
+        assert len(records) == 4
+        for record in records:
+            events = [e["ev"] for e in record["events"]]
+            assert events.count("planned") == 1
+        for name in ("service_plan_makespan", "service_plan_skew"):
+            assert gauges.count(name) == 4
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
