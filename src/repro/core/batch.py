@@ -26,8 +26,9 @@ handful of whole-array numpy operations:
   partition materialises its extensions
   (:func:`~repro.kernels.expand_blocks`), and each other source becomes
   a membership probe of combined ``key * scale + value`` codes against
-  a pre-sorted array (:meth:`~repro.core.store.CompactCECI.te_combined`
-  / :meth:`~repro.core.store.CompactCECI.nte_combined` /
+  the source's pre-sorted codes, or a bitmap of their code space where
+  it is dense (:meth:`~repro.core.store.CompactCECI.te_probe` /
+  :meth:`~repro.core.store.CompactCECI.nte_probe` /
   :func:`~repro.kernels.member_mask`) — the batched TE∩NTE
   intersection, never gathering more than a row's shortest list;
 * injectivity and the Grochow–Kellis ordering rules are per-column
@@ -118,7 +119,7 @@ def used_exclusion_mask(
     """
     keep = np.ones(len(cand), dtype=bool)
     for col in used_cols:
-        keep &= frontier[rows, col] != cand
+        keep &= frontier[:, col][rows] != cand
     return keep
 
 
@@ -139,22 +140,22 @@ class _Level:
         tree = ceci.tree
         order = tree.order
         self.u = order[depth]
-        #: ``(frontier column keying the triple, triple, combined codes)``
+        #: ``(frontier column keying the triple, triple, probe set)``
         #: per candidate source: the TE triple first, then one per NTE
-        #: group.  A TE-only level never probes, so it builds no codes.
+        #: group.  A TE-only level never probes, so it builds no set.
         nte_parents = tree.nte_parents[self.u]
         self.sources: List[Tuple[int, tuple, Optional[np.ndarray]]] = [
             (
                 tree.parent[self.u],
                 ceci.te[self.u],
-                ceci.te_combined(self.u) if nte_parents else None,
+                ceci.te_probe(self.u) if nte_parents else None,
             )
         ]
         self.sources.extend(
             (
                 u_n,
                 ceci.nte[self.u].get(u_n, _EMPTY_TRIPLE),
-                ceci.nte_combined(self.u, u_n),
+                ceci.nte_probe(self.u, u_n),
             )
             for u_n in nte_parents
         )
@@ -268,7 +269,9 @@ class BatchEngine:
         if 2 * len(heads) > n_rows:
             return self._intersect(frontier, sources, None)
         runs = np.diff(heads, append=n_rows)
-        rows, cand = self._intersect(frontier[heads], sources, runs)
+        rows, cand = self._intersect(
+            np.take(frontier, heads, axis=0), sources, runs
+        )
         sizes = np.bincount(rows, minlength=len(heads))
         firsts = np.cumsum(sizes) - sizes
         return expand_blocks(
@@ -316,11 +319,11 @@ class BatchEngine:
                 sources[s][1][2], starts[mine], counts[mine]
             )
             rows = mine[rows]
-            for t, (_, _, combined) in enumerate(sources):
+            for t, (_, _, probe) in enumerate(sources):
                 if t == s or len(cand) == 0:
                     continue
                 stats.kernel_array_calls += 1
-                hit = member_mask(combined, bases[t][rows] + cand)
+                hit = member_mask(probe, bases[t][rows] + cand)
                 rows = rows[hit]
                 cand = cand[hit]
             if len(cand):
@@ -341,15 +344,15 @@ class BatchEngine:
             return None
         keep = used_exclusion_mask(frontier, rows, cand, level.used_cols)
         for col in level.above_cols:
-            keep &= frontier[rows, col] < cand
+            keep &= frontier[:, col][rows] < cand
         for col in level.below_cols:
-            keep &= cand < frontier[rows, col]
+            keep &= cand < frontier[:, col][rows]
         if not keep.all():
             rows = rows[keep]
             cand = cand[keep]
             if len(cand) == 0:
                 return None
-        out = frontier[rows]
+        out = np.take(frontier, rows, axis=0)
         out[:, level.u] = cand
         return out
 

@@ -30,7 +30,21 @@ bounded by the bytes present, so a corrupt header raises
 query.  Files written before 3.1 have no checksums and still load; the
 result (like that of a 3.1 file, whose header is unchecked) is marked
 ``checksum_verified = False`` so callers (the service spill tier) can
-decide whether to trust them.
+decide whether to trust them.  Every header must still describe its
+block stream: canonical query edges, NTE groups that are NTE parents in
+its query tree, and blocks that end exactly where the stream does.
+
+**Layout.**  Since 3.3 the JSON header is padded with spaces and every
+block with zero bytes to a 64-byte boundary (:data:`_ALIGN`).
+``np.save`` already pads each ``.npy`` header to 64 bytes, so every
+array's data starts 64-byte aligned in the file and a mapped array is
+aligned (numpy takes slower paths over an unaligned int64 map).  A
+block's padding counts in its recorded ``block_bytes`` and its CRC, and
+the loader advances by the recorded length, so 3.1 and 3.2 files
+(whose blocks are unpadded) load unchanged.  The 3.3 header also
+records the query tree's parents: a store transplanted onto an
+isomorphic query keeps a tree that BFS over that query may not
+re-derive, and older files (which re-derive it) still load.
 """
 
 from __future__ import annotations
@@ -60,6 +74,12 @@ __all__ = [
 
 _MAGIC_V3 = b"CECIIDX3"
 
+#: Since 3.3 the header and every block end on a multiple of this many
+#: bytes, so each ``.npy`` block's data (which ``np.save`` pads to 64
+#: bytes within the block) starts 64-byte aligned in the file and every
+#: mapped array is aligned.
+_ALIGN = 64
+
 
 class ChecksumError(ValueError):
     """A stored array block does not match its recorded checksum —
@@ -67,8 +87,9 @@ class ChecksumError(ValueError):
 
 
 def _header_of(index: CompactCECI) -> Dict[str, object]:
-    """The JSON header: enough to rebuild the query graph and tree,
-    plus the NTE group keys that fix the array order."""
+    """The JSON header: enough to rebuild the query graph and tree
+    (its parents since 3.3; older files re-derive them by BFS), plus
+    the NTE group keys that fix the array order."""
     tree = index.tree
     return {
         "query_vertices": tree.query.num_vertices,
@@ -79,6 +100,9 @@ def _header_of(index: CompactCECI) -> Dict[str, object]:
         ],
         "root": tree.root,
         "order": list(tree.order),
+        # An index transplanted onto an isomorphic query keeps its own
+        # spanning tree, which re-deriving one by BFS may not give.
+        "parents": list(tree.parent),
         "nte_built": index.nte_built,
         "nte_groups": [
             sorted(int(u_n) for u_n in index.nte[u])
@@ -94,7 +118,13 @@ def _rebuild_tree(header: Dict[str, object]) -> QueryTree:
         [frozenset(_parse(label) for label in labels)
          for labels in header["query_labels"]],
     )
-    return QueryTree(query, header["root"], header["order"])
+    # The writer lists the canonical edges (sorted ``(min, max)``
+    # pairs); any other list is a corrupt header.
+    if header["query_edges"] != [list(edge) for edge in query.edges]:
+        raise ValueError("CECIIDX3 query edges are not in canonical order")
+    return QueryTree(
+        query, header["root"], header["order"], parents=header.get("parents")
+    )
 
 
 def _header_crc(header: Dict[str, object]) -> int:
@@ -104,9 +134,12 @@ def _header_crc(header: Dict[str, object]) -> int:
 
 
 def _write_header(buf: BinaryIO, magic: bytes, header: Dict[str, object]) -> None:
+    """Magic, length and JSON header, the JSON padded with spaces so
+    the first block starts on an :data:`_ALIGN` boundary."""
     buf.write(magic)
     header = dict(header, header_crc32=_header_crc(header))
     payload = json.dumps(header).encode("utf-8")
+    payload += b" " * (-(len(magic) + 8 + len(payload)) % _ALIGN)
     buf.write(len(payload).to_bytes(8, "little"))
     buf.write(payload)
 
@@ -153,8 +186,10 @@ def dump_store_bytes(index: Union[CECI, CompactCECI]) -> bytes:
     The array order is fixed: pivots, then per query vertex the TE
     triple, each NTE group triple (group keys ascending, recorded in
     the header), and the cardinality ``(keys, values)`` pair.  Each
-    block's CRC32 lands in the header (``"block_crc32"``) so loads can
-    verify integrity before touching any array.
+    block is zero-padded to an :data:`_ALIGN` boundary, and its padded
+    length (``"block_bytes"``) and CRC32 (``"block_crc32"``) land in the
+    header, so loads can verify integrity before touching any array and
+    a corrupt pad byte is caught like any other.
     """
     store = index if isinstance(index, CompactCECI) else index.compact()
     tree = store.tree
@@ -162,6 +197,7 @@ def dump_store_bytes(index: Union[CECI, CompactCECI]) -> bytes:
     def encode(array: np.ndarray) -> bytes:
         block = io.BytesIO()
         np.save(block, array, allow_pickle=False)
+        block.write(bytes(-block.tell() % _ALIGN))
         return block.getvalue()
 
     blocks: List[bytes] = [encode(store.pivots)]
@@ -191,22 +227,25 @@ def _read_block(
     handle: BinaryIO,
     path: str,
     mmap: bool,
-    expected: Optional[Tuple[int, int]] = None,
+    length: Optional[int] = None,
+    crc: Optional[int] = None,
 ) -> np.ndarray:
     """One ``.npy`` block, either loaded or mapped in place.
 
-    ``expected`` is the header-recorded ``(length, crc32)`` of the
-    block; when given, the raw bytes are read and CRC-verified *before*
-    any npy parsing happens — a corrupt block (even one whose npy
-    header is mangled) raises :class:`ChecksumError` and is never
-    loaded or mapped.  The mmap path parses only the npy header,
-    creates a read-only ``np.memmap`` view at the data offset and seeks
-    past the block — the candidate payload never enters the Python
-    heap.
+    ``length`` is the header-recorded block length, padding included
+    (``None`` for a pre-3.1 file, whose blocks are unpadded); the stream
+    is left at the end of the block.  With ``crc`` too, the raw bytes
+    are read and CRC-verified *before* any npy parsing happens — a
+    corrupt block (even one whose npy header is mangled) raises
+    :class:`ChecksumError` and is never loaded or mapped.  The mmap path
+    parses only the npy header and creates a read-only ``np.memmap``
+    view at the data offset — the candidate payload never enters the
+    Python heap.
     """
     start = handle.tell()
-    if expected is not None:
-        length, expected_crc = int(expected[0]), int(expected[1])
+    if length is not None and length < 0:
+        raise ValueError(f"negative array block length {length}")
+    if crc is not None:
         raw = handle.read(length)
         if len(raw) != length:
             raise ChecksumError(
@@ -214,12 +253,22 @@ def _read_block(
                 f"(wanted {length} bytes, file has {len(raw)})"
             )
         actual = zlib.crc32(raw) & 0xFFFFFFFF
-        if actual != expected_crc:
+        if actual != crc:
             raise ChecksumError(
                 f"array block at byte {start} fails CRC32 "
-                f"(stored {expected_crc:#010x}, computed {actual:#010x})"
+                f"(stored {crc:#010x}, computed {actual:#010x})"
             )
         handle.seek(start)
+    array = _parse_block(handle, path, mmap)
+    if length is not None:
+        handle.seek(start + length)
+    return array
+
+
+def _parse_block(handle: BinaryIO, path: str, mmap: bool) -> np.ndarray:
+    """The ``.npy`` array at the stream position, loaded or (parsing
+    only its npy header) mapped read-only at its data offset; the
+    stream is left at the end of the array data."""
     if not mmap:
         return np.load(handle, allow_pickle=False)
     version = np.lib.format.read_magic(handle)
@@ -250,8 +299,10 @@ def _load_store(
     With ``verify`` (the default) the header is CRC-checked, then every
     block against the header's ``block_crc32`` table before it is loaded
     or mapped; pre-3.1 files have no table, load unverified, and come
-    back with ``checksum_verified = False``.  A structurally malformed
-    header raises ``ValueError``.
+    back with ``checksum_verified = False``.  Each block ends where its
+    recorded ``block_bytes`` say (with or without ``verify``), which
+    skips the 3.3 padding.  A structurally malformed header raises
+    ``ValueError``.
     """
     header, header_verified = _read_header(handle, verify)
     try:
@@ -260,27 +311,40 @@ def _load_store(
         nte_groups = [
             [int(u_n) for u_n in header["nte_groups"][u]] for u in range(n)
         ]
-        checksums = None
-        if verify and "block_crc32" in header and "block_bytes" in header:
-            checksums = [
-                (int(length), int(crc))
-                for length, crc in zip(
-                    header["block_bytes"], header["block_crc32"]
-                )
-            ]
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        # The groups fix the block order, so they must be NTE parents
+        # of the tree the header describes, ascending as written (an
+        # absent group is empty).
+        if any(
+            groups != sorted(set(groups))
+            or not set(groups) <= set(tree.nte_parents[u])
+            for u, groups in enumerate(nte_groups)
+        ):
+            raise ValueError("CECIIDX3 NTE groups disagree with the query")
+        table = None
+        checked = verify and "block_crc32" in header
+        if "block_bytes" in header:
+            lengths = [int(length) for length in header["block_bytes"]]
+            crcs = (
+                [int(crc) for crc in header["block_crc32"]]
+                if checked
+                else [None] * len(lengths)
+            )
+            table = list(zip(lengths, crcs))
+    except (
+        KeyError, TypeError, IndexError, AttributeError, OverflowError
+    ) as exc:
         raise ValueError(f"malformed CECIIDX3 header: {exc!r}") from exc
-    cursor = iter(checksums) if checksums is not None else None
+    cursor = iter(table) if table is not None else None
 
     def block() -> np.ndarray:
-        expected = None
-        if cursor is not None:
-            expected = next(cursor, None)
-            if expected is None:
-                raise ChecksumError(
-                    "checksum table shorter than the block stream"
-                )
-        return _read_block(handle, path, mmap, expected=expected)
+        if cursor is None:
+            return _read_block(handle, path, mmap)
+        entry = next(cursor, None)
+        if entry is None:
+            raise ChecksumError(
+                "block table shorter than the block stream"
+            )
+        return _read_block(handle, path, mmap, *entry)
 
     pivots = block()
     te: List[PairArrays] = []
@@ -293,11 +357,16 @@ def _load_store(
             groups[u_n] = (block(), block(), block())
         nte.append(groups)
         card.append((block(), block()))
+    # A header that names fewer blocks than the stream holds (or a
+    # table longer than it) would shift every array it does name.
+    unread = cursor is not None and next(cursor, None) is not None
+    if unread or handle.read(1):
+        raise ValueError("CECIIDX3 blocks do not end where the stream does")
     store = CompactCECI(
         tree, data, pivots, te, nte, card,
         nte_built=bool(header.get("nte_built", True)),
     )
-    store.checksum_verified = header_verified and checksums is not None
+    store.checksum_verified = header_verified and table is not None and checked
     return store
 
 

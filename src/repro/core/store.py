@@ -33,10 +33,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph import Graph
+from ..kernels import code_bitmap
 from .query_tree import QueryTree
 from .stats import MatchStats
 
 __all__ = [
+    "BITMAP_MAX_RATIO",
     "CompactCECI",
     "PairArrays",
     "encode_pairs",
@@ -55,6 +57,19 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 #: sums overflows int64 on large queries without NTE pruning (CFLMatch's
 #: CPI); cardinality is only a workload weight and a zero test.
 _CARD_MAX = int(np.iinfo(np.int64).max)
+
+#: A probed source (a TE triple or an NTE group) answers the batch
+#: engine's membership probes through a
+#: :func:`~repro.kernels.code_bitmap` of its whole code space
+#: (``pair_scale**2`` bits) when that bitmap takes at most this many
+#: times the bytes of the source's sorted int64 codes, else through
+#: ``searchsorted`` over the codes.  The bitmap wins on time at every
+#: density (3-5 against 13-36 ns per needle, from 400 to 280k codes at
+#: ``pair_scale`` 1,800 and 6,000, 2-vCPU VM), so the multiple bounds
+#: memory only: the ``shard-fanout`` power graph's 12 probed sources
+#: need 5.1-5.7x (396 KiB each), while a 20,000-vertex data graph would
+#: need a 50 MB bitmap per source and stays on ``searchsorted``.
+BITMAP_MAX_RATIO = 8
 
 
 def encode_pairs(mapping: Dict[int, Sequence[int]]) -> PairArrays:
@@ -136,11 +151,10 @@ class CompactCECI:
         self.nte = nte
         self.card = card
         self.nte_built = nte_built
-        # Lazily-built combined-code views for the batch engine (one
-        # sorted ``key * scale + value`` array per TE triple and per
-        # NTE group); see :meth:`_combined`.  Keyed ``(u, u_n)``, with
-        # ``u_n = None`` for ``te[u]``.
-        self._combined_views: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
+        # Lazily-built probe sets for the batch engine, one per TE
+        # triple and per NTE group (see :meth:`_probe`).  Keyed
+        # ``(u, u_n)``, with ``u_n = None`` for ``te[u]``.
+        self._probe_sets: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -204,40 +218,53 @@ class CompactCECI:
 
     def _combined(self, u: int, u_n: Optional[int]) -> np.ndarray:
         """One triple (``te[u]`` when ``u_n`` is None, else the NTE
-        group ``nte[u][u_n]``) as one globally-sorted array of combined
-        ``key * pair_scale + value`` codes.
+        group ``nte[u][u_n]``, empty when absent) as one globally-sorted
+        array of combined ``key * pair_scale + value`` codes.
 
         Because the key column is sorted and each value block is sorted,
         the concatenation ``repeat(keys, block_len) * scale + values``
         is already sorted — so one ``searchsorted`` answers "is data
         edge ``(v_key, c)`` a candidate edge of this triple" for a whole
-        frontier of pairs at once.  Built lazily per triple and memoised
-        on the store (a shared store may build a view twice under a
-        race; both results are identical arrays, so last-write-wins is
-        benign).
+        frontier of pairs at once.
         """
-        cached = self._combined_views.get((u, u_n))
-        if cached is not None:
-            return cached
         triple = self.te[u] if u_n is None else self.nte[u].get(u_n)
         if triple is None or len(triple[2]) == 0:
-            combined = _EMPTY_I64
+            return _EMPTY_I64
+        keys, offsets, values = triple
+        return np.repeat(keys, np.diff(offsets)) * self.pair_scale + values
+
+    def _probe(self, u: int, u_n: Optional[int]) -> np.ndarray:
+        """What :func:`~repro.kernels.member_mask` probes for one
+        triple: its :meth:`_combined` codes, or their
+        :func:`~repro.kernels.code_bitmap` when the code space is dense
+        enough (:data:`BITMAP_MAX_RATIO`).
+
+        Derived data: built lazily per triple and memoised on the store,
+        never persisted, so it dies with the store and a loaded store
+        rebuilds it (a shared store may build a set twice under a race;
+        both results are identical arrays, so last-write-wins is
+        benign).
+        """
+        cached = self._probe_sets.get((u, u_n))
+        if cached is not None:
+            return cached
+        codes = self._combined(u, u_n)
+        space = self.pair_scale * self.pair_scale
+        if (space + 7) >> 3 <= BITMAP_MAX_RATIO * codes.nbytes:
+            probe = code_bitmap(codes, space)
         else:
-            keys, offsets, values = triple
-            combined = (
-                np.repeat(keys, np.diff(offsets)) * self.pair_scale + values
-            )
-        self._combined_views[(u, u_n)] = combined
-        return combined
+            probe = codes
+        self._probe_sets[(u, u_n)] = probe
+        return probe
 
-    def te_combined(self, u: int) -> np.ndarray:
-        """``te[u]`` as sorted combined codes (see :meth:`_combined`)."""
-        return self._combined(u, None)
+    def te_probe(self, u: int) -> np.ndarray:
+        """``te[u]``'s probe set (see :meth:`_probe`)."""
+        return self._probe(u, None)
 
-    def nte_combined(self, u: int, u_n: int) -> np.ndarray:
-        """The NTE group ``nte[u][u_n]`` as sorted combined codes (see
-        :meth:`_combined`); empty when the group is absent."""
-        return self._combined(u, u_n)
+    def nte_probe(self, u: int, u_n: int) -> np.ndarray:
+        """The NTE group ``nte[u][u_n]``'s probe set (see
+        :meth:`_probe`); empty sorted codes when the group is absent."""
+        return self._probe(u, u_n)
 
     def cardinality_of(self, u: int, v: int) -> int:
         """Refinement cardinality of ``u -> v`` (0 if pruned)."""

@@ -9,7 +9,8 @@ its work in whole-array ``np.searchsorted`` calls:
   gather the candidate block of every frontier row at once (the batch
   engine's TE expansion);
 * :func:`member_mask` — batched membership of many needles in one
-  sorted haystack (the batch engine's NTE filter);
+  sorted haystack, or in a :func:`code_bitmap` of it (the batch
+  engine's TE∩NTE probe);
 * :func:`intersect` — k-way intersection of a handful of sorted arrays
   (ExtremeCluster splitting's matching nodes).
 """
@@ -21,11 +22,16 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "code_bitmap",
     "expand_blocks",
     "intersect",
     "member_mask",
     "searchsorted_blocks",
 ]
+
+
+#: ``_BITS[i]`` is the byte with only bit ``i`` set.
+_BITS = np.array([1 << i for i in range(8)], dtype=np.uint8)
 
 
 def searchsorted_blocks(keys, offsets, probes):
@@ -73,12 +79,35 @@ def expand_blocks(values, starts, counts):
     return rows, values[np.repeat(starts, counts) + within]
 
 
-def member_mask(haystack, needles):
-    """Boolean mask: which ``needles`` occur in the sorted ``haystack``.
+def code_bitmap(codes, size: int) -> np.ndarray:
+    """A bitmap of the code space ``[0, size)``: bit ``c & 7`` of byte
+    ``c >> 3`` is set iff ``c`` occurs in the strictly increasing int64
+    array ``codes``.  :func:`member_mask` answers a needle from it with
+    one byte gather and a mask, instead of a binary search."""
+    bits = np.zeros((size + 7) >> 3, dtype=np.uint8)
+    if len(codes):
+        byte = codes >> 3
+        # Sorted codes give non-decreasing bytes: OR each byte's run of
+        # bits together in one ``reduceat``.
+        first = np.flatnonzero(np.diff(byte, prepend=-1))
+        bits[byte[first]] = np.bitwise_or.reduceat(
+            np.take(_BITS, codes & 7), first
+        )
+    return bits
 
-    One vectorised ``np.searchsorted`` — the batched form of the
-    per-candidate binary-search membership test used by NTE filtering.
+
+def member_mask(haystack, needles):
+    """Boolean mask: which ``needles`` occur in ``haystack``.
+
+    ``haystack`` is a strictly increasing int64 array, answered with one
+    vectorised ``np.searchsorted`` (the batched form of the
+    per-candidate binary-search membership test), or the uint8
+    :func:`code_bitmap` of one, answered with one byte gather; every
+    needle must then lie in the bitmap's code space.
     """
+    if haystack.dtype == np.uint8:
+        bits = np.take(haystack, needles >> 3) & np.take(_BITS, needles & 7)
+        return bits != 0
     n = len(haystack)
     if n == 0:
         return np.zeros(len(needles), dtype=bool)

@@ -14,7 +14,10 @@ and failure recovery:
   :func:`~repro.core.persist.load_ceci`\\ s the same file with
   ``mmap=True``, so N processes share one copy of the candidate arrays
   through the OS page cache — the index is frozen once and mapped
-  everywhere, never rebuilt or re-pickled per shard;
+  everywhere, never rebuilt or re-pickled per shard.  The file holds
+  the index only: each shard derives its own probe sets (the sorted
+  codes, or their bitmaps where the code space is dense) from the
+  mapped arrays on first use and keeps them with its cached store;
 * **cardinality-planned routing** — a batched job arrives with the
   front end's unit plan (LPT over the refined ``cluster_cardinality``
   workloads, Section 4's cardinality-driven balancing), and each shard's

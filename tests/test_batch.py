@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import random_labeled_instance
 from repro.baselines.cflmatch import CFLMatcher
 from repro.core import batch as batch_module
+from repro.core import store as store_module
 from repro.core.batch import (
     BatchEngine,
     batch_capable,
@@ -31,8 +32,13 @@ from repro.core.enumeration import Enumerator, embedding_tuples
 from repro.core.matcher import CECIMatcher
 from repro.core.stats import MatchStats
 from repro.core.store import encode_pairs, lookup_pairs
-from repro.graph import Graph, power_law
-from repro.kernels import expand_blocks, member_mask, searchsorted_blocks
+from repro.graph import Graph, inject_labels, power_law
+from repro.kernels import (
+    code_bitmap,
+    expand_blocks,
+    member_mask,
+    searchsorted_blocks,
+)
 from repro.resilience import Budget
 
 
@@ -965,6 +971,106 @@ class TestRedundantExtensions:
         reference = _fresh_engine(*case)
         assert np.array_equal(want, _row_by_row(reference, frontier, case[2]))
         assert np.array_equal(got, _row_by_row(reference, repeats, case[2]))
+
+
+@st.composite
+def _code_sources(draw):
+    """``(scale, sorted unique codes, needles)`` over the code space
+    ``[0, scale**2)``: needles hit and miss, include both ends of the
+    space, and include keys (``code // scale``) the source lacks."""
+    scale = draw(st.integers(1, 40))
+    space = scale * scale
+    codes = np.unique(np.asarray(
+        draw(st.lists(st.integers(0, space - 1), max_size=60)),
+        dtype=np.int64,
+    ))
+    keys = set((codes // scale).tolist())
+    absent = [k for k in range(scale) if k not in keys]
+    needles = draw(st.lists(st.integers(0, space - 1), max_size=80))
+    needles += [0, space - 1] + codes.tolist()[:5]
+    needles += [
+        k * scale + draw(st.integers(0, scale - 1)) for k in absent[:5]
+    ]
+    return scale, codes, np.asarray(needles, dtype=np.int64)
+
+
+def _probe_kinds(matcher):
+    """The dtype of every probe set the matcher's batch engine builds."""
+    engine = BatchEngine(matcher.build(), matcher.symmetry, MatchStats())
+    return {
+        probe.dtype
+        for level in engine.levels
+        for _, _, probe in level.sources
+        if probe is not None
+    }
+
+
+class TestProbeSets:
+    """A dense source is probed through a bitmap of its code space, a
+    sparse one through ``searchsorted``: same masks, same answers, same
+    counters (DESIGN.md §12)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_code_sources())
+    def test_bitmap_and_sorted_codes_give_equal_masks(self, case):
+        scale, codes, needles = case
+        bits = code_bitmap(codes, scale * scale)
+        assert bits.dtype == np.uint8 and len(bits) == (scale * scale + 7) // 8
+        present = set(codes.tolist())
+        want = [int(n) in present for n in needles]
+        assert member_mask(codes, needles).tolist() == want
+        assert member_mask(bits, needles).tolist() == want
+
+    def test_empty_source(self):
+        needles = np.asarray([0, 5, 99], dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        assert not member_mask(code_bitmap(empty, 100), needles).any()
+        assert not member_mask(empty, needles).any()
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [("dense-hub", np.uint8), ("sparse-labeled", np.int64)],
+    )
+    def test_each_representation_answers_exactly(
+        self, name, kind, monkeypatch
+    ):
+        """A hub instance takes the bitmap path and a labeled instance
+        with a large ``pair_scale`` the ``searchsorted`` path; forcing
+        the other representation changes no embedding, no order and no
+        counter, and both equal the verification recursion's list."""
+        if name == "dense-hub":
+            query, data = HUB_QUERIES["qg5"], _hub_data(60, 2, 2, 3)
+        else:
+            query = Graph(
+                4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+                labels=[0, 1, 0, 1],
+            )
+            data = inject_labels(
+                power_law(2000, 6, seed=4, min_edges_per_vertex=1), 3,
+                seed=4,
+            )
+        runs = {}
+        for ratio in (store_module.BITMAP_MAX_RATIO, 0, 1 << 62):
+            monkeypatch.setattr(store_module, "BITMAP_MAX_RATIO", ratio)
+            matcher = CECIMatcher(query, data, break_automorphisms=False)
+            got = matcher.match()
+            stats = matcher.stats
+            runs[ratio] = (
+                got, _probe_kinds(matcher), stats.kernel_array_calls,
+                stats.intersections, stats.recursive_calls,
+            )
+        monkeypatch.undo()
+        default = runs[store_module.BITMAP_MAX_RATIO]
+        assert default[1] == {np.dtype(kind)}
+        assert runs[0][1] == {np.dtype(np.int64)}
+        assert runs[1 << 62][1] == {np.dtype(np.uint8)}
+        assert default[0]
+        for run in runs.values():
+            assert run[0] == default[0] and run[2:] == default[2:]
+        recursive = CECIMatcher(
+            query, data, use_intersection=False, break_automorphisms=False
+        )
+        assert default[0] == recursive.match()
 
 
 class TestEmbeddingTuples:

@@ -1,7 +1,9 @@
 """Tests for CECI index persistence (the CECIIDX3 compact format)."""
 
+import io
 import json
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from repro.core import (
     save_ceci,
 )
 from repro.core.persist import ChecksumError
+from repro.core.query_tree import QueryTree
+from repro.service.cache import transplant_store
 from repro.graph import inject_labels, power_law
 
 
@@ -203,19 +207,51 @@ def _split_v3(blob: bytes):
     return header, 16 + size
 
 
-def _strip_checksums(blob: bytes) -> bytes:
-    """Rewrite a v3 blob as a pre-3.1 file: same array blocks, header
-    without the checksum table."""
-    header, body_at = _split_v3(blob)
-    for key in ("checksum", "block_bytes", "block_crc32", "header_crc32"):
+def _npy_blocks(blob: bytes):
+    """(header dict, each array block's ``.npy`` bytes without the 3.3
+    alignment padding) of a v3 blob."""
+    header, at = _split_v3(blob)
+    blocks = []
+    for length in header["block_bytes"]:
+        block = io.BytesIO(blob[at:at + length])
+        np.load(block, allow_pickle=False)
+        blocks.append(block.getvalue()[:block.tell()])
+        at += length
+    return header, blocks
+
+
+def _legacy(blob: bytes, minor: int, edit=None) -> bytes:
+    """Rewrite a v3 blob in the layout of minor version ``minor``: the
+    same arrays as unpadded ``.npy`` blocks after an unpadded header
+    without the tree's parents, with a block table from 3.1 and a
+    header CRC from 3.2.  ``edit``
+    changes the header dict before any checksum covers it."""
+    header, blocks = _npy_blocks(blob)
+    for key in (
+        "parents", "checksum", "block_bytes", "block_crc32", "header_crc32"
+    ):
         header.pop(key, None)
+    if minor >= 1:
+        header["checksum"] = "crc32"
+        header["block_bytes"] = [len(block) for block in blocks]
+        header["block_crc32"] = [zlib.crc32(block) for block in blocks]
+    if edit is not None:
+        edit(header)
+    if minor >= 2:
+        header["header_crc32"] = zlib.crc32(json.dumps(header).encode())
     payload = json.dumps(header).encode("utf-8")
     return (
         blob[:8]
         + len(payload).to_bytes(8, "little")
         + payload
-        + blob[body_at:]
+        + b"".join(blocks)
     )
+
+
+def _strip_checksums(blob: bytes) -> bytes:
+    """Rewrite a v3 blob as a pre-3.1 file: the same arrays as unpadded
+    ``.npy`` blocks, header without the checksum table."""
+    return _legacy(blob, 0)
 
 
 def _flip(blob: bytes, pos: int) -> bytes:
@@ -380,3 +416,242 @@ class TestByteMutations:
         edited = blob[:8] + size + payload + blob[body_at:]
         with pytest.raises(ChecksumError, match="header"):
             load_store_bytes(edited, data)
+
+
+def _arrays(store: CompactCECI):
+    """Every array a store holds."""
+    yield store.pivots
+    for u in range(store.tree.query.num_vertices):
+        yield from store.te[u]
+        for triple in store.nte[u].values():
+            yield from triple
+        yield from store.card[u]
+
+
+class TestAlignment:
+    """Since 3.3 the header and every block end on a 64-byte boundary,
+    so every loaded or mapped array is aligned."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, instance):
+        query, data = instance
+        return dump_store_bytes(CECIMatcher(query, data).build())
+
+    def test_header_and_blocks_end_on_64_bytes(self, blob):
+        header, body_at = _split_v3(blob)
+        assert body_at % 64 == 0
+        assert all(length % 64 == 0 for length in header["block_bytes"])
+
+    def test_mmap_arrays_are_aligned(self, blob, instance, tmp_path):
+        _, data = instance
+        path = tmp_path / "index.ceci"
+        path.write_bytes(blob)
+        loaded = load_ceci(str(path), data, mmap=True)
+        mapped = 0
+        for array in _arrays(loaded):
+            assert array.flags.aligned
+            if isinstance(array, np.memmap):
+                mapped += 1
+                assert array.offset % 64 == 0
+        assert mapped
+
+    def test_in_memory_arrays_are_aligned(self, blob, instance):
+        _, data = instance
+        assert all(
+            array.flags.aligned
+            for array in _arrays(load_store_bytes(blob, data))
+        )
+
+    def test_unpadded_32_blob_still_loads(self, blob, instance, tmp_path):
+        """A 3.2 file (header CRC, unpadded blocks) loads verified with
+        identical arrays, in memory and mapped."""
+        _, data = instance
+        old = _legacy(blob, 2)
+        assert len(old) < len(blob)
+        reference = load_store_bytes(blob, data)
+        loaded = load_store_bytes(old, data)
+        assert loaded.checksum_verified is True
+        _same_store(loaded, reference)
+        path = tmp_path / "old.ceci"
+        path.write_bytes(old)
+        mapped = load_ceci(str(path), data, mmap=True)
+        assert mapped.checksum_verified is True
+        _same_store(mapped, reference)
+
+    def test_padding_byte_flip_is_detected(self, blob, instance):
+        """Pad bytes count in their block's length and CRC."""
+        _, data = instance
+        header, at = _split_v3(blob)
+        _, blocks = _npy_blocks(blob)
+        pads = []
+        for length, block in zip(header["block_bytes"], blocks):
+            if len(block) < length:
+                pads.append(at + len(block))
+            at += length
+        assert pads
+        for pos in pads:
+            with pytest.raises(ChecksumError):
+                load_store_bytes(_flip(blob, pos), data)
+
+
+class TestDerivedProbeSets:
+    """The batch engine's probe sets (sorted codes or code bitmaps) are
+    derived from the arrays: never persisted, rebuilt after a load."""
+
+    def test_enumeration_leaves_the_dump_unchanged(self):
+        """On an unlabeled power-law graph, dense enough for bitmaps."""
+        data = power_law(200, 5, seed=3, min_edges_per_vertex=1)
+        query = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        matcher = CECIMatcher(query, data)
+        store = matcher.build()
+        before = dump_store_bytes(store)
+        reference = Enumerator(store, symmetry=matcher.symmetry).collect()
+        assert reference and store._probe_sets
+        assert dump_store_bytes(store) == before
+
+        loaded = load_store_bytes(before, data)
+        assert not loaded._probe_sets
+        got = Enumerator(loaded, symmetry=matcher.symmetry).collect()
+        assert got == reference
+        assert loaded._probe_sets.keys() == store._probe_sets.keys()
+        kinds = set()
+        for key, probe in store._probe_sets.items():
+            rebuilt = loaded._probe_sets[key]
+            assert rebuilt.dtype == probe.dtype
+            assert np.array_equal(rebuilt, probe)
+            kinds.add(probe.dtype)
+        assert np.dtype(np.uint8) in kinds
+
+
+class TestPre32Headers:
+    """A header without ``header_crc32`` (files from 3.0 and 3.1) is
+    unchecked: seeded mutations of its JSON either raise ``ValueError``
+    (``ChecksumError`` included) or load a store whose answers equal
+    the original's."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        data = inject_labels(
+            power_law(60, 3, seed=5, min_edges_per_vertex=1), 2, seed=5
+        )
+        query = Graph(
+            4, [(0, 1), (1, 2), (2, 3), (0, 2)], labels=[0, 1, 0, 1]
+        )
+        matcher = CECIMatcher(query, data)
+        reference = matcher.match()
+        assert reference
+        return dump_store_bytes(matcher.build()), data, matcher.symmetry, (
+            reference
+        )
+
+    #: Seeded mutations per pre-3.2 layout.
+    MUTATIONS = 3000
+
+    @staticmethod
+    def _rejected_or_harmless(blob, data, symmetry, reference):
+        try:
+            loaded = load_store_bytes(blob, data)
+        except ValueError:  # ChecksumError included
+            return
+        assert loaded.checksum_verified is False
+        assert Enumerator(loaded, symmetry=symmetry).collect() == reference
+
+    @pytest.mark.parametrize("minor", [0, 1])
+    def test_header_mutations_are_rejected_or_harmless(self, small, minor):
+        blob, data, symmetry, reference = small
+        legacy = _legacy(blob, minor)
+        size = int.from_bytes(legacy[8:16], "little")
+        payload, body = legacy[16:16 + size], legacy[16 + size:]
+        self._rejected_or_harmless(legacy, data, symmetry, reference)
+        rng = random.Random(32 + minor)
+        for trial in range(self.MUTATIONS):
+            mutated = bytearray(payload)
+            for pos in rng.sample(range(size), rng.randint(1, 3)):
+                mutated[pos] ^= rng.choice(
+                    (0x01, 0x02, 0x04, 0x08, 0x10, rng.randint(1, 0xFF))
+                )
+            edited = (
+                legacy[:8] + size.to_bytes(8, "little") + bytes(mutated) + body
+            )
+            try:
+                self._rejected_or_harmless(edited, data, symmetry, reference)
+            except AssertionError as exc:
+                raise AssertionError(
+                    f"mutation {trial}: {bytes(mutated)!r}"
+                ) from exc
+
+    # Shrunk counterexamples of the mutation sweep, each a header that
+    # loaded and answered wrongly (or raised an untyped error) before.
+
+    def test_edge_moving_an_nte_group_is_rejected(self, small):
+        """Edge (0, 1) -> (0, 3), listed in canonical order: vertex 1
+        keeps an NTE group for a parent it no longer has."""
+        blob, data, _, _ = small
+
+        def edit(header):
+            assert header["query_edges"][0] == [0, 1]
+            edges = header["query_edges"][1:] + [[0, 3]]
+            header["query_edges"] = sorted(edges)
+
+        with pytest.raises(ValueError, match="NTE groups"):
+            load_store_bytes(_legacy(blob, 1, edit), data)
+
+    def test_non_canonical_edge_list_is_rejected(self, small):
+        """Edge (2, 3) -> (0, 3) leaves the NTE groups valid but moves
+        vertex 3's tree parent; the writer never lists edges out of
+        order."""
+        blob, data, _, _ = small
+
+        def edit(header):
+            assert header["query_edges"][-1] == [2, 3]
+            header["query_edges"][-1] = [0, 3]
+
+        for minor in (0, 1):
+            with pytest.raises(ValueError, match="canonical"):
+                load_store_bytes(_legacy(blob, minor, edit), data)
+
+    def test_dropped_nte_group_is_rejected(self, small):
+        """Without a block table a dropped group shifts every later
+        block; the stream then does not end where the header does."""
+        blob, data, _, _ = small
+
+        def edit(header):
+            assert header["nte_groups"][1] == [0]
+            header["nte_groups"][1] = []
+
+        for minor in (0, 1):
+            with pytest.raises(ValueError, match="blocks do not end"):
+                load_store_bytes(_legacy(blob, minor, edit), data)
+
+    def test_overflowing_number_is_a_value_error(self, small):
+        """A digit turned into an exponent parses as an infinite float."""
+        blob, data, _, _ = small
+
+        def edit(header):
+            header["block_crc32"][0] = float("inf")
+
+        legacy = _legacy(blob, 1, edit)
+        assert b"Infinity" in legacy
+        with pytest.raises(ValueError, match="malformed"):
+            load_store_bytes(legacy, data)
+
+
+def test_transplanted_store_keeps_its_tree():
+    """An index transplanted onto an isomorphic query keeps the mapped
+    spanning tree, which BFS over the image query does not re-derive;
+    the file records it, so the loaded store answers as the original
+    (before 3.3 it loaded the BFS tree and found none of the 7,202)."""
+    data = power_law(80, 3, seed=2)
+    query = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
+    sigma = [0, 2, 3, 1, 4]
+    image = Graph(5, [(sigma[a], sigma[b]) for a, b in query.edges])
+    store = CECIMatcher(query, data, break_automorphisms=False).build()
+    moved = transplant_store(store, image, sigma)
+    tree = moved.tree
+    assert QueryTree(image, tree.root, tree.order).parent != tree.parent
+    loaded = load_store_bytes(dump_store_bytes(moved), data)
+    assert loaded.tree.parent == tree.parent
+    symmetry = CECIMatcher(image, data, break_automorphisms=False).symmetry
+    want = Enumerator(moved, symmetry=symmetry).collect()
+    assert len(want) == 7202
+    assert Enumerator(loaded, symmetry=symmetry).collect() == want
