@@ -107,29 +107,32 @@ class MatchStats:
                 reg.inc(spec.name, getattr(self, spec.name))
         return reg
 
-    def apply_registry(self, registry: MetricsRegistry) -> None:
-        """Load field values back from a registry (inverse of
-        :meth:`registry`)."""
-        for spec in match_metric_specs():
-            if spec.labeled:
-                setattr(self, spec.name, dict(registry.labels(spec.name)))
-            elif spec.kind == "gauge":
-                setattr(self, spec.name, int(registry.get(spec.name)))
-            else:
-                setattr(self, spec.name, int(registry.get(spec.name)))
-
     def merge(self, other: "MatchStats") -> None:
         """Fold another stats object into this one (per-worker /
-        per-machine merge).  Delegates to the single
-        :meth:`MetricsRegistry.merge` implementation, which applies each
-        field's declared semantic: work counters and phase timings sum,
-        while ``memory_bytes`` keeps the peak (workers share one index,
-        so the footprint is a max, not a sum)."""
-        self.apply_registry(self.registry().merge(other.registry()))
+        per-machine merge), field by field with the semantic
+        :func:`match_metric_specs` declares: work counters sum,
+        ``phase_seconds`` sums per phase, and ``memory_bytes`` keeps the
+        peak (workers share one index, so the footprint is a max, not a
+        sum)."""
+        mine, theirs = vars(self), vars(other)
+        for name in _SUMMED_FIELDS:
+            mine[name] += theirs[name]
+        for name in _PEAK_FIELDS:
+            mine[name] = max(mine[name], theirs[name])
+        phases = self.phase_seconds
+        for phase, seconds in other.phase_seconds.items():
+            phases[phase] = phases.get(phase, 0.0) + seconds
 
 
 #: Fields whose merge semantic is "peak survives" rather than "sum".
 _PEAK_FIELDS = frozenset({"memory_bytes"})
+
+#: The integer counters :meth:`MatchStats.merge` sums.
+_SUMMED_FIELDS = tuple(
+    f.name
+    for f in fields(MatchStats)
+    if f.name != "phase_seconds" and f.name not in _PEAK_FIELDS
+)
 
 _MATCH_METRIC_SPECS: Tuple[MetricSpec, ...] = ()
 

@@ -11,10 +11,9 @@ produces those decompositions for any run of this repo:
   tracer is the default on every layer so the hot path pays (at most)
   one attribute check when tracing is off.
 * :class:`MetricsRegistry` / :class:`MetricSpec` — named counters,
-  gauges and histograms with *declared* merge semantics; the single
-  ``merge()`` implementation behind ``MatchStats.merge`` and the
-  worker / machine folds (sum for work counters, peak for
-  ``memory_bytes``).
+  gauges and histograms with *declared* merge semantics (sum for work
+  counters, peak for ``memory_bytes``), which ``MatchStats.merge``
+  applies field by field.
 * :class:`ProgressReporter` — a heartbeat line for long enumerations
   (calls/s, embeddings/s, budget remaining, cardinality-bound ETA).
 * :func:`summarize_trace` — validation + the per-phase / per-worker /
@@ -25,7 +24,8 @@ Service telemetry (DESIGN.md §13) builds on those primitives:
 * :class:`FlightRecorder` — bounded ring of per-request lifecycle
   records (``repro flight``, ``{"op": "flight"}``);
 * :class:`QueryHistory` — append-only, size-rotated query-history
-  store: per-query features + observed phase costs;
+  store: the durable view of each request's terminal record, plus its
+  query features;
 * :class:`MetricsExporter` — stdlib HTTP endpoint serving the live
   registry in Prometheus text format (``--metrics-port``).
 """

@@ -69,6 +69,7 @@ __all__ = [
     "FlightError",
     "FlightRecord",
     "FlightRecorder",
+    "QuietRecord",
     "load_flight_records",
     "render_explain",
     "render_flight",
@@ -87,39 +88,38 @@ class FlightError(ValueError):
     """A flight record that violates the schema."""
 
 
+#: The terminal facts of a record still in flight.
+_IN_FLIGHT: Dict = {
+    "status": None,
+    "cache": None,
+    "retries": 0,
+    "signature": None,
+    "latency_seconds": 0.0,
+    "service_seconds": 0.0,
+    "stop_reason": None,
+    "error": None,
+    "plan": None,
+}
+
+
 class FlightRecord:
     """One request's lifecycle: timestamped events + terminal facts.
 
     Mutated by whichever service thread currently holds the request
     (scheduler, workers, watchdog, retry timers); the event list is
     append-only and appends are GIL-atomic, so no lock is needed on the
-    hot path.  :meth:`finish` stamps the terminal fields exactly once
+    hot path.  :meth:`finish` stamps the terminal facts exactly once
     (first writer wins, mirroring the service's first-resolution rule).
     """
 
-    __slots__ = (
-        "request_id", "origin", "events", "plan", "phase_seconds",
-        "counters", "status", "cache", "retries", "signature",
-        "latency_seconds", "service_seconds", "stop_reason", "error",
-        "finished",
-    )
+    __slots__ = ("request_id", "origin", "events", "facts")
 
     def __init__(self, request_id: int, origin: Optional[float] = None) -> None:
         self.request_id = request_id
         self.origin = time.perf_counter() if origin is None else origin
         self.events: List[Dict] = []
-        self.plan: Optional[Dict] = None
-        self.phase_seconds: Dict[str, float] = {}
-        self.counters: Dict[str, int] = {}
-        self.status: Optional[str] = None
-        self.cache: Optional[str] = None
-        self.retries = 0
-        self.signature: Optional[str] = None
-        self.latency_seconds = 0.0
-        self.service_seconds = 0.0
-        self.stop_reason: Optional[str] = None
-        self.error: Optional[str] = None
-        self.finished = False
+        #: The terminal facts :meth:`finish` stamped (None in flight).
+        self.facts: Optional[Dict] = None
 
     def event(self, ev: str, **detail) -> None:
         """Append one lifecycle event (timestamped against admission).
@@ -134,38 +134,16 @@ class FlightRecord:
             **detail,
         })
 
-    def finish(
-        self,
-        status: str,
-        cache: Optional[str] = None,
-        retries: int = 0,
-        signature: Optional[str] = None,
-        latency_seconds: float = 0.0,
-        service_seconds: float = 0.0,
-        stop_reason: Optional[str] = None,
-        error: Optional[str] = None,
-        plan: Optional[Dict] = None,
-        phase_seconds: Optional[Dict[str, float]] = None,
-        counters: Optional[Dict[str, int]] = None,
-    ) -> None:
-        """Stamp the terminal facts (first call wins)."""
-        if self.finished:
-            return
-        self.finished = True
-        self.status = status
-        self.cache = cache
-        self.retries = retries
-        self.signature = signature
-        self.latency_seconds = latency_seconds
-        self.service_seconds = service_seconds
-        self.stop_reason = stop_reason
-        self.error = error
-        if plan is not None:
-            self.plan = plan
-        if phase_seconds is not None:
-            self.phase_seconds = phase_seconds
-        if counters is not None:
-            self.counters = counters
+    def finish(self, facts: Dict) -> None:
+        """Stamp the terminal facts (first call wins): a dict of the
+        record's fields (``status``, ``cache``, ``retries``,
+        ``signature``, ``latency_seconds``, ``service_seconds``,
+        ``stop_reason``, ``error``, ``plan``, ``phase_seconds``,
+        ``counters``); a field it leaves out keeps its in-flight value.
+        The dict is kept, not copied, so the caller must not mutate it
+        afterwards."""
+        if self.facts is None:
+            self.facts = facts
 
     def as_dict(self) -> Dict:
         """JSON-ready snapshot (safe to call while events still land —
@@ -173,20 +151,26 @@ class FlightRecord:
         return {
             "schema": FLIGHT_SCHEMA,
             "request_id": self.request_id,
-            "finished": self.finished,
-            "status": self.status,
-            "cache": self.cache,
-            "retries": self.retries,
-            "signature": self.signature,
-            "latency_seconds": self.latency_seconds,
-            "service_seconds": self.service_seconds,
-            "stop_reason": self.stop_reason,
-            "error": self.error,
-            "plan": dict(self.plan) if self.plan is not None else None,
-            "phase_seconds": dict(self.phase_seconds),
-            "counters": dict(self.counters),
+            "finished": self.facts is not None,
+            **_IN_FLIGHT,
+            "phase_seconds": {},
+            "counters": {},
+            **(self.facts or {}),
             "events": list(self.events),
         }
+
+
+class QuietRecord(FlightRecord):
+    """The record of a request when the flight ring is off: lifecycle
+    events are dropped (each :meth:`event` is a no-op, as every
+    :data:`~repro.observability.tracer.NULL_TRACER` method is), and only
+    the terminal facts are kept, so the slow-query log and the history
+    read one record shape whether the ring is on or off."""
+
+    __slots__ = ()
+
+    def event(self, ev: str, **detail) -> None:
+        return None
 
 
 class FlightRecorder:

@@ -1,13 +1,14 @@
 """Append-only, size-rotated query-history store.
 
-The ROADMAP's workload-adaptive-planning item needs a training
-substrate: for every query the service has ever answered, *what did the
-query look like* (structural features + the plan the optimizer chose)
-and *what did it cost* (observed per-phase seconds and enumeration
-counters).  :class:`QueryHistory` is that substrate — a durable JSONL
-log keyed by the canonical query signature (the same
-``canonical_form`` signature the index cache dedupes on, so
-isomorphic queries share a key and their costs can be pooled).
+The history is the durable view of the service's terminal request
+record: the flight ring keeps the last N requests in memory, and this
+JSONL log keeps every completed request on disk, bounded by bytes.  A
+line carries the request's terminal facts — the same dict its flight
+record and slow-log line read (status, cache tier, retries, latencies,
+per-phase seconds, counters) — plus a feature block (the query's
+structure and the plan the optimizer chose), keyed by the canonical
+query signature (the same ``canonical_form`` signature the index cache
+dedupes on, so isomorphic queries share a key).
 
 One record per completed request::
 
@@ -27,8 +28,9 @@ earlier ones).  When the active file exceeds ``max_bytes`` it is
 rotated shift-style (``path`` → ``path.1`` → ``path.2`` …), keeping at
 most ``keep`` rotated segments — the same bounded-disk discipline the
 index cache's spill tier uses.  ``schema`` is stamped into every record
-so a future adaptive planner can refuse (or up-convert) records written
-under an older shape instead of mis-training on them.
+so a reader can refuse a shape it does not know; a damaged segment
+(active or rotated) reads back as records or raises
+:class:`HistoryError`.
 """
 
 from __future__ import annotations

@@ -1,16 +1,13 @@
 """Named-metric registry with declared merge semantics.
 
-Before this module, every new ``MatchStats`` counter had to be added in
-three places — the dataclass field, the hand-written ``merge`` body, and
-whichever CLI dump mentioned it — and the worker and machine merge paths
-each carried their own copy of the fold.  :class:`MetricsRegistry`
-replaces that with *data*: a :class:`MetricSpec` declares each metric's
-kind (counter / gauge / histogram) and how two runs' values combine
-(``sum`` for work counters, ``max`` for peak gauges such as
-``memory_bytes``), and :meth:`MetricsRegistry.merge` is the single
-implementation every merge path routes through —
-``MatchStats.merge`` (per-worker fold), the parallel executor and the
-distributed runtime all included.
+A :class:`MetricSpec` declares each metric's kind (counter / gauge /
+histogram) and how two runs' values combine (``sum`` for work counters,
+``max`` for peak gauges such as ``memory_bytes``), and
+:meth:`MetricsRegistry.merge` folds two registries by those semantics —
+the service's live registry, its scrape-time snapshots and the fold of
+each request's stats into it.  ``MatchStats``' spec table is derived
+from its fields, and ``MatchStats.merge`` applies the semantic that
+table declares field by field, without building registries.
 
 A labeled spec (``labeled=True``) is a metric *family*: one value per
 label, e.g. ``phase_seconds{phase="filter"}``.  Histograms are kept as

@@ -36,7 +36,10 @@ Response lines mirror :class:`~repro.service.request.MatchResponse`::
      "latency_seconds": ..., "service_seconds": ..., "retries": 0}
 
 A malformed line yields ``{"status": "failed", "error": ...}`` instead
-of killing the loop — a resident service must outlive bad input.
+of killing the loop — a resident service must outlive bad input.  The
+error names the exception the line raised (``bad request: TypeError:
+...``): a line that is JSON but not an object, a field of the wrong type
+or range, or a ``flight`` filter that is not an integer.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ from .service import MatchService
 
 __all__ = ["query_from_json", "response_to_json", "serve"]
 
+#: What decoding a malformed line raises (``OverflowError`` is ``int``
+#: of an infinite number, which the JSON parser accepts as ``Infinity``).
+_MALFORMED = (ValueError, KeyError, TypeError, OverflowError)
+
 
 def query_from_json(payload: Dict) -> Graph:
     """Build the query graph from a request's ``query`` object."""
@@ -62,6 +69,10 @@ def query_from_json(payload: Dict) -> Graph:
     edges = [
         (int(s), int(d)) for s, d in payload.get("edges", [])
     ]
+    if n > len(edges) + 1:
+        # Fewer than n - 1 edges cannot connect n vertices: refuse before
+        # the graph allocates a vertex table of the requested size.
+        raise ValueError("query graph must be connected")
     labels = payload.get("labels")
     return Graph(n, edges, labels)
 
@@ -79,8 +90,12 @@ def _budget_from_json(line: Dict) -> Optional[Budget]:
 
 
 def request_from_json(line: Dict) -> MatchRequest:
-    """Decode one request line (raises ``ValueError``/``KeyError`` on
+    """Decode one request line (raises one of ``_MALFORMED`` on
     malformed input — the loop turns those into ``failed`` lines)."""
+    if not isinstance(line, dict):
+        raise TypeError(
+            f"a request must be a JSON object, not {type(line).__name__}"
+        )
     kwargs = {}
     if line.get("id") is not None:
         kwargs["request_id"] = int(line["id"])
@@ -138,7 +153,8 @@ def serve(
             continue
         try:
             line = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the parser's stack.
             _emit(out_stream, {"status": Status.FAILED, "error": str(exc)})
             continue
         command = None
@@ -157,15 +173,16 @@ def serve(
             _emit(out_stream, {key: "metrics", **service.snapshot()})
             continue
         if command == "flight":
+            try:
+                request_id, limit = (
+                    None if line.get(name) is None else int(line[name])
+                    for name in ("id", "limit")
+                )
+            except _MALFORMED as exc:
+                _emit(out_stream, _bad_request(line, exc))
+                continue
             records = service.flight_records(
-                request_id=(
-                    int(line["id"]) if line.get("id") is not None else None
-                ),
-                limit=(
-                    int(line["limit"])
-                    if line.get("limit") is not None
-                    else None
-                ),
+                request_id=request_id, limit=limit
             )
             payload: Dict = {
                 key: "flight",
@@ -182,12 +199,8 @@ def serve(
             continue
         try:
             request = request_from_json(line)
-        except (ValueError, KeyError, TypeError) as exc:
-            _emit(out_stream, {
-                "id": line.get("id") if isinstance(line, dict) else None,
-                "status": Status.FAILED,
-                "error": f"bad request: {exc}",
-            })
+        except _MALFORMED as exc:
+            _emit(out_stream, _bad_request(line, exc))
             continue
         response = service.match(request)
         handled += 1
@@ -199,6 +212,16 @@ def serve(
             ),
         )
     return handled
+
+
+def _bad_request(line: object, exc: Exception) -> Dict:
+    """The ``failed`` reply to a line that did not decode, naming the
+    exception it raised."""
+    return {
+        "id": line.get("id") if isinstance(line, dict) else None,
+        "status": Status.FAILED,
+        "error": f"bad request: {type(exc).__name__}: {exc}",
+    }
 
 
 def _emit(out_stream: TextIO, payload: Dict) -> None:

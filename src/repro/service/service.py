@@ -38,9 +38,12 @@ recovers lost ones.  The pieces, and where each lives:
   after an exponential-backoff-with-jitter delay, up to
   ``max_retries`` times; the response's ``retries`` field and the
   ``service_retries_total`` counter account for every re-run;
-* **telemetry** — finalisation books metrics, the flight record, the
-  slow-query log, the query history and trace phases, the same way for
-  every executor.
+* **telemetry** — every job carries one request record (in the
+  flight ring when it is on, a :class:`~repro.observability.flight.QuietRecord`
+  that drops events otherwise); finalisation builds the request's
+  terminal facts once, and the flight record, the slow-query log and
+  the query history all read that one dict, the same way for every
+  executor.
 
 Executors implement the small :class:`Executor` protocol and report
 back through two front-end callbacks (:meth:`MatchService._task_done`
@@ -92,7 +95,7 @@ from ..core.matcher import CECIMatcher
 from ..core.stats import MatchStats
 from ..core.store import CompactCECI
 from ..graph import Graph
-from ..observability.flight import FLIGHT_SCHEMA, FlightRecorder
+from ..observability.flight import FlightRecord, FlightRecorder, QuietRecord
 from ..observability.history import QueryHistory
 from ..observability.metrics import MetricSpec, MetricsRegistry
 from ..observability.tracer import NULL_TRACER
@@ -260,6 +263,15 @@ def service_metric_specs() -> Tuple[MetricSpec, ...]:
     )
 
 
+#: The terminal facts a history line carries (besides its signature and
+#: features): the flight-only ``stop_reason``, ``error`` and ``plan`` stay
+#: out, and the plan rides in ``features``.
+_HISTORY_FACTS = (
+    "request_id", "status", "cache", "retries", "latency_seconds",
+    "service_seconds", "phase_seconds", "counters",
+)
+
+
 def _stat_counters(stats: MatchStats) -> Dict[str, int]:
     """The non-zero integer counters of one request's stats — the
     ``counters`` object flight records and history records carry
@@ -420,7 +432,7 @@ class _Job:
         "request", "pending", "submitted_at", "prepared_at", "deadline_at",
         "symmetry", "store", "cache_tag", "signature", "tracker", "stats",
         "pivots", "parts", "remaining", "error", "error_kind", "retries",
-        "fanout", "cancelled", "done", "lock", "flight", "plan", "entry",
+        "fanout", "cancelled", "done", "lock", "record", "plan", "entry",
     )
 
     def __init__(
@@ -428,6 +440,7 @@ class _Job:
         request: MatchRequest,
         pending: PendingMatch,
         submitted_at: float,
+        record: Optional[FlightRecord] = None,
     ) -> None:
         self.request = request
         #: The caller's handle, until the job resolves it: the handle
@@ -463,9 +476,12 @@ class _Job:
         #: only; reported as the response's ``shard_fanout``).
         self.fanout: Optional[int] = None
         self.cancelled = False
-        #: Telemetry (optional): this request's flight record in the
-        #: service's ring, and the plan facts captured at prepare time.
-        self.flight = None
+        #: This request's record, written once per lifecycle step: in
+        #: the service's flight ring, or quiet when the ring is off.
+        self.record = (
+            QuietRecord(request.request_id) if record is None else record
+        )
+        #: Plan facts captured at prepare time (telemetry only).
         self.plan: Optional[Dict] = None
         #: First-wins finalization flag, written under ``lock``: the
         #: monitor, the watchdog and the normal completion path can all
@@ -548,7 +564,7 @@ class MatchService:
         flight_records: int = 0,
         history: Optional[Union[QueryHistory, str]] = None,
         slow_ms: Optional[float] = None,
-        slow_log: Optional[Union[str, TextIO]] = None,
+        slow_log: Optional[str] = None,
         fold_request_stats: bool = False,
         tracer=None,
     ) -> None:
@@ -577,7 +593,7 @@ class MatchService:
         for spec in self.metric_specs():
             self.metrics.register(spec)
         #: Telemetry: all off by default so a bare service pays only
-        #: ``is None`` checks on the request path (the <3% overhead
+        #: no-op record writes on the request path (the <3% overhead
         #: budget in DESIGN.md §13); ``repro serve`` turns them on.
         self.flight = (
             FlightRecorder(flight_records) if flight_records > 0 else None
@@ -587,8 +603,14 @@ class MatchService:
         self.slow_ms = slow_ms
         self.fold_request_stats = fold_request_stats
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self._slow_log_path = slow_log if isinstance(slow_log, str) else None
-        self._slow_stream = slow_log if not isinstance(slow_log, str) else None
+        #: Whether anything reads a request's plan facts and terminal
+        #: facts: the gate keeping their cost off the default path.
+        self._keeps_records = (
+            self.flight is not None
+            or self.history is not None
+            or slow_ms is not None
+        )
+        self._slow_log_path = slow_log
         self._slow_handle: Optional[TextIO] = None
         self._slow_lock = threading.Lock()
         self._fold_lock = threading.Lock()
@@ -667,13 +689,16 @@ class MatchService:
                     f"queue depth {self._inflight} at limit "
                     f"{self.max_pending}"
                 )
-                if self.flight is not None:
-                    record = self.flight.begin(request.request_id)
-                    record.event(
-                        "admit", outcome="rejected", queue_depth=self._inflight
-                    )
-                    record.event("final", status=Status.REJECTED)
-                    record.finish(status=Status.REJECTED, error=error)
+                record = self._record(request.request_id)
+                record.event(
+                    "admit", outcome="rejected", queue_depth=self._inflight
+                )
+                record.event("final", status=Status.REJECTED)
+                record.finish({
+                    "request_id": request.request_id,
+                    "status": Status.REJECTED,
+                    "error": error,
+                })
                 pending._resolve(MatchResponse(
                     request_id=request.request_id,
                     status=Status.REJECTED,
@@ -684,13 +709,13 @@ class MatchService:
             if self._inflight > self._peak:
                 self._peak = self._inflight
                 self.metrics.set_gauge("service_queue_depth_peak", self._peak)
-            job = _Job(request, pending, now)
-            if self.flight is not None:
-                job.flight = self.flight.begin(request.request_id)
-                job.flight.event(
-                    "admit", outcome="admitted",
-                    queue_depth=self._inflight, solo=request.solo,
-                )
+            job = _Job(
+                request, pending, now, self._record(request.request_id)
+            )
+            job.record.event(
+                "admit", outcome="admitted",
+                queue_depth=self._inflight, solo=request.solo,
+            )
             deadline = request.deadline_seconds
             if deadline is None:
                 deadline = self.deadline_seconds
@@ -702,6 +727,13 @@ class MatchService:
             self._inbox.append(job)
             self._inbox_ready.notify()
         return pending
+
+    def _record(self, request_id: int) -> FlightRecord:
+        """A new request's record: opened in the flight ring when it is
+        on, quiet otherwise."""
+        if self.flight is None:
+            return QuietRecord(request_id)
+        return self.flight.begin(request_id)
 
     def match(self, request: MatchRequest) -> MatchResponse:
         """Submit and wait — the synchronous convenience path."""
@@ -892,11 +924,10 @@ class MatchService:
             job.retries += 1
             self.metrics.inc("service_retries_total")
             delay = policy.delay(job.retries, self._retry_rng)
-            if job.flight is not None:
-                job.flight.event(
-                    "retry", attempt=job.retries, kind=kind,
-                    delay_seconds=round(delay, 6),
-                )
+            job.record.event(
+                "retry", attempt=job.retries, kind=kind,
+                delay_seconds=round(delay, 6),
+            )
             if delay <= 0.0:
                 self._requeue(job)
             else:
@@ -1012,12 +1043,11 @@ class MatchService:
         its budget clock, and build its symmetry breaker."""
         request = job.request
         job.prepared_at = time.perf_counter()
-        if job.flight is not None:
-            job.flight.event(
-                "prepare",
-                queue_seconds=round(job.prepared_at - job.submitted_at, 6),
-                attempt=job.retries,
-            )
+        job.record.event(
+            "prepare",
+            queue_seconds=round(job.prepared_at - job.submitted_at, 6),
+            attempt=job.retries,
+        )
         if self.tracer.enabled:
             self.tracer.phase(
                 "queue", job.submitted_at,
@@ -1075,21 +1105,20 @@ class MatchService:
             )
             paid_build += build_seconds
             self.metrics.observe("service_build_seconds", build_seconds)
-        if job.flight is not None:
-            job.flight.event(
-                "index", tier=tag,
-                transplanted=(tag != "miss" and store is not entry.store),
-                build_seconds=round(paid_build, 6),
-            )
-        if self._telemetry_active(job):
+        job.record.event(
+            "index", tier=tag,
+            transplanted=(tag != "miss" and store is not entry.store),
+            build_seconds=round(paid_build, 6),
+        )
+        if self._keeps_records:
             try:
                 job.plan = plan_facts(store, request.query)
             except Exception:  # noqa: BLE001 - plan facts are advisory;
                 # a store variant that cannot produce them must not fail
                 # the request
                 job.plan = None
-            if job.flight is not None and job.plan is not None:
-                job.flight.event(
+            if job.plan is not None:
+                job.record.event(
                     "plan",
                     root=job.plan["root"],
                     clusters=job.plan["clusters"],
@@ -1101,15 +1130,6 @@ class MatchService:
         # time.
         if job.tracker is not None:
             job.tracker.check_deadline()
-
-    def _telemetry_active(self, job: _Job) -> bool:
-        """Whether any consumer of plan facts / per-request records is
-        configured — the gate keeping their cost off the default path."""
-        return (
-            job.flight is not None
-            or self.history is not None
-            or self.slow_ms is not None
-        )
 
     def _fresh_matcher(
         self, query: Graph, request_id: Optional[int] = None
@@ -1140,8 +1160,7 @@ class MatchService:
         if job.done:  # resolved (monitor, timed-out close) during prepare
             return
         if job.request.solo:
-            if job.flight is not None:
-                job.flight.event("planned", mode="solo")
+            job.record.event("planned", mode="solo")
             self.executor.run_solo(job)
             return
         pivots, plan, assignment = self._unit_plan(job)
@@ -1150,12 +1169,11 @@ class MatchService:
             return
         self.metrics.set_gauge("service_plan_makespan", plan.makespan)
         self.metrics.set_gauge("service_plan_skew", plan.skew)
-        if job.flight is not None:
-            job.flight.event(
-                "planned", mode="batched", units=len(pivots),
-                makespan=round(plan.makespan, 3),
-                skew=round(plan.skew, 4),
-            )
+        job.record.event(
+            "planned", mode="batched", units=len(pivots),
+            makespan=round(plan.makespan, 3),
+            skew=round(plan.skew, 4),
+        )
         with job.lock:
             job.pivots = pivots
             job.remaining = len(pivots)
@@ -1210,15 +1228,14 @@ class MatchService:
         """Book one finished task's enumeration time into its stats, the
         trace (when ``traced`` and the executor measured ``started`` in
         this process, tagged with the request and the ``worker`` slot
-        that ran it) and the flight record."""
+        that ran it) and the request record."""
         stats.add_phase("enumerate", seconds)
         if traced and started is not None:
             self.tracer.phase(
                 "enumerate", started, seconds,
                 request=job.request.request_id, worker=worker,
             )
-        if job.flight is not None:
-            job.flight.event(ev, seconds=round(seconds, 6), **detail)
+        job.record.event(ev, seconds=round(seconds, 6), **detail)
 
     def _task_done(
         self,
@@ -1309,10 +1326,7 @@ class MatchService:
         attempt concludes once every outstanding unit has reported.
         "timeout" (a wedged worker) resolves the job ``TIMEOUT`` at
         once."""
-        if job.flight is not None:
-            job.flight.event(
-                "unit_failed", units=units, kind=kind, error=error
-            )
+        job.record.event("unit_failed", units=units, kind=kind, error=error)
         if kind == "timeout":
             self._finalize(job, [], Status.TIMEOUT, error=error)
             return
@@ -1357,50 +1371,39 @@ class MatchService:
             # enumeration counters, not just service-level outcomes.
             with self._fold_lock:
                 self.metrics.merge(job.stats.registry())
-        slow = self.slow_ms is not None and latency * 1000.0 >= self.slow_ms
-        telemetry = (
-            job.flight is not None or slow or self.history is not None
-        )
-        counters = _stat_counters(job.stats) if telemetry else {}
-        signature = job.signature
-        if job.flight is not None:
-            # Finish the record *before* resolving the response so a
-            # caller that sees the response also sees a terminal record.
-            job.flight.event("final", status=status)
-            job.flight.finish(
-                status=status,
-                cache=job.cache_tag,
-                retries=job.retries,
-                signature=signature,
-                latency_seconds=latency,
-                service_seconds=service_seconds,
-                stop_reason=stop_reason,
-                error=error,
-                plan=job.plan,
-                phase_seconds=dict(job.stats.phase_seconds),
-                counters=counters,
-            )
-        # Slow-log and history writes happen before the resolve too:
-        # a caller that saw the response can rely on its history line
-        # being durable, and serial submitters observe history lines in
-        # submission order (resolving first would let request N+1's
-        # line overtake request N's).
-        if slow:
-            self.metrics.inc("service_slow_requests")
-            self._log_slow(
-                job, status, stop_reason, error,
-                latency, service_seconds, signature, counters,
-            )
-        if self.history is not None:
-            try:
-                self.history.append(self._history_record(
-                    job, status, latency, service_seconds,
-                    signature, counters,
-                ))
-                self.metrics.inc("service_history_records")
-            except Exception:  # noqa: BLE001 - telemetry I/O must never
-                # fail a request that already has its answer
-                pass
+        if self._keeps_records:
+            # The terminal facts, built once: the flight record, the
+            # slow-log line and the history line all read this dict.
+            # They are written *before* the response resolves, so a
+            # caller that sees the response also sees a terminal record
+            # and a durable history line, and serial submitters observe
+            # history lines in submission order (resolving first would
+            # let request N+1's line overtake request N's).
+            job.record.event("final", status=status)
+            job.record.finish({
+                "request_id": job.request.request_id,
+                "status": status,
+                "cache": job.cache_tag,
+                "retries": job.retries,
+                "signature": job.signature,
+                "latency_seconds": latency,
+                "service_seconds": service_seconds,
+                "stop_reason": stop_reason,
+                "error": error,
+                "plan": job.plan,
+                "phase_seconds": dict(job.stats.phase_seconds),
+                "counters": _stat_counters(job.stats),
+            })
+            if self.slow_ms is not None and latency * 1000.0 >= self.slow_ms:
+                self.metrics.inc("service_slow_requests")
+                self._log_slow(job.record)
+            if self.history is not None:
+                try:
+                    self.history.append(self._history_record(job))
+                    self.metrics.inc("service_history_records")
+                except Exception:  # noqa: BLE001 - telemetry I/O must
+                    # never fail a request that already has its answer
+                    pass
         pending._resolve(MatchResponse(
             request_id=job.request.request_id,
             status=status,
@@ -1421,75 +1424,33 @@ class MatchService:
             if self._inflight == 0:
                 self._idle.notify_all()
 
-    def _log_slow(
-        self,
-        job: _Job,
-        status: str,
-        stop_reason: Optional[str],
-        error: Optional[str],
-        latency: float,
-        service_seconds: float,
-        signature: Optional[str],
-        counters: Dict[str, int],
-    ) -> None:
-        """Append one flight-shaped JSONL line (plus the threshold that
-        tripped) to the slow-query log — the input of ``repro explain``."""
-        sink = self._slow_sink()
-        if sink is None:
+    def _log_slow(self, record: FlightRecord) -> None:
+        """Append the finished record (plus the threshold that tripped)
+        as one JSONL line to the slow-query log — the input of ``repro
+        explain``."""
+        if self._slow_log_path is None:
             return
-        if job.flight is not None:
-            line = job.flight.as_dict()
-        else:
-            line = {
-                "schema": FLIGHT_SCHEMA,
-                "request_id": job.request.request_id,
-                "status": status,
-                "cache": job.cache_tag,
-                "retries": job.retries,
-                "signature": signature,
-                "latency_seconds": latency,
-                "service_seconds": service_seconds,
-                "stop_reason": stop_reason,
-                "error": error,
-                "plan": job.plan,
-                "phase_seconds": dict(job.stats.phase_seconds),
-                "counters": counters,
-                "events": [],
-            }
-        line["slow_ms"] = self.slow_ms
         try:
+            line = json.dumps({**record.as_dict(), "slow_ms": self.slow_ms})
             with self._slow_lock:
-                sink.write(json.dumps(line) + "\n")
-                sink.flush()
+                if self._slow_handle is None:
+                    self._slow_handle = open(
+                        self._slow_log_path, "a", encoding="utf-8"
+                    )
+                self._slow_handle.write(line + "\n")
+                self._slow_handle.flush()
         except Exception:  # noqa: BLE001 - a broken log sink must not
             # fail requests
             pass
 
-    def _slow_sink(self) -> Optional[TextIO]:
-        if self._slow_stream is not None:
-            return self._slow_stream
-        if self._slow_log_path is None:
-            return None
-        with self._slow_lock:
-            if self._slow_handle is None:
-                self._slow_handle = open(
-                    self._slow_log_path, "a", encoding="utf-8"
-                )
-        return self._slow_handle
-
-    def _history_record(
-        self,
-        job: _Job,
-        status: str,
-        latency: float,
-        service_seconds: float,
-        signature: Optional[str],
-        counters: Dict[str, int],
-    ) -> Dict:
-        """One query-history line: structural features + the chosen plan
-        + observed costs — the adaptive planner's training substrate."""
+    def _history_record(self, job: _Job) -> Dict:
+        """One query-history line: the durable view of the request's
+        terminal facts (those of :data:`_HISTORY_FACTS`), keyed by its
+        canonical signature, plus the query's structural features and
+        the plan facts."""
         request = job.request
         query = request.query
+        facts = job.record.facts
         features: Dict[str, object] = {
             "query_vertices": query.num_vertices,
             "query_edges": query.num_edges,
@@ -1502,22 +1463,15 @@ class MatchService:
         if job.plan is not None:
             features.update(job.plan)
         return {
+            **{key: facts[key] for key in _HISTORY_FACTS},
             "signature": (
-                signature
-                if signature is not None
+                job.signature
+                if job.signature is not None
                 # Failed before prepare: no canonical signature was
                 # computed; the raw fingerprint still keys the record.
                 else f"unprepared:{query.fingerprint()}"
             ),
-            "request_id": request.request_id,
-            "status": status,
-            "cache": job.cache_tag,
-            "retries": job.retries,
-            "latency_seconds": latency,
-            "service_seconds": service_seconds,
             "features": features,
-            "phase_seconds": dict(job.stats.phase_seconds),
-            "counters": counters,
         }
 
 
@@ -1753,10 +1707,7 @@ class _ThreadExecutor:
                     stalled.append(beat)
         for beat in crashed:
             units = _units(beat.share)
-            if beat.job.flight is not None:
-                beat.job.flight.event(
-                    "worker_crash", slot=beat.slot, units=units
-                )
+            beat.job.record.event("worker_crash", slot=beat.slot, units=units)
             self.service._unit_failed(
                 beat.job, units,
                 f"worker died holding the request (slot {beat.slot})",
@@ -1764,10 +1715,7 @@ class _ThreadExecutor:
             )
         for beat in stalled:
             units = _units(beat.share)
-            if beat.job.flight is not None:
-                beat.job.flight.event(
-                    "worker_stall", slot=beat.slot, units=units
-                )
+            beat.job.record.event("worker_stall", slot=beat.slot, units=units)
             self.service._unit_failed(
                 beat.job, units,
                 f"request stalled past {self.stall_after_seconds}s "

@@ -375,8 +375,7 @@ class _ShardExecutor:
         ]
         job.fanout = len(owned)
         self.metrics.observe("service_shard_fanout", len(owned))
-        if job.flight is not None:
-            job.flight.event("fanout", shards=len(owned))
+        job.record.event("fanout", shards=len(owned))
         for shard, assigned in owned:
             spec = dict(base, pivots=assigned)
             self._enqueue(
@@ -595,18 +594,19 @@ class _ShardExecutor:
             self.metrics.set_gauge(
                 "service_shard_inflight", len(self._inflight_tasks)
             )
+        # Booked before the send: once sent, the shard's reply can
+        # finalize the request before this thread runs again, and a
+        # record's ``final`` event must stay its last.
+        task.job.record.event(
+            "shard_dispatch", shard=shard_index, task=task.task_id,
+            kind="units" if task.units else "solo",
+        )
         try:
             with self._fork_lock:
                 conn = self._shards[shard_index].conn
             with self._send_locks[shard_index]:
                 conn.send(("task", task.task_id, pick, task.spec))
             self.metrics.inc("service_shard_tasks_total")
-            if task.job.flight is not None:
-                task.job.flight.event(
-                    "shard_dispatch", shard=shard_index,
-                    task=task.task_id,
-                    kind="units" if task.units else "solo",
-                )
         except Exception:  # noqa: BLE001 - dead pipe: the reader
             # respawns the shard; requeue and hand the permit back.
             # Whoever claims the in-flight record owns the permit
@@ -686,11 +686,10 @@ class _ShardExecutor:
         if job.done:
             return
         record.redispatches += 1
-        if job.flight is not None:
-            job.flight.event(
-                "shard_recover", shard=shard_index, task=record.task_id,
-                reason=reason, attempt=record.redispatches,
-            )
+        job.record.event(
+            "shard_recover", shard=shard_index, task=record.task_id,
+            reason=reason, attempt=record.redispatches,
+        )
         if record.redispatches > self.max_redispatch:
             self.service._unit_failed(
                 job, record.units,
@@ -738,11 +737,10 @@ class _ShardExecutor:
             shard = self._shards[shard_index]
             shard.busy_seconds += float(payload["busy"])
             shard.tasks += 1
-        if job.flight is not None:
-            job.flight.event(
-                "shard_result", shard=shard_index, task=record.task_id,
-                busy=round(float(payload["busy"]), 6),
-            )
+        job.record.event(
+            "shard_result", shard=shard_index, task=record.task_id,
+            busy=round(float(payload["busy"]), 6),
+        )
         self.service._task_done(
             job, payload, payload["seconds"], worker=shard_index
         )

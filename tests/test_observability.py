@@ -14,8 +14,10 @@ import io
 import json
 import threading
 from collections import Counter
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import CECIMatcher
 from repro.core.stats import MatchStats, match_metric_specs
@@ -312,16 +314,31 @@ class TestMatchStatsMerge:
         a.merge(b)
         assert a.phase_seconds == {"enumerate": 1.25, "filter": 0.5}
 
-    def test_registry_round_trip(self):
-        stats = MatchStats()
-        stats.recursive_calls = 9
-        stats.memory_bytes = 512
-        stats.add_phase("refine", 0.125)
-        clone = MatchStats()
-        clone.apply_registry(stats.registry())
-        assert clone.recursive_calls == 9
-        assert clone.memory_bytes == 512
-        assert clone.phase_seconds == {"refine": 0.125}
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_merge_matches_registry_fold(self, data):
+        """The field-by-field merge applies exactly the semantic the
+        spec table declares: folding the two projections through
+        :meth:`MetricsRegistry.merge` gives the merged stats' registry."""
+
+        def draw_stats() -> MatchStats:
+            stats = MatchStats()
+            for f in fields(MatchStats):
+                if f.name != "phase_seconds":
+                    setattr(stats, f.name, data.draw(st.integers(0, 10**12)))
+            for phase in data.draw(st.lists(st.sampled_from(
+                ("preprocess", "filter", "refine", "enumerate", "merge")
+            ), unique=True)):
+                stats.add_phase(phase, data.draw(st.floats(0.0, 1e3)))
+            return stats
+
+        a, b = draw_stats(), draw_stats()
+        folded = a.registry().merge(b.registry()).as_dict()
+        a.merge(b)
+        assert a.registry().as_dict() == folded
+        assert list(a.phase_seconds) == list(
+            folded["metrics"].get("phase_seconds", {})
+        )
 
     def test_specs_cover_every_field(self):
         from dataclasses import fields

@@ -28,7 +28,7 @@ from repro.core.enumeration import embedding_tuples
 from repro.core.matcher import CECIMatcher
 from repro.graph import Graph, inject_labels
 from repro.graph.generators import power_law
-from repro.observability import read_history
+from repro.observability import load_flight_records, read_history
 from repro.parallel.scheduling import dynamic_schedule
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RetryPolicy
@@ -483,6 +483,60 @@ def test_history_has_one_line_per_response_in_submission_order(
         response.status for response in responses
     ]
     assert [r["cache"] for r in records] == ["miss", "miss", "hit"]
+
+
+#: The terminal facts a history line shares with the flight record.
+_SHARED_FACTS = (
+    "status", "cache", "retries", "latency_seconds", "service_seconds",
+    "phase_seconds", "counters",
+)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_flight_slow_log_and_history_read_one_record(executor, tmp_path):
+    """One set of terminal facts per request: a slow-log line has the
+    flight record's shape whether the ring is on or off, and the
+    history line carries the flight record's facts."""
+    data, queries, _ = _workload()
+
+    def run(tag: str, **telemetry) -> Tuple[List, List]:
+        slow_log = str(tmp_path / f"{tag}-slow.jsonl")
+        with _service(
+            executor, data, slow_ms=0.0, slow_log=slow_log, **telemetry
+        ) as service:
+            for request in (
+                _request(queries[0]), _request(queries[1], limit=2)
+            ):
+                assert service.match(request).ok
+            records = service.flight_records()
+        return load_flight_records(slow_log), records
+
+    history_path = str(tmp_path / "history.jsonl")
+    ring_lines, records = run(
+        "ring", flight_records=8, history=history_path
+    )
+    quiet_lines, _ = run("quiet")
+    assert [set(line) for line in quiet_lines] == [
+        set(line) for line in ring_lines
+    ]
+    for line in ring_lines + quiet_lines:
+        assert line["finished"] is True and line["status"] == Status.OK
+    assert all(line["events"] == [] for line in quiet_lines)
+    by_id = {record["request_id"]: record for record in records}
+    for line in ring_lines:
+        record = by_id[line["request_id"]]
+        assert {
+            key: value for key, value in line.items()
+            if key not in ("events", "slow_ms")
+        } == {key: value for key, value in record.items() if key != "events"}
+    history = read_history(history_path)
+    assert len(history) == len(records) == 2
+    for line in history:
+        record = by_id[line["request_id"]]
+        assert {key: line[key] for key in _SHARED_FACTS} == {
+            key: record[key] for key in _SHARED_FACTS
+        }
+        assert line["signature"] == record["signature"]
 
 
 @pytest.mark.parametrize(

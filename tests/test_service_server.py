@@ -14,6 +14,7 @@ import json
 from typing import Dict, List
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import Graph
 from repro.service import MatchService, serve
@@ -211,3 +212,81 @@ def test_op_flight_disabled_hint():
     assert response["enabled"] is False
     assert response["records"] == []
     assert "--flight-records" in response["error"]
+
+
+def test_lines_that_do_not_decode_answer_failed_and_serving_continues():
+    payload = "\n".join([
+        json.dumps([1, 2]),
+        json.dumps(5),
+        json.dumps("x"),
+        json.dumps(None),
+        json.dumps({"op": "flight", "id": "abc"}),
+        json.dumps({"op": "flight", "limit": [1]}),
+        json.dumps({"op": "flight", "id": float("inf")}),
+        json.dumps({**TRIANGLE_LINE, "id": float("inf")}),
+        "[" * 100_000,
+        # A vertex count no edge list can connect is refused before the
+        # graph allocates it.
+        json.dumps({"query": {"n": 10**12, "edges": []}, "id": 4}),
+        json.dumps({**TRIANGLE_LINE, "id": 5}),
+    ]) + "\n"
+    out = io.StringIO()
+    with MatchService(DATA, workers=2, flight_records=4) as service:
+        handled = serve(service, io.StringIO(payload), out)
+    responses = [json.loads(raw) for raw in out.getvalue().splitlines()]
+    assert len(responses) == 11
+    assert all(r["status"] == Status.FAILED for r in responses[:-1])
+    errors = [r["error"] for r in responses]
+    assert all("TypeError" in e for e in errors[:4])
+    assert "ValueError" in errors[4] and "TypeError" in errors[5]
+    assert "OverflowError" in errors[6] and "OverflowError" in errors[7]
+    assert "recursion" in errors[8]
+    assert responses[9]["id"] == 4 and "connected" in errors[9]
+    assert responses[-1]["status"] == Status.OK
+    assert responses[-1]["id"] == 5 and responses[-1]["count"] == 2
+    assert handled == 1
+
+
+#: JSON values whose object keys are often the protocol's own, so drawn
+#: lines reach every decoder (query, budget axes, control verbs).
+_PROTOCOL_KEYS = st.sampled_from([
+    "query", "n", "edges", "labels", "id", "limit", "op", "cmd",
+    "embeddings", "deadline_seconds", "service_deadline_seconds",
+    "max_calls", "max_embeddings", "max_memory_bytes",
+    "break_automorphisms",
+])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["metrics", "flight"]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        _PROTOCOL_KEYS | st.text(max_size=6), children, max_size=5
+    ),
+    max_leaves=16,
+).filter(
+    # A shutdown line is the one line answered by no reply.
+    lambda line: not (
+        isinstance(line, dict)
+        and "shutdown" in (line.get("cmd"), line.get("op"))
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_service():
+    with MatchService(DATA, workers=2, flight_records=4) as service:
+        yield service
+
+
+@settings(max_examples=150, deadline=None)
+@given(line=_JSON_VALUES)
+def test_any_json_line_gets_one_reply_and_serving_continues(
+    fuzz_service, line
+):
+    payload = json.dumps(line) + "\n" + json.dumps(
+        {**TRIANGLE_LINE, "id": 9}
+    ) + "\n"
+    out = io.StringIO()
+    serve(fuzz_service, io.StringIO(payload), out)
+    replies = [json.loads(raw) for raw in out.getvalue().splitlines()]
+    assert len(replies) == 2, replies
+    assert replies[1]["status"] == Status.OK and replies[1]["id"] == 9

@@ -68,7 +68,7 @@ class TestFlightRecorder:
     def test_ring_evicts_oldest(self):
         recorder = FlightRecorder(capacity=3)
         for request_id in range(1, 6):
-            recorder.begin(request_id).finish(status="ok")
+            recorder.begin(request_id).finish({"status": "ok"})
         assert len(recorder) == 3
         assert recorder.evicted == 2
         kept = [r["request_id"] for r in recorder.records()]
@@ -93,8 +93,8 @@ class TestFlightRecorder:
 
     def test_finish_is_first_call_wins(self):
         record = FlightRecorder(capacity=2).begin(7)
-        record.finish(status="ok", retries=1)
-        record.finish(status="crashed", retries=9)
+        record.finish({"status": "ok", "retries": 1})
+        record.finish({"status": "crashed", "retries": 9})
         out = record.as_dict()
         assert out["status"] == "ok" and out["retries"] == 1
         assert out["finished"] is True
@@ -118,7 +118,7 @@ class TestFlightValidation:
     def _minimal(self):
         record = FlightRecorder(capacity=1).begin(3)
         record.event("admit")
-        record.finish(status="ok")
+        record.finish({"status": "ok"})
         return record.as_dict()
 
     def test_minimal_record_validates(self):
@@ -149,7 +149,7 @@ class TestFlightValidation:
 class TestFlightFiles:
     def test_loads_dump_lines_and_plain_jsonl(self, tmp_path):
         record = FlightRecorder(capacity=1).begin(1)
-        record.finish(status="ok")
+        record.finish({"status": "ok"})
         dump = {"op": "flight", "records": [record.as_dict()]}
         path = tmp_path / "mixed.jsonl"
         path.write_text(
@@ -173,15 +173,15 @@ class TestFlightFiles:
         record = FlightRecorder(capacity=1).begin(12)
         record.event("admit", outcome="admitted")
         record.event("final", status="ok")
-        record.finish(
-            status="ok", cache="hit", latency_seconds=0.004,
-            service_seconds=0.003,
-            plan={"root": 0, "root_candidates": 5, "root_score": 2.5,
-                  "order": [0, 1], "level_candidates": [[0, 5], [1, 3]],
-                  "clusters": 5, "cardinality_bound": 15},
-            phase_seconds={"enumerate": 0.003},
-            counters={"recursive_calls": 9},
-        )
+        record.finish({
+            "status": "ok", "cache": "hit", "latency_seconds": 0.004,
+            "service_seconds": 0.003,
+            "plan": {"root": 0, "root_candidates": 5, "root_score": 2.5,
+                     "order": [0, 1], "level_candidates": [[0, 5], [1, 3]],
+                     "clusters": 5, "cardinality_bound": 15},
+            "phase_seconds": {"enumerate": 0.003},
+            "counters": {"recursive_calls": 9},
+        })
         flight_text = render_flight(record.as_dict())
         assert "request 12" in flight_text
         assert "admit" in flight_text and "root 0" in flight_text
@@ -368,6 +368,59 @@ class TestTelemetryFileFuzz:
         path.write_bytes(served_telemetry[which] + "\u20ac".encode()[:2])
         with pytest.raises(error, match=str(path)):
             loader(str(path))
+
+
+@pytest.fixture(scope="module")
+def rotated_history(tmp_path_factory):
+    """A history whose active file has rotated twice, so ``path.1`` and
+    ``path.2`` hold older records; returns the path and every
+    segment's bytes."""
+    path = tmp_path_factory.mktemp("rotated") / "history.jsonl"
+    with QueryHistory(str(path), max_bytes=600, keep=2) as history:
+        request_id = 0
+        while history.rotations < 2 or not path.exists():
+            history.append(_history_record(request_id=request_id))
+            request_id += 1
+    segments = {
+        name: (path.parent / name).read_bytes()
+        for name in ("history.jsonl", "history.jsonl.1", "history.jsonl.2")
+    }
+    return path, segments, len(read_history(str(path)))
+
+
+class TestRotatedHistoryFuzz:
+    """``read_history`` over damaged rotated segments: every truncation
+    and 1-4 byte flips of ``path.1`` or ``path.2`` either read back as
+    records or raise :class:`HistoryError`, never another exception."""
+
+    @staticmethod
+    def _read(path, segments, name, blob):
+        for other, data in segments.items():
+            (path.parent / other).write_bytes(blob if other == name else data)
+        try:
+            return read_history(str(path))
+        except HistoryError:
+            return None
+
+    @pytest.mark.parametrize("name", ["history.jsonl.1", "history.jsonl.2"])
+    def test_every_truncation(self, rotated_history, name):
+        path, segments, count = rotated_history
+        blob = segments[name]
+        full = self._read(path, segments, name, blob)
+        assert full is not None and len(full) == count
+        for cut in range(len(blob)):
+            self._read(path, segments, name, blob[:cut])
+
+    @pytest.mark.parametrize("name", ["history.jsonl.1", "history.jsonl.2"])
+    def test_seeded_byte_flips(self, rotated_history, name):
+        path, segments, _ = rotated_history
+        blob = segments[name]
+        rng = random.Random(31)
+        for _ in range(500):
+            mutated = bytearray(blob)
+            for _ in range(rng.randint(1, 4)):
+                mutated[rng.randrange(len(blob))] ^= rng.randrange(1, 256)
+            self._read(path, segments, name, bytes(mutated))
 
 
 # ---------------------------------------------------------------------------
