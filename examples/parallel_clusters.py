@@ -48,10 +48,10 @@ for policy in ("ST", "CGD", "FGD"):
           f"(makespan {result.makespan:.0f} ops, skew {result.assignment.skew:.2f})")
 
 # ----------------------------------------------------------------------
-# 4. Real threads: the match service plans the clusters once (LPT over
-#    their cardinalities, one share per worker), runs each share as one
-#    task, and merges the parts back in pivot order — the exact
-#    sequential embedding list.
+# 4. Real threads: the match service cuts the clusters once into
+#    weight-balanced chunks (LPT over their cardinalities), runs each
+#    chunk as one task on whichever worker frees first, and merges the
+#    parts back in pivot order — the exact sequential embedding list.
 # ----------------------------------------------------------------------
 sequential = CECIMatcher(QG3, data).match()
 with MatchService(data, workers=4) as service:

@@ -175,7 +175,7 @@ def _run_embeddings(args: argparse.Namespace):
 def _run_on_service(args: argparse.Namespace):
     """One request on ``MatchService(workers=K)``.  A ``limit`` or a
     budget runs solo, so its prefix is the sequential one; an unbounded
-    request runs as one task per worker share of its clusters (the LPT
+    request runs as one task per chunk of its clusters (the LPT chunk
     plan over their cardinalities) and merges in pivot order."""
     from .service import MatchRequest, MatchService, Status
 

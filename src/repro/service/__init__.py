@@ -7,10 +7,10 @@ graph resident and answers *streams* of queries:
 * :class:`~repro.service.service.MatchService` — the front end
   (admission, index resolution, deadlines, retries, exact merge,
   telemetry) over an executor; by default a thread pool running each
-  request's cluster plan as one task per worker share;
+  request's cluster chunk plan as one task per chunk;
 * :class:`~repro.service.shards.ShardedMatchService` — the same front
   end over the shard executor (``repro serve --shards N``): pivot
-  partitions fanned out across worker processes sharing mmap'd
+  chunks pulled from one queue by worker processes sharing mmap'd
   CECIIDX3 indexes, with exact-merge responses indistinguishable from
   the thread executor's;
 * :class:`~repro.service.cache.IndexCache` — cross-query LRU of frozen

@@ -54,8 +54,8 @@ class CacheEntry:
     """One cached frozen index plus what :meth:`IndexCache.adapt` needs
     to re-target it: the representative query's canonical order and the
     build cost (for the warm-speedup accounting).  ``unit_plan`` is the
-    owning service's memo of the index's batched unit plan
-    (``(pivots, assignment plan, pivots per worker)``); it lives and
+    owning service's memo of the index's batched chunk plan
+    (``(pivots, LPT plan, pivots per chunk)``); it lives and
     dies with the entry, so an evicted index is planned afresh."""
 
     __slots__ = ("key", "store", "canon_order", "build_seconds", "unit_plan")

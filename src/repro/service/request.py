@@ -73,8 +73,8 @@ class MatchRequest:
     carrying the prefix found so far.  Budgeted (and limited) requests
     are executed *solo* — un-decomposed — so their truncation prefix is
     bit-identical to the sequential matcher's; unbounded requests are
-    split into per-worker shares of their embedding clusters (the front
-    end's LPT plan), one task per share.
+    cut into weight-balanced chunks of their embedding clusters (the
+    front end's LPT chunk plan), one task per chunk.
     """
 
     query: Graph
@@ -135,11 +135,12 @@ class MatchResponse:
     #: How many times the retry policy transparently re-ran the request
     #: after a worker crash or injected fault (0 = first attempt served).
     retries: int = 0
-    #: How many shard processes contributed to this answer (``None``
-    #: when the thread executor served it; ``1`` for a solo request on
-    #: the shard executor).  Purely informational — the embedding list
-    #: is merged in pivot order, indistinguishable from a thread
-    #: executor's answer regardless of fan-out.
+    #: How many distinct shard processes ran a task of this request,
+    #: over all its attempts (``None`` when the thread executor served
+    #: it; ``1`` for a solo request, or a batched one of a single chunk,
+    #: that ran on the shard executor).  Purely informational — the
+    #: embedding list is merged in pivot order, indistinguishable from
+    #: a thread executor's answer regardless of fan-out.
     shard_fanout: Optional[int] = None
     error: Optional[str] = None
 

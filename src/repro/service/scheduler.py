@@ -1,11 +1,14 @@
 """The task channel between the service's scheduler and its workers.
 
-The front end plans each unbounded request once, as LPT shares over its
-clusters' ``cluster_cardinality`` (Section 4's cardinality-driven
-balancing), and both executors run that plan: one task per non-empty
-share.  A job therefore contributes at most ``workers`` near-equal
-tasks, so the channel needs no per-unit fairness; it serves three
-lanes in priority order:
+The front end cuts each unbounded request once into weight-balanced
+chunks, by LPT over its clusters' ``cluster_cardinality`` (Section 4's
+cardinality-driven balancing, :func:`~repro.service.service.chunk_plan`):
+one chunk for a request of up to a few dozen pivots, at most a few per
+worker for a large one.  Both executors run one task per chunk from one
+:class:`TaskQueue`, drained by whichever worker (thread or shard) frees
+first, so a large request's chunks spread over the idle workers and a
+small one runs on one.  The channel needs no per-unit fairness; it
+serves three lanes in priority order:
 
 1. **recovered** — work re-enqueued after its executor died mid-flight
    (the sharded service's crash-recovery path): its request has
@@ -13,11 +16,11 @@ lanes in priority order:
    head-of-line or its latency doubles;
 2. **solo** — budgeted/limited requests, run un-decomposed so their
    truncation prefix is the sequential one, and deadline-sensitive;
-3. **batched** — the shares of unbounded requests, FIFO.
+3. **batched** — the chunks of unbounded requests, FIFO.
 
 Within a lane tasks run in arrival order, so a small batched request
-waits behind every share queued before it: up to one share per worker
-for each request ahead of it.
+waits behind every chunk queued before it: up to a few chunks per
+worker for each large request ahead of it.
 """
 
 from __future__ import annotations

@@ -13,16 +13,17 @@ recovers lost ones.  The pieces, and where each lives:
 * **index reuse** — a scheduler thread resolves each admitted request's
   index through the cross-query :class:`~repro.service.cache.IndexCache`
   (LRU hit / spilled-blob warm / in-flight coalesce / fresh build);
-* **one unit plan** — an unbounded request is planned as LPT shares
-  over its clusters' ``cluster_cardinality`` (one share per worker),
-  computed once per cached index, and every executor runs one task per
-  non-empty share;
+* **one chunk plan** — an unbounded request is cut into weight-balanced
+  chunks by LPT over its clusters' ``cluster_cardinality``
+  (:func:`chunk_plan`: a few chunks per worker, none much smaller than
+  :data:`_CHUNK_PIVOTS` pivots), computed once per cached index, and
+  every executor runs one task per chunk from one shared queue;
   budgeted/limited requests run *solo* so their truncation prefixes are
   exactly the sequential matcher's;
-* **one task body** — :func:`run_task` enumerates a solo run or a share
+* **one task body** — :func:`run_task` enumerates a solo run or a chunk
   (as one frontier) over a resolved index; threads run it in process,
   shard processes in the child;
-* **exact merge** — a share hands back its rows as one packed array;
+* **exact merge** — a chunk hands back its rows as one packed array;
   as each reply arrives the front end unpacks every pivot's run of
   rows straight into tuples, and concatenates the parts in
   ``store.pivots`` order, which *is* sequential ``collect`` order;
@@ -111,6 +112,8 @@ __all__ = [
     "Executor",
     "MatchService",
     "PendingMatch",
+    "chunk_count",
+    "chunk_plan",
     "run_task",
     "service_metric_specs",
 ]
@@ -122,6 +125,27 @@ _POP_INTERVAL = 0.1
 
 #: How often the deadline/cancel monitor scans in-flight jobs (seconds).
 _MONITOR_INTERVAL = 0.01
+
+#: At most this many chunks per worker in one batched request.  A chunk
+#: is what one task holds: its frontier blocks in the worker and, on the
+#: shard tier, its packed reply.  On ``shard-fanout`` (2 shards, 2-vCPU
+#: VM, medians of 6 rotated 30 s runs) ``peak_rss_mb`` read 134.9 MiB
+#: with one share per shard, and 117.6, 110.2 and 108.1 MiB at 2, 3 and
+#: 4 chunks per shard, while p95 read 138, 136, 139 and 142 ms (117,
+#: 119, 126 and 130 ms in another 8 rounds).  At 2 the peak still
+#: overlapped the run-to-run spread of one share per shard (104-123
+#: against 118-140 MiB over 24 and 30 runs); at 3 it cleared it
+#: (106-114 MiB), and a fourth chunk saved 2 MiB more for 3 ms of p95.
+_CHUNKS_PER_WORKER = 3
+
+#: Fewest pivots per chunk, on average.  A task costs about 0.2 ms of
+#: numpy set-up whatever its size (QG3 on the ``shard-fanout`` graph:
+#: its 1,098 pivots take 6.6 ms as one task and 13.4 ms as 32, best of
+#: 15 in process), so a request of at most this many pivots runs as one
+#: task: every ``svc-mix`` request (1-4 pivots) does.  Each
+#: ``shard-fanout`` query (1,098-1,367 pivots) is
+#: ``_CHUNKS_PER_WORKER`` tasks per shard.
+_CHUNK_PIVOTS = 32
 
 _CLOSE = object()
 
@@ -235,9 +259,9 @@ def service_metric_specs() -> Tuple[MetricSpec, ...]:
             "service_plan_makespan",
             kind="gauge",
             merge="max",
-            help="Predicted makespan of the last batched job's unit "
-                 "plan (dynamic_schedule over its unit costs; both "
-                 "executors run that assignment).",
+            help="Predicted makespan of the last batched job's chunk "
+                 "plan (dynamic_schedule of its unit costs into chunks; "
+                 "both executors run one task per chunk).",
         ),
         MetricSpec(
             "service_plan_skew",
@@ -288,13 +312,13 @@ def _stat_counters(stats: MatchStats) -> Dict[str, int]:
 
 def _row_dtype(num_vertices: int) -> np.dtype:
     """The narrowest of int32/int64 that holds every vertex id of a
-    data graph with ``num_vertices`` vertices: the dtype a share's
+    data graph with ``num_vertices`` vertices: the dtype a chunk's
     packed rows travel in (int32 halves a shard reply)."""
     return np.dtype(np.int32 if num_vertices < 2**31 else np.int64)
 
 
 def _decode_rows(rows: np.ndarray, root: int) -> Dict[int, List[Embedding]]:
-    """A share's packed rows as ``{pivot: [embedding tuples]}``.
+    """A chunk's packed rows as ``{pivot: [embedding tuples]}``.
 
     The rows are in sorted-pivot DFS order, so each pivot's rows are
     one contiguous run.  The root column is cut into those runs once,
@@ -317,10 +341,40 @@ def _decode_rows(rows: np.ndarray, root: int) -> Dict[int, List[Embedding]]:
     return parts
 
 
+def chunk_count(pivots: int, workers: int) -> int:
+    """How many chunks a batched request of ``pivots`` pivots is cut
+    into on ``workers`` workers: enough for each to average at least
+    :data:`_CHUNK_PIVOTS` pivots, at most :data:`_CHUNKS_PER_WORKER` per
+    worker, and at least one."""
+    bins = -(-pivots // _CHUNK_PIVOTS)
+    return max(1, min(_CHUNKS_PER_WORKER * workers, bins))
+
+
+def chunk_plan(
+    pivots: Sequence[int], weights: Sequence[float], workers: int
+) -> Tuple[Assignment, List[List[int]]]:
+    """Cut a batched request into weight-balanced chunks: LPT
+    (:func:`~repro.parallel.scheduling.dynamic_schedule`, Section 4's
+    cardinality-driven balancing) of the pivots, heaviest first, into
+    :func:`chunk_count` bins.  Returns the LPT assignment (its makespan
+    and skew are the plan gauges) and the pivots of each non-empty
+    chunk."""
+    order = sorted(range(len(pivots)), key=weights.__getitem__, reverse=True)
+    plan = dynamic_schedule(
+        [weights[i] for i in order], chunk_count(len(pivots), workers)
+    )
+    chunks = [
+        [pivots[order[i]] for i in units]
+        for units in plan.worker_units
+        if units
+    ]
+    return plan, chunks
+
+
 def run_task(
     store: CompactCECI,
     symmetry: SymmetryBreaker,
-    share: Optional[Sequence[int]],
+    chunk: Optional[Sequence[int]],
     limit: Optional[int],
     tracker: Optional[BudgetTracker],
 ) -> Dict:
@@ -328,13 +382,13 @@ def run_task(
     executors (threads call it in process, shard processes in the
     child).
 
-    With ``share=None`` the job runs solo: the whole enumeration in
+    With ``chunk=None`` the job runs solo: the whole enumeration in
     sequential order, ``limit`` and ``tracker`` honoured, so a
     truncation prefix is the sequential matcher's.  Otherwise the
-    clusters of ``share``'s pivots run as one frontier
+    clusters of ``chunk``'s pivots run as one frontier
     (:meth:`~repro.core.enumeration.Enumerator.collect_rows`).  The
     payload :meth:`MatchService._task_done` consumes holds the task's
-    private ``stats`` and either the share's packed ``rows`` (one array
+    private ``stats`` and either the chunk's packed ``rows`` (one array
     in sorted-pivot DFS order, no tuples, in :func:`_row_dtype`) and
     its ``units`` count, or the solo ``embeddings``, ``truncated`` and
     ``stop_reason``.
@@ -343,11 +397,11 @@ def run_task(
     enumerator = Enumerator(
         store, symmetry=symmetry, stats=stats, tracker=tracker
     )
-    if share is not None:
+    if chunk is not None:
         rows = enumerator.collect_rows(
-            share, _row_dtype(store.data.num_vertices)
+            chunk, _row_dtype(store.data.num_vertices)
         )
-        return {"rows": rows, "units": len(share), "stats": stats}
+        return {"rows": rows, "units": len(chunk), "stats": stats}
     embeddings = enumerator.collect(limit)
     return {
         "embeddings": embeddings,
@@ -390,7 +444,7 @@ class PendingMatch:
     def progress(self) -> Tuple[int, MatchStats]:
         """The request's live counters while it is in flight: how many
         units its executor has reported back, and its stats so far (a
-        share's counters land when the share reports).  Once resolved,
+        chunk's counters land when the chunk reports).  Once resolved,
         the final counts: the response's units and its stats."""
         job = self._job
         if job is None:
@@ -472,9 +526,10 @@ class _Job:
         #: Only "crash" and "fault" are retryable.
         self.error_kind: Optional[str] = None
         self.retries = 0
-        #: Shards the executor fanned the job out to (shard executor
-        #: only; reported as the response's ``shard_fanout``).
-        self.fanout: Optional[int] = None
+        #: The shards that ran a task of the request, over all its
+        #: attempts (shard executor only; its size is the response's
+        #: ``shard_fanout``).
+        self.fanout: Optional[Set[int]] = None
         self.cancelled = False
         #: This request's record, written once per lifecycle step: in
         #: the service's flight ring, or quiet when the ring is off.
@@ -494,11 +549,11 @@ class Executor(Protocol):
     """Dispatch and failure recovery for prepared jobs.
 
     ``run_solo`` runs a job as one un-decomposed task (sequential order,
-    limit and budget honoured); ``run_units`` runs the front end's LPT
-    ``assignment`` (the pivots of each of ``workers`` workers) as one
-    task per non-empty share.  Each task is :func:`run_task`, and its
-    payload goes back through :meth:`MatchService._task_done`; a lost
-    or failed task reports its share's units through
+    limit and budget honoured); ``run_units`` runs the front end's
+    ``chunks`` (:func:`chunk_plan`) as one task per chunk, which
+    whichever worker frees first takes.  Each task is :func:`run_task`,
+    and its payload goes back through :meth:`MatchService._task_done`;
+    a lost or failed task reports its chunk's units through
     :meth:`MatchService._unit_failed`.  An executor never finalizes a
     job.  ``healthy`` counts live workers, ``queue_depth`` waiting
     tasks, ``snapshot`` returns entries for :meth:`MatchService.snapshot`,
@@ -508,7 +563,7 @@ class Executor(Protocol):
 
     def run_solo(self, job: _Job) -> None: ...
 
-    def run_units(self, job: _Job, assignment: List[List[int]]) -> None: ...
+    def run_units(self, job: _Job, chunks: List[List[int]]) -> None: ...
 
     def healthy(self) -> int: ...
 
@@ -537,7 +592,7 @@ class MatchService:
     Thread-executor knobs: ``workers`` sizes the pool;
     ``stall_after_seconds`` arms the watchdog's wedged-worker detection
     (it must exceed the longest *legitimate* task — a solo run, or one
-    worker's share of a batched request — or healthy slow work gets
+    chunk of a batched request — or healthy slow work gets
     condemned); ``watchdog_interval`` is its patrol period.
 
     Use as a context manager, or call :meth:`close` when done.
@@ -1155,15 +1210,15 @@ class MatchService:
 
     def _dispatch(self, job: _Job) -> None:
         """Hand the job to the executor: solo for budgeted/limited
-        requests, otherwise as the LPT plan of its embedding clusters,
-        one share per worker."""
+        requests, otherwise as the chunk plan of its embedding
+        clusters."""
         if job.done:  # resolved (monitor, timed-out close) during prepare
             return
         if job.request.solo:
             job.record.event("planned", mode="solo")
             self.executor.run_solo(job)
             return
-        pivots, plan, assignment = self._unit_plan(job)
+        pivots, plan, chunks = self._unit_plan(job)
         if not pivots:
             self._finalize(job, [], Status.OK)
             return
@@ -1171,23 +1226,23 @@ class MatchService:
         self.metrics.set_gauge("service_plan_skew", plan.skew)
         job.record.event(
             "planned", mode="batched", units=len(pivots),
-            makespan=round(plan.makespan, 3),
+            chunks=len(chunks), makespan=round(plan.makespan, 3),
             skew=round(plan.skew, 4),
         )
         with job.lock:
             job.pivots = pivots
             job.remaining = len(pivots)
-        self.executor.run_units(job, assignment)
+        self.executor.run_units(job, chunks)
 
     def _unit_plan(
         self, job: _Job
     ) -> Tuple[List[int], Assignment, List[List[int]]]:
-        """The job's pivots, their LPT plan over the refined cluster
-        cardinalities (Section 4's cardinality-driven balancing) and the
-        pivots of each worker's share.  The plan depends only on the
-        index and ``workers``, so it is computed once per cache entry
-        and read back by every later request on that index (and on its
-        transplants, which share the pivots and cardinalities)."""
+        """The job's pivots, their chunk plan over the refined cluster
+        cardinalities (:func:`chunk_plan`) and the pivots of each chunk.
+        The plan depends only on the index and ``workers``, so it is
+        computed once per cache entry and read back by every later
+        request on that index (and on its transplants, which share the
+        pivots and cardinalities)."""
         entry = job.entry
         if entry is not None and entry.unit_plan is not None:
             return entry.unit_plan
@@ -1199,14 +1254,8 @@ class MatchService:
             .astype(np.float64)
             .tolist()
         )
-        order = sorted(
-            range(len(pivots)), key=workloads.__getitem__, reverse=True
-        )
-        plan = dynamic_schedule([workloads[i] for i in order], self.workers)
-        assignment = [
-            [pivots[order[i]] for i in units] for units in plan.worker_units
-        ]
-        unit_plan = (pivots, plan, assignment)
+        plan, chunks = chunk_plan(pivots, workloads, self.workers)
+        unit_plan = (pivots, plan, chunks)
         if entry is not None:
             entry.unit_plan = unit_plan
         return unit_plan
@@ -1248,12 +1297,12 @@ class MatchService:
         """One task finished with :func:`run_task`'s ``payload``.  A solo
         run (possibly truncated by its budget) resolves the job.
 
-        A share's packed rows become tuples here, once, as the reply
+        A chunk's packed rows become tuples here, once, as the reply
         arrives and outside the job lock: :func:`_decode_rows` unpacks
         each pivot's run straight from the reply buffer.  Its private
         stats then merge under the lock (``int +=`` is not atomic, so
         concurrent tasks writing one stats object would drop counts),
-        and the last share to report concatenates every part in
+        and the last chunk to report concatenates every part in
         ``store.pivots`` order; :meth:`_finalize` then drops the parts,
         so the response holds the only copy of the answer.  The decode
         and that concatenation are the request's ``merge`` phase: booked
@@ -1299,7 +1348,7 @@ class MatchService:
             failed = job.error is not None
         embeddings: List[Embedding] = []
         if last and not failed:
-            # Every share has reported: no other task touches the job.
+            # Every chunk has reported: no other task touches the job.
             concat_started = time.perf_counter()
             for pivot in job.pivots:
                 embeddings.extend(job.parts.get(pivot, ()))
@@ -1363,6 +1412,9 @@ class MatchService:
         now = time.perf_counter()
         latency = now - job.submitted_at
         service_seconds = now - job.prepared_at
+        shard_fanout = None if job.fanout is None else len(job.fanout)
+        if shard_fanout is not None and not job.request.solo:
+            self.metrics.observe("service_shard_fanout", shard_fanout)
         self.metrics.inc("service_requests_total", label=status)
         self.metrics.observe("service_request_seconds", latency)
         self.metrics.observe("service_time_seconds", service_seconds)
@@ -1379,6 +1431,8 @@ class MatchService:
             # and a durable history line, and serial submitters observe
             # history lines in submission order (resolving first would
             # let request N+1's line overtake request N's).
+            if shard_fanout is not None:
+                job.record.event("fanout", shards=shard_fanout)
             job.record.event("final", status=status)
             job.record.finish({
                 "request_id": job.request.request_id,
@@ -1415,7 +1469,7 @@ class MatchService:
             latency_seconds=latency,
             service_seconds=service_seconds,
             retries=job.retries,
-            shard_fanout=job.fanout,
+            shard_fanout=shard_fanout,
             error=error,
         ))
         with self._idle:
@@ -1478,27 +1532,27 @@ class MatchService:
 # ----------------------------------------------------------------------
 # Thread executor: task queue, worker threads, heartbeat watchdog
 # ----------------------------------------------------------------------
-#: A task on the worker channel: a job and the pivots of its share,
+#: A task on the worker channel: a job and the pivots of its chunk,
 #: ``None`` when the job runs solo.
 _Task = Tuple[_Job, Optional[List[int]]]
 
 
-def _units(share: Optional[List[int]]) -> int:
+def _units(chunk: Optional[List[int]]) -> int:
     """How many units a task covers (0 for a solo run)."""
-    return 0 if share is None else len(share)
+    return 0 if chunk is None else len(chunk)
 
 
 class _Beat:
     """One worker's heartbeat: which task it holds and since when."""
 
-    __slots__ = ("slot", "job", "share", "started")
+    __slots__ = ("slot", "job", "chunk", "started")
 
     def __init__(
-        self, slot: int, job: _Job, share: Optional[List[int]], now: float
+        self, slot: int, job: _Job, chunk: Optional[List[int]], now: float
     ) -> None:
         self.slot = slot
         self.job = job
-        self.share = share
+        self.chunk = chunk
         self.started = now
 
 
@@ -1559,11 +1613,10 @@ class _ThreadExecutor:
             # path has already force-finalized every leftover job.
             pass
 
-    def run_units(self, job: _Job, assignment: List[List[int]]) -> None:
+    def run_units(self, job: _Job, chunks: List[List[int]]) -> None:
         try:
-            for share in assignment:
-                if share:
-                    self._tasks.push((job, share))
+            for chunk in chunks:
+                self._tasks.push((job, chunk))
         except RuntimeError:
             pass  # closed mid-push, as in run_solo
 
@@ -1625,7 +1678,7 @@ class _ThreadExecutor:
             del task
 
     def _run(
-        self, ident: int, slot: int, job: _Job, share: Optional[List[int]]
+        self, ident: int, slot: int, job: _Job, chunk: Optional[List[int]]
     ) -> bool:
         """Run one task on this worker; False if the worker died doing
         it.  Its own frame, so neither the job nor the task's payload
@@ -1634,14 +1687,14 @@ class _ThreadExecutor:
         plan = service.fault_plan
         pick = next(self._task_picks)
         with self._pool_lock:
-            self._active[ident] = _Beat(slot, job, share, time.perf_counter())
+            self._active[ident] = _Beat(slot, job, chunk, time.perf_counter())
         try:
             if plan is not None and plan.thread_crashes_at(pick):
                 raise InjectedCrash("service-worker", slot)
             if not job.done:  # the monitor resolves deadline/cancel
                 started = time.perf_counter()
                 payload = run_task(
-                    job.store, job.symmetry, share, job.request.limit,
+                    job.store, job.symmetry, chunk, job.request.limit,
                     job.tracker,
                 )
                 service._task_done(
@@ -1656,7 +1709,7 @@ class _ThreadExecutor:
             return False
         except Exception as exc:  # noqa: BLE001 - fail the request,
             # not the worker: the pool must survive any one query
-            service._unit_failed(job, _units(share), repr(exc))
+            service._unit_failed(job, _units(chunk), repr(exc))
         with self._pool_lock:
             self._active.pop(ident, None)
         return True
@@ -1706,7 +1759,7 @@ class _ThreadExecutor:
                     metrics.inc("service_worker_respawns")
                     stalled.append(beat)
         for beat in crashed:
-            units = _units(beat.share)
+            units = _units(beat.chunk)
             beat.job.record.event("worker_crash", slot=beat.slot, units=units)
             self.service._unit_failed(
                 beat.job, units,
@@ -1714,7 +1767,7 @@ class _ThreadExecutor:
                 kind="crash",
             )
         for beat in stalled:
-            units = _units(beat.share)
+            units = _units(beat.chunk)
             beat.job.record.event("worker_stall", slot=beat.slot, units=units)
             self.service._unit_failed(
                 beat.job, units,

@@ -18,24 +18,30 @@ and failure recovery:
   the index only: each shard derives its own probe sets (the sorted
   codes, or their bitmaps where the code space is dense) from the
   mapped arrays on first use and keeps them with its cached store;
-* **cardinality-planned routing** — a batched job arrives with the
-  front end's unit plan (LPT over the refined ``cluster_cardinality``
-  workloads, Section 4's cardinality-driven balancing), and each shard's
-  share of it becomes one *task per shard*; a solo job runs on the
-  least-loaded shard, un-decomposed, so its truncation prefix is the
-  sequential matcher's.  Either way the shard runs the front end's task
-  body, :func:`~repro.service.service.run_task`, as the thread executor
-  does;
-* **window-of-one dispatch** — each shard has an outbox and at most one
-  task in flight on its pipe, so a crash loses at most one task; a
-  reader thread per shard hands each reply to the front end's
-  callback.  A share's reply is one packed row array (int32 unless
-  the data graph needs int64) plus its stats: no tuple is built or
-  pickled in the shard, and the front end builds the tuples once and
-  merges them in ``store.pivots`` order;
+* **chunk-planned pull** — a batched job arrives as the front end's
+  chunk plan (:func:`~repro.service.service.chunk_plan`: LPT over the
+  refined ``cluster_cardinality`` workloads into a few weight-balanced
+  chunks per shard, Section 4's dynamic distribution), one task per
+  chunk; a solo job is one task, un-decomposed, so its truncation
+  prefix is the sequential matcher's.  Every task goes on one
+  three-lane :class:`~repro.service.scheduler.TaskQueue`, and whichever
+  shard frees first takes the next, so fan-out follows the work: a
+  small request runs on one shard, a large one on every shard that
+  pulls one of its chunks.  Either way the shard runs the front end's
+  task body, :func:`~repro.service.service.run_task`, as the thread
+  executor does;
+* **window-of-one dispatch** — each shard has at most one task in
+  flight on its pipe, so a crash loses at most one task and a shard
+  holds one chunk's frontier and reply at a time; a reader thread per
+  shard hands each reply to the front end's callback.  A chunk's reply
+  is one packed row array (int32 unless the data graph needs int64)
+  plus its stats: no tuple is built or pickled in the shard, and the
+  front end builds the tuples once and merges them in ``store.pivots``
+  order;
 * **crash recovery** — a shard process death is observed as pipe EOF;
-  the executor respawns the shard and re-dispatches the lost task
-  head-of-line (:meth:`~repro.service.scheduler.TaskQueue.push_recovered`),
+  the executor respawns the shard and re-queues the lost task
+  head-of-line (:meth:`~repro.service.scheduler.TaskQueue.push_recovered`)
+  for whichever shard frees first,
   at most ``max_redispatch`` times per task before reporting the units
   failed as a crash (which the retry policy may then re-run).  Replies
   are atomic — a whole task's results or nothing — so recovery is
@@ -56,7 +62,9 @@ solo shard replays the exact sequential recursion.
 **Speedup accounting.**  Each shard measures per-task *CPU* seconds
 with ``time.process_time()`` — immune to time-slice contention when N
 shard processes share fewer cores — and the executor accumulates them
-per shard (:meth:`ShardedMatchService.shard_telemetry`).  The
+per shard (:meth:`ShardedMatchService.shard_telemetry`).  A task's
+``busy`` seconds include the shard's first CRC-verified map of an index
+(its ``load`` seconds, also reported on their own).  The
 horizontal-scaling benchmark
 (:func:`~repro.service.loadgen.run_shard_benchmark`) reports
 ``shard_speedup`` as the critical-path ratio (max per-shard busy
@@ -120,7 +128,8 @@ def sharded_metric_specs() -> Tuple[MetricSpec, ...]:
         MetricSpec(
             "service_shard_fanout",
             kind="histogram",
-            help="Shards contributing to each fanned-out request.",
+            help="Distinct shards that ran a task of each batched "
+                 "request, booked when it resolves.",
         ),
         MetricSpec(
             "service_shard_crashes",
@@ -186,7 +195,10 @@ def _run_shard_task(
     spec: Dict, data: Graph, stores: "OrderedDict[str, CompactCECI]"
 ) -> Dict:
     """Execute one task spec inside a shard process: :func:`run_task`
-    over the mmap'd index, plus the task's busy and wall seconds.
+    over the mmap'd index, plus the task's busy and wall seconds and
+    the CPU seconds of mapping the index (``load``: non-zero only on
+    the shard's first use of a published file, when ``load_ceci``
+    checks every block's CRC; included in ``busy``).
 
     The symmetry breaker is built from the *request's own* query graph
     (shipped in the spec), not the header-round-tripped query inside
@@ -196,6 +208,7 @@ def _run_shard_task(
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
     store = _shard_store(spec["index_path"], data, stores)
+    load = time.process_time() - cpu0
     symmetry = SymmetryBreaker(
         spec["query"], enabled=spec["break_automorphisms"]
     )
@@ -210,6 +223,7 @@ def _run_shard_task(
     # processes time-share fewer cores (perf_counter would charge
     # scheduler wait to the task).
     payload["busy"] = time.process_time() - cpu0
+    payload["load"] = load
     payload["seconds"] = time.perf_counter() - wall0
     return payload
 
@@ -275,15 +289,18 @@ class _ShardTask:
 class _Shard:
     """Parent-side handle of one shard process."""
 
-    __slots__ = ("index", "proc", "conn", "busy_seconds", "tasks")
+    __slots__ = ("index", "proc", "conn", "busy_seconds", "load_seconds",
+                 "tasks")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.proc = None
         self.conn = None
         #: Accumulated per-task CPU seconds (guarded by the executor's
-        #: ``_task_lock``) — the benchmark's critical-path input.
+        #: ``_task_lock``) — the benchmark's critical-path input — and
+        #: the part of them spent mapping indexes.
         self.busy_seconds = 0.0
+        self.load_seconds = 0.0
         self.tasks = 0
 
 
@@ -323,11 +340,9 @@ class _ShardExecutor:
         self._publish_picks = itertools.count()
         self._task_ids = itertools.count(1)
         self._closing = False
-        # Per-shard dispatch state: an outbox queue, a window-of-one
-        # semaphore, and the in-flight task table.
-        self._outboxes: List[TaskQueue[_ShardTask]] = [
-            TaskQueue() for _ in range(shards)
-        ]
+        # Dispatch state: the one task queue every shard pulls from, a
+        # window-of-one semaphore per shard, and the in-flight table.
+        self._tasks: TaskQueue[_ShardTask] = TaskQueue()
         self._windows = [threading.Semaphore(1) for _ in range(shards)]
         #: One send lock per shard pipe: a dispatcher's task send and
         #: close()'s shutdown message must never interleave bytes.
@@ -356,31 +371,19 @@ class _ShardExecutor:
         spec = self._spec(job, 0)
         if spec is None:
             return
-        job.fanout = 1
         self.metrics.inc("service_shard_solo_routed")
         self._enqueue(
-            self._least_loaded(),
-            _ShardTask(next(self._task_ids), job, spec, 0),
-            solo=True,
+            _ShardTask(next(self._task_ids), job, spec, 0), solo=True
         )
 
-    def run_units(self, job: _Job, assignment: List[List[int]]) -> None:
-        base = self._spec(job, sum(map(len, assignment)))
+    def run_units(self, job: _Job, chunks: List[List[int]]) -> None:
+        base = self._spec(job, sum(map(len, chunks)))
         if base is None:
             return
-        owned = [
-            (shard, assigned)
-            for shard, assigned in enumerate(assignment)
-            if assigned
-        ]
-        job.fanout = len(owned)
-        self.metrics.observe("service_shard_fanout", len(owned))
-        job.record.event("fanout", shards=len(owned))
-        for shard, assigned in owned:
-            spec = dict(base, pivots=assigned)
+        for chunk in chunks:
+            spec = dict(base, pivots=chunk)
             self._enqueue(
-                shard,
-                _ShardTask(next(self._task_ids), job, spec, len(assigned)),
+                _ShardTask(next(self._task_ids), job, spec, len(chunk))
             )
 
     def healthy(self) -> int:
@@ -392,13 +395,11 @@ class _ShardExecutor:
             )
 
     def queue_depth(self) -> int:
-        return sum(len(outbox) for outbox in self._outboxes)
+        return len(self._tasks)
 
     def snapshot(self) -> Dict[str, object]:
         return {
-            "scheduler": {
-                "shards": [outbox.snapshot() for outbox in self._outboxes],
-            },
+            "scheduler": self._tasks.snapshot(),
             "shards": self.telemetry(),
         }
 
@@ -406,15 +407,15 @@ class _ShardExecutor:
         with self._task_lock:
             return {
                 "busy_seconds": [s.busy_seconds for s in self._shards],
+                "load_seconds": [s.load_seconds for s in self._shards],
                 "tasks": [s.tasks for s in self._shards],
             }
 
     def close(self, left: Callable[[], Optional[float]]) -> bool:
         self._closing = True
-        for outbox in self._outboxes:
-            outbox.close()
+        self._tasks.close()
         # Release every dispatch window so dispatchers can observe the
-        # closed outboxes instead of blocking on a permit forever.
+        # closed queue instead of blocking on a permit forever.
         for window in self._windows:
             window.release()
         with self._fork_lock:
@@ -474,7 +475,7 @@ class _ShardExecutor:
     # -- Publication -------------------------------------------------------
     def _spec(self, job: _Job, units: int) -> Optional[Dict]:
         """The task spec of ``job`` run solo (``pivots`` None), with its
-        index published; a share's spec sets ``pivots``.  On a
+        index published; a chunk's spec sets ``pivots``.  On a
         publish failure the job's ``units`` are reported failed and None
         is returned."""
         request = job.request
@@ -545,33 +546,27 @@ class _ShardExecutor:
             return path
 
     # -- Dispatch -----------------------------------------------------------
-    def _least_loaded(self) -> int:
-        with self._task_lock:
-            depth = [
-                len(self._outboxes[i]) + (1 if i in self._current else 0)
-                for i in range(self.shards)
-            ]
-        return min(range(self.shards), key=lambda i: depth[i])
-
-    def _enqueue(
-        self, shard: int, task: _ShardTask, solo: bool = False
-    ) -> None:
+    def _enqueue(self, task: _ShardTask, solo: bool = False) -> None:
+        # The shards that run the job's tasks, over all its attempts.
+        if task.job.fanout is None:
+            task.job.fanout = set()
         try:
             if solo:
-                self._outboxes[shard].push_solo(task)
+                self._tasks.push_solo(task)
             else:
-                self._outboxes[shard].push(task)
+                self._tasks.push(task)
         except RuntimeError:
-            # Outbox closed mid-push (timed-out close): the close path
+            # Queue closed mid-push (timed-out close): the close path
             # force-finalizes every leftover job.
             return
 
     def _dispatch_loop(self, shard_index: int) -> None:
-        outbox = self._outboxes[shard_index]
+        """Pull the next task whenever this shard's window frees: the
+        shard that finishes first takes the next chunk."""
         window = self._windows[shard_index]
         while True:
             window.acquire()
-            task = outbox.pop()
+            task = self._tasks.pop()
             if task is None:  # closed and drained
                 return
             self._send(shard_index, task)
@@ -580,8 +575,9 @@ class _ShardExecutor:
             del task
 
     def _send(self, shard_index: int, task: _ShardTask) -> None:
-        """Send one task to its shard under a window permit the caller
-        acquired (released here if the task is not sent)."""
+        """Send one task to shard ``shard_index`` under the window
+        permit the caller acquired (released here if the task is not
+        sent)."""
         window = self._windows[shard_index]
         if task.job.done:  # finalized while queued — skip the send
             window.release()
@@ -616,7 +612,7 @@ class _ShardExecutor:
                 window.release()
                 if not self._closing:
                     try:
-                        self._outboxes[shard_index].push_recovered(task)
+                        self._tasks.push_recovered(task)
                     except RuntimeError:
                         pass
             time.sleep(0.005)
@@ -680,8 +676,9 @@ class _ShardExecutor:
     def _redispatch(
         self, shard_index: int, record: _ShardTask, reason: str, kind: str
     ) -> None:
-        """Re-dispatch a lost task head-of-line, at most
-        ``max_redispatch`` times; past that its units fail as ``kind``."""
+        """Re-queue a lost task head-of-line, for whichever shard frees
+        first, at most ``max_redispatch`` times; past that its units
+        fail as ``kind``."""
         job = record.job
         if job.done:
             return
@@ -700,7 +697,7 @@ class _ShardExecutor:
             return
         self.metrics.inc("service_shard_redispatches")
         try:
-            self._outboxes[shard_index].push_recovered(record)
+            self._tasks.push_recovered(record)
         except RuntimeError:
             pass  # closing: leftover jobs are force-finalized
 
@@ -736,7 +733,12 @@ class _ShardExecutor:
         with self._task_lock:
             shard = self._shards[shard_index]
             shard.busy_seconds += float(payload["busy"])
+            shard.load_seconds += float(payload["load"])
             shard.tasks += 1
+        # Before the callback, which may finalize the request and read
+        # the fan-out.
+        with job.lock:
+            job.fanout.add(shard_index)
         job.record.event(
             "shard_result", shard=shard_index, task=record.task_id,
             busy=round(float(payload["busy"]), 6),
@@ -796,5 +798,7 @@ class ShardedMatchService(MatchService):
 
     def shard_telemetry(self) -> Dict[str, object]:
         """Per-shard accounting the horizontal-scaling benchmark reads:
-        accumulated CPU-busy seconds and task counts, per shard."""
+        accumulated CPU-busy seconds, the part of them spent mapping
+        published indexes (``load_seconds``), and task counts, per
+        shard."""
         return self.executor.telemetry()

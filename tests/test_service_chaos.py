@@ -80,13 +80,13 @@ def _pivots(query: Graph, data: Graph) -> int:
 
 
 def _record_plans(service: MatchService) -> List[List[List[int]]]:
-    """Every LPT assignment the front end hands the executor."""
+    """Every chunk plan the front end hands the executor."""
     plans: List[List[List[int]]] = []
     run_units = service.executor.run_units
 
-    def recording(job, assignment):
-        plans.append([list(share) for share in assignment])
-        return run_units(job, assignment)
+    def recording(job, chunks):
+        plans.append([list(chunk) for chunk in chunks])
+        return run_units(job, chunks)
 
     service.executor.run_units = recording
     return plans
@@ -94,7 +94,7 @@ def _record_plans(service: MatchService) -> List[List[List[int]]]:
 
 def _crash_events(service: MatchService, request_id: int):
     """The request's ``worker_crash`` and ``unit_failed`` events and the
-    units its finished shares reported."""
+    units its finished chunks reported."""
     (record,) = service.flight_records(request_id=request_id)
     events = record["events"]
     crashes = [e for e in events if e["ev"] == "worker_crash"]
@@ -104,13 +104,15 @@ def _crash_events(service: MatchService, request_id: int):
 
 
 def test_worker_crash_recovered_by_retry():
-    """The first attempt's two task picks kill their workers mid-job:
-    the watchdog respawns both slots and fails each whole share (the
-    large one included), the retry re-runs the request, and the answer
-    is still exact."""
-    data, queries, counts = _workload()
-    assert _pivots(queries[0], data) > 2
-    plan = FaultPlan(seed=1, thread_crash_picks=frozenset({0, 1}))
+    """Every task pick of the first attempt kills its worker mid-job:
+    the watchdog respawns the slots and fails each whole chunk, the
+    retry re-runs the request, and the answer is still exact."""
+    # More pivots than one chunk takes: the first attempt is several
+    # tasks, and the crash picks cover each of them.
+    data, queries, counts = _workload(vertices=400)
+    tasks = service_module.chunk_count(_pivots(queries[0], data), 2)
+    assert tasks > 2
+    plan = FaultPlan(seed=1, thread_crash_picks=frozenset(range(tasks)))
     with MatchService(
         data, workers=2, fault_plan=plan, retry_policy=RETRY,
         flight_records=8,
@@ -124,20 +126,20 @@ def test_worker_crash_recovered_by_retry():
         assert response.count == counts[0]
         assert response.retries == 1
         crashes, failed, _ = _crash_events(service, response.request_id)
-        shares = sorted(len(share) for share in plans[0] if share)
-        assert max(shares) > 1
-        assert sorted(e["units"] for e in crashes) == shares
-        assert sorted(e["units"] for e in failed) == shares
+        chunks = sorted(len(chunk) for chunk in plans[0])
+        assert len(chunks) == tasks
+        assert sorted(e["units"] for e in crashes) == chunks
+        assert sorted(e["units"] for e in failed) == chunks
         assert {e["kind"] for e in failed} == {"crash"}
         # The watchdog noticed the deaths and restored the pool.
         assert service.healthy_workers() == 2
-        assert service.metrics.get("service_worker_respawns") >= 2
+        assert service.metrics.get("service_worker_respawns") >= tasks
         assert service.metrics.get("service_retries_total") == 1
 
 
 def test_worker_crash_without_retry_is_crashed():
-    """The crashed share fails all of its units, so the request resolves
-    once, after the other share reports, with every unit accounted."""
+    """The crashed chunk fails all of its units, so the request resolves
+    once, after any other chunk reports, with every unit accounted."""
     data, queries, _ = _workload()
     pivots = _pivots(queries[0], data)
     assert pivots > 2
@@ -157,7 +159,7 @@ def test_worker_crash_without_retry_is_crashed():
         crashes, failed, done = _crash_events(service, response.request_id)
         assert len(crashes) == len(failed) == 1
         assert failed[0]["units"] == crashes[0]["units"]
-        assert failed[0]["units"] in {len(share) for share in plans[0]}
+        assert failed[0]["units"] in {len(chunk) for chunk in plans[0]}
         assert failed[0]["units"] + done == pivots
 
 
@@ -358,14 +360,15 @@ def test_watchdog_condemns_wedged_worker(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_shard_crash_respawned_and_redispatched():
-    """The first task dispatched to shard 0 kills the shard *process*
+    """The first task dispatched to a shard kills the shard *process*
     mid-query.  The reader thread notices the dead pipe, respawns the
     shard, redispatches the lost task, and the merged answer is still
-    exact — the crash is invisible to the caller."""
+    exact — the crash is invisible to the caller.  The request is one
+    task, which either shard may pull, so each crashes on its first."""
     from repro.service.shards import ShardedMatchService
 
     data, queries, counts = _workload()
-    plan = FaultPlan(seed=1, shard_crash_picks=frozenset({(0, 0)}))
+    plan = FaultPlan(seed=1, shard_crash_picks=frozenset({(0, 0), (1, 0)}))
     with ShardedMatchService(data, shards=2, fault_plan=plan) as service:
         response = service.match(
             MatchRequest(queries[0], break_automorphisms=False)
@@ -382,6 +385,40 @@ def test_shard_crash_respawned_and_redispatched():
             MatchRequest(queries[0], break_automorphisms=False)
         )
         assert again.ok and again.count == counts[0]
+
+
+def test_chunk_lost_to_shard_crash_rerun_from_shared_queue():
+    """A chunked request on two idle shards: each pulls one chunk and
+    dies on it.  Each lost chunk goes back on the one task queue and a
+    live shard re-runs it: one ``shard_recover`` per lost task, each
+    followed by that task's result, and the exact answer, no retry."""
+    from repro.service.shards import ShardedMatchService
+
+    data, queries, counts = _workload(vertices=400)
+    tasks = service_module.chunk_count(_pivots(queries[0], data), 2)
+    assert tasks > 2
+    plan = FaultPlan(seed=1, shard_crash_picks=frozenset({(0, 0), (1, 0)}))
+    with ShardedMatchService(
+        data, shards=2, fault_plan=plan, flight_records=8
+    ) as service:
+        response = service.match(MatchRequest(
+            queries[0], break_automorphisms=False, deadline_seconds=30,
+        ))
+        assert response.ok, response.error
+        assert response.count == counts[0]
+        assert response.retries == 0
+        assert service.metrics.get("service_shard_crashes") == 2
+        assert service.metrics.get("service_shard_redispatches") == 2
+        assert service.healthy_workers() == 2
+        (record,) = service.flight_records(request_id=response.request_id)
+        events = record["events"]
+        recovered = [e["task"] for e in events if e["ev"] == "shard_recover"]
+        results = [e["task"] for e in events if e["ev"] == "shard_result"]
+        assert len(recovered) == len(set(recovered)) == 2
+        assert sorted(results) == sorted(set(results))
+        assert len(results) == tasks
+        assert set(recovered) <= set(results)
+        assert 1 <= response.shard_fanout <= 2
 
 
 def test_shard_crash_redispatch_exhausted_is_crashed():

@@ -7,7 +7,7 @@ so every test here runs twice: on the thread executor
 Each holds one request in flight deterministically by gating the index
 cache's ``get_or_build`` — the front end's own step, identical for both
 executors.  Both executors also run one unit model: a batched request
-becomes one task per non-empty share of the front end's LPT plan.
+becomes one task per chunk of the front end's chunk plan.
 """
 
 from __future__ import annotations
@@ -59,6 +59,16 @@ def _workload() -> Tuple[Graph, List[Graph], List[int]]:
     return data, queries, counts
 
 
+def _wide_query() -> Tuple[Graph, Graph]:
+    """A data graph and a query with more pivots than one chunk takes:
+    its unbounded request is cut into several tasks."""
+    data = inject_labels(power_law(200, 3, seed=5), 2, seed=5)
+    query = generate_workload(
+        data, 1, seed=5, min_vertices=3, max_vertices=5, max_embeddings=5000
+    )[0]
+    return data, query
+
+
 def _service(executor: str, data: Graph, **kwargs) -> MatchService:
     if executor == "shards":
         return ShardedMatchService(data, shards=WORKERS, **kwargs)
@@ -85,62 +95,65 @@ def _request(query: Graph, **kwargs) -> MatchRequest:
     return MatchRequest(query, break_automorphisms=False, **kwargs)
 
 
-def _lpt_shares(
+def _chunks(
     query: Graph, data: Graph, workers: int
 ) -> Tuple[List[int], List[Set[int]]]:
     """The pivots of the built index and the non-empty pivot sets of the
-    LPT plan over their ``cluster_cardinality`` workloads."""
+    LPT cut of their ``cluster_cardinality`` workloads into
+    ``chunk_count`` bins."""
     store = CECIMatcher(query, data, break_automorphisms=False).build()
     pivots = [int(p) for p in store.pivots]
     weights = [
         max(float(store.cluster_cardinality(p)), 1.0) for p in pivots
     ]
     order = sorted(range(len(pivots)), key=weights.__getitem__, reverse=True)
-    plan = dynamic_schedule([weights[i] for i in order], workers)
-    shares = [{pivots[order[i]] for i in units} for units in plan.worker_units]
-    return pivots, [share for share in shares if share]
+    plan = dynamic_schedule(
+        [weights[i] for i in order],
+        service_module.chunk_count(len(pivots), workers),
+    )
+    chunks = [{pivots[order[i]] for i in units} for units in plan.worker_units]
+    return pivots, [chunk for chunk in chunks if chunk]
 
 
-def _record_shares(
+def _record_chunks(
     executor: str, service: MatchService, monkeypatch
 ) -> List[List[int]]:
     """The pivots of every batched task the executor runs: thread tasks
     as they enter the shared task body, shard tasks as they are queued
-    for their shard."""
-    shares: List[List[int]] = []
+    for the shards."""
+    chunks: List[List[int]] = []
     if executor == "shards":
         enqueue = service.executor._enqueue
 
-        def queued(shard, task, solo=False):
+        def queued(task, solo=False):
             if not solo:
-                shares.append(list(task.spec["pivots"]))
-            return enqueue(shard, task, solo=solo)
+                chunks.append(list(task.spec["pivots"]))
+            return enqueue(task, solo=solo)
 
         service.executor._enqueue = queued
     else:
         run_task = service_module.run_task
 
-        def ran(store, symmetry, share, limit, tracker):
-            if share is not None:
-                shares.append(list(share))
-            return run_task(store, symmetry, share, limit, tracker)
+        def ran(store, symmetry, chunk, limit, tracker):
+            if chunk is not None:
+                chunks.append(list(chunk))
+            return run_task(store, symmetry, chunk, limit, tracker)
 
         monkeypatch.setattr(service_module, "run_task", ran)
-    return shares
+    return chunks
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_batched_request_runs_one_task_per_lpt_share(executor, monkeypatch):
-    """More pivots than workers: the request becomes min(workers,
-    pivots) batched tasks, each holding exactly one LPT share, and the
-    merged list is the sequential matcher's."""
-    data, queries, _ = _workload()
-    query = queries[0]
-    pivots, expected = _lpt_shares(query, data, WORKERS)
-    assert len(pivots) > WORKERS
+    """More pivots than one chunk takes: the request becomes one batched
+    task per chunk of the LPT cut, each pivot in exactly one task, and
+    the merged list is the sequential matcher's."""
+    data, query = _wide_query()
+    pivots, expected = _chunks(query, data, WORKERS)
+    assert len(expected) > 1
     sequential = CECIMatcher(query, data, break_automorphisms=False).match()
     with _service(executor, data) as service:
-        shares = _record_shares(executor, service, monkeypatch)
+        chunks = _record_chunks(executor, service, monkeypatch)
         response = service.match(_request(query))
         assert response.ok, response.error
         tasks = (
@@ -148,9 +161,14 @@ def test_batched_request_runs_one_task_per_lpt_share(executor, monkeypatch):
             if executor == "shards"
             else service.executor.snapshot()["scheduler"]["pushed_units"]
         )
-        assert tasks == len(shares) == min(WORKERS, len(pivots))
-        assert sorted(map(sorted, shares)) == sorted(map(sorted, expected))
+        assert tasks == len(chunks) == len(expected)
+        assert sorted(map(sorted, chunks)) == sorted(map(sorted, expected))
+        assert sorted(p for chunk in chunks for p in chunk) == sorted(pivots)
         assert service.metrics.get("service_units_total") == len(pivots)
+        if executor == "shards":
+            assert 1 <= response.shard_fanout <= WORKERS
+        else:
+            assert response.shard_fanout is None
         assert [tuple(e) for e in response.embeddings] == [
             tuple(e) for e in sequential
         ]
@@ -158,7 +176,7 @@ def test_batched_request_runs_one_task_per_lpt_share(executor, monkeypatch):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_random_shares_and_reply_order_merge_exactly(executor, monkeypatch):
-    """Whatever shares the plan cuts and whatever order their packed
+    """Whatever chunks the plan cuts and whatever order their packed
     replies arrive in, the response is the sequential matcher's list."""
     data, queries, _ = _workload()
     expected = [
@@ -170,12 +188,14 @@ def test_random_shares_and_reply_order_merge_exactly(executor, monkeypatch):
         service = ShardedMatchService(data, shards=workers)
     else:
         service = MatchService(data, workers=workers)
-    # Hypothesis draws each example's shares and reply order; the
-    # patched plan and callback read them from ``draw``.
+    # Hypothesis draws each example's chunks and reply order; the
+    # patched plan and callback read them from ``draw``.  The plan
+    # ignores the chunk count it is asked for: these queries fit one
+    # chunk, and the merge must hold for any cut.
     draw = SimpleNamespace(rng=random.Random(0), shares=1)
 
     def random_plan(costs, count):
-        units = [[] for _ in range(count)]
+        units = [[] for _ in range(draw.shares)]
         for i in range(len(costs)):
             units[draw.rng.randrange(draw.shares)].append(i)
         return SimpleNamespace(worker_units=units, makespan=0.0, skew=1.0)
@@ -276,7 +296,7 @@ def test_finished_answer_is_freed_by_refcount(executor):
     reports the final unit count and the response's stats."""
     data, queries, _ = _workload()
     query = queries[0]
-    pivots, _ = _lpt_shares(query, data, WORKERS)
+    pivots, _ = _chunks(query, data, WORKERS)
 
     def leftovers(first):
         """Live jobs, and live lists that start with ``first``."""
@@ -312,13 +332,13 @@ def test_finished_answer_is_freed_by_refcount(executor):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_each_cached_index_is_planned_once(executor, monkeypatch):
-    """Requests on one cached index reuse its LPT plan, which equals a
+    """Requests on one cached index reuse its chunk plan, which equals a
     freshly computed one; an evicted and rebuilt index is planned
     afresh; the plan gauges and the flight ``planned`` event still come
     once per request."""
     data, queries, _ = _workload()
     query, other = queries[0], queries[1]
-    _, expected = _lpt_shares(query, data, WORKERS)
+    _, expected = _chunks(query, data, WORKERS)
     plans = []
     schedule = service_module.dynamic_schedule
 
@@ -338,11 +358,11 @@ def test_each_cached_index_is_planned_once(executor, monkeypatch):
             return set_gauge(name, value)
 
         service.metrics.set_gauge = recorded
-        shares = _record_shares(executor, service, monkeypatch)
+        chunks = _record_chunks(executor, service, monkeypatch)
         for _ in range(2):
             assert service.match(_request(query)).ok
         assert len(plans) == 1
-        assert sorted(map(sorted, shares)) == sorted(
+        assert sorted(map(sorted, chunks)) == sorted(
             map(sorted, expected + expected)
         )
         assert service.match(_request(other)).ok  # evicts ``query``

@@ -21,7 +21,7 @@ every query and request shape against them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -31,8 +31,9 @@ from repro.graph import Graph, erdos_renyi, generate_query, inject_labels
 from repro.graph.generators import power_law
 from repro.parallel.scheduling import dynamic_schedule
 from repro.resilience.budget import Budget
-from repro.service import MatchRequest, MatchService, Status
+from repro.service import MatchRequest, MatchService, Status, generate_workload
 from repro.service import shards as shards_module
+from repro.service.service import chunk_count
 from repro.service.shards import ShardedMatchService, sharded_metric_specs
 
 #: Data-graph configurations; with QUERIES_PER_DATA queries each and
@@ -72,6 +73,42 @@ def make_queries(data: Graph, seed: int) -> List[Graph]:
         except ValueError:
             continue  # data graph too fragmented at this size
     return queries
+
+
+def make_wide() -> Tuple[Graph, List[Graph]]:
+    """A data graph and queries with more pivots than one chunk takes,
+    so each unbounded request is cut into several tasks."""
+    data = inject_labels(power_law(200, 3, seed=5), 2, seed=5)
+    queries = generate_workload(
+        data, 4, seed=5, min_vertices=3, max_vertices=5,
+        max_embeddings=5000,
+    )
+    wide = [
+        q for q in queries if chunk_count(len(pivots_of(q, data)), SHARDS) > 1
+    ]
+    assert len(wide) >= 2
+    return data, wide
+
+
+def pivots_of(query: Graph, data: Graph) -> List[int]:
+    """The pivots of the query's built index, in ``store.pivots`` order."""
+    store = CECIMatcher(query, data, break_automorphisms=False).build()
+    return [int(p) for p in store.pivots]
+
+
+def record_sent(service: ShardedMatchService) -> List[Tuple[int, List[int]]]:
+    """(shard, pivots) of every units task the executor sends."""
+    executor = service.executor
+    sent: List[Tuple[int, List[int]]] = []
+    send = executor._send
+
+    def recording(shard_index, task):
+        if task.units:
+            sent.append((shard_index, list(task.spec["pivots"])))
+        return send(shard_index, task)
+
+    executor._send = recording
+    return sent
 
 
 def response_facets(response) -> Tuple:
@@ -179,30 +216,28 @@ def test_sharded_tier_is_indistinguishable(service_pair):
 
 
 def test_unbounded_requests_fan_out(service_pair):
-    """Unbounded requests decompose across shards (fan-out recorded on
-    the response); limit/budget requests route solo to one shard."""
+    """An unbounded request runs on at most as many shards as its chunk
+    plan has chunks (one for these small queries), recorded on the
+    response; limit/budget requests route solo to one shard."""
     seed, data, truth, sharded = service_pair
     queries = make_queries(data, seed)
     if not queries:
         pytest.skip("data seed yields no connected queries")
-    saw_fanout = False
     for query in queries:
+        chunks = chunk_count(len(pivots_of(query, data)), SHARDS)
         unbounded = sharded.match(MatchRequest(query))
         assert unbounded.status == Status.OK
         assert unbounded.shard_fanout is not None
-        assert 1 <= unbounded.shard_fanout <= SHARDS
-        saw_fanout = saw_fanout or unbounded.shard_fanout > 1
+        assert 1 <= unbounded.shard_fanout <= min(chunks, SHARDS)
         solo = sharded.match(MatchRequest(query, limit=2))
         assert solo.status == Status.OK
         assert solo.shard_fanout == 1
-    assert saw_fanout, "no query decomposed across more than one shard"
 
 
 def test_shard_counters_sum_to_the_sequential_matcher():
-    """Each shard runs its pivot share as one frontier; the counters it
-    reports, summed over the shards, are the sequential matcher's."""
-    data = make_data(4)
-    queries = make_queries(data, 4)
+    """Each shard runs its chunks as one frontier each; the counters
+    they report, summed over the shards, are the sequential matcher's."""
+    data, queries = make_wide()
     fanned_with_nte = 0
     with ShardedMatchService(data, shards=SHARDS) as service:
         for query in queries:
@@ -267,6 +302,11 @@ class TestShardedLifecycle:
             assert len(telemetry["busy_seconds"]) == 3
             assert len(telemetry["tasks"]) == 3
             assert sum(telemetry["tasks"]) > 0
+            # Mapping an index is booked on its own, and inside busy.
+            loads = telemetry["load_seconds"]
+            assert len(loads) == 3 and sum(loads) > 0
+            for load, busy in zip(loads, telemetry["busy_seconds"]):
+                assert 0 <= load <= busy
             snapshot = service.snapshot()
             assert len(snapshot["shards"]["tasks"]) == 3
             assert snapshot["healthy_workers"] == 3
@@ -286,13 +326,16 @@ class TestShardedLifecycle:
 
 class TestSinglePlan:
     """The front end plans each batched request once (LPT over the
-    refined cluster cardinalities) and the shard tier runs that plan;
-    the Section 5 Jaccard planner is never on the service path."""
+    refined cluster cardinalities into weight-balanced chunks) and the
+    shard tier runs that plan, one task per chunk, whichever shard
+    frees first; the Section 5 Jaccard planner is never on the service
+    path."""
 
     @staticmethod
-    def _lpt(query: Graph, data: Graph, shards: int):
-        """(pivots, per-shard pivot sets, makespan) of the LPT plan over
-        the built index's ``cluster_cardinality`` workloads."""
+    def _chunks(query: Graph, data: Graph, shards: int):
+        """(pivots, chunk pivot sets, makespan) of the LPT cut of the
+        built index's ``cluster_cardinality`` workloads into
+        ``chunk_count`` bins."""
         store = CECIMatcher(query, data, break_automorphisms=False).build()
         pivots = [int(p) for p in store.pivots]
         weights = [
@@ -301,52 +344,47 @@ class TestSinglePlan:
         order = sorted(
             range(len(pivots)), key=weights.__getitem__, reverse=True
         )
-        plan = dynamic_schedule([weights[i] for i in order], shards)
+        plan = dynamic_schedule(
+            [weights[i] for i in order], chunk_count(len(pivots), shards)
+        )
         sets = [
             {pivots[order[i]] for i in units} for units in plan.worker_units
         ]
         return pivots, sets, plan.makespan
-
-    @staticmethod
-    def _record_tasks(service: ShardedMatchService) -> Dict[int, List[int]]:
-        """Shard -> pivots of every units task the executor enqueues."""
-        executor = service.executor
-        sent: Dict[int, List[int]] = {}
-        enqueue = executor._enqueue
-
-        def recording(shard, task, solo=False):
-            if not solo:
-                sent.setdefault(shard, []).extend(task.spec["pivots"])
-            return enqueue(shard, task, solo=solo)
-
-        executor._enqueue = recording
-        return sent
 
     def test_shards_run_the_front_end_lpt_plan(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the service called distribute_pivots")
 
         monkeypatch.setattr(shards_module, "distribute_pivots", forbidden)
-        data = make_data(4)
-        query = make_queries(data, 4)[0]
-        pivots, expected_sets, makespan = self._lpt(query, data, SHARDS)
-        assert len(pivots) > SHARDS
+        data, queries = make_wide()
+        query = queries[0]
+        pivots, expected_sets, makespan = self._chunks(query, data, SHARDS)
+        assert len(expected_sets) > 1
         # The deadline turns a planner failure into a TIMEOUT, not a hang.
         with ShardedMatchService(
             data, shards=SHARDS, deadline_seconds=30
         ) as service:
-            sent = self._record_tasks(service)
+            sent = record_sent(service)
             response = service.match(MatchRequest(query))
             assert response.status == Status.OK
             assert [tuple(e) for e in response.embeddings] == [
                 tuple(e) for e in CECIMatcher(query, data).match()
             ]
-            got_sets = [set(sent.get(w, ())) for w in range(SHARDS)]
-            assert got_sets == expected_sets
+            got_sets = [set(chunk) for _, chunk in sent]
+            assert sorted(map(sorted, got_sets)) == sorted(
+                map(sorted, expected_sets)
+            )
+            # Each pivot in exactly one task.
+            assert sorted(p for _, chunk in sent for p in chunk) == sorted(
+                pivots
+            )
             assert service.metrics.get("service_plan_makespan") == makespan
-            assert response.shard_fanout == sum(1 for s in expected_sets if s)
+            shards_used = {shard for shard, _ in sent}
+            assert response.shard_fanout == len(shards_used)
+            assert 1 <= response.shard_fanout <= SHARDS
 
-    def test_fewer_pivots_than_shards_fan_out_per_pivot(self):
+    def test_fewer_pivots_than_a_chunk_run_as_one_task(self):
         # Two "A" vertices, so a single A-B edge query has two clusters.
         data = Graph(
             6,
@@ -354,22 +392,23 @@ class TestSinglePlan:
             labels=["A", "B", "C", "A", "B", "C"],
         )
         query = Graph(2, [(0, 1)], labels=["A", "B"])
-        pivots, expected_sets, _ = self._lpt(query, data, 4)
+        pivots, expected_sets, _ = self._chunks(query, data, 4)
         assert 1 < len(pivots) < 4
+        assert expected_sets == [set(pivots)]
         with ShardedMatchService(data, shards=4) as service:
-            sent = self._record_tasks(service)
+            sent = record_sent(service)
             response = service.match(MatchRequest(query))
             assert response.status == Status.OK
             assert response.count == CECIMatcher(query, data).count()
-            assert response.shard_fanout == len(pivots) == len(sent)
-            assert [set(sent.get(w, ())) for w in range(4)] == expected_sets
+            assert response.shard_fanout == len(sent) == 1
+            assert set(sent[0][1]) == set(pivots)
 
 
 def test_share_reply_is_one_packed_array():
-    """A share's reply crosses the pipe as one int32 row array plus its
+    """A chunk's reply crosses the pipe as one int32 row array plus its
     unit count and stats: no tuple is built or pickled in the shard."""
-    data = make_data(4)
-    query = make_queries(data, 4)[0]
+    data, queries = make_wide()
+    query = queries[0]
     with ShardedMatchService(data, shards=2) as service:
         executor = service.executor
         replies = []
@@ -385,7 +424,8 @@ def test_share_reply_is_one_packed_array():
         assert response.embeddings == CECIMatcher(query, data).match()
     payloads = [message[2] for message in replies]
     assert [message[0] for message in replies] == ["result"] * len(replies)
-    assert len(payloads) == response.shard_fanout > 1
+    assert len(payloads) == chunk_count(len(pivots_of(query, data)), 2) > 1
+    assert 1 <= response.shard_fanout <= 2
     for payload in payloads:
         rows = payload["rows"]
         assert isinstance(rows, np.ndarray) and rows.dtype == np.int32
