@@ -722,7 +722,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="admission limit: requests beyond this many "
                             "in flight are shed with status 'rejected'")
         p.add_argument("--index-capacity", type=int, default=32,
-                       help="cross-query index cache entries (LRU)")
+                       help="cross-query index cache entries")
         p.add_argument("--spill-dir", default=None, metavar="DIR",
                        help="spill evicted indexes as CECIIDX3 blobs "
                             "here (the cache's warm tier)")

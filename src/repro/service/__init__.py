@@ -13,9 +13,10 @@ graph resident and answers *streams* of queries:
   chunks pulled from one queue by worker processes sharing mmap'd
   CECIIDX3 indexes, with exact-merge responses indistinguishable from
   the thread executor's;
-* :class:`~repro.service.cache.IndexCache` — cross-query LRU of frozen
-  indexes keyed by canonical query signature, with a CECIIDX3 spill
-  tier and in-flight build coalescing;
+* :class:`~repro.service.cache.IndexCache` — cross-query cache of
+  frozen indexes keyed by canonical query signature, admitting by
+  lookup frequency, with a CECIIDX3 spill tier and in-flight build
+  coalescing;
 * :class:`~repro.service.request.MatchRequest` /
   :class:`~repro.service.request.MatchResponse` — the request surface;
 * :mod:`~repro.service.loadgen` — deterministic open-loop benchmark

@@ -8,13 +8,31 @@ symmetry breaker while building).  :class:`IndexCache` therefore keys
 frozen stores by ``(data fingerprint, canonical query signature)`` and
 serves every structurally-equal request from one build:
 
-* **hit** — the store is resident in the LRU;
-* **warm** — the LRU evicted it, but the eviction spilled a CECIIDX3
-  blob (:func:`~repro.core.persist.dump_store_bytes`) into ``spill_dir``
-  and reviving the arrays is far cheaper than rebuilding;
+* **hit** — the store is resident;
+* **warm** — an eviction spilled a CECIIDX3 blob
+  (:func:`~repro.core.persist.dump_store_bytes`) into ``spill_dir`` and
+  reviving the arrays is far cheaper than rebuilding;
 * **coalesced** — another request is building the same key right now;
   this one waits on the in-flight build instead of duplicating it;
 * **miss** — this request pays for the build (and populates the cache).
+
+Which entries stay resident is decided by frequency, not recency alone
+(W-TinyLFU's admission rule; Einziger, Friedman and Manes, "TinyLFU: A
+Highly Efficient Cache Admission Policy", ACM TOS 2017).  Every lookup
+of a key bumps its count in a plain dict.  Each newly resident entry
+(built or revived) enters as a one-entry *window*; when the next one
+arrives and the cache overflows, the previous window entry and the
+least-recently-used entry of the rest compete, and the one with the
+lower count is evicted (ties evict the window entry).  A one-off query
+therefore displaces only the previous one-off, never a Zipf head that
+was merely not asked for lately.  Counts age: every
+:data:`AGING_PERIOD` ``× capacity`` lookups each count is halved and
+zeros are dropped, so a key's count tracks its recent popularity and
+the dict stays at most that many keys.  The period is TinyLFU's sample
+size of ten times the cache size: long enough that a head key's count
+clearly exceeds a tail key's, short enough that a shifted mix takes
+over within a few periods.  At capacity 1 the resident entry is always
+the previous window entry, so the policy is plain LRU.
 
 Isomorphic-but-relabeled queries share a cache slot.  The cached store
 was built for one *representative* labeling, so :meth:`IndexCache.adapt`
@@ -29,10 +47,17 @@ content is untouched — so enumeration from it yields exactly the
 embedding set of the request's query.  ``adapt`` re-verifies that
 ``sigma`` is a labeled isomorphism before trusting it, so even a
 signature collision degrades to a fresh build, never a wrong answer.
+
+The canonical form and the symmetry breaker of a query are pure
+functions of its exact labeled graph, yet cost more than a cache hit
+itself.  :func:`query_labeling` memoises both per labeled query
+(:meth:`Graph.__eq__` / ``__hash__``), so a repeated labeling — a
+resubmitted query, equal but parsed afresh — pays for them once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
@@ -40,14 +65,64 @@ import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.automorphism import canonical_form
+from ..core.automorphism import SymmetryBreaker, canonical_form
 from ..core.persist import ChecksumError, dump_store_bytes, load_store_bytes
 from ..core.query_tree import QueryTree
 from ..core.store import CompactCECI, PairArrays
 from ..graph import Graph
 from ..parallel.scheduling import Assignment
 
-__all__ = ["CacheEntry", "IndexCache", "transplant_store"]
+__all__ = [
+    "CacheEntry",
+    "IndexCache",
+    "QueryLabeling",
+    "query_labeling",
+    "transplant_store",
+]
+
+#: Lookups between two halvings of the frequency counts, per entry of
+#: capacity (TinyLFU's sample size W = 10 × cache size).
+AGING_PERIOD = 10
+
+#: Distinct labeled queries whose canonical form and symmetry breaker
+#: :func:`query_labeling` keeps.
+LABELING_MEMO_SIZE = 256
+
+
+class QueryLabeling:
+    """What the service derives from one exact labeled query graph: its
+    canonical ``signature`` and ``order`` (:func:`canonical_form`) and,
+    built on first use, its :class:`SymmetryBreaker`.
+
+    One instance is shared by every request with an equal query graph,
+    on any thread; the breaker is read-only after construction (the
+    enumerators only call :meth:`SymmetryBreaker.admissible` and read
+    ``conditions``), so sharing it is safe.
+    """
+
+    __slots__ = ("query", "signature", "order", "_symmetry")
+
+    def __init__(self, query: Graph) -> None:
+        self.query = query
+        self.signature, self.order = canonical_form(query)
+        self._symmetry: Optional[SymmetryBreaker] = None
+
+    def symmetry(self, enabled: bool) -> SymmetryBreaker:
+        """The query's symmetry breaker; a disabled one is trivial, so
+        only the enabled breaker is memoised."""
+        if not enabled:
+            return SymmetryBreaker(self.query, enabled=False)
+        if self._symmetry is None:
+            # Two threads may both build it; either result is the same.
+            self._symmetry = SymmetryBreaker(self.query)
+        return self._symmetry
+
+
+@functools.lru_cache(maxsize=LABELING_MEMO_SIZE)
+def query_labeling(query: Graph) -> QueryLabeling:
+    """The memoised :class:`QueryLabeling` of ``query``, shared by every
+    equal labeled graph (bounded to :data:`LABELING_MEMO_SIZE`)."""
+    return QueryLabeling(query)
 
 
 class CacheEntry:
@@ -136,12 +211,14 @@ def _is_isomorphism(a: Graph, b: Graph, sigma: List[int]) -> bool:
 
 
 class IndexCache:
-    """Bounded LRU of frozen stores for one data graph, with a spill
-    tier and in-flight build coalescing.
+    """Bounded cache of frozen stores for one data graph, with
+    frequency-based admission, a spill tier and in-flight build
+    coalescing.
 
-    Thread-safe.  ``get_or_build`` blocks only the requests that truly
-    depend on the same key: the LRU lock is never held while building,
-    loading a spilled blob, or waiting on another request's build.
+    Thread-safe: every counter and the frequency dict change under one
+    lock.  ``get_or_build`` blocks only the requests that truly depend
+    on the same key: the lock is never held while building, loading a
+    spilled blob, or waiting on another request's build.
     """
 
     #: ``get_or_build``'s second return value.
@@ -171,7 +248,13 @@ class IndexCache:
         #: Seeded FaultPlan consulted at the spill write/read points
         #: (torn writes, corrupted reads) — the service chaos harness.
         self.fault_plan = fault_plan
+        #: Resident entries in recency order (least recent first).
         self._lru: "OrderedDict[Tuple[str, str], CacheEntry]" = OrderedDict()
+        #: The most recently admitted key: the one-entry window.
+        self._window: Optional[Tuple[str, str]] = None
+        #: Lookups per key since the counts last aged.
+        self._freq: Dict[Tuple[str, str], int] = {}
+        self._lookups = 0
         self._inflight: Dict[Tuple[str, str], threading.Event] = {}
         self._lock = threading.Lock()
         #: Spill files in LRU order (path -> bytes on disk); pre-existing
@@ -208,6 +291,7 @@ class IndexCache:
             return len(self._lru)
 
     def _count(self, name: str, amount: int = 1) -> None:
+        """Bump a counter (and its metric); called with the lock held."""
         setattr(self, name, getattr(self, name) + amount)
         if self.metrics is not None:
             self.metrics.inc(f"service_index_cache_{name}", amount)
@@ -229,11 +313,14 @@ class IndexCache:
         entry and the spill tier has nothing; it must return the frozen
         store built for ``query`` itself.
         """
-        signature, order = canonical_form(query)
+        labeling = query_labeling(query)
+        signature, order = labeling.signature, labeling.order
         key = (self.data_fingerprint, signature)
         waited = False
         while True:
             with self._lock:
+                if not waited:
+                    self._record_lookup(key)
                 entry = self._lru.get(key)
                 if entry is not None:
                     self._lru.move_to_end(key)
@@ -253,27 +340,56 @@ class IndexCache:
             entry = self._load_spilled(key, signature)
             if entry is not None:
                 tag = "warm"
-                self._count("warm_hits")
             else:
                 started = time.perf_counter()
                 store = build()
                 entry = CacheEntry(
                     key, store, order, time.perf_counter() - started
                 )
-                self._count("misses")
         except BaseException:
             with self._lock:
                 self._inflight.pop(key).set()
             raise
         with self._lock:
-            self._lru[key] = entry
-            self._lru.move_to_end(key)
-            while len(self._lru) > self.capacity:
-                _, evicted = self._lru.popitem(last=False)
-                self._count("evictions")
-                self._spill(evicted)
+            self._count("warm_hits" if tag == "warm" else "misses")
+            self._admit(entry)
             self._inflight.pop(key).set()
         return entry, tag, order
+
+    def _record_lookup(self, key: Tuple[str, str]) -> None:
+        """Count one lookup of ``key``; every ``AGING_PERIOD × capacity``
+        lookups (or as soon as that many keys are counted) halve every
+        count and drop the zeros.  Called with the lock held."""
+        self._freq[key] = self._freq.get(key, 0) + 1
+        self._lookups += 1
+        period = AGING_PERIOD * self.capacity
+        if self._lookups >= period or len(self._freq) > period:
+            self._lookups = 0
+            self._freq = {
+                k: count >> 1 for k, count in self._freq.items() if count > 1
+            }
+
+    def _admit(self, entry: CacheEntry) -> None:
+        """Make ``entry`` resident as the new window entry; on overflow
+        evict whichever of the previous window entry and the least-
+        recently-used entry of the rest was looked up less often (ties
+        evict the window entry).  Called with the lock held."""
+        key = entry.key
+        previous, self._window = self._window, key
+        self._lru[key] = entry
+        self._lru.move_to_end(key)
+        if len(self._lru) <= self.capacity:
+            return
+        rest = next((k for k in self._lru if k not in (key, previous)), None)
+        if previous not in self._lru or (
+            rest is not None
+            and self._freq.get(previous, 0) > self._freq.get(rest, 0)
+        ):
+            victim = rest
+        else:
+            victim = previous
+        self._count("evictions")
+        self._spill(self._lru.pop(victim))
 
     def adapt(
         self, entry: CacheEntry, query: Graph, order: Tuple[int, ...]
@@ -293,7 +409,8 @@ class IndexCache:
             return None
         if all(sigma[u] == u for u in range(rep.num_vertices)):
             return entry.store
-        self._count("transplants")
+        with self._lock:
+            self._count("transplants")
         return transplant_store(entry.store, query, sigma)
 
     # ------------------------------------------------------------------
@@ -367,7 +484,7 @@ class IndexCache:
                 pass
         with self._lock:
             self._spill_files.pop(path, None)
-        self._count("spill_corrupt")
+            self._count("spill_corrupt")
 
     def _load_spilled(
         self, key: Tuple[str, str], signature: str
@@ -384,8 +501,9 @@ class IndexCache:
         path = self._spill_path(key)
         if not os.path.exists(path):
             return None
-        read_index = self._spill_reads
-        self._spill_reads += 1
+        with self._lock:
+            read_index = self._spill_reads
+            self._spill_reads += 1
         try:
             with open(path, "rb") as handle:
                 raw = handle.read()
@@ -408,37 +526,32 @@ class IndexCache:
             # idiosyncratically) means the blob can never be served.
             self._quarantine(path, f"unparseable: {exc!r}")
             return None
-        revived_sig, revived_order = canonical_form(store.tree.query)
-        if revived_sig != signature:
+        revived = query_labeling(store.tree.query)
+        if revived.signature != signature:
             self._quarantine(path, "canonical signature mismatch")
             return None
         with self._lock:
             if path in self._spill_files:
                 self._spill_files.move_to_end(path)
-        return CacheEntry(key, store, revived_order, 0.0)
+        return CacheEntry(key, store, revived.order, 0.0)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
         """Counters + occupancy as one JSON-friendly dict."""
         with self._lock:
-            entries = len(self._lru)
-            spill_files = len(self._spill_files)
-            spill_bytes = sum(self._spill_files.values())
-        probes = self.hits + self.warm_hits + self.coalesced + self.misses
-        served = self.hits + self.warm_hits + self.coalesced
-        return {
-            "hits": self.hits,
-            "warm_hits": self.warm_hits,
-            "coalesced": self.coalesced,
-            "misses": self.misses,
-            "transplants": self.transplants,
-            "evictions": self.evictions,
-            "spills": self.spills,
-            "spill_corrupt": self.spill_corrupt,
-            "spill_evicted": self.spill_evicted,
-            "spill_files": spill_files,
-            "spill_bytes": spill_bytes,
-            "entries": entries,
-            "capacity": self.capacity,
-            "hit_rate": round(served / probes, 6) if probes else 0.0,
-        }
+            snap: Dict[str, float] = {
+                name: getattr(self, name)
+                for name in (
+                    "hits", "warm_hits", "coalesced", "misses",
+                    "transplants", "evictions", "spills", "spill_corrupt",
+                    "spill_evicted",
+                )
+            }
+            snap["spill_files"] = len(self._spill_files)
+            snap["spill_bytes"] = sum(self._spill_files.values())
+            snap["entries"] = len(self._lru)
+        snap["capacity"] = self.capacity
+        served = snap["hits"] + snap["warm_hits"] + snap["coalesced"]
+        probes = served + snap["misses"]
+        snap["hit_rate"] = round(served / probes, 6) if probes else 0.0
+        return snap

@@ -12,7 +12,7 @@ A :class:`MatchResponse` is explicit about what happened: ``status`` is
 one of the :class:`Status` constants, ``truncated``/``stop_reason``
 mirror :class:`~repro.resilience.budget.PartialResult`, ``cache`` says
 how the index was obtained (``"miss"`` built fresh, ``"hit"`` served
-from the in-memory LRU, ``"warm"`` revived from a spilled CECIIDX3
+from the in-memory cache, ``"warm"`` revived from a spilled CECIIDX3
 blob, ``"coalesced"`` shared a concurrent in-flight build), and
 ``stats`` carries only *this* request's counters — never another
 request's.

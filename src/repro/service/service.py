@@ -12,7 +12,8 @@ recovers lost ones.  The pieces, and where each lives:
   ``REJECTED`` response, before it can touch any shared state;
 * **index reuse** — a scheduler thread resolves each admitted request's
   index through the cross-query :class:`~repro.service.cache.IndexCache`
-  (LRU hit / spilled-blob warm / in-flight coalesce / fresh build);
+  (resident hit / spilled-blob warm / in-flight coalesce / fresh
+  build), admitting by lookup frequency;
 * **one chunk plan** — an unbounded request is cut into weight-balanced
   chunks by LPT over its clusters' ``cluster_cardinality``
   (:func:`chunk_plan`: a few chunks per worker, none much smaller than
@@ -104,7 +105,7 @@ from ..parallel.scheduling import Assignment, dynamic_schedule
 from ..resilience.budget import BudgetExhausted, BudgetTracker
 from ..resilience.faults import FaultPlan, InjectedBuildError, InjectedCrash
 from ..resilience.recovery import RetryPolicy
-from .cache import CacheEntry, IndexCache
+from .cache import CacheEntry, IndexCache, query_labeling
 from .request import MatchRequest, MatchResponse, Status
 from .scheduler import TaskQueue
 
@@ -187,7 +188,7 @@ def service_metric_specs() -> Tuple[MetricSpec, ...]:
         ),
         MetricSpec(
             "service_index_cache_hits",
-            help="Index LRU hits.",
+            help="Index cache hits on a resident entry.",
         ),
         MetricSpec(
             "service_index_cache_warm_hits",
@@ -203,7 +204,7 @@ def service_metric_specs() -> Tuple[MetricSpec, ...]:
         ),
         MetricSpec(
             "service_index_cache_evictions",
-            help="LRU entries evicted.",
+            help="Resident index cache entries evicted.",
         ),
         MetricSpec(
             "service_index_cache_spills",
@@ -1111,8 +1112,8 @@ class MatchService:
             )
         if request.budget is not None and not request.budget.unlimited:
             job.tracker = request.budget.tracker().start()
-        job.symmetry = SymmetryBreaker(
-            request.query, enabled=request.break_automorphisms
+        job.symmetry = query_labeling(request.query).symmetry(
+            request.break_automorphisms
         )
 
         build_stats: List[MatchStats] = []

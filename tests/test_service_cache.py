@@ -18,6 +18,13 @@ import time
 from typing import List, Tuple
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from conftest import brute_force_embeddings
 from repro.core.automorphism import SymmetryBreaker, canonical_form
@@ -350,3 +357,327 @@ def test_fair_task_queue_close_drains_then_signals():
     assert queue.pop() is None
     with pytest.raises(RuntimeError):
         queue.push_solo(2)
+
+
+# ----------------------------------------------------------------------
+# Admission by frequency
+# ----------------------------------------------------------------------
+
+def _label_key(label: int) -> Graph:
+    """A one-vertex query per label: a distinct cache key each, with a
+    trivial canonical form."""
+    return Graph(1, [], labels=[label])
+
+
+def _zipf_stream(keys: int, length: int, seed: int) -> List[int]:
+    """``length`` lookups of ``keys`` keys holding Zipf frequencies
+    (rank ``r`` weighs ``1/(r+1)``) in one seeded shuffled order."""
+    import random
+
+    weights = [1.0 / (r + 1) for r in range(keys)]
+    counts = [round(length * w / sum(weights)) for w in weights]
+    stream = [r for r, count in enumerate(counts) for _ in range(count)]
+    random.Random(seed).shuffle(stream)
+    return stream
+
+
+def _lru_hits(stream: List[int], capacity: int) -> int:
+    from collections import OrderedDict
+
+    resident: "OrderedDict[int, None]" = OrderedDict()
+    hits = 0
+    for key in stream:
+        if key in resident:
+            resident.move_to_end(key)
+            hits += 1
+            continue
+        resident[key] = None
+        if len(resident) > capacity:
+            resident.popitem(last=False)
+    return hits
+
+
+def _replay(stream: List[int], capacity: int) -> IndexCache:
+    _, data = _instance()
+    cache = IndexCache(data, capacity=capacity)
+    queries = {key: _label_key(key) for key in set(stream)}
+    for key in stream:
+        cache.get_or_build(queries[key], lambda: object())
+    return cache
+
+
+#: ``(hits, misses, evictions)`` of the seed-0 replay below; LRU serves
+#: 107 of its 201 lookups.
+PINNED_ZIPF = (125, 76, 72)
+
+
+def test_zipf_replay_keeps_the_head_resident():
+    """A deterministic Zipf replay over 10 keys through 4 slots: the
+    frequency rule's hit count is pinned, and at least LRU's on the same
+    stream (one-off keys displace each other, not the head)."""
+    stream = _zipf_stream(10, 200, seed=0)
+    cache = _replay(stream, capacity=4)
+    assert cache.hits + cache.misses == len(stream)
+    assert (cache.hits, cache.misses, cache.evictions) == PINNED_ZIPF
+    assert cache.hits >= _lru_hits(stream, 4)
+
+
+def test_capacity_one_is_lru():
+    """With one slot the resident entry is always the previous window
+    entry, so every new key evicts it: the LRU hit count exactly."""
+    for seed in range(5):
+        stream = _zipf_stream(6, 60, seed=seed)
+        cache = _replay(stream, capacity=1)
+        assert cache.hits == _lru_hits(stream, 1)
+        assert cache.evictions == cache.misses - 1
+
+
+def test_frequent_key_outlives_a_burst_of_one_offs():
+    """Two heavily used keys stay resident through a burst of one-off
+    keys; under LRU the burst would flush them."""
+    _, data = _instance()
+    cache = IndexCache(data, capacity=3)
+    hot = [_label_key(0), _label_key(1)]
+    for _ in range(3):
+        for query in hot:
+            cache.get_or_build(query, lambda: object())
+    for label in range(100, 110):
+        cache.get_or_build(_label_key(label), lambda: object())
+    for query in hot:
+        _, tag, _ = cache.get_or_build(query, lambda: object())
+        assert tag == "hit"
+    assert len(cache) == 3
+
+
+def test_frequency_counts_age():
+    """Every ``AGING_PERIOD × capacity`` lookups the counts halve and
+    zeros drop, and the dict never outgrows that many keys."""
+    from repro.service.cache import AGING_PERIOD
+
+    _, data = _instance()
+    cache = IndexCache(data, capacity=2)
+    period = AGING_PERIOD * 2
+    query = _label_key(0)
+    for _ in range(period - 1):
+        cache.get_or_build(query, lambda: object())
+    (key,) = cache._freq
+    assert cache._freq[key] == period - 1
+    cache.get_or_build(query, lambda: object())  # the period-th lookup
+    assert cache._freq[key] == period // 2
+    # Keys looked up twice survive a halving; without the size trigger a
+    # period of them on top of the survivors would pass the bound.
+    for label in range(1, 3 * period):
+        for _ in range(2):
+            cache.get_or_build(_label_key(label), lambda: object())
+            assert len(cache._freq) <= period
+
+
+def test_counters_balance_under_concurrent_lookups():
+    """Eight threads look up their own distinct keys (and revisit some)
+    at once, with the interpreter switching threads every microsecond:
+    every call is counted in exactly one tier, and each tier's counter
+    equals the tags the calls returned."""
+    import sys
+    from collections import Counter
+
+    _, data = _instance()
+    cache = IndexCache(data, capacity=4)
+    threads_n, per_thread = 8, 250
+    tags: List[str] = []
+    barrier = threading.Barrier(threads_n)
+
+    def probe(worker: int) -> None:
+        mine: List[str] = []
+        barrier.wait()
+        for i in range(per_thread):
+            label = worker * 1000 + (i % 200)
+            _, tag, _ = cache.get_or_build(_label_key(label), lambda: object())
+            mine.append(tag)
+        tags.extend(mine)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=probe, args=(w,)) for w in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    seen = Counter(tags)
+    snap = cache.snapshot()
+    calls = threads_n * per_thread
+    assert len(tags) == calls
+    assert snap["hits"] + snap["warm_hits"] + snap["coalesced"] + snap[
+        "misses"
+    ] == calls
+    assert snap["hits"] == seen["hit"]
+    assert snap["misses"] == seen["miss"]
+    assert snap["coalesced"] == seen["coalesced"]
+    assert snap["warm_hits"] == seen["warm"] == 0
+    assert snap["evictions"] == snap["misses"] - snap["entries"]
+
+
+# ----------------------------------------------------------------------
+# Stateful model of the cache
+# ----------------------------------------------------------------------
+
+def _machine_queries() -> List[Graph]:
+    """A small key space over the shared instance: a triangle, an edge,
+    a wedge and two generated 4-vertex queries, plus relabeled copies
+    of two of them (same key, transplanted store)."""
+    from repro.graph import generate_query
+
+    triangle, data = _instance()
+    edge = data.subgraph(sorted(data.neighbors(0))[:1] + [0])
+    wedge = data.subgraph(_wedge_vertices(data))
+    fours = [generate_query(data, 4, seed=seed) for seed in (1, 2)]
+    return [
+        triangle, edge, wedge, *fours,
+        _permuted(triangle, [2, 0, 1]), _permuted(wedge, [1, 2, 0]),
+    ]
+
+
+MACHINE_QUERIES = _machine_queries()
+_MACHINE_ANSWERS: dict = {}
+
+
+def _machine_answer(index: int) -> set:
+    """What a fresh sequential matcher answers for query ``index``."""
+    if index not in _MACHINE_ANSWERS:
+        _, data = _instance()
+        embeddings = CECIMatcher(
+            MACHINE_QUERIES[index], data, break_automorphisms=False
+        ).match()
+        _MACHINE_ANSWERS[index] = {
+            tuple(int(v) for v in e) for e in embeddings
+        }
+    return _MACHINE_ANSWERS[index]
+
+
+class IndexCacheMachine(RuleBasedStateMachine):
+    """Random lookups through caches of 1–4 slots, with and without a
+    spill tier: the occupancy, eviction and frequency bounds hold after
+    every step, and every store handed out answers exactly."""
+
+    @initialize(capacity=st.integers(1, 4), spill=st.booleans())
+    def start(self, capacity: int, spill: bool) -> None:
+        import tempfile
+
+        _, data = _instance()
+        self.spill_dir = tempfile.mkdtemp() if spill else None
+        self.cache = IndexCache(
+            data, capacity=capacity, spill_dir=self.spill_dir
+        )
+        self.lookups = 0
+
+    @rule(index=st.integers(0, len(MACHINE_QUERIES) - 1))
+    def lookup(self, index: int) -> None:
+        from collections import Counter
+
+        query = MACHINE_QUERIES[index]
+        cache = self.cache
+        before = set(cache._lru)
+        counters = Counter(cache.snapshot())
+        entry, tag, order = cache.get_or_build(
+            query, _builder(query, cache.data)
+        )
+        self.lookups += 1
+        after = set(cache._lru)
+        snap = cache.snapshot()
+        assert entry.key in after
+        assert snap["evictions"] - counters["evictions"] == len(before - after)
+        assert (tag == "hit") == (entry.key in before)
+        tier = {"hit": "hits", "warm": "warm_hits", "miss": "misses"}[tag]
+        assert snap[tier] == counters[tier] + 1
+        store = cache.adapt(entry, query, order)
+        assert store is not None
+        got = {tuple(int(v) for v in e) for e in _embeddings_from(store, query)}
+        assert got == _machine_answer(index)
+
+    @invariant()
+    def bounded(self) -> None:
+        from repro.service.cache import AGING_PERIOD
+
+        cache = self.cache
+        assert len(cache) <= cache.capacity
+        assert len(cache._freq) <= AGING_PERIOD * cache.capacity
+        snap = cache.snapshot()
+        assert snap["hits"] + snap["warm_hits"] + snap["misses"] == self.lookups
+        if self.spill_dir is None:
+            assert snap["warm_hits"] == snap["spills"] == 0
+
+    def teardown(self) -> None:
+        import shutil
+
+        if getattr(self, "spill_dir", None) is not None:
+            shutil.rmtree(self.spill_dir, ignore_errors=True)
+
+
+IndexCacheMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=25, deadline=None
+)
+TestIndexCacheMachine = IndexCacheMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# One canonical form and symmetry breaker per labeling
+# ----------------------------------------------------------------------
+
+def test_repeated_labeling_is_analysed_once(monkeypatch):
+    """Requests with equal but distinct query graphs run
+    ``canonical_form`` and ``automorphisms`` once between them; a
+    relabeled isomorphic query is analysed afresh, still transplants
+    onto the cached store and answers exactly."""
+    from collections import Counter
+
+    import repro.core.automorphism as automorphism
+    import repro.service.cache as cache_module
+
+    query, data = _instance()
+    expected = CECIMatcher(query, data).match()
+    calls: Counter = Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        cache_module, "canonical_form",
+        counting("canonical_form", cache_module.canonical_form),
+    )
+    monkeypatch.setattr(
+        automorphism, "automorphisms",
+        counting("automorphisms", automorphism.automorphisms),
+    )
+    cache_module.query_labeling.cache_clear()
+
+    def copy(graph: Graph) -> Graph:
+        return Graph(
+            graph.num_vertices, graph.edges,
+            labels={u: graph.labels_of(u) for u in graph.vertices()},
+        )
+
+    with MatchService(data, workers=2) as service:
+        for _ in range(4):
+            response = service.match(MatchRequest(copy(query)))
+            assert response.ok and response.embeddings == expected
+        assert calls == {"canonical_form": 1, "automorphisms": 1}
+        relabeled = _permuted(query, [1, 2, 0])
+        for _ in range(2):
+            response = service.match(
+                MatchRequest(copy(relabeled), break_automorphisms=False)
+            )
+            assert response.ok and response.cache == "hit"
+            got = {tuple(int(v) for v in e) for e in response.embeddings}
+            assert got == brute_force_embeddings(relabeled, data)
+        assert service.index_cache.transplants == 2
+        assert service.index_cache.misses == 1
+    assert calls == {"canonical_form": 2, "automorphisms": 1}
+    cache_module.query_labeling.cache_clear()
